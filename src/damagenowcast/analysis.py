@@ -301,16 +301,19 @@ def daily_correlation_series(
     return CorrelationSeries(entries=tuple(entries), normalization=normalization)
 
 
-def _guarded(x: Sequence[float], y: Sequence[float], method: str) -> CorrelationResult:
+def _guarded(
+    x: Sequence[float], y: Sequence[float], method: str, transform: str = "raw"
+) -> CorrelationResult:
     if len(x) < MIN_ACTIVE:
         return CorrelationResult(
             method=method,
             coefficient=float("nan"),
             p_value=float("nan"),
             n=len(x),
+            transform=transform,
             degenerate=True,
         )
-    return correlate(x, y, method)
+    return correlate(x, y, method, transform)
 
 
 @dataclass(frozen=True)
@@ -398,24 +401,13 @@ def damage_correlation_report(
                             sentiment_damage.append(damage.get(region, 0.0) / denom)
                 for transform in transforms:
                     for method in methods:
-                        if len(activity) < MIN_ACTIVE:
-                            result = CorrelationResult(
-                                method=method,
-                                coefficient=float("nan"),
-                                p_value=float("nan"),
-                                n=len(activity),
-                                transform=transform,
-                                degenerate=True,
-                            )
-                        else:
-                            result = correlate(activity, damage_pc, method, transform)
                         cells.append(
                             ReportCell(
                                 variable="activity",
                                 keyword=scope,
                                 damage_source=source,
                                 normalization=norm,
-                                result=result,
+                                result=_guarded(activity, damage_pc, method, transform),
                                 active_regions=active,
                             )
                         )

@@ -35,7 +35,6 @@ from .ingest import (
     MessageRecord,
     RegionBoundary,
     parse_county_table,
-    parse_gazetteer,
     parse_keyed_table,
     parse_messages,
     parse_regions,
@@ -196,7 +195,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         ("population", args.population, lambda p: parse_keyed_table(p, "population")),
         ("damage", args.damage, lambda p: parse_keyed_table(p, "damage")),
         ("track", args.track, parse_track),
-        ("gazetteer", args.gazetteer, parse_gazetteer),
         ("county-table", args.county_table, parse_county_table),
     ):
         if path is None:
@@ -609,7 +607,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         retweet=RetweetModel(),
         damage=DamageModel(coupling=args.coupling, noise_sigma=args.sigma),
     )
-    bundle = generate(config, args.out, workers=args.workers)
+    bundle = generate(config, args.out)
     print(
         f"wrote bundle to {bundle.out_dir} "
         f"({bundle.n_regions} regions, {bundle.n_messages} messages)"
@@ -644,7 +642,6 @@ def build_parser() -> _Parser:
     p.add_argument("--population")
     p.add_argument("--damage")
     p.add_argument("--track")
-    p.add_argument("--gazetteer")
     p.add_argument("--county-table")
     p.set_defaults(func=_cmd_validate)
 
@@ -706,7 +703,6 @@ def build_parser() -> _Parser:
     p.add_argument("--media-burst", type=float, default=0.0)
     p.add_argument("--coupling", type=float, default=1000.0)
     p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_simulate)
 
     return parser

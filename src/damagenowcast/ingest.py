@@ -1,11 +1,11 @@
 """Parsers for the external data files: messages, region boundaries, population,
-damage, storm track, gazetteer, and the bundled county statistics table.
+damage, storm track, and the bundled county statistics table.
 
-All readers are single-pass and stateless per row. Malformed rows are dropped
-with a line-numbered diagnostic; structural problems (unreadable input,
-duplicate keys where duplicates are banned, non-monotone track times) raise
-:class:`IngestError`. Files are UTF-8; timestamps must be ISO-8601 with an
-explicit UTC offset.
+Every CSV parser reads through one shared single-pass reader, so all of them
+drop malformed rows with the same line-numbered diagnostic; structural
+problems (unreadable or empty input, a missing column, duplicate keys where
+duplicates are banned, non-monotone track times) raise :class:`IngestError`.
+Files are UTF-8; timestamps must be ISO-8601 with an explicit UTC offset.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Generic, Iterable, Iterator, Sequence, TextIO, TypeVar
+from typing import Callable, Generic, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 __all__ = [
     "IngestError",
@@ -25,7 +25,6 @@ __all__ = [
     "PopulationEntry",
     "DamageRecord",
     "TrackPoint",
-    "GazetteerEntry",
     "CountyStats",
     "ParseResult",
     "parse_messages",
@@ -33,12 +32,9 @@ __all__ = [
     "parse_track",
     "parse_keyed_table",
     "parse_county_table",
-    "parse_gazetteer",
     "parse_timestamp",
-    "gazetteer_geocode",
     "write_messages_csv",
     "format_timestamp",
-    "normalize_place",
 ]
 
 REGION_LEVELS = frozenset({"metro", "county", "zcta"})
@@ -116,14 +112,6 @@ class TrackPoint:
 
 
 @dataclass(frozen=True)
-class GazetteerEntry:
-    place_name: str  # normalized: trimmed, whitespace-collapsed, lowercase
-    admin_code: str
-    lat: float
-    lon: float
-
-
-@dataclass(frozen=True)
 class CountyStats:
     """Row of the bundled county table: whole-period counts plus damage totals."""
 
@@ -181,19 +169,49 @@ def _open_text(source: str | Path | TextIO) -> tuple[TextIO, bool]:
     return source, False
 
 
-def _csv_rows(stream: TextIO) -> Iterator[tuple[int, list[str]]]:
-    lines = _LineFilter(stream)
-    reader = csv.reader(lines)
-    for row in reader:
-        yield lines.lineno, row
-
-
 def _header_index(header: Sequence[str], required: Sequence[str], what: str) -> dict[str, int]:
     index = {name.strip().lower(): i for i, name in enumerate(header)}
     missing = [c for c in required if c not in index]
     if missing:
         raise IngestError(f"{what}: header missing column(s) {', '.join(missing)}")
     return index
+
+
+def _read_table(
+    source: str | Path | TextIO,
+    what: str,
+    required: Sequence[str],
+    convert: Callable[[list[str], dict[str, int]], T],
+    result: ParseResult,
+) -> Iterator[T]:
+    """Yield ``convert(row, col)`` for each well-formed data row of a CSV input.
+
+    ``col`` maps lowercased header names to column positions. A row whose
+    conversion raises ValueError or IndexError is counted in ``result`` as
+    rejected, with a ``"<what> line N: <reason>"`` diagnostic; every data row
+    is counted in ``result.rows_total``. The caller applies its own rule to
+    the yielded records and appends the ones it keeps.
+    """
+    stream, owned = _open_text(source)
+    try:
+        lines = _LineFilter(stream)
+        rows = csv.reader(lines)
+        header = next(rows, None)
+        if header is None:
+            raise IngestError(f"{what}: empty input")
+        col = _header_index(header, required, what)
+        for row in rows:
+            result.rows_total += 1
+            try:
+                record = convert(row, col)
+            except (ValueError, IndexError) as exc:
+                result.rows_rejected += 1
+                result.diagnostics.append(f"{what} line {lines.lineno}: {exc}")
+                continue
+            yield record
+    finally:
+        if owned:
+            stream.close()
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -227,33 +245,18 @@ def parse_messages(
     malformed.
     """
     wanted = frozenset(t.strip().lower() for t in keyword_filter or () if t.strip())
-    stream, owned = _open_text(source)
     result: ParseResult[MessageRecord] = ParseResult(records=[])
     seen_ids: set[str] = set()
-    try:
-        rows = _csv_rows(stream)
-        try:
-            _, header = next(rows)
-        except StopIteration:
-            raise IngestError("messages: empty input")
-        col = _header_index(header, MESSAGE_COLUMNS, "messages")
 
-        for lineno, row in rows:
-            result.rows_total += 1
-            try:
-                record = _message_from_row(row, col, seen_ids)
-            except ValueError as exc:
-                result.rows_rejected += 1
-                result.diagnostics.append(f"messages line {lineno}: {exc}")
-                continue
-            seen_ids.add(record.message_id)
-            if wanted and not (record.keywords & wanted):
-                result.rows_filtered += 1
-                continue
-            result.records.append(record)
-    finally:
-        if owned:
-            stream.close()
+    def convert(row: list[str], col: dict[str, int]) -> MessageRecord:
+        return _message_from_row(row, col, seen_ids)
+
+    for record in _read_table(source, "messages", MESSAGE_COLUMNS, convert, result):
+        seen_ids.add(record.message_id)
+        if wanted and not (record.keywords & wanted):
+            result.rows_filtered += 1
+            continue
+        result.records.append(record)
     return result
 
 
@@ -353,6 +356,9 @@ def _close_ring(
 ) -> tuple[tuple[float, float], ...]:
     # positions may carry an altitude third element; only lon/lat are kept
     ring = [(float(v[0]), float(v[1])) for v in coords]
+    # NaN fails every comparison, so this also rejects non-finite vertices
+    if not all(-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0 for lon, lat in ring):
+        raise ValueError("vertex coordinates non-finite or out of range")
     if len(ring) < 3:
         raise ValueError(f"ring with {len(ring)} vertices")
     if ring[0] != ring[-1]:
@@ -437,35 +443,21 @@ def _region_from_feature(feature: dict, diagnostics: list[str]) -> RegionBoundar
 
 def parse_track(source: str | Path | TextIO) -> ParseResult[TrackPoint]:
     """Read ``track.csv`` (timestamp,lat,lon); timestamps must strictly increase."""
-    stream, owned = _open_text(source)
     result: ParseResult[TrackPoint] = ParseResult(records=[])
-    try:
-        rows = _csv_rows(stream)
-        try:
-            _, header = next(rows)
-        except StopIteration:
-            raise IngestError("track: empty input")
-        col = _header_index(header, ("timestamp", "lat", "lon"), "track")
-        for lineno, row in rows:
-            result.rows_total += 1
-            try:
-                stamp = parse_timestamp(row[col["timestamp"]])
-                lat = float(row[col["lat"]])
-                lon = float(row[col["lon"]])
-                if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
-                    raise ValueError("coordinates out of range")
-            except (ValueError, IndexError) as exc:
-                result.rows_rejected += 1
-                result.diagnostics.append(f"track line {lineno}: {exc}")
-                continue
-            result.records.append(TrackPoint(timestamp=stamp, lat=lat, lon=lon))
-    finally:
-        if owned:
-            stream.close()
+    result.records.extend(_read_table(source, "track", ("timestamp", "lat", "lon"), _track_row, result))
     for prev, cur in zip(result.records, result.records[1:]):
         if cur.timestamp <= prev.timestamp:
             raise IngestError("track: timestamps must strictly increase")
     return result
+
+
+def _track_row(row: list[str], col: dict[str, int]) -> TrackPoint:
+    stamp = parse_timestamp(row[col["timestamp"]])
+    lat = float(row[col["lat"]])
+    lon = float(row[col["lon"]])
+    if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
+        raise ValueError("coordinates out of range")
+    return TrackPoint(timestamp=stamp, lat=lat, lon=lon)
 
 
 def parse_keyed_table(
@@ -484,188 +476,78 @@ def parse_keyed_table(
 
 
 def _parse_population(source: str | Path | TextIO) -> ParseResult[PopulationEntry]:
-    stream, owned = _open_text(source)
     result: ParseResult[PopulationEntry] = ParseResult(records=[])
     seen: set[str] = set()
-    try:
-        rows = _csv_rows(stream)
-        try:
-            _, header = next(rows)
-        except StopIteration:
-            raise IngestError("population: empty input")
-        col = _header_index(header, ("region_id", "population"), "population")
-        for lineno, row in rows:
-            result.rows_total += 1
-            try:
-                region_id = row[col["region_id"]].strip()
-                population = int(row[col["population"]])
-                if not region_id:
-                    raise ValueError("missing region_id")
-                if population <= 0:
-                    raise ValueError("population must be positive")
-            except (ValueError, IndexError) as exc:
-                result.rows_rejected += 1
-                result.diagnostics.append(f"population line {lineno}: {exc}")
-                continue
-            if region_id in seen:
-                raise IngestError(f"population: duplicate region_id {region_id!r}")
-            seen.add(region_id)
-            result.records.append(PopulationEntry(region_id=region_id, population=population))
-    finally:
-        if owned:
-            stream.close()
+    for entry in _read_table(source, "population", ("region_id", "population"), _population_row, result):
+        if entry.region_id in seen:
+            raise IngestError(f"population: duplicate region_id {entry.region_id!r}")
+        seen.add(entry.region_id)
+        result.records.append(entry)
     return result
 
 
+def _population_row(row: list[str], col: dict[str, int]) -> PopulationEntry:
+    region_id = row[col["region_id"]].strip()
+    population = int(row[col["population"]])
+    if not region_id:
+        raise ValueError("missing region_id")
+    if population <= 0:
+        raise ValueError("population must be positive")
+    return PopulationEntry(region_id=region_id, population=population)
+
+
 def _parse_damage(source: str | Path | TextIO) -> ParseResult[DamageRecord]:
-    stream, owned = _open_text(source)
     result: ParseResult[DamageRecord] = ParseResult(records=[])
-    totals: dict[tuple[str, str], float] = {}
-    order: list[tuple[str, str]] = []
-    try:
-        rows = _csv_rows(stream)
-        try:
-            _, header = next(rows)
-        except StopIteration:
-            raise IngestError("damage: empty input")
-        col = _header_index(header, ("region_id", "amount_usd", "source"), "damage")
-        for lineno, row in rows:
-            result.rows_total += 1
-            try:
-                region_id = row[col["region_id"]].strip()
-                amount = float(row[col["amount_usd"]])
-                damage_source = row[col["source"]].strip().lower()
-                if not region_id:
-                    raise ValueError("missing region_id")
-                if amount < 0 or math.isnan(amount):
-                    raise ValueError("amount_usd must be non-negative")
-                if damage_source not in DAMAGE_SOURCES:
-                    raise ValueError(f"source must be one of {sorted(DAMAGE_SOURCES)}")
-            except (ValueError, IndexError) as exc:
-                result.rows_rejected += 1
-                result.diagnostics.append(f"damage line {lineno}: {exc}")
-                continue
-            key = (region_id, damage_source)
-            if key not in totals:
-                order.append(key)
-                totals[key] = 0.0
-            totals[key] += amount
-    finally:
-        if owned:
-            stream.close()
+    totals: dict[tuple[str, str], float] = {}  # insertion order is first-seen order
+    for entry in _read_table(source, "damage", ("region_id", "amount_usd", "source"), _damage_row, result):
+        key = (entry.region_id, entry.source)
+        totals[key] = totals.get(key, 0.0) + entry.amount_usd
     result.records = [
-        DamageRecord(region_id=rid, amount_usd=totals[(rid, src)], source=src) for rid, src in order
+        DamageRecord(region_id=rid, amount_usd=amount, source=src) for (rid, src), amount in totals.items()
     ]
     return result
 
 
+def _damage_row(row: list[str], col: dict[str, int]) -> DamageRecord:
+    region_id = row[col["region_id"]].strip()
+    amount = float(row[col["amount_usd"]])
+    damage_source = row[col["source"]].strip().lower()
+    if not region_id:
+        raise ValueError("missing region_id")
+    if amount < 0 or math.isnan(amount):
+        raise ValueError("amount_usd must be non-negative")
+    if damage_source not in DAMAGE_SOURCES:
+        raise ValueError(f"source must be one of {sorted(DAMAGE_SOURCES)}")
+    return DamageRecord(region_id=region_id, amount_usd=amount, source=damage_source)
+
+
+_COUNTY_COLUMNS = ("county", "population", "tweets", "users", "expost_damage_musd", "hazus_damage_musd")
+
+
 def parse_county_table(source: str | Path | TextIO) -> ParseResult[CountyStats]:
     """Read a county statistics table (the shipped ``fixtures/sandy_counties.csv`` schema)."""
-    stream, owned = _open_text(source)
     result: ParseResult[CountyStats] = ParseResult(records=[])
     seen: set[str] = set()
-    required = ("county", "population", "tweets", "users", "expost_damage_musd", "hazus_damage_musd")
-    try:
-        rows = _csv_rows(stream)
-        try:
-            _, header = next(rows)
-        except StopIteration:
-            raise IngestError("county table: empty input")
-        col = _header_index(header, required, "county table")
-        for lineno, row in rows:
-            result.rows_total += 1
-            try:
-                county = row[col["county"]].strip()
-                if not county:
-                    raise ValueError("missing county")
-                stats = CountyStats(
-                    county=county,
-                    population=int(row[col["population"]]),
-                    tweets=int(row[col["tweets"]]),
-                    users=int(row[col["users"]]),
-                    expost_damage_usd=float(row[col["expost_damage_musd"]]) * 1e6,
-                    hazus_damage_usd=float(row[col["hazus_damage_musd"]]) * 1e6,
-                )
-                if stats.population <= 0 or stats.tweets < 0 or stats.users < 0:
-                    raise ValueError("counts out of range")
-            except (ValueError, IndexError) as exc:
-                result.rows_rejected += 1
-                result.diagnostics.append(f"county table line {lineno}: {exc}")
-                continue
-            if county in seen:
-                raise IngestError(f"county table: duplicate county {county!r}")
-            seen.add(county)
-            result.records.append(stats)
-    finally:
-        if owned:
-            stream.close()
+    for stats in _read_table(source, "county table", _COUNTY_COLUMNS, _county_row, result):
+        if stats.county in seen:
+            raise IngestError(f"county table: duplicate county {stats.county!r}")
+        seen.add(stats.county)
+        result.records.append(stats)
     return result
 
 
-def parse_gazetteer(source: str | Path | TextIO) -> ParseResult[GazetteerEntry]:
-    """Read ``gazetteer.csv``; (place_name, admin_code) pairs must be unique."""
-    stream, owned = _open_text(source)
-    result: ParseResult[GazetteerEntry] = ParseResult(records=[])
-    seen: set[tuple[str, str]] = set()
-    try:
-        rows = _csv_rows(stream)
-        try:
-            _, header = next(rows)
-        except StopIteration:
-            raise IngestError("gazetteer: empty input")
-        col = _header_index(header, ("place_name", "admin_code", "lat", "lon"), "gazetteer")
-        for lineno, row in rows:
-            result.rows_total += 1
-            try:
-                place = normalize_place(row[col["place_name"]])
-                admin = normalize_place(row[col["admin_code"]])
-                lat = float(row[col["lat"]])
-                lon = float(row[col["lon"]])
-                if not place:
-                    raise ValueError("missing place_name")
-                if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
-                    raise ValueError("coordinates out of range")
-            except (ValueError, IndexError) as exc:
-                result.rows_rejected += 1
-                result.diagnostics.append(f"gazetteer line {lineno}: {exc}")
-                continue
-            key = (place, admin)
-            if key in seen:
-                raise IngestError(f"gazetteer: duplicate entry {place!r}, {admin!r}")
-            seen.add(key)
-            result.records.append(GazetteerEntry(place_name=place, admin_code=admin, lat=lat, lon=lon))
-    finally:
-        if owned:
-            stream.close()
-    return result
-
-
-def normalize_place(text: str) -> str:
-    """Trim, collapse internal whitespace, lowercase."""
-    return " ".join(text.split()).lower()
-
-
-def gazetteer_geocode(
-    profile_location: str, gazetteer: Sequence[GazetteerEntry]
-) -> tuple[float, float] | None:
-    """Exact-match geocoding of a profile location against the gazetteer.
-
-    ``"place, admin"`` inputs match on both fields; bare names match only when
-    exactly one gazetteer place carries that name. Anything ambiguous or
-    unmatched yields None.
-    """
-    normalized = normalize_place(profile_location)
-    if not normalized:
-        return None
-    if "," in normalized:
-        place_part, admin_part = normalized.rsplit(",", 1)
-        place = normalize_place(place_part)
-        admin = normalize_place(admin_part)
-        for entry in gazetteer:
-            if entry.place_name == place and entry.admin_code == admin:
-                return (entry.lat, entry.lon)
-        return None
-    matches = [entry for entry in gazetteer if entry.place_name == normalized]
-    if len(matches) == 1:
-        return (matches[0].lat, matches[0].lon)
-    return None
+def _county_row(row: list[str], col: dict[str, int]) -> CountyStats:
+    county = row[col["county"]].strip()
+    if not county:
+        raise ValueError("missing county")
+    stats = CountyStats(
+        county=county,
+        population=int(row[col["population"]]),
+        tweets=int(row[col["tweets"]]),
+        users=int(row[col["users"]]),
+        expost_damage_usd=float(row[col["expost_damage_musd"]]) * 1e6,
+        hazus_damage_usd=float(row[col["hazus_damage_musd"]]) * 1e6,
+    )
+    if stats.population <= 0 or stats.tweets < 0 or stats.users < 0:
+        raise ValueError("counts out of range")
+    return stats

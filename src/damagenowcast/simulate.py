@@ -9,9 +9,9 @@ Regional message counts per daily bin follow a Poisson law whose per-person
 rate decays linearly with distance to the track up to a cutoff and is flat
 beyond it; the retweet probability rises with distance; damage couples
 per-capita to realized post-event activity with optional lognormal noise.
-Identical config and seed give byte-identical bundles regardless of the
-worker count: each region draws from its own substream spawned from the
-master seed, and outputs are canonically ordered by (region_id, timestamp).
+Identical config and seed give byte-identical bundles: each region draws
+from its own substream spawned from the master seed, and outputs are
+canonically ordered by (region_id, timestamp).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -200,10 +199,10 @@ def _simulate_region(config: SimConfig, spec: _RegionSpec, seed_seq: np.random.S
     burst_rate = config.media_burst * float(rng.exponential(1.0))
 
     window_lo, window_hi = config.damage.window_bins
-    drawn: list[tuple[datetime, int, MessageRecord]] = []
+    # MessageRecord fields after message_id, which follows the canonical sort
+    drawn: list[tuple[str, datetime, tuple[float, float], frozenset[str], bool, int, float]] = []
     window_count = 0
     latent_rate = 0.0
-    serial = 0
     for day in config.day_bins():
         day_start = config.landfall + timedelta(days=day)
         for keyword, profile in config.keywords:
@@ -231,44 +230,26 @@ def _simulate_region(config: SimConfig, spec: _RegionSpec, seed_seq: np.random.S
             )
             if window_lo <= day < window_hi:
                 window_count += count
+            tags = frozenset({keyword})
             for j in range(count):
-                stamp = day_start + timedelta(seconds=int(seconds[j]))
                 is_retweet = bool(retweet_flags[j])
                 drawn.append(
                     (
-                        stamp,
-                        serial,
-                        MessageRecord(
-                            message_id="",  # assigned after the canonical sort
-                            user_id=f"{spec.region_id}-u{int(user_idx[j]):05d}",
-                            timestamp=stamp,
-                            location=(float(lats[j]), float(lons[j])),
-                            keywords=frozenset({keyword}),
-                            is_retweet=is_retweet,
-                            retweeted_count=0 if is_retweet else int(rebroadcasts[j]),
-                            sentiment=float(sentiments[j]),
-                        ),
+                        f"{spec.region_id}-u{int(user_idx[j]):05d}",
+                        day_start + timedelta(seconds=int(seconds[j])),
+                        (float(lats[j]), float(lons[j])),
+                        tags,
+                        is_retweet,
+                        0 if is_retweet else int(rebroadcasts[j]),
+                        float(sentiments[j]),
                     )
                 )
-                serial += 1
 
     noise = math.exp(config.damage.noise_sigma * float(rng.standard_normal()))
     damage_usd = config.damage.coupling * window_count * noise
 
-    drawn.sort(key=lambda item: (item[0], item[1]))
-    messages = [
-        MessageRecord(
-            message_id=f"{spec.region_id}-m{i:06d}",
-            user_id=m.user_id,
-            timestamp=m.timestamp,
-            location=m.location,
-            keywords=m.keywords,
-            is_retweet=m.is_retweet,
-            retweeted_count=m.retweeted_count,
-            sentiment=m.sentiment,
-        )
-        for i, (_, _, m) in enumerate(drawn)
-    ]
+    drawn.sort(key=lambda fields: fields[1])  # stable, so equal timestamps keep draw order
+    messages = [MessageRecord(f"{spec.region_id}-m{i:06d}", *fields) for i, fields in enumerate(drawn)]
     return _RegionDraw(
         spec=spec,
         population=population,
@@ -294,7 +275,7 @@ def _region_feature(spec: _RegionSpec) -> dict:
     }
 
 
-def generate(config: SimConfig, out_dir: str | Path, workers: int = 1) -> SimBundle:
+def generate(config: SimConfig, out_dir: str | Path) -> SimBundle:
     """Write the full synthetic bundle into ``out_dir`` and return its paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -303,11 +284,7 @@ def generate(config: SimConfig, out_dir: str | Path, workers: int = 1) -> SimBun
     specs = _region_grid(config, track_points)
     seeds = np.random.SeedSequence(config.seed).spawn(len(specs))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            draws = list(pool.map(lambda args: _simulate_region(config, *args), zip(specs, seeds)))
-    else:
-        draws = [_simulate_region(config, spec, seq) for spec, seq in zip(specs, seeds)]
+    draws = [_simulate_region(config, spec, seq) for spec, seq in zip(specs, seeds)]
 
     messages_csv = out / "messages.csv"
     all_messages = [m for draw in draws for m in draw.messages]

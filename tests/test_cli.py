@@ -48,11 +48,6 @@ class TestSimulateCommand:
                      "damage.csv", "track.csv", "ground_truth.csv"):
             assert sha(tmp_path / "a" / name) == sha(tmp_path / "b" / name)
 
-    def test_workers_flag_preserves_output(self, tmp_path):
-        run("simulate", "--seed", 5, "--out", tmp_path / "a", "--regions", 9, "--workers", 1)
-        run("simulate", "--seed", 5, "--out", tmp_path / "b", "--regions", 9, "--workers", 3)
-        assert sha(tmp_path / "a" / "messages.csv") == sha(tmp_path / "b" / "messages.csv")
-
 
 class TestCorrelateCommand:
     def test_full_grid_and_determinism(self, sim_bundle, tmp_path):

@@ -7,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from damagenowcast.ingest import (
-    GazetteerEntry,
     IngestError,
-    gazetteer_geocode,
     parse_county_table,
     parse_keyed_table,
     parse_messages,
@@ -214,6 +212,21 @@ class TestParseRegions:
         result = parse_regions(collection(region_feature("r1", [UNIT_SQUARE], level="tract")))
         assert result.rows_rejected == 1
 
+    def test_non_finite_and_out_of_range_vertices_rejected(self):
+        nan_ring = [[0.0, 0.0], [1.0, 0.0], [float("nan"), 1.0], [0.0, 1.0], [0.0, 0.0]]
+        far_ring = [[0.0, 0.0], [500.0, 0.0], [1.0, 95.0], [0.0, 1.0], [0.0, 0.0]]
+        result = parse_regions(
+            collection(
+                region_feature("r1", [nan_ring]),
+                region_feature("r2", [far_ring]),
+                region_feature("r3", [UNIT_SQUARE]),
+            )
+        )
+        assert [r.region_id for r in result.records] == ["r3"]
+        assert result.rows_rejected == 2
+        assert result.diagnostics[0].startswith("regions feature 0: ")
+        assert result.diagnostics[1].startswith("regions feature 1: ")
+
 
 class TestParseTrack:
     def test_two_points(self):
@@ -268,26 +281,81 @@ class TestCountyTable:
         assert (ny.population, ny.tweets, ny.users) == (1619090, 50767, 15558)
 
 
-GAZETTEER = [
-    GazetteerEntry("new york", "ny", 40.7128, -74.0060),
-    GazetteerEntry("springfield", "il", 39.7817, -89.6501),
-    GazetteerEntry("springfield", "ma", 42.1015, -72.5898),
-    GazetteerEntry("springfield", "mo", 37.2090, -93.2923),
+# One case per CSV parser: (what, parse, header, good row, malformed row,
+# row the parser filters or None, required column to drop from the header).
+CSV_PARSERS = [
+    (
+        "messages",
+        lambda source: parse_messages(source, {"sandy"}),
+        HEADER.strip(),
+        "m1,u1,2012-10-30T00:00:00Z,,,sandy,0,0,",
+        "m2,u1,bad,,,sandy,0,0,",
+        "m3,u1,2012-10-30T00:00:00Z,,,gas,0,0,",
+        "retweeted_count",
+    ),
+    (
+        "population",
+        lambda source: parse_keyed_table(source, "population"),
+        "region_id,population",
+        "r1,100",
+        "r2,zero",
+        None,
+        "region_id",
+    ),
+    (
+        "damage",
+        lambda source: parse_keyed_table(source, "damage"),
+        "region_id,amount_usd,source",
+        "r1,10,fema_ia",
+        "r2,-1,fema_ia",
+        None,
+        "source",
+    ),
+    (
+        "track",
+        parse_track,
+        "timestamp,lat,lon",
+        "2012-10-29T12:00:00Z,39.4,-74.4",
+        "2012-10-29T13:00:00Z,95.0,-74.4",
+        None,
+        "lon",
+    ),
+    (
+        "county table",
+        parse_county_table,
+        "county,population,tweets,users,expost_damage_musd,hazus_damage_musd",
+        "Atlantic,275422,1580,574,954,1630",
+        "Bergen,many,1,1,1,1",
+        None,
+        "users",
+    ),
 ]
 
 
-class TestGazetteerGeocode:
-    def test_exact_match(self):
-        assert gazetteer_geocode("New York, NY", GAZETTEER) == (40.7128, -74.0060)
+@pytest.mark.parametrize(
+    "what,parse,header,good,bad,filtered,missing", CSV_PARSERS, ids=[c[0] for c in CSV_PARSERS]
+)
+class TestCsvReaderContract:
+    def test_malformed_row_rejected_with_line_number(self, what, parse, header, good, bad, filtered, missing):
+        rows = [header, good, bad] + ([filtered] if filtered else [])
+        result = parse(io.StringIO("\n".join(rows) + "\n"))
+        assert result.rows_rejected == 1
+        assert len(result.diagnostics) == 1
+        assert result.diagnostics[0].startswith(f"{what} line 3: ")
+        assert result.rows_total == len(rows) - 1
+        assert result.rows_filtered == (1 if filtered else 0)
+        assert len(result.records) + result.rows_rejected + result.rows_filtered == result.rows_total
 
-    def test_ambiguous_bare_name(self):
-        assert gazetteer_geocode("Springfield", GAZETTEER) is None
+    def test_empty_input_fatal(self, what, parse, header, good, bad, filtered, missing):
+        with pytest.raises(IngestError) as excinfo:
+            parse(io.StringIO(""))
+        assert str(excinfo.value) == f"{what}: empty input"
 
-    def test_unique_bare_name(self):
-        assert gazetteer_geocode("New York", GAZETTEER) == (40.7128, -74.0060)
+    def test_missing_required_column_fatal(self, what, parse, header, good, bad, filtered, missing):
+        columns = [c for c in header.split(",") if c != missing]
+        with pytest.raises(IngestError) as excinfo:
+            parse(io.StringIO(",".join(columns) + "\n" + good + "\n"))
+        prefix, _, detail = str(excinfo.value).partition(": ")
+        assert prefix == what
+        assert missing in detail
 
-    def test_normalization(self):
-        assert gazetteer_geocode("  nEw YoRk , ny ", GAZETTEER) == gazetteer_geocode("New York, NY", GAZETTEER)
-
-    def test_no_match(self):
-        assert gazetteer_geocode("Atlantis, XX", GAZETTEER) is None

@@ -69,11 +69,6 @@ class TestDeterminism:
         b = generate(small_config(8), tmp_path / "b")
         assert digest_dir(a.out_dir)["messages.csv"] != digest_dir(b.out_dir)["messages.csv"]
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        a = generate(small_config(11), tmp_path / "a", workers=1)
-        b = generate(small_config(11), tmp_path / "b", workers=4)
-        assert digest_dir(a.out_dir) == digest_dir(b.out_dir)
-
 
 class TestBundleWellFormed:
     def test_files_parse_with_ingest(self, tmp_path):
