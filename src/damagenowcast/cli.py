@@ -135,12 +135,8 @@ def _centroid(region: RegionBoundary) -> GeoPoint:
 def _assignments(
     messages: Sequence[MessageRecord], regions: Sequence[RegionBoundary], cell_deg: float
 ) -> dict[str, str | None]:
-    located = [
-        (m.message_id, GeoPoint(lat=m.location[0], lon=m.location[1]))
-        for m in messages
-        if m.location is not None
-    ]
     index = SpatialIndex(regions, cell_deg=cell_deg)
+    located = ((m.message_id, m) for m in messages if m.location is not None)
     out: dict[str, str | None] = {m.message_id: None for m in messages}
     out.update(spatial_join(located, regions, index))
     return out

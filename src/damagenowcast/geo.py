@@ -1,16 +1,35 @@
 """Spherical geometry and the point-to-region spatial join.
 
 Distances are great-circle kilometres on a sphere of radius 6371.0088 km.
-Containment is planar even-odd ray casting in the lon/lat plane, which is
-accurate for small mid-latitude polygons; polygons spanning the poles or the
-antimeridian are out of scope.
+Containment is planar even-odd ray casting in the lon/lat plane, with parity
+taken over all rings of a region, which is accurate for small mid-latitude
+polygons; polygons spanning the poles or the antimeridian are out of scope.
+A point within ``_ON_EDGE_EPS`` degrees of an edge is on the boundary and
+counts as inside.
+
+The join is batched numpy work with no Python loop per point:
+
+- ``SpatialIndex`` flattens every ring of every region into one edge table
+  (float64 ``ax, ay, bx, by`` plus each edge's region, regions numbered in
+  region_id order) and registers each region in every cell of a uniform
+  lon/lat grid that its bbox, widened by the boundary tolerance, overlaps.
+  The widening keeps points in the tolerance band across a cell line, so the
+  result does not depend on the cell size.
+- ``spatial_join`` groups the points by cell, pairs each point with the
+  cell's regions whose widened bbox holds it, and runs one even-odd kernel
+  over (pair, edge) rows in fixed-size batches, visiting only the edges whose
+  y-extent reaches the point. A point goes to the smallest region_id that
+  contains it.
+- ``point_in_region`` runs the same kernel for one point and one region.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
+
+import numpy as np
 
 from .ingest import RegionBoundary
 
@@ -27,6 +46,7 @@ __all__ = [
 EARTH_RADIUS_KM = 6371.0088
 
 _ON_EDGE_EPS = 1e-9  # degrees of perpendicular offset still counted as "on the boundary"
+_BATCH_ROWS = 1 << 12  # (point, edge) or (point, region) rows tested per batch; bounds the temporaries
 
 
 class _HasLatLon(Protocol):
@@ -112,70 +132,185 @@ def point_to_track_km(p: _HasLatLon, track: Sequence[_HasLatLon]) -> float:
     return EARTH_RADIUS_KM * best
 
 
-def _on_segment(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> bool:
-    if not (min(ax, bx) - _ON_EDGE_EPS <= px <= max(ax, bx) + _ON_EDGE_EPS):
-        return False
-    if not (min(ay, by) - _ON_EDGE_EPS <= py <= max(ay, by) + _ON_EDGE_EPS):
-        return False
-    dx, dy = bx - ax, by - ay
-    cross = dx * (py - ay) - dy * (px - ax)
-    norm = math.hypot(dx, dy)
-    if norm == 0.0:
-        return math.hypot(px - ax, py - ay) <= _ON_EDGE_EPS
-    return abs(cross) / norm <= _ON_EDGE_EPS
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    # math.hypot, not np.hypot: the two may round differently in the last bit,
+    # which would move points that sit right at the tolerance
+    return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=float)
+
+
+def _runs(
+    group: np.ndarray, value: np.ndarray, query_group: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort items by (group, value) and find, for each query, its items in a value range.
+
+    Query ``q`` holds the items ``order[start[q]:start[q] + count[q]]``: those
+    of group ``query_group[q]`` with ``lo[q] <= value <= hi[q]``. A value is
+    keyed by its rank among all values, so one int64 key orders the items.
+    """
+    ranked = np.sort(value)
+    scale = len(value) + 1
+    key = group * scale + np.searchsorted(ranked, value)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    base = query_group * scale
+    start = np.searchsorted(key, base + np.searchsorted(ranked, lo, side="left"))
+    stop = np.searchsorted(key, base + np.searchsorted(ranked, hi, side="right"))
+    return order, start, stop - start
+
+
+def _batches(count: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Walk runs of ``count`` rows laid end to end, ``_BATCH_ROWS`` rows at a time.
+
+    Yields, per row of the batch, its run and its offset within that run.
+    """
+    end = np.cumsum(count)
+    total = int(end[-1]) if len(end) else 0
+    for first in range(0, total, _BATCH_ROWS):
+        row = np.arange(first, min(first + _BATCH_ROWS, total))
+        run = np.searchsorted(end, row, side="right")
+        yield run, row - (end[run] - count[run])
+
+
+class _EdgeTable:
+    """Every edge of every ring of a sequence of regions, as flat float64 arrays.
+
+    Region ``k`` owns the edges where ``region == k``, in ring order. Region
+    bboxes and edge extents are stored widened by ``_ON_EDGE_EPS``, the band
+    within which a point still counts as on the boundary.
+    """
+
+    def __init__(self, regions: Sequence[RegionBoundary]):
+        self.region_ids = [r.region_id for r in regions]
+        bbox = np.array([r.bbox for r in regions], dtype=float).reshape(-1, 4)
+        self.x0, self.y0 = bbox[:, 0] - _ON_EDGE_EPS, bbox[:, 1] - _ON_EDGE_EPS
+        self.x1, self.y1 = bbox[:, 2] + _ON_EDGE_EPS, bbox[:, 3] + _ON_EDGE_EPS
+
+        rings = [ring for r in regions for ring in r.rings]
+        vertices = np.array([v for ring in rings for v in ring], dtype=float).reshape(-1, 2)
+        opens_edge = np.ones(len(vertices), dtype=bool)
+        opens_edge[np.cumsum([len(ring) for ring in rings], dtype=np.intp) - 1] = False
+        a = np.flatnonzero(opens_edge)
+        self.ax, self.ay = vertices[a, 0], vertices[a, 1]
+        self.bx, self.by = vertices[a + 1, 0], vertices[a + 1, 1]
+        self.region = np.repeat(
+            np.arange(len(regions)), [sum(len(ring) - 1 for ring in r.rings) for r in regions]
+        )
+        self.dx, self.dy = self.bx - self.ax, self.by - self.ay
+        self.norm = _hypot(self.dx, self.dy)
+        self.ex0 = np.minimum(self.ax, self.bx) - _ON_EDGE_EPS
+        self.ex1 = np.maximum(self.ax, self.bx) + _ON_EDGE_EPS
+        self.ey0 = np.minimum(self.ay, self.by) - _ON_EDGE_EPS
+        self.ey1 = np.maximum(self.ay, self.by) + _ON_EDGE_EPS
+
+    def in_bbox(self, x: np.ndarray, y: np.ndarray, region: np.ndarray) -> np.ndarray:
+        """Whether point ``(x[i], y[i])`` lies in the widened bbox of ``region[i]``."""
+        return (
+            (self.x0[region] <= x) & (x <= self.x1[region]) & (self.y0[region] <= y) & (y <= self.y1[region])
+        )
+
+    def contains(self, x: np.ndarray, y: np.ndarray, region: np.ndarray) -> np.ndarray:
+        """Even-odd containment of point ``(x[i], y[i])`` in ``region[i]``.
+
+        A point within ``_ON_EDGE_EPS`` of an edge is inside. Only an edge
+        whose widened y-extent holds the point's y can cross its rightward
+        ray or pass that close, so each point meets just those edges, in
+        batches of ``_BATCH_ROWS`` (point, edge) rows.
+        """
+        on_edge = np.zeros(len(x), dtype=bool)
+        crossings = np.zeros(len(x), dtype=np.intp)
+        order, start, count = _runs(region, y, self.region, self.ey0, self.ey1)
+        for e, k in _batches(count):
+            i = order[start[e] + k]
+            px, py = x[i], y[i]
+            ax, ay, dx, dy = self.ax[e], self.ay[e], self.dx[e], self.dy[e]
+            near = (self.ex0[e] <= px) & (px <= self.ex1[e])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # a zero-length edge gives 0/0 here and is measured as a vertex below
+                on = near & (np.abs(dx * (py - ay) - dy * (px - ax)) / self.norm[e] <= _ON_EDGE_EPS)
+                crossing = ((ay > py) != (self.by[e] > py)) & (px < ax + (py - ay) * dx / dy)
+            vertex = np.flatnonzero(near & (self.norm[e] == 0.0))
+            on[vertex] = _hypot(px[vertex] - ax[vertex], py[vertex] - ay[vertex]) <= _ON_EDGE_EPS
+            on_edge[i[on]] = True
+            np.add.at(crossings, i[crossing], 1)
+        return on_edge | (crossings % 2 == 1)
 
 
 def point_in_region(p: _HasLatLon, region: RegionBoundary) -> bool:
     """Even-odd containment over all rings; boundary points count as inside."""
-    x, y = p.lon, p.lat
-    min_lon, min_lat, max_lon, max_lat = region.bbox
-    if not (min_lon - _ON_EDGE_EPS <= x <= max_lon + _ON_EDGE_EPS):
-        return False
-    if not (min_lat - _ON_EDGE_EPS <= y <= max_lat + _ON_EDGE_EPS):
-        return False
-
-    inside = False
-    for ring in region.rings:
-        for (ax, ay), (bx, by) in zip(ring, ring[1:]):
-            if _on_segment(x, y, ax, ay, bx, by):
-                return True
-            if (ay > y) != (by > y):
-                x_cross = ax + (y - ay) * (bx - ax) / (by - ay)
-                if x < x_cross:
-                    inside = not inside
-    return inside
+    edges = _EdgeTable([region])
+    x, y, only = np.array([p.lon]), np.array([p.lat]), np.zeros(1, dtype=np.intp)
+    return bool(edges.in_bbox(x, y, only)[0] and edges.contains(x, y, only)[0])
 
 
 class SpatialIndex:
-    """Uniform lon/lat grid over region bounding boxes.
+    """Edge table and uniform lon/lat grid over a set of regions.
 
-    Every region is registered in every grid cell its bbox overlaps, so
-    ``candidates`` is always a superset of the regions truly containing a
-    point. Immutable once built.
+    Regions sharing a region_id keep the last one given. Each region is
+    registered in every grid cell its bbox, widened by the boundary
+    tolerance, overlaps, so ``candidates`` is always a superset of the
+    regions truly containing a point. Immutable once built.
     """
 
     def __init__(self, regions: Iterable[RegionBoundary], cell_deg: float = 0.25):
         if cell_deg <= 0:
             raise ValueError("cell_deg must be positive")
         self.cell_deg = cell_deg
-        cells: dict[tuple[int, int], list[str]] = {}
-        for region in regions:
-            min_lon, min_lat, max_lon, max_lat = region.bbox
-            ix0 = math.floor(min_lon / cell_deg)
-            ix1 = math.floor(max_lon / cell_deg)
-            iy0 = math.floor(min_lat / cell_deg)
-            iy1 = math.floor(max_lat / cell_deg)
-            for ix in range(ix0, ix1 + 1):
-                for iy in range(iy0, iy1 + 1):
-                    cells.setdefault((ix, iy), []).append(region.region_id)
-        self._cells: dict[tuple[int, int], tuple[str, ...]] = {
-            key: tuple(sorted(ids)) for key, ids in cells.items()
-        }
+        by_id = {r.region_id: r for r in regions}
+        edges = self._edges = _EdgeTable([by_id[region_id] for region_id in sorted(by_id)])
+        self.region_ids: list[str] = edges.region_ids
+        cells: dict[tuple[int, int], list[int]] = {}
+        for k, (min_lon, min_lat, max_lon, max_lat) in enumerate(
+            zip(edges.x0.tolist(), edges.y0.tolist(), edges.x1.tolist(), edges.y1.tolist())
+        ):
+            for ix in range(math.floor(min_lon / cell_deg), math.floor(max_lon / cell_deg) + 1):
+                for iy in range(math.floor(min_lat / cell_deg), math.floor(max_lat / cell_deg) + 1):
+                    cells.setdefault((ix, iy), []).append(k)
+        self._cells = cells
 
     def candidates(self, p: _HasLatLon) -> tuple[str, ...]:
         """Region ids whose bbox cell covers the point, sorted; possibly empty."""
         key = (math.floor(p.lon / self.cell_deg), math.floor(p.lat / self.cell_deg))
-        return self._cells.get(key, ())
+        return tuple(self.region_ids[k] for k in self._cells.get(key, ()))
+
+    def _assign(self, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
+        """Position in ``region_ids`` of the first region containing each point, or -1."""
+        edges = self._edges
+        # group the points by grid cell: one id per occupied cell
+        cell_x = np.floor(lon / self.cell_deg).astype(np.int64)
+        cell_y = np.floor(lat / self.cell_deg).astype(np.int64)
+        by_cell = np.lexsort((cell_y, cell_x))
+        cell_x, cell_y = cell_x[by_cell], cell_y[by_cell]
+        opens = np.ones(len(lon), dtype=bool)
+        opens[1:] = (cell_x[1:] != cell_x[:-1]) | (cell_y[1:] != cell_y[:-1])
+        cell = np.empty(len(lon), dtype=np.int64)
+        cell[by_cell] = np.cumsum(opens) - 1
+        # one query per (occupied cell, region registered there)
+        query_cell: list[int] = []
+        query_region: list[int] = []
+        for c, key in enumerate(zip(cell_x[opens].tolist(), cell_y[opens].tolist())):
+            registered = self._cells.get(key, ())
+            query_cell.extend([c] * len(registered))
+            query_region.extend(registered)
+        registered = np.array(query_region, dtype=np.intp)
+
+        # candidate pairs: the cell's points within the region's widened bbox
+        order, start, count = _runs(
+            cell, lon, np.array(query_cell, dtype=np.int64), edges.x0[registered], edges.x1[registered]
+        )
+        pair_point, pair_region = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        for q, k in _batches(count):
+            i, r = order[start[q] + k], registered[q]
+            keep = edges.in_bbox(lon[i], lat[i], r)
+            pair_point.append(i[keep])
+            pair_region.append(r[keep])
+        point, region = np.concatenate(pair_point), np.concatenate(pair_region)
+
+        inside = edges.contains(lon[point], lat[point], region)
+        # regions are numbered in region_id order, so the smallest number wins
+        first = np.full(len(lon), len(self.region_ids), dtype=np.intp)
+        np.minimum.at(first, point[inside], region[inside])
+        first[first == len(self.region_ids)] = -1
+        return first
 
 
 def spatial_join(
@@ -187,18 +322,18 @@ def spatial_join(
 
     Overlapping boundaries are tie-broken to the lexicographically smallest
     region_id, so the result is independent of point order, region order, and
-    index cell size.
+    index cell size. A given ``index`` must have been built over ``regions``.
     """
     if index is None:
         index = SpatialIndex(regions)
-    by_id: Mapping[str, RegionBoundary] = {r.region_id: r for r in regions}
-    out: dict[str, str | None] = {}
-    for point_id, point in points:
-        assigned: str | None = None
-        for region_id in index.candidates(point):
-            region = by_id.get(region_id)
-            if region is not None and point_in_region(point, region):
-                assigned = region_id
-                break
-        out[point_id] = assigned
-    return out
+    elif sorted({r.region_id for r in regions}) != index.region_ids:
+        raise ValueError("spatial_join: index was built over other regions")
+    points = list(points)
+    lat = np.array([p.lat for _, p in points], dtype=float)
+    lon = np.array([p.lon for _, p in points], dtype=float)
+    if not (np.isfinite(lat).all() and np.isfinite(lon).all()):
+        raise ValueError("spatial_join: point coordinates must be finite")
+    # position -1 picks the trailing None: contained by no region
+    names = np.array(index.region_ids + [None], dtype=object)
+    assigned = names[index._assign(lon, lat)].tolist()
+    return dict(zip((point_id for point_id, _ in points), assigned))

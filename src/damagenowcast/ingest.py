@@ -72,6 +72,16 @@ class MessageRecord:
     retweeted_count: int
     sentiment: float | None = None
 
+    @property
+    def lat(self) -> float:
+        """Latitude of a located message."""
+        return self.location[0]
+
+    @property
+    def lon(self) -> float:
+        """Longitude of a located message."""
+        return self.location[1]
+
 
 @dataclass(frozen=True)
 class RegionBoundary:
@@ -355,7 +365,11 @@ def _close_ring(
     coords: Sequence[Sequence[float]], region_id: str, diagnostics: list[str]
 ) -> tuple[tuple[float, float], ...]:
     # positions may carry an altitude third element; only lon/lat are kept
-    ring = [(float(v[0]), float(v[1])) for v in coords]
+    try:
+        ring = [(float(v[0]), float(v[1])) for v in coords]
+    except (TypeError, IndexError, KeyError):
+        # a null, a bare number or a short position where [lon, lat] belongs
+        raise ValueError("malformed ring coordinates") from None
     # NaN fails every comparison, so this also rejects non-finite vertices
     if not all(-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0 for lon, lat in ring):
         raise ValueError("vertex coordinates non-finite or out of range")
@@ -391,7 +405,10 @@ def parse_regions(source: str | Path | TextIO) -> ParseResult[RegionBoundary]:
 
     result: ParseResult[RegionBoundary] = ParseResult(records=[])
     seen: set[tuple[str, str]] = set()
-    for i, feature in enumerate(doc.get("features", [])):
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise IngestError("regions: features is not a list")
+    for i, feature in enumerate(features):
         result.rows_total += 1
         try:
             region = _region_from_feature(feature, result.diagnostics)
@@ -408,7 +425,11 @@ def parse_regions(source: str | Path | TextIO) -> ParseResult[RegionBoundary]:
 
 
 def _region_from_feature(feature: dict, diagnostics: list[str]) -> RegionBoundary:
+    if not isinstance(feature, dict):
+        raise ValueError("feature is not an object")
     props = feature.get("properties") or {}
+    if not isinstance(props, dict):
+        raise ValueError("properties is not an object")
     region_id = props.get("region_id")
     if not region_id:
         raise ValueError("missing region_id")
@@ -419,6 +440,8 @@ def _region_from_feature(feature: dict, diagnostics: list[str]) -> RegionBoundar
         raise ValueError(f"level must be one of {sorted(REGION_LEVELS)}, got {level!r}")
 
     geometry = feature.get("geometry") or {}
+    if not isinstance(geometry, dict):
+        raise ValueError("geometry is not an object")
     gtype = geometry.get("type")
     coords = geometry.get("coordinates")
     if gtype == "Polygon":
@@ -429,6 +452,8 @@ def _region_from_feature(feature: dict, diagnostics: list[str]) -> RegionBoundar
         raise ValueError(f"unsupported geometry type {gtype!r}")
     if not polygons:
         raise ValueError("empty geometry")
+    if not isinstance(polygons, list) or not all(isinstance(polygon, list) for polygon in polygons):
+        raise ValueError("malformed polygon coordinates")
 
     rings: list[tuple[tuple[float, float], ...]] = []
     for polygon in polygons:

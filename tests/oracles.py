@@ -175,21 +175,60 @@ def point_in_polygon_winding(x, y, ring) -> bool:
     return winding != 0
 
 
+ON_EDGE_EPS = 1e-9  # the package's boundary tolerance, in degrees
+
+
+def _on_segment(px, py, ax, ay, bx, by) -> bool:
+    if not (min(ax, bx) - ON_EDGE_EPS <= px <= max(ax, bx) + ON_EDGE_EPS):
+        return False
+    if not (min(ay, by) - ON_EDGE_EPS <= py <= max(ay, by) + ON_EDGE_EPS):
+        return False
+    dx, dy = bx - ax, by - ay
+    cross = dx * (py - ay) - dy * (px - ax)
+    norm = math.hypot(dx, dy)
+    if norm == 0.0:
+        return math.hypot(px - ax, py - ay) <= ON_EDGE_EPS
+    return abs(cross) / norm <= ON_EDGE_EPS
+
+
+def point_in_region_scalar(p, region) -> bool:
+    """Even-odd containment over all rings, one edge at a time; boundary counts as inside.
+
+    The package's scalar predicate as it stood before the join was
+    vectorized, frozen here as the reference for the batched kernel.
+    """
+    x, y = p.lon, p.lat
+    min_lon, min_lat, max_lon, max_lat = region.bbox
+    if not (min_lon - ON_EDGE_EPS <= x <= max_lon + ON_EDGE_EPS):
+        return False
+    if not (min_lat - ON_EDGE_EPS <= y <= max_lat + ON_EDGE_EPS):
+        return False
+    inside = False
+    for ring in region.rings:
+        for (ax, ay), (bx, by) in zip(ring, ring[1:]):
+            if _on_segment(x, y, ax, ay, bx, by):
+                return True
+            if (ay > y) != (by > y):
+                x_cross = ax + (y - ay) * (bx - ax) / (by - ay)
+                if x < x_cross:
+                    inside = not inside
+    return inside
+
+
 def brute_force_join(points, regions) -> dict[str, str | None]:
     """Index-free join: scan every region for every point, smallest id wins.
 
-    ``regions`` are RegionBoundary objects; containment reuses the production
-    predicate deliberately (the dual route under test is the *index*), while
-    the rectangle-only tests pair this with :func:`point_in_polygon_winding`.
+    ``regions`` are RegionBoundary objects; a region_id given twice keeps the
+    last region. Containment is :func:`point_in_region_scalar`, so this shares
+    neither the grid nor the batched kernel with the package.
     """
-    from damagenowcast.geo import point_in_region
-
-    ordered = sorted(regions, key=lambda r: r.region_id)
+    by_id = {r.region_id: r for r in regions}
+    ordered = [by_id[region_id] for region_id in sorted(by_id)]
     out = {}
     for point_id, point in points:
         assigned = None
         for region in ordered:
-            if point_in_region(point, region):
+            if point_in_region_scalar(point, region):
                 assigned = region.region_id
                 break
         out[point_id] = assigned

@@ -242,6 +242,19 @@ class TestValidateCommand:
     def test_validate_without_inputs_errors(self):
         assert run("validate") == 1
 
+    def test_validate_reports_malformed_geometry(self, tmp_path, capsys):
+        feature = {
+            "type": "Feature",
+            "properties": {"region_id": "r1", "level": "county"},
+            "geometry": {"type": "Polygon", "coordinates": [[[0, 0], None, [1, 1], [0, 1], [0, 0]]]},
+        }
+        path = tmp_path / "regions.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": [feature]}))
+        assert run("validate", "--regions", path) == 0
+        out = capsys.readouterr().out
+        assert "regions: 0 records, 1 rejected" in out
+        assert "regions feature 0: malformed ring coordinates" in out
+
 
 class TestErrorHandling:
     def test_unknown_flag_exits_1(self, capsys):

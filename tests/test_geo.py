@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,21 @@ from damagenowcast.geo import (
 )
 from damagenowcast.ingest import RegionBoundary, TrackPoint
 
-from oracles import brute_force_join, haversine_law_of_cosines, point_in_polygon_winding
+from oracles import (
+    brute_force_join,
+    haversine_law_of_cosines,
+    point_in_polygon_winding,
+    point_in_region_scalar,
+)
 
 coords = st.tuples(st.floats(-80, 80), st.floats(-170, 170))
+
+
+def region_of(region_id, *rings):
+    xs = [x for ring in rings for x, _ in ring]
+    ys = [y for ring in rings for _, y in ring]
+    bbox = (min(xs), min(ys), max(xs), max(ys))
+    return RegionBoundary(region_id, region_id, "county", tuple(rings), bbox)
 
 
 def rect_region(region_id, min_lon, min_lat, max_lon, max_lat, holes=()):
@@ -29,16 +42,7 @@ def rect_region(region_id, min_lon, min_lat, max_lon, max_lat, holes=()):
         (min_lon, max_lat),
         (min_lon, min_lat),
     )
-    rings = (ring,) + tuple(holes)
-    xs = [x for r in rings for x, _ in r]
-    ys = [y for r in rings for _, y in r]
-    return RegionBoundary(
-        region_id=region_id,
-        name=region_id,
-        level="county",
-        rings=rings,
-        bbox=(min(xs), min(ys), max(xs), max(ys)),
-    )
+    return region_of(region_id, ring, *holes)
 
 
 UNIT = rect_region("unit", 0.0, 0.0, 1.0, 1.0)
@@ -223,6 +227,24 @@ class TestSpatialJoin:
         result = spatial_join([("p", GeoPoint(0.5, 1.0))], [left, right])
         assert result == {"p": "left"}
 
+    def test_tolerance_band_across_a_cell_line(self):
+        # the region stops 5e-10 short of the 0.25 cell line, so a point on the
+        # line is within the boundary tolerance and inside at every cell size
+        a = rect_region("a", 0.1, 0.1, 0.25 - 5e-10, 0.2)
+        p = GeoPoint(0.15, 0.25)
+        assert point_in_region(p, a)
+        for cell in (0.1, 0.25, 1.0):
+            assert spatial_join([("p", p)], [a], SpatialIndex([a], cell_deg=cell)) == {"p": "a"}
+
+    def test_index_built_over_other_regions_rejected(self):
+        other = rect_region("other", 0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="other regions"):
+            spatial_join([("p", GeoPoint(0.5, 0.5))], [UNIT], SpatialIndex([other]))
+
+    def test_non_finite_point_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            spatial_join([("p", GeoPoint(float("nan"), 0.5))], [UNIT])
+
     def test_matches_brute_force_at_scale(self):
         rng = np.random.default_rng(42)
         regions = random_disjoint_rects(rng, 100)
@@ -287,3 +309,107 @@ class TestSpatialJoin:
             candidates = set(index.candidates(p))
             truly_containing = {r.region_id for r in regions if point_in_region(p, r)}
             assert truly_containing <= candidates
+
+
+def polygon_ring(cx, cy, radii, phase):
+    """Closed ring through one vertex per radius, evenly spaced in angle."""
+    angles = phase + np.linspace(0.0, 2.0 * math.pi, len(radii), endpoint=False)
+    ring = [(float(cx + r * math.cos(a)), float(cy + r * math.sin(a))) for r, a in zip(radii, angles)]
+    return tuple(ring + ring[:1])
+
+
+def boundary_scene(rng):
+    """Regions covering every containment rule, laid across 0.1-degree cell lines.
+
+    A non-convex star with a repeated vertex (a zero-length edge); a ring
+    collapsed to one point at the star's centre; a MultiPolygon of two
+    islands, one with a hole, overlapping the star; two rectangles sharing
+    part of an edge, named so the right one wins the tie.
+    """
+    cx, cy = (float(v) for v in rng.uniform(0.3, 0.7, 2))
+    spikes = int(rng.integers(5, 9))
+    radii = np.where(np.arange(2 * spikes) % 2 == 0, rng.uniform(0.15, 0.3), rng.uniform(0.04, 0.1))
+    star = list(polygon_ring(cx, cy, radii, rng.uniform(0.0, 1.0))[:-1])
+    repeat = int(rng.integers(len(star)))
+    star.insert(repeat, star[repeat])
+    star = tuple(star + star[:1])
+    phase = rng.uniform(0.0, 1.0)
+    island = polygon_ring(cx + 0.3, cy, [0.1] * 6, phase)
+    hole = polygon_ring(cx + 0.3, cy, [0.04] * 6, phase)
+    far_island = polygon_ring(cx - 0.4, cy + 0.2, [0.08] * 6, rng.uniform(0.0, 1.0))
+    x_mid = cx + float(rng.uniform(-0.1, 0.1))
+    left = rect_region("b-left", x_mid - 0.2, cy - 0.5, x_mid, cy - 0.3)
+    right = rect_region("a-right", x_mid, cy - 0.45, x_mid + 0.15, cy - 0.25)
+    dot = region_of("dot", ((cx, cy),) * 4)
+    return [region_of("star", star), dot, region_of("islands", island, hole, far_island), left, right]
+
+
+def boundary_probes(regions, rng):
+    """Vertices, edge midpoints, points 0.5e-9 and 2e-9 either side of each edge, random points."""
+    probes = []
+    for region in regions:
+        for ring in region.rings:
+            for (ax, ay), (bx, by) in zip(ring, ring[1:]):
+                mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
+                length = math.hypot(bx - ax, by - ay)
+                # a zero-length edge is a point: step off it along x
+                nx, ny = (-(by - ay) / length, (bx - ax) / length) if length else (1.0, 0.0)
+                probes.extend([(ax, ay), (mx, my)])
+                probes.extend((mx + d * nx, my + d * ny) for d in (-2e-9, -0.5e-9, 0.5e-9, 2e-9))
+    probes.extend(zip(rng.uniform(-0.3, 1.3, 50).tolist(), rng.uniform(-0.4, 1.2, 50).tolist()))
+    return [(f"p{i}", GeoPoint(lat=y, lon=x)) for i, (x, y) in enumerate(probes)]
+
+
+class TestKernelMatchesScalarReference:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_join_on_boundary_probes(self, seed):
+        rng = np.random.default_rng(seed)
+        regions = boundary_scene(rng)
+        points = boundary_probes(regions, rng)
+        expected = brute_force_join(points, regions)
+        assert {"a-right", "dot"} <= set(expected.values())
+        for cell in (0.1, 0.25, 1.0):
+            assert spatial_join(points, regions, SpatialIndex(regions, cell_deg=cell)) == expected
+        for _, point in points[:: max(1, len(points) // 15)]:
+            for region in regions:
+                assert point_in_region(point, region) == point_in_region_scalar(point, region)
+
+    def test_point_at_the_far_end_of_the_tolerance_band(self):
+        # on the line through the edge (0,0)-(1,1), exactly at the top of its widened extent
+        triangle = region_of("t", ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)))
+        end = 1.0 + 1e-9
+        p = GeoPoint(end, end)
+        assert point_in_region_scalar(p, triangle)
+        assert point_in_region(p, triangle)
+        assert spatial_join([("p", p)], [triangle]) == {"p": "t"}
+
+    def test_join_memory_stays_within_budget(self):
+        """50,000 points in one region of 2,000 edges: the kernel's temporaries are batched."""
+        # a comb: 1,997 zigzag edges over a solid base, 3 more edges around it;
+        # the ray from a point among the teeth crosses about 2,000 edges, so
+        # testing all (point, edge) rows at once would take hundreds of MB
+        teeth = 1997
+        width = teeth * 0.001
+        zigzag = [(i * 0.001, 1.0 + i % 2) for i in range(teeth + 1)]
+        comb = region_of("comb", tuple([(0.0, 0.0)] + zigzag + [(width, 0.0), (0.0, 0.0)]))
+        assert sum(len(ring) - 1 for ring in comb.rings) == 2000
+        rng = np.random.default_rng(5)
+        base = zip(rng.uniform(0.01, 0.99, 48_000), rng.uniform(0.0005, width - 0.0005, 48_000))
+        # below the middle of a zigzag edge, which is at height 1.5
+        among_teeth = zip(
+            1.0 + rng.uniform(0.05, 0.45, 2_000), (rng.integers(0, teeth, 2_000) + 0.5) * 0.001
+        )
+        points = [
+            (f"p{i}", GeoPoint(float(lat), float(lon)))
+            for i, (lat, lon) in enumerate([*base, *among_teeth])
+        ]
+
+        tracemalloc.start()
+        try:
+            result = spatial_join(points, [comb])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result) == 50_000 and set(result.values()) == {"comb"}
+        assert peak < 16 * 2**20

@@ -227,6 +227,35 @@ class TestParseRegions:
         assert result.diagnostics[0].startswith("regions feature 0: ")
         assert result.diagnostics[1].startswith("regions feature 1: ")
 
+    @pytest.mark.parametrize(
+        "feature",
+        [
+            region_feature("r1", [[[0.0, 0.0], None, [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]]),
+            region_feature("r1", [[0, 0]]),
+            region_feature("r1", [[[0.0, 0.0], [None, 0.0], [1.0, 1.0], [0.0, 0.0]]]),
+            region_feature("r1", [[[0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]]),
+            region_feature("r1", None),
+            region_feature("r1", 5, gtype="MultiPolygon"),
+            {"type": "Feature", "properties": {"region_id": "r1", "level": "county"}, "geometry": [1, 2]},
+            {"type": "Feature", "properties": [1], "geometry": None},
+            5,
+        ],
+        ids=[
+            "null-position", "bare-numbers", "null-number", "short-position", "null-coordinates",
+            "number-multipolygon", "geometry-list", "properties-list", "feature-number",
+        ],
+    )
+    def test_structurally_wrong_feature_rejected(self, feature):
+        result = parse_regions(collection(feature, region_feature("r2", [UNIT_SQUARE])))
+        assert [r.region_id for r in result.records] == ["r2"]
+        assert result.rows_rejected == 1
+        (diagnostic,) = result.diagnostics
+        assert diagnostic.startswith("regions feature 0: ")
+
+    def test_features_not_a_list_fatal(self):
+        with pytest.raises(IngestError, match="features"):
+            parse_regions(io.StringIO(json.dumps({"type": "FeatureCollection", "features": 5})))
+
 
 class TestParseTrack:
     def test_two_points(self):
