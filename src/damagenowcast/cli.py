@@ -28,7 +28,7 @@ from .analysis import (
     rank_keywords,
     region_rank_discrepancy,
 )
-from .geo import GeoPoint, SpatialIndex, point_to_track_km, spatial_join
+from .geo import SpatialIndex, point_to_track_km, region_centroid, spatial_join
 from .ingest import (
     CountyStats,
     IngestError,
@@ -54,6 +54,7 @@ DEFAULT_EPOCH = datetime(2012, 10, 30, tzinfo=timezone.utc)
 DEFAULT_WINDOW = "2012-10-31..2012-11-12"
 DEFAULT_SPAN = "2012-10-22..2012-11-11"
 DEFAULT_MIN_LON = -90.0  # "east coast" city subset: centroids east of this longitude
+MODELED_SOURCE = "hazus"  # the one damage source that is not ex-post
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -127,11 +128,6 @@ def _write_report(
     return count
 
 
-def _centroid(region: RegionBoundary) -> GeoPoint:
-    min_lon, min_lat, max_lon, max_lat = region.bbox
-    return GeoPoint(lat=(min_lat + max_lat) / 2.0, lon=(min_lon + max_lon) / 2.0)
-
-
 def _assignments(
     messages: Sequence[MessageRecord], regions: Sequence[RegionBoundary], cell_deg: float
 ) -> dict[str, str | None]:
@@ -169,6 +165,17 @@ def _load_damage(path: str) -> dict[str, dict[str, float]]:
             by_source[record.source].get(record.region_id, 0.0) + record.amount_usd
         )
     return by_source
+
+
+def _ex_post_damage(by_source: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
+    """Per-region sum of every damage source except the modeled one."""
+    damage: dict[str, float] = {}
+    for source, totals in by_source.items():
+        if source == MODELED_SOURCE:
+            continue
+        for region_id, amount in totals.items():
+            damage[region_id] = damage.get(region_id, 0.0) + amount
+    return damage
 
 
 def _print_diagnostics(name: str, result, limit: int = 5) -> None:
@@ -281,7 +288,7 @@ def _cmd_rank_keywords(args: argparse.Namespace) -> int:
 
     distances = {}
     for region in regions:
-        center = _centroid(region)
+        center = region_centroid(region)
         if center.lon >= args.min_lon:
             distances[region.region_id] = point_to_track_km(center, track)
 
@@ -421,7 +428,8 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     print(f"wrote {out} ({n} rows)")
 
     if args.overlay and not args.county_table:
-        _write_overlay(args, scope_summaries[POOLED], damage_by_source, population)
+        damage = _ex_post_damage(damage_by_source)
+        _write_overlay(args, scope_summaries[POOLED], damage, population)
 
     activity_cells = [c for c in report.cells if c.variable == "activity"]
     if activity_cells and all(c.result.degenerate for c in activity_cells):
@@ -433,21 +441,24 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 def _write_overlay(
     args: argparse.Namespace,
     pooled: Mapping[str, ActivitySummary],
-    damage_by_source: Mapping[str, Mapping[str, float]],
+    damage: Mapping[str, float],
     population: Mapping[str, int],
 ) -> None:
-    """Re-emit the input region features annotated with the computed metrics."""
-    source = sorted(damage_by_source)[0] if damage_by_source else None
+    """Re-emit the input region features annotated with the computed metrics.
+
+    Without ex-post damage rows, ``damage_pc`` and ``rank_discrepancy`` are null.
+    """
+    if not damage:
+        print(f"correlate: no ex-post damage rows (every source except {MODELED_SOURCE}); "
+              "overlay damage_pc and rank_discrepancy are null", file=sys.stderr)
     activity_pc: dict[str, float] = {}
     damage_pc: dict[str, float] = {}
     for region_id, summary in pooled.items():
         if region_id not in population or summary.n_messages < 1:
             continue
         activity_pc[region_id] = summary.n_messages / population[region_id]
-        if source is not None:
-            damage_pc[region_id] = (
-                damage_by_source[source].get(region_id, 0.0) / population[region_id]
-            )
+        if damage:
+            damage_pc[region_id] = damage.get(region_id, 0.0) / population[region_id]
     discrepancy = region_rank_discrepancy(activity_pc, damage_pc)
 
     with open(args.regions, encoding="utf-8") as handle:
@@ -472,11 +483,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
         e.region_id: e.population
         for e in parse_keyed_table(args.population, "population").records
     }
-    damage_by_source = _load_damage(args.damage)
-    damage: dict[str, float] = {}
-    for totals in damage_by_source.values():
-        for region_id, amount in totals.items():
-            damage[region_id] = damage.get(region_id, 0.0) + amount
+    damage = _ex_post_damage(_load_damage(args.damage))
+    if not damage:
+        raise IngestError(f"damage: no ex-post rows (every source except {MODELED_SOURCE})")
 
     epoch = parse_timestamp(args.epoch)
     width = timedelta(hours=args.bin_hours)
@@ -555,10 +564,7 @@ def _cmd_nowcast(args: argparse.Namespace) -> int:
         )
         damage = None
         if args.damage:
-            damage = {}
-            for totals in _load_damage(args.damage).values():
-                for region_id, amount in totals.items():
-                    damage[region_id] = damage.get(region_id, 0.0) + amount
+            damage = _ex_post_damage(_load_damage(args.damage))
 
     report = nowcast(
         summaries,

@@ -21,6 +21,9 @@ The join is batched numpy work with no Python loop per point:
   y-extent reaches the point. A point goes to the smallest region_id that
   contains it.
 - ``point_in_region`` runs the same kernel for one point and one region.
+
+``region_centroid`` is the planar area-weighted centroid of a region's outer
+rings minus its holes.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "haversine_km",
     "point_to_track_km",
     "point_in_region",
+    "region_centroid",
     "spatial_join",
 ]
 
@@ -233,6 +237,30 @@ class _EdgeTable:
             on_edge[i[on]] = True
             np.add.at(crossings, i[crossing], 1)
         return on_edge | (crossings % 2 == 1)
+
+
+def region_centroid(region: RegionBoundary) -> GeoPoint:
+    """Area-weighted centroid of the outer rings minus the holes, in the lon/lat
+    plane; ring orientation does not matter. A region with no positive area
+    falls back to its bbox midpoint."""
+    min_lon, min_lat, max_lon, max_lat = region.bbox
+    area = moment_x = moment_y = 0.0
+    for k, ring in enumerate(region.rings):
+        twice_area = ring_x = ring_y = 0.0
+        for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
+            # relative to the bbox corner, so the cross products do not cancel
+            ax, ay, bx, by = ax - min_lon, ay - min_lat, bx - min_lon, by - min_lat
+            cross = ax * by - bx * ay
+            twice_area += cross
+            ring_x += (ax + bx) * cross
+            ring_y += (ay + by) * cross
+        sign = math.copysign(1.0, twice_area) * (-1.0 if k in region.holes else 1.0)
+        area += sign * twice_area / 2.0
+        moment_x += sign * ring_x / 6.0
+        moment_y += sign * ring_y / 6.0
+    if not area > 0.0:
+        return GeoPoint(lat=(min_lat + max_lat) / 2.0, lon=(min_lon + max_lon) / 2.0)
+    return GeoPoint(lat=min_lat + moment_y / area, lon=min_lon + moment_x / area)
 
 
 def point_in_region(p: _HasLatLon, region: RegionBoundary) -> bool:

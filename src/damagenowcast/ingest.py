@@ -89,7 +89,9 @@ class RegionBoundary:
 
     MultiPolygon inputs are flattened, so ``rings`` may contain several outer
     rings; containment tests use even-odd parity over all rings, which makes
-    the outer/hole distinction immaterial.
+    the outer/hole distinction immaterial to them. ``holes`` lists the indices
+    of the rings that were holes (every ring after a polygon's first), which
+    the area-weighted centroid needs.
     """
 
     region_id: str
@@ -97,6 +99,7 @@ class RegionBoundary:
     level: str
     rings: tuple[tuple[tuple[float, float], ...], ...]
     bbox: tuple[float, float, float, float]  # min_lon, min_lat, max_lon, max_lat
+    holes: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -456,14 +459,20 @@ def _region_from_feature(feature: dict, diagnostics: list[str]) -> RegionBoundar
         raise ValueError("malformed polygon coordinates")
 
     rings: list[tuple[tuple[float, float], ...]] = []
+    holes: set[int] = set()
     for polygon in polygons:
-        for ring_coords in polygon:
+        for k, ring_coords in enumerate(polygon):
+            if k > 0:
+                holes.add(len(rings))
             rings.append(_close_ring(ring_coords, region_id, diagnostics))
 
     xs = [x for ring in rings for x, _ in ring]
     ys = [y for ring in rings for _, y in ring]
     bbox = (min(xs), min(ys), max(xs), max(ys))
-    return RegionBoundary(region_id=region_id, name=name, level=level, rings=tuple(rings), bbox=bbox)
+    return RegionBoundary(
+        region_id=region_id, name=name, level=level, rings=tuple(rings), bbox=bbox,
+        holes=frozenset(holes),
+    )
 
 
 def parse_track(source: str | Path | TextIO) -> ParseResult[TrackPoint]:

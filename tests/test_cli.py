@@ -1,10 +1,14 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import damagenowcast
 from damagenowcast.cli import main
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "sandy_counties.csv"
@@ -184,6 +188,107 @@ class TestSeriesCommand:
         assert starts[-1].startswith("2012-11-11")
 
 
+def _with_hazus_row(bundle: Path, tmp_path: Path) -> Path:
+    """A copy of the bundle's damage.csv with one large modeled hazus row."""
+    damage = tmp_path / "damage_with_hazus.csv"
+    text = (bundle / "damage.csv").read_text(encoding="utf-8")
+    damage.write_text(text + "r0000,1e12,hazus\n", encoding="utf-8")
+    return damage
+
+
+def _hazus_only(bundle: Path, tmp_path: Path) -> Path:
+    """A copy of the bundle's damage.csv with every row relabelled hazus."""
+    damage = tmp_path / "damage_hazus_only.csv"
+    header, *rows = (bundle / "damage.csv").read_text(encoding="utf-8").splitlines()
+    rows = [row.rsplit(",", 1)[0] + ",hazus" for row in rows]
+    damage.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return damage
+
+
+class TestExPostDamage:
+    def series(self, bundle, damage, out):
+        return run(
+            "series",
+            "--messages", bundle / "messages.csv",
+            "--regions", bundle / "regions.geojson",
+            "--population", bundle / "population.csv",
+            "--damage", damage,
+            "--keywords", "storm",
+            "--out", out,
+        )
+
+    def correlate(self, bundle, damage, out, overlay):
+        return run(
+            "correlate",
+            "--messages", bundle / "messages.csv",
+            "--regions", bundle / "regions.geojson",
+            "--population", bundle / "population.csv",
+            "--damage", damage,
+            "--keywords", "storm",
+            "--out", out,
+            "--overlay", overlay,
+        )
+
+    def test_hazus_row_leaves_series_unchanged(self, sim_bundle, tmp_path):
+        assert self.series(sim_bundle, sim_bundle / "damage.csv", tmp_path / "a") == 0
+        assert self.series(sim_bundle, _with_hazus_row(sim_bundle, tmp_path), tmp_path / "b") == 0
+        assert read_report(tmp_path / "b" / "series.csv")[1] == (
+            read_report(tmp_path / "a" / "series.csv")[1]
+        )
+
+    def test_series_without_ex_post_rows_exits_1(self, sim_bundle, tmp_path, capsys):
+        assert self.series(sim_bundle, _hazus_only(sim_bundle, tmp_path), tmp_path) == 1
+        assert "no ex-post rows" in capsys.readouterr().err
+        assert not (tmp_path / "series.csv").exists()
+
+    def test_hazus_row_leaves_nowcast_unchanged(self, sim_bundle, tmp_path):
+        for name, damage in (
+            ("a", sim_bundle / "damage.csv"),
+            ("b", _with_hazus_row(sim_bundle, tmp_path)),
+            ("c", _hazus_only(sim_bundle, tmp_path)),
+        ):
+            assert run(
+                "nowcast",
+                "--messages", sim_bundle / "messages.csv",
+                "--regions", sim_bundle / "regions.geojson",
+                "--population", sim_bundle / "population.csv",
+                "--damage", damage,
+                "--keywords", "storm",
+                "--out", tmp_path / name,
+            ) == 0
+        reference = read_report(tmp_path / "a" / "nowcast.csv")[1]
+        assert read_report(tmp_path / "b" / "nowcast.csv")[1] == reference
+        assert read_report(tmp_path / "c" / "nowcast.csv")[1] == reference
+
+    def test_overlay_without_ex_post_rows_keeps_correlations(self, sim_bundle, tmp_path, capsys):
+        damage = _hazus_only(sim_bundle, tmp_path)
+        overlay = tmp_path / "overlay.geojson"
+        assert self.correlate(sim_bundle, damage, tmp_path / "a", overlay) == 0
+        assert "no ex-post damage rows" in capsys.readouterr().err
+        _, rows = read_report(tmp_path / "a" / "correlations.csv")
+        assert rows and {r["damage_source"] for r in rows} == {"hazus"}
+        props = [f["properties"] for f in json.loads(overlay.read_text())["features"]]
+        assert any(p["activity_pc"] is not None for p in props)
+        assert all(p["damage_pc"] is None and p["rank_discrepancy"] is None for p in props)
+
+    def test_overlay_uses_ex_post_total(self, sim_bundle, tmp_path):
+        overlay = tmp_path / "overlay.geojson"
+        assert self.correlate(sim_bundle, _with_hazus_row(sim_bundle, tmp_path), tmp_path, overlay) == 0
+        insurance = {}
+        with open(sim_bundle / "damage.csv", encoding="utf-8", newline="") as handle:
+            for row in csv.DictReader(handle):
+                insurance[row["region_id"]] = float(row["amount_usd"])
+        population = {}
+        with open(sim_bundle / "population.csv", encoding="utf-8", newline="") as handle:
+            for row in csv.DictReader(handle):
+                population[row["region_id"]] = int(row["population"])
+        props = {
+            f["properties"]["region_id"]: f["properties"]
+            for f in json.loads(overlay.read_text())["features"]
+        }
+        assert props["r0000"]["damage_pc"] == insurance["r0000"] / population["r0000"]
+
+
 class TestJoinSummarize:
     def test_join_output(self, sim_bundle, tmp_path):
         assert run(
@@ -254,6 +359,15 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "regions: 0 records, 1 rejected" in out
         assert "regions feature 0: malformed ring coordinates" in out
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported on the first p-value; join, nowcast and simulate never need it
+    env = dict(os.environ, PYTHONPATH=str(Path(damagenowcast.__file__).parents[1]))
+    probe = "import sys, damagenowcast.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.strip() == "False"
 
 
 class TestErrorHandling:

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 import tracemalloc
 
@@ -13,9 +15,10 @@ from damagenowcast.geo import (
     haversine_km,
     point_in_region,
     point_to_track_km,
+    region_centroid,
     spatial_join,
 )
-from damagenowcast.ingest import RegionBoundary, TrackPoint
+from damagenowcast.ingest import RegionBoundary, TrackPoint, parse_regions
 
 from oracles import (
     brute_force_join,
@@ -191,6 +194,59 @@ class TestPointInRegion:
         ys = [y for _, y in ring]
         region = RegionBoundary("poly", "poly", "county", (ring,), (min(xs), min(ys), max(xs), max(ys)))
         assert point_in_region(GeoPoint(lat, lon), region) == point_in_polygon_winding(lon, lat, ring)
+
+
+def square_ring(min_lon, min_lat, max_lon, max_lat, clockwise=False):
+    ring = [(min_lon, min_lat), (max_lon, min_lat), (max_lon, max_lat), (min_lon, max_lat)]
+    if clockwise:
+        ring.reverse()
+    return [list(v) for v in ring + ring[:1]]
+
+
+def parsed_region(geometry):
+    text = json.dumps({"type": "FeatureCollection", "features": [{
+        "type": "Feature",
+        "properties": {"region_id": "r", "level": "county"},
+        "geometry": geometry,
+    }]})
+    (region,) = parse_regions(io.StringIO(text)).records
+    return region
+
+
+class TestRegionCentroid:
+    def test_square_with_distant_island_lies_in_the_square(self):
+        square = square_ring(-74.0, 40.6, -73.8, 40.8)
+        island = square_ring(-72.9, 40.3, -72.89, 40.31)
+        region = parsed_region({"type": "MultiPolygon", "coordinates": [[square], [island]]})
+        center = region_centroid(region)
+        assert point_in_region(center, region)
+        assert -74.0 < center.lon < -73.8 and 40.6 < center.lat < 40.8
+
+    @pytest.mark.parametrize("clockwise", [False, True])
+    def test_hole_is_subtracted_whatever_its_orientation(self, clockwise):
+        outer = square_ring(0.0, 0.0, 2.0, 2.0)
+        hole = square_ring(1.0, 0.2, 1.8, 1.8, clockwise=clockwise)
+        region = parsed_region({"type": "Polygon", "coordinates": [outer, hole]})
+        assert region.holes == frozenset({1})
+        center = region_centroid(region)
+        # (4 * 1.0 - 1.28 * 1.4) / (4 - 1.28) along lon; symmetric along lat
+        assert center.lon == pytest.approx((4.0 - 1.28 * 1.4) / 2.72, abs=1e-12)
+        assert center.lat == pytest.approx(1.0, abs=1e-12)
+
+    def test_multipolygon_hole_indices_follow_the_flattened_rings(self):
+        region = parsed_region({"type": "MultiPolygon", "coordinates": [
+            [square_ring(0.0, 0.0, 1.0, 1.0)],
+            [square_ring(2.0, 0.0, 3.0, 1.0), square_ring(2.4, 0.4, 2.6, 0.6)],
+        ]})
+        assert region.holes == frozenset({2})
+        center = region_centroid(region)
+        assert center.lon == pytest.approx((0.5 + 2.5 * 0.96) / 1.96, abs=1e-12)
+        assert center.lat == pytest.approx(0.5, abs=1e-12)
+
+    def test_zero_area_falls_back_to_bbox_midpoint(self):
+        point = ((1.0, 2.0), (1.0, 2.0), (1.0, 2.0), (1.0, 2.0))
+        center = region_centroid(region_of("p", point))
+        assert (center.lat, center.lon) == (2.0, 1.0)
 
 
 def random_disjoint_rects(rng, count, span=40.0):

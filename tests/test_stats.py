@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from damagenowcast.stats import (
     midranks,
     rank_discrepancy,
 )
+from damagenowcast.stats import _kendall_s
 
 from oracles import (
     average_ranks,
     kendall_exact_p_loop,
+    kendall_s_statistic,
     pearson_brute,
     spearman_brute,
     spearman_exact_p_loop,
@@ -148,7 +151,6 @@ class TestBruteForceEquivalence:
         rng = np.random.default_rng(seed)
         x = rng.permutation(n).astype(float)
         y = rng.permutation(n).astype(float)
-        from oracles import kendall_s_statistic
 
         tau_a = kendall_s_statistic(list(x), list(y)) / (n * (n - 1) / 2)
         assert correlate(x, y, "kendall").coefficient == pytest.approx(tau_a, abs=1e-12)
@@ -194,6 +196,62 @@ class TestExactPValues:
         y = [2.0, 1.0, 3.0, 5.0, 4.0]
         result = correlate(x, y, "kendall")
         assert 0.0 < result.p_value <= 1.0
+
+
+class TestSortBasedKernels:
+    """The O(n log n) Kendall count and the vectorized mid-ranks against
+    pair enumeration and scipy."""
+
+    @given(st.integers(1, 200), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_s_matches_pair_enumeration_with_heavy_ties(self, n, kx, ky, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, kx, n).astype(float)
+        y = rng.integers(0, ky, n).astype(float)
+        s, _, _ = _kendall_s(x, y)
+        assert s == kendall_s_statistic(list(x), list(y))
+
+    def test_tau_b_and_p_match_scipy_at_n_5000_with_ties(self):
+        from scipy.stats import kendalltau
+
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 40, 5000).astype(float)
+        y = np.round(x / 100.0 + rng.normal(0.0, 3.0, 5000))
+        result = correlate(x, y, "kendall")
+        expected = kendalltau(x, y, method="asymptotic")
+        assert 1e-6 < expected.pvalue < 0.5
+        assert result.coefficient == pytest.approx(expected.statistic, rel=1e-12)
+        assert result.p_value == pytest.approx(expected.pvalue, rel=1e-12)
+
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=60))
+    @settings(max_examples=80, deadline=None)
+    def test_midranks_match_scipy_rankdata(self, values):
+        from scipy.stats import rankdata
+
+        values = np.array(values, dtype=float)
+        assert midranks(values).tolist() == rankdata(values).tolist()
+
+    def test_kendall_memory_is_linear(self):
+        # the dense n x n sign matrices allocated about 860 MB at this size
+        rng = np.random.default_rng(6)
+        x = rng.integers(0, 300, 6000).astype(float)
+        y = rng.normal(size=6000)
+        tracemalloc.start()
+        try:
+            correlate(x, y, "kendall")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("method", ["kendall", "spearman", "pearson"])
+    @pytest.mark.parametrize("transform", ["raw", "log10"])
+    def test_nan_rejected(self, method, transform):
+        # pearson gave coefficient 1.0 with p 0.0 here, spearman ranked the NaN last
+        with pytest.raises(ValueError, match="NaN"):
+            correlate([1.0, float("nan"), 3.0, 4.0], [1.0, 2.0, 3.0, 5.0], method, transform)
+        with pytest.raises(ValueError, match="NaN"):
+            correlate([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, float("nan"), 5.0], method, transform)
 
 
 class TestInvariances:
