@@ -18,6 +18,8 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from . import __version__
 from .analysis import (
     DEFAULT_KEYWORD_POOL,
@@ -32,7 +34,8 @@ from .geo import SpatialIndex, point_to_track_km, region_centroid, spatial_join
 from .ingest import (
     CountyStats,
     IngestError,
-    MessageRecord,
+    MessageTable,
+    ParseResult,
     RegionBoundary,
     parse_county_table,
     parse_keyed_table,
@@ -43,6 +46,7 @@ from .ingest import (
 )
 from .metrics import (
     ActivitySummary,
+    RegionCodes,
     TimeWindow,
     bin_offsets,
     summarize_daily,
@@ -128,14 +132,22 @@ def _write_report(
     return count
 
 
-def _assignments(
-    messages: Sequence[MessageRecord], regions: Sequence[RegionBoundary], cell_deg: float
-) -> dict[str, str | None]:
+def _assignments(messages: MessageTable, regions: Sequence[RegionBoundary], cell_deg: float) -> RegionCodes:
+    """The region of every message: one code per row into the sorted region ids."""
     index = SpatialIndex(regions, cell_deg=cell_deg)
-    located = ((m.message_id, m) for m in messages if m.location is not None)
-    out: dict[str, str | None] = {m.message_id: None for m in messages}
-    out.update(spatial_join(located, regions, index))
-    return out
+    return RegionCodes.from_mapping(messages, spatial_join(messages, regions, index))
+
+
+def _records(name: str, result: ParseResult):
+    """The parsed records, after one stderr line when the input had rejected rows."""
+    if result.rows_rejected:
+        print(f"{name}: {result.rows_rejected} of {result.rows_total} rows rejected (run validate for details)",
+              file=sys.stderr)
+    return result.records
+
+
+def _population(path: str) -> dict[str, int]:
+    return {e.region_id: e.population for e in _records("population", parse_keyed_table(path, "population"))}
 
 
 def _county_summaries(stats: Sequence[CountyStats]) -> dict[str, ActivitySummary]:
@@ -159,7 +171,7 @@ def _county_summaries(stats: Sequence[CountyStats]) -> dict[str, ActivitySummary
 
 def _load_damage(path: str) -> dict[str, dict[str, float]]:
     by_source: dict[str, dict[str, float]] = {}
-    for record in parse_keyed_table(path, "damage").records:
+    for record in _records("damage", parse_keyed_table(path, "damage")):
         by_source.setdefault(record.source, {})
         by_source[record.source][record.region_id] = (
             by_source[record.source].get(record.region_id, 0.0) + record.amount_usd
@@ -211,23 +223,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_join(args: argparse.Namespace) -> int:
-    messages = parse_messages(args.messages).records
-    regions = parse_regions(args.regions).records
+    messages = _records("messages", parse_messages(args.messages))
+    regions = _records("regions", parse_regions(args.regions))
     assignments = _assignments(messages, regions, args.cell_deg)
     out = Path(args.out) / "join.csv"
-    rows = [[m.message_id, assignments.get(m.message_id) or ""] for m in messages]
+    names = np.array([*assignments.region_ids, ""], dtype=object)  # code -1 picks the trailing ""
+    rows = zip(messages.message_id.tolist(), names[assignments.codes].tolist())
     n = _write_report(out, _echo_config(args), ["message_id", "region_id"], rows)
     print(f"wrote {out} ({n} rows)")
     return EXIT_OK
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    messages = parse_messages(args.messages, args.keywords).records
-    regions = parse_regions(args.regions).records
-    population = {
-        e.region_id: e.population
-        for e in (parse_keyed_table(args.population, "population").records if args.population else [])
-    }
+    messages = _records("messages", parse_messages(args.messages, args.keywords))
+    regions = _records("regions", parse_regions(args.regions))
+    population = _population(args.population) if args.population else {}
     assignments = _assignments(messages, regions, args.cell_deg)
     window = _parse_window(args.window) if args.window else None
     summaries = summarize_regions(
@@ -280,9 +290,9 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank_keywords(args: argparse.Namespace) -> int:
-    messages = parse_messages(args.messages).records
-    regions = parse_regions(args.regions).records
-    track = parse_track(args.track).records
+    messages = _records("messages", parse_messages(args.messages))
+    regions = _records("regions", parse_regions(args.regions))
+    track = _records("track", parse_track(args.track))
     assignments = _assignments(messages, regions, args.cell_deg)
     window = _parse_window(args.window) if args.window else None
 
@@ -292,15 +302,15 @@ def _cmd_rank_keywords(args: argparse.Namespace) -> int:
         if center.lon >= args.min_lon:
             distances[region.region_id] = point_to_track_km(center, track)
 
-    keywords = sorted({k for m in messages for k in m.keywords})
-    city_summaries = {}
-    for keyword in keywords:
-        per_region = summarize_regions(
-            messages, assignments, window, keywords=frozenset({keyword})
-        )
-        for region_id, summary in per_region.items():
-            if region_id in distances:
-                city_summaries[(region_id, keyword)] = summary
+    per_keyword = summarize_regions(
+        messages, assignments, window, scopes={tag: frozenset({tag}) for tag in messages.tags}
+    )
+    city_summaries = {
+        (region_id, keyword): summary
+        for keyword, per_region in per_keyword.items()
+        for region_id, summary in per_region.items()
+        if region_id in distances
+    }
 
     ranking = rank_keywords(city_summaries, distances, city_subset=distances)
     rows = []
@@ -331,34 +341,10 @@ def _cmd_rank_keywords(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_scope_summaries(
-    messages: Sequence[MessageRecord],
-    assignments: Mapping[str, str | None],
-    window: TimeWindow | None,
-    keywords: Sequence[str],
-    population: Mapping[str, int],
-    region_ids: Sequence[str],
-) -> dict[str, dict[str, ActivitySummary]]:
-    scopes: dict[str, dict[str, ActivitySummary]] = {
-        POOLED: summarize_regions(
-            messages, assignments, window,
-            keywords=frozenset(keywords) or None,
-            population=population, region_ids=region_ids,
-        )
-    }
-    for keyword in keywords:
-        scopes[keyword] = summarize_regions(
-            messages, assignments, window,
-            keywords=frozenset({keyword}),
-            population=population, region_ids=region_ids,
-        )
-    return scopes
-
-
 def _cmd_correlate(args: argparse.Namespace) -> int:
     window = _parse_window(args.window)
     if args.county_table:
-        stats = parse_county_table(args.county_table).records
+        stats = _records("county table", parse_county_table(args.county_table))
         scope_summaries = {POOLED: _county_summaries(stats)}
         population = {s.county: s.population for s in stats}
         damage_by_source = {
@@ -368,17 +354,17 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         include_sentiment = False
         window = None
     else:
-        messages = parse_messages(args.messages).records
-        regions = parse_regions(args.regions).records
-        population = {
-            e.region_id: e.population
-            for e in parse_keyed_table(args.population, "population").records
-        }
+        messages = _records("messages", parse_messages(args.messages))
+        regions = _records("regions", parse_regions(args.regions))
+        population = _population(args.population)
         damage_by_source = _load_damage(args.damage)
         assignments = _assignments(messages, regions, args.cell_deg)
-        scope_summaries = _build_scope_summaries(
-            messages, assignments, window, args.keywords, population,
-            [r.region_id for r in regions],
+        scopes = {POOLED: frozenset(args.keywords) or None}
+        for keyword in args.keywords:
+            scopes[keyword] = frozenset({keyword})
+        scope_summaries = summarize_regions(
+            messages, assignments, window, population=population,
+            region_ids=[r.region_id for r in regions], scopes=scopes,
         )
         include_sentiment = True
 
@@ -427,7 +413,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     )
     print(f"wrote {out} ({n} rows)")
 
-    if args.overlay and not args.county_table:
+    if args.overlay:
         damage = _ex_post_damage(damage_by_source)
         _write_overlay(args, scope_summaries[POOLED], damage, population)
 
@@ -477,12 +463,9 @@ def _write_overlay(
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    messages = parse_messages(args.messages, args.keywords).records
-    regions = parse_regions(args.regions).records
-    population = {
-        e.region_id: e.population
-        for e in parse_keyed_table(args.population, "population").records
-    }
+    messages = _records("messages", parse_messages(args.messages, args.keywords))
+    regions = _records("regions", parse_regions(args.regions))
+    population = _population(args.population)
     damage = _ex_post_damage(_load_damage(args.damage))
     if not damage:
         raise IngestError(f"damage: no ex-post rows (every source except {MODELED_SOURCE})")
@@ -542,17 +525,14 @@ def _cmd_series(args: argparse.Namespace) -> int:
 def _cmd_nowcast(args: argparse.Namespace) -> int:
     window = None
     if args.county_table:
-        stats = parse_county_table(args.county_table).records
+        stats = _records("county table", parse_county_table(args.county_table))
         summaries = _county_summaries(stats)
         damage = None
     else:
         window = _parse_window(args.window)
-        messages = parse_messages(args.messages, args.keywords).records
-        regions = parse_regions(args.regions).records
-        population = {
-            e.region_id: e.population
-            for e in parse_keyed_table(args.population, "population").records
-        }
+        messages = _records("messages", parse_messages(args.messages, args.keywords))
+        regions = _records("regions", parse_regions(args.regions))
+        population = _population(args.population)
         assignments = _assignments(messages, regions, args.cell_deg)
         summaries = summarize_regions(
             messages,
@@ -735,6 +715,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_INPUT_ERROR
         if args.command in required:
             _require(args, parser, required[args.command])
+        if args.command == "correlate" and args.county_table and args.overlay:
+            parser.error("--overlay needs region geometry, which a --county-table does not have")
     except SystemExit as exc:
         # our error() raises 1; argparse raises 0 for --help/--version
         return int(exc.code or 0)

@@ -14,7 +14,8 @@ The join is batched numpy work with no Python loop per point:
   region_id order) and registers each region in every cell of a uniform
   lon/lat grid that its bbox, widened by the boundary tolerance, overlaps.
   The widening keeps points in the tolerance band across a cell line, so the
-  result does not depend on the cell size.
+  result does not depend on the cell size. The registrations are sorted
+  arrays: one key per (cell, region) entry plus each cell's offsets.
 - ``spatial_join`` groups the points by cell, pairs each point with the
   cell's regions whose widened bbox holds it, and runs one even-odd kernel
   over (pair, edge) rows in fixed-size batches, visiting only the edges whose
@@ -34,7 +35,7 @@ from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .ingest import RegionBoundary
+from .ingest import MessageTable, RegionBoundary
 
 __all__ = [
     "EARTH_RADIUS_KM",
@@ -51,6 +52,7 @@ EARTH_RADIUS_KM = 6371.0088
 
 _ON_EDGE_EPS = 1e-9  # degrees of perpendicular offset still counted as "on the boundary"
 _BATCH_ROWS = 1 << 12  # (point, edge) or (point, region) rows tested per batch; bounds the temporaries
+_MAX_CELL_ENTRIES = 1 << 22  # (cell, region) registrations a SpatialIndex may hold
 
 
 class _HasLatLon(Protocol):
@@ -276,7 +278,11 @@ class SpatialIndex:
     Regions sharing a region_id keep the last one given. Each region is
     registered in every grid cell its bbox, widened by the boundary
     tolerance, overlaps, so ``candidates`` is always a superset of the
-    regions truly containing a point. Immutable once built.
+    regions truly containing a point. The registrations are compressed
+    rows: the occupied cells' keys, sorted, and per cell a run of region
+    numbers. A grid that would need more than ``_MAX_CELL_ENTRIES``
+    registrations raises ValueError before anything is allocated.
+    Immutable once built.
     """
 
     def __init__(self, regions: Iterable[RegionBoundary], cell_deg: float = 0.25):
@@ -286,19 +292,52 @@ class SpatialIndex:
         by_id = {r.region_id: r for r in regions}
         edges = self._edges = _EdgeTable([by_id[region_id] for region_id in sorted(by_id)])
         self.region_ids: list[str] = edges.region_ids
-        cells: dict[tuple[int, int], list[int]] = {}
-        for k, (min_lon, min_lat, max_lon, max_lat) in enumerate(
-            zip(edges.x0.tolist(), edges.y0.tolist(), edges.x1.tolist(), edges.y1.tolist())
-        ):
-            for ix in range(math.floor(min_lon / cell_deg), math.floor(max_lon / cell_deg) + 1):
-                for iy in range(math.floor(min_lat / cell_deg), math.floor(max_lat / cell_deg) + 1):
-                    cells.setdefault((ix, iy), []).append(k)
-        self._cells = cells
+        first_x, last_x = np.floor(edges.x0 / cell_deg), np.floor(edges.x1 / cell_deg)
+        first_y, last_y = np.floor(edges.y0 / cell_deg), np.floor(edges.y1 / cell_deg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            entries = float(((last_x - first_x + 1) * (last_y - first_y + 1)).sum())
+        if not entries <= _MAX_CELL_ENTRIES:  # also catches an overflow to inf or NaN
+            raise ValueError(
+                f"spatial index: cell size {cell_deg} deg would register {entries:.3g} (cell, region) "
+                f"entries, more than {_MAX_CELL_ENTRIES}; use a larger cell size"
+            )
+        first_x, last_x, first_y, last_y = (a.astype(np.int64) for a in (first_x, last_x, first_y, last_y))
+        # the key of cell (ix, iy) counts rows of the grid spanned by all bboxes
+        self._x0 = int(first_x.min()) if len(first_x) else 0
+        self._y0 = int(first_y.min()) if len(first_y) else 0
+        self._height = int(last_y.max()) - self._y0 + 1 if len(last_y) else 1
+        columns, heights = last_x - first_x + 1, last_y - first_y + 1
+        count = columns * heights
+        region = np.repeat(np.arange(len(count)), count)
+        k = np.arange(len(region)) - np.repeat(np.cumsum(count) - count, count)
+        key = self._key(first_x[region] + k // heights[region], first_y[region] + k % heights[region])
+        order = np.argsort(key, kind="stable")  # keeps each cell's regions in region order
+        self._cell_keys, starts = np.unique(key[order], return_index=True)
+        self._cell_start = np.append(starts, len(key))
+        self._cell_regions = region[order]
+
+    def _key(self, cell_x: np.ndarray, cell_y: np.ndarray) -> np.ndarray:
+        return (cell_x - self._x0) * self._height + (cell_y - self._y0)
+
+    def _registered(self, cell_x: np.ndarray, cell_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (cell, region) registrations of the given cells, as query number and
+        region number, in cell order and region order within a cell."""
+        key = self._key(cell_x, cell_y)
+        at = np.searchsorted(self._cell_keys, key)
+        found = at < len(self._cell_keys)
+        found[found] = self._cell_keys[at[found]] == key[found]
+        found &= (cell_y >= self._y0) & (cell_y < self._y0 + self._height)
+        start = self._cell_start[np.where(found, at, 0)]
+        count = np.where(found, self._cell_start[np.minimum(at + 1, len(self._cell_keys))] - start, 0)
+        query = np.repeat(np.arange(len(key)), count)
+        offset = np.arange(len(query)) - np.repeat(np.cumsum(count) - count, count)
+        return query, self._cell_regions[np.repeat(start, count) + offset]
 
     def candidates(self, p: _HasLatLon) -> tuple[str, ...]:
         """Region ids whose bbox cell covers the point, sorted; possibly empty."""
-        key = (math.floor(p.lon / self.cell_deg), math.floor(p.lat / self.cell_deg))
-        return tuple(self.region_ids[k] for k in self._cells.get(key, ()))
+        cell = np.floor(np.array([p.lon, p.lat]) / self.cell_deg).astype(np.int64)
+        _, registered = self._registered(cell[:1], cell[1:])
+        return tuple(self.region_ids[k] for k in registered.tolist())
 
     def _assign(self, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
         """Position in ``region_ids`` of the first region containing each point, or -1."""
@@ -313,18 +352,10 @@ class SpatialIndex:
         cell = np.empty(len(lon), dtype=np.int64)
         cell[by_cell] = np.cumsum(opens) - 1
         # one query per (occupied cell, region registered there)
-        query_cell: list[int] = []
-        query_region: list[int] = []
-        for c, key in enumerate(zip(cell_x[opens].tolist(), cell_y[opens].tolist())):
-            registered = self._cells.get(key, ())
-            query_cell.extend([c] * len(registered))
-            query_region.extend(registered)
-        registered = np.array(query_region, dtype=np.intp)
+        query_cell, registered = self._registered(cell_x[opens], cell_y[opens])
 
         # candidate pairs: the cell's points within the region's widened bbox
-        order, start, count = _runs(
-            cell, lon, np.array(query_cell, dtype=np.int64), edges.x0[registered], edges.x1[registered]
-        )
+        order, start, count = _runs(cell, lon, query_cell, edges.x0[registered], edges.x1[registered])
         pair_point, pair_region = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
         for q, k in _batches(count):
             i, r = order[start[q] + k], registered[q]
@@ -342,26 +373,32 @@ class SpatialIndex:
 
 
 def spatial_join(
-    points: Iterable[tuple[str, _HasLatLon]],
+    points: Iterable[tuple[str, _HasLatLon]] | MessageTable,
     regions: Sequence[RegionBoundary],
     index: SpatialIndex | None = None,
 ) -> dict[str, str | None]:
     """Assign each point to the region containing it (None when uncontained).
 
-    Overlapping boundaries are tie-broken to the lexicographically smallest
-    region_id, so the result is independent of point order, region order, and
-    index cell size. A given ``index`` must have been built over ``regions``.
+    ``points`` are (point_id, point) pairs, or a message table whose located
+    rows are the points, keyed by message_id. Overlapping boundaries are
+    tie-broken to the lexicographically smallest region_id, so the result is
+    independent of point order, region order, and index cell size. A given
+    ``index`` must have been built over ``regions``.
     """
     if index is None:
         index = SpatialIndex(regions)
     elif sorted({r.region_id for r in regions}) != index.region_ids:
         raise ValueError("spatial_join: index was built over other regions")
-    points = list(points)
-    lat = np.array([p.lat for _, p in points], dtype=float)
-    lon = np.array([p.lon for _, p in points], dtype=float)
+    if isinstance(points, MessageTable):
+        located = ~np.isnan(points.lat)
+        ids, lat, lon = points.message_id[located].tolist(), points.lat[located], points.lon[located]
+    else:
+        pairs = list(points)
+        ids = [point_id for point_id, _ in pairs]
+        lat = np.array([p.lat for _, p in pairs], dtype=float)
+        lon = np.array([p.lon for _, p in pairs], dtype=float)
     if not (np.isfinite(lat).all() and np.isfinite(lon).all()):
         raise ValueError("spatial_join: point coordinates must be finite")
     # position -1 picks the trailing None: contained by no region
     names = np.array(index.region_ids + [None], dtype=object)
-    assigned = names[index._assign(lon, lat)].tolist()
-    return dict(zip((point_id for point_id, _ in points), assigned))
+    return dict(zip(ids, names[index._assign(lon, lat)].tolist()))

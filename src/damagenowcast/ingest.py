@@ -6,6 +6,13 @@ drop malformed rows with the same line-numbered diagnostic; structural
 problems (unreadable or empty input, a missing column, duplicate keys where
 duplicates are banned, non-monotone track times) raise :class:`IngestError`.
 Files are UTF-8; timestamps must be ISO-8601 with an explicit UTC offset.
+
+``parse_messages`` returns a :class:`MessageTable`, one array per field. It
+converts rows a block at a time with numpy and accepts in bulk only the rows
+already in canonical form (the form ``write_messages_csv`` writes). Every
+other row goes through the per-row converter, which alone decides whether a
+row is malformed and why, so the table, the counts and the diagnostics are
+what converting each row on its own would give.
 """
 
 from __future__ import annotations
@@ -13,14 +20,20 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Generic, Iterable, Iterator, Sequence, TextIO, TypeVar
+
+import numpy as np
 
 __all__ = [
     "IngestError",
     "MessageRecord",
+    "MessageTable",
     "RegionBoundary",
     "PopulationEntry",
     "DamageRecord",
@@ -54,6 +67,12 @@ MESSAGE_COLUMNS = (
 
 T = TypeVar("T")
 
+UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+MICROSECOND = timedelta(microseconds=1)
+
+_BLOCK_ROWS = 1 << 14  # CSV rows held and converted at once; bounds the Python row lists
+_MAX_COUNT = 2**63 - 1  # retweeted_count must fit the table's int64 column
+
 
 class IngestError(ValueError):
     """Unrecoverable input problem: bad structure, banned duplicate, bad order."""
@@ -81,6 +100,62 @@ class MessageRecord:
     def lon(self) -> float:
         """Longitude of a located message."""
         return self.location[1]
+
+
+@dataclass(frozen=True, eq=False)
+class MessageTable(SequenceABC):
+    """Messages as one array per field, rows in file order.
+
+    ``user`` and ``keyword_set`` are codes: row ``i`` was posted by
+    ``user_ids[user[i]]`` with the tags ``keyword_sets[keyword_set[i]]``.
+    ``tags`` is every tag of those sets, sorted, and ``tag_matrix[k, j]``
+    says whether set ``k`` holds ``tags[j]``. ``time_us`` counts microseconds
+    since the Unix epoch (UTC); ``lat``/``lon`` are NaN for an unlocated
+    message and ``sentiment`` is NaN when absent.
+
+    Indexing or iterating gives one :class:`MessageRecord` per row, a view
+    for callers that want objects; the analysis works on the arrays.
+    """
+
+    message_id: np.ndarray  # object array of str
+    user: np.ndarray  # int64
+    user_ids: Sequence[str]
+    time_us: np.ndarray  # int64
+    lat: np.ndarray  # float64
+    lon: np.ndarray  # float64
+    keyword_set: np.ndarray  # int64
+    keyword_sets: Sequence[frozenset[str]]
+    is_retweet: np.ndarray  # bool
+    retweeted_count: np.ndarray  # int64
+    sentiment: np.ndarray  # float64
+    tags: tuple[str, ...] = ()
+    tag_matrix: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=bool))
+
+    def __len__(self) -> int:
+        return len(self.message_id)
+
+    def __getitem__(self, i: int) -> MessageRecord:
+        return next(self._records([range(len(self))[i]]))
+
+    def __iter__(self) -> Iterator[MessageRecord]:
+        return self._records(slice(None))
+
+    def _records(self, rows) -> Iterator[MessageRecord]:
+        columns = (self.message_id, self.user, self.time_us, self.lat, self.lon, self.keyword_set,
+                   self.is_retweet, self.retweeted_count, self.sentiment)
+        for message_id, user, stamp, lat, lon, tags, retweet, count, sentiment in zip(
+            *(column[rows].tolist() for column in columns)
+        ):
+            yield MessageRecord(
+                message_id=message_id,
+                user_id=self.user_ids[user],
+                timestamp=UNIX_EPOCH + stamp * MICROSECOND,
+                location=None if math.isnan(lat) else (lat, lon),
+                keywords=self.keyword_sets[tags],
+                is_retweet=retweet,
+                retweeted_count=count,
+                sentiment=None if math.isnan(sentiment) else sentiment,
+            )
 
 
 @dataclass(frozen=True)
@@ -157,20 +232,18 @@ class _LineFilter:
     """Line iterator that skips blanks and ``#`` comments, tracking source line numbers."""
 
     def __init__(self, stream: Iterable[str]):
-        self._it = enumerate(stream, start=1)
         self.lineno = 0
+        self._lines = self._filter(stream)
 
-    def __iter__(self) -> "_LineFilter":
-        return self
+    def __iter__(self) -> Iterator[str]:
+        return self._lines
 
-    def __next__(self) -> str:
-        for lineno, line in self._it:
+    def _filter(self, stream: Iterable[str]) -> Iterator[str]:
+        for lineno, line in enumerate(stream, start=1):
             stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            self.lineno = lineno
-            return line
-        raise StopIteration
+            if stripped and stripped[0] != "#":
+                self.lineno = lineno
+                yield line
 
 
 def _open_text(source: str | Path | TextIO) -> tuple[TextIO, bool]:
@@ -190,6 +263,45 @@ def _header_index(header: Sequence[str], required: Sequence[str], what: str) -> 
     return index
 
 
+def _read_blocks(
+    source: str | Path | TextIO, what: str, required: Sequence[str], result: ParseResult
+) -> Iterator[tuple[dict[str, int], int, list[list[str]], list[int]]]:
+    """Yield the data rows of a CSV input in blocks of up to ``_BLOCK_ROWS``.
+
+    Each block comes as ``(col, width, rows, line numbers)``: ``col`` maps
+    lowercased header names to column positions and ``width`` is the number
+    of header cells. Every data row is counted in ``result.rows_total``.
+    """
+    stream, owned = _open_text(source)
+    try:
+        lines = _LineFilter(stream)
+        reader = csv.reader(lines)
+        header = next(reader, None)
+        if header is None:
+            raise IngestError(f"{what}: empty input")
+        col = _header_index(header, required, what)
+        rows: list[list[str]] = []
+        linenos: list[int] = []
+        for row in reader:
+            rows.append(row)
+            linenos.append(lines.lineno)
+            if len(rows) == _BLOCK_ROWS:
+                result.rows_total += len(rows)
+                yield col, len(header), rows, linenos
+                rows, linenos = [], []
+        if rows:
+            result.rows_total += len(rows)
+            yield col, len(header), rows, linenos
+    finally:
+        if owned:
+            stream.close()
+
+
+def _reject(result: ParseResult, what: str, lineno: int, exc: Exception) -> None:
+    result.rows_rejected += 1
+    result.diagnostics.append(f"{what} line {lineno}: {exc}")
+
+
 def _read_table(
     source: str | Path | TextIO,
     what: str,
@@ -199,32 +311,19 @@ def _read_table(
 ) -> Iterator[T]:
     """Yield ``convert(row, col)`` for each well-formed data row of a CSV input.
 
-    ``col`` maps lowercased header names to column positions. A row whose
-    conversion raises ValueError or IndexError is counted in ``result`` as
-    rejected, with a ``"<what> line N: <reason>"`` diagnostic; every data row
-    is counted in ``result.rows_total``. The caller applies its own rule to
-    the yielded records and appends the ones it keeps.
+    A row whose conversion raises ValueError or IndexError is counted in
+    ``result`` as rejected, with a ``"<what> line N: <reason>"`` diagnostic.
+    The caller applies its own rule to the yielded records and appends the
+    ones it keeps.
     """
-    stream, owned = _open_text(source)
-    try:
-        lines = _LineFilter(stream)
-        rows = csv.reader(lines)
-        header = next(rows, None)
-        if header is None:
-            raise IngestError(f"{what}: empty input")
-        col = _header_index(header, required, what)
-        for row in rows:
-            result.rows_total += 1
+    for col, _, rows, linenos in _read_blocks(source, what, required, result):
+        for row, lineno in zip(rows, linenos):
             try:
                 record = convert(row, col)
             except (ValueError, IndexError) as exc:
-                result.rows_rejected += 1
-                result.diagnostics.append(f"{what} line {lines.lineno}: {exc}")
+                _reject(result, what, lineno, exc)
                 continue
             yield record
-    finally:
-        if owned:
-            stream.close()
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -249,7 +348,8 @@ def parse_messages(
     source: str | Path | TextIO,
     keyword_filter: Iterable[str] | None = None,
 ) -> ParseResult[MessageRecord]:
-    """Read ``messages.csv``; keep records whose tags intersect ``keyword_filter``.
+    """Read ``messages.csv`` into a :class:`MessageTable` (``result.records``);
+    keep the rows whose tags intersect ``keyword_filter``.
 
     An empty/None filter keeps everything. Rows with malformed mandatory
     fields (and rows reusing an already-seen message_id) are rejected with a
@@ -259,21 +359,228 @@ def parse_messages(
     """
     wanted = frozenset(t.strip().lower() for t in keyword_filter or () if t.strip())
     result: ParseResult[MessageRecord] = ParseResult(records=[])
-    seen_ids: set[str] = set()
-
-    def convert(row: list[str], col: dict[str, int]) -> MessageRecord:
-        return _message_from_row(row, col, seen_ids)
-
-    for record in _read_table(source, "messages", MESSAGE_COLUMNS, convert, result):
-        seen_ids.add(record.message_id)
-        if wanted and not (record.keywords & wanted):
-            result.rows_filtered += 1
-            continue
-        result.records.append(record)
+    columns = _MessageColumns()
+    for col, width, rows, linenos in _read_blocks(source, "messages", MESSAGE_COLUMNS, result):
+        columns.add(rows, col, width, linenos, result)
+    table = columns.table(wanted)
+    result.rows_filtered = result.rows_total - result.rows_rejected - len(table)
+    result.records = table
     return result
 
 
-def _message_from_row(row: list[str], col: dict[str, int], seen_ids: set[str]) -> MessageRecord:
+class _MessageColumns:
+    """Converts ``messages.csv`` blocks into columns and assembles the table.
+
+    A row is taken in bulk when every cell is canonical: exactly the header's
+    width; a non-empty id used by no other row of the block and by no row
+    accepted before; a non-empty user; a ``YYYY-MM-DDTHH:MM:SSZ`` timestamp;
+    both or neither coordinate, as plain decimals in range; at least one tag;
+    ``0``/``1`` for is_retweet; at most 18 ASCII digits for retweeted_count;
+    and an empty or plain-decimal sentiment in range. Every other row goes to
+    ``_message_fields`` one at a time, in file order. Ids shared inside a
+    block all go that way, so a bulk row never shares an id with a row of its
+    own block that the per-row converter accepts.
+    """
+
+    def __init__(self) -> None:
+        self.seen: set[str] = set()  # ids of the rows accepted so far
+        self.users: dict[str, int] = {}  # user_id -> code
+        self.sets: dict[frozenset[str], int] = {}  # keyword set -> code
+        self.user_cells: dict[str, int] = {}  # raw cell -> user code, -1 when blank
+        self.keyword_cells: dict[str, int] = {}  # raw cell -> set code, -1 when no tag
+        self.chunks: list[tuple[np.ndarray, ...]] = []
+
+    def add(self, rows: list[list[str]], col: dict[str, int], width: int, linenos: list[int],
+            result: ParseResult) -> None:
+        n = len(rows)
+        whole = np.fromiter(map(len, rows), np.intp, n) == width
+        regular = rows if whole.all() else [row for row, ok in zip(rows, whole) if ok]
+        position = col["message_id"]
+        ids = [row[position].strip() if position < len(row) else "" for row in rows]
+        bulk = whole & self._unique_ids(ids)
+
+        user = np.full(n, -1, dtype=np.int64)
+        stamp = np.zeros(n, dtype=np.int64)
+        lat, lon, sentiment = np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan)
+        tags = np.full(n, -1, dtype=np.int64)
+        retweet = np.zeros(n, dtype=bool)
+        count = np.zeros(n, dtype=np.int64)
+        if regular:
+            cell = {name: list(map(itemgetter(col[name]), regular)) for name in MESSAGE_COLUMNS[1:]}
+            user[whole] = _codes(cell["user_id"], self.user_cells, self._user_cell)
+            tags[whole] = _codes(cell["keywords"], self.keyword_cells, self._keyword_cell)
+            stamp[whole], ok = _timestamps_us(cell["timestamp"])
+            lat[whole], lat_present, lat_ok = _decimals(cell["lat"])
+            lon[whole], lon_present, lon_ok = _decimals(cell["lon"])
+            in_range = (np.abs(lat[whole]) <= 90.0) & (np.abs(lon[whole]) <= 180.0)
+            ok &= (lat_present == lon_present) & (~lat_present | (lat_ok & lon_ok & in_range))
+            sentiment[whole], _, sentiment_ok = _decimals(cell["sentiment"])
+            ok &= sentiment_ok & ~(np.abs(sentiment[whole]) > 1.0)
+            flag = np.array(cell["is_retweet"])
+            retweet[whole] = flag == "1"
+            ok &= retweet[whole] | (flag == "0")
+            count[whole], count_ok = _counts(cell["retweeted_count"])
+            bulk[whole] &= ok & count_ok
+        bulk &= (user >= 0) & (tags >= 0)
+
+        accepted = bulk.copy()
+        for i in np.flatnonzero(~bulk).tolist():
+            try:
+                fields = _message_fields(rows[i], col, self.seen)
+            except (ValueError, IndexError) as exc:
+                _reject(result, "messages", linenos[i], exc)
+                continue
+            self.seen.add(fields[0])
+            accepted[i] = True
+            user[i] = self._user_code(fields[1])
+            stamp[i], lat[i], lon[i] = fields[2:5]
+            tags[i] = self._set_code(fields[5])
+            retweet[i], count[i], sentiment[i] = fields[6:]
+        message_id = np.array(ids, dtype=object)
+        self.seen.update(message_id[bulk].tolist())
+        self.chunks.append(tuple(
+            column[accepted] for column in (message_id, user, stamp, lat, lon, tags, retweet, count, sentiment)
+        ))
+
+    def _unique_ids(self, ids: list[str]) -> np.ndarray:
+        """Per row, whether its id is non-empty, alone in the block and not yet accepted."""
+        distinct = set(ids)
+        if len(distinct) == len(ids) and "" not in distinct and self.seen.isdisjoint(distinct):
+            return np.ones(len(ids), dtype=bool)
+        uses = Counter(ids)
+        return np.array([bool(i) and uses[i] == 1 and i not in self.seen for i in ids], dtype=bool)
+
+    def _user_code(self, user_id: str) -> int:
+        return self.users.setdefault(user_id, len(self.users))
+
+    def _set_code(self, tags: frozenset[str]) -> int:
+        return self.sets.setdefault(tags, len(self.sets))
+
+    def _user_cell(self, cell: str) -> int:
+        user_id = cell.strip()
+        return self._user_code(user_id) if user_id else -1
+
+    def _keyword_cell(self, cell: str) -> int:
+        tags = _parse_tags(cell)
+        return self._set_code(tags) if tags else -1
+
+    def table(self, wanted: frozenset[str]) -> MessageTable:
+        """Concatenate the blocks, keep the rows whose tags meet ``wanted`` (all when
+        empty) and renumber the keyword sets to those the kept rows use."""
+        empty = (np.empty(0, dtype=object), *(np.empty(0, dtype=t) for t in (
+            np.int64, np.int64, float, float, np.int64, bool, np.int64, float)))
+        columns = [np.concatenate(parts) for parts in zip(empty, *self.chunks)]
+        sets = list(self.sets)
+        if wanted:
+            meets = np.array([bool(tags & wanted) for tags in sets], dtype=bool)
+            columns = [column[meets[columns[5]]] for column in columns]
+        used, columns[5] = np.unique(columns[5], return_inverse=True)
+        keyword_sets = [sets[k] for k in used.tolist()]
+        tags = tuple(sorted(set().union(*keyword_sets)))
+        position = {tag: j for j, tag in enumerate(tags)}
+        tag_matrix = np.zeros((len(keyword_sets), len(tags)), dtype=bool)
+        for k, tag_set in enumerate(keyword_sets):
+            tag_matrix[k, [position[tag] for tag in tag_set]] = True
+        message_id, user, stamp, lat, lon, keyword_set, retweet, count, sentiment = columns
+        return MessageTable(
+            message_id=message_id, user=user, user_ids=list(self.users), time_us=stamp, lat=lat,
+            lon=lon, keyword_set=keyword_set.astype(np.int64), keyword_sets=keyword_sets,
+            is_retweet=retweet, retweeted_count=count, sentiment=sentiment, tags=tags,
+            tag_matrix=tag_matrix,
+        )
+
+
+def _codes(cells: list[str], known: dict[str, int], intern: Callable[[str], int]) -> np.ndarray:
+    """Code of each cell through ``known`` (raw cell -> code), which ``intern`` extends."""
+    for cell in set(cells).difference(known):
+        known[cell] = intern(cell)
+    return np.fromiter(map(known.__getitem__, cells), np.int64, len(cells))
+
+
+_DECIMAL_CHARS = dict.fromkeys(map(ord, "0123456789.+-eE"))
+_STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_STAMP_MARKS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":", 19: "Z"}
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _timestamps_us(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``YYYY-MM-DDTHH:MM:SSZ`` cells as microseconds since the Unix epoch.
+
+    Returns ``(value, ok)``; ``ok`` is False, and the value 0, for every cell
+    in another form or naming no valid instant.
+    """
+    n = len(cells)
+    ok = np.fromiter(map(len, cells), np.intp, n) == 20
+    chars = np.array(cells, dtype="U20").view(np.uint32).reshape(n, 20)
+    digits = chars[:, _STAMP_DIGITS] - ord("0")  # unsigned: anything below '0' wraps high
+    ok &= (digits <= 9).all(axis=1)
+    for i, mark in _STAMP_MARKS.items():
+        ok &= chars[:, i] == ord(mark)
+    d = digits.astype(np.int64)
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    month, day = d[:, 4] * 10 + d[:, 5], d[:, 6] * 10 + d[:, 7]
+    hour, minute, second = d[:, 8] * 10 + d[:, 9], d[:, 10] * 10 + d[:, 11], d[:, 12] * 10 + d[:, 13]
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    days_in_month = _MONTH_DAYS[np.clip(month - 1, 0, 11)] + (leap & (month == 2))
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= days_in_month)
+    ok &= (hour < 24) & (minute < 60) & (second < 60)
+    # days since 1970-01-01 of a proleptic Gregorian date, years counted from March
+    y = year - (month <= 2)
+    era = y // 400
+    year_of_era = y - era * 400
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
+    days = era * 146097 + day_of_era - 719468
+    seconds = days * 86400 + hour * 3600 + minute * 60 + second
+    return np.where(ok, seconds * 1_000_000, 0), ok
+
+
+def _decimals(cells: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells of digits, sign, point and exponent as float64.
+
+    Returns ``(value, present, ok)``: an empty cell is NaN, not present and
+    ok; a cell with any other character, or that ``float`` refuses, is NaN
+    and not ok.
+    """
+    n = len(cells)
+    present = np.fromiter(map(bool, cells), bool, n)
+    value = np.full(n, np.nan)
+    ok = np.ones(n, dtype=bool)
+    texts = cells if present.all() else [cell for cell in cells if cell]
+    if not "".join(texts).translate(_DECIMAL_CHARS):
+        try:
+            value[present] = np.array(texts, dtype=np.float64)
+            return value, present, ok
+        except ValueError:
+            pass
+    for i, cell in zip(np.flatnonzero(present).tolist(), texts):
+        try:
+            if cell.translate(_DECIMAL_CHARS):
+                raise ValueError(cell)
+            value[i] = float(cell)
+        except ValueError:
+            ok[i] = False
+    return value, present, ok
+
+
+def _counts(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of 1 to 18 ASCII digits as int64; ``ok`` is False (value 0) elsewhere."""
+    text = "".join(cells)
+    if text.isascii() and text.isdigit() and all(cells) and max(map(len, cells)) <= 18:
+        return np.fromiter(map(int, cells), np.int64, len(cells)), np.ones(len(cells), dtype=bool)
+    ok = [cell.isascii() and cell.isdigit() and len(cell) <= 18 for cell in cells]
+    value = np.zeros(len(cells), dtype=np.int64)
+    value[ok] = [int(cell) for cell, good in zip(cells, ok) if good]
+    return value, np.array(ok, dtype=bool)
+
+
+def _message_fields(row: list[str], col: dict[str, int], seen_ids: set[str]) -> tuple:
+    """One row's column values, or ValueError naming the first malformed field.
+
+    The values are, in order: message_id, user_id, timestamp as µs since the
+    Unix epoch, lat, lon (NaN when unlocated), the tag set, is_retweet,
+    retweeted_count and sentiment (NaN when absent).
+    """
     def cell(name: str) -> str:
         i = col[name]
         return row[i].strip() if i < len(row) else ""
@@ -290,14 +597,13 @@ def _message_from_row(row: list[str], col: dict[str, int], seen_ids: set[str]) -
     lat_text, lon_text = cell("lat"), cell("lon")
     if bool(lat_text) != bool(lon_text):
         raise ValueError("location requires both lat and lon")
-    location: tuple[float, float] | None = None
+    lat = lon = math.nan
     if lat_text:
         lat, lon = float(lat_text), float(lon_text)
         if not -90.0 <= lat <= 90.0:
             raise ValueError("latitude out of range")
         if not -180.0 <= lon <= 180.0:
             raise ValueError("longitude out of range")
-        location = (lat, lon)
 
     keywords = _parse_tags(cell("keywords"))
     if not keywords:
@@ -309,24 +615,18 @@ def _message_from_row(row: list[str], col: dict[str, int], seen_ids: set[str]) -
     retweeted_count = int(cell("retweeted_count"))
     if retweeted_count < 0:
         raise ValueError("retweeted_count negative")
+    if retweeted_count > _MAX_COUNT:
+        raise ValueError("retweeted_count out of range")
 
     sentiment_text = cell("sentiment")
-    sentiment: float | None = None
+    sentiment = math.nan
     if sentiment_text:
         sentiment = float(sentiment_text)
         if not -1.0 <= sentiment <= 1.0:
             raise ValueError("sentiment out of range")
 
-    return MessageRecord(
-        message_id=message_id,
-        user_id=user_id,
-        timestamp=stamp,
-        location=location,
-        keywords=keywords,
-        is_retweet=retweet_text == "1",
-        retweeted_count=retweeted_count,
-        sentiment=sentiment,
-    )
+    return (message_id, user_id, (stamp - UNIX_EPOCH) // MICROSECOND, lat, lon, keywords,
+            retweet_text == "1", retweeted_count, sentiment)
 
 
 def format_timestamp(stamp: datetime) -> str:

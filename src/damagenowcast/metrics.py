@@ -4,22 +4,32 @@ Bins are half-open ``[epoch + k*width, epoch + (k+1)*width)`` with signed
 indices, so "hours since the event" is just ``bin * width``. Per-user
 normalization always divides by the count of distinct users active at any
 point of the whole collection period, not just the window under analysis.
+
+Summaries are grouped counts over a :class:`MessageTable`: each message's
+(scope, region) or (region, bin) cell is one integer, ``np.bincount`` over
+those integers gives every count of every cell at once, and ``np.unique``
+over (cell, user) pairs gives the distinct users. A message counts in every
+scope whose tags it carries, so one call serves the pool and each keyword.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Literal, Mapping, Sequence
 
-from .ingest import MessageRecord
+import numpy as np
+
+from .ingest import MICROSECOND, UNIX_EPOCH, MessageTable
 
 __all__ = [
     "TimeWindow",
     "ActivitySummary",
+    "RegionCodes",
     "bin_offsets",
     "bin_window",
-    "compute_activity_summary",
     "normalized_activity",
     "retweet_fraction",
     "local_popularity",
@@ -82,50 +92,6 @@ def bin_window(epoch: datetime, width: timedelta, index: int) -> TimeWindow:
     return TimeWindow(start=epoch + index * width, end=epoch + (index + 1) * width)
 
 
-def compute_activity_summary(
-    messages: Iterable[MessageRecord],
-    region_id: str,
-    window: TimeWindow | None,
-    period_users: int,
-    population: int | None = None,
-) -> ActivitySummary:
-    """Aggregate one region's messages over a window (all messages when None).
-
-    Callers pass messages already assigned to ``region_id``; a window with no
-    messages yields a valid all-zero summary.
-    """
-    n_messages = n_original = n_retweets = n_popular = 0
-    users: set[str] = set()
-    sentiment_sum = 0.0
-    sentiment_n = 0
-    for m in messages:
-        if window is not None and not window.contains(m.timestamp):
-            continue
-        n_messages += 1
-        users.add(m.user_id)
-        if m.is_retweet:
-            n_retweets += 1
-        else:
-            n_original += 1
-            if m.retweeted_count >= 1:
-                n_popular += 1
-        if m.sentiment is not None:
-            sentiment_sum += m.sentiment
-            sentiment_n += 1
-    return ActivitySummary(
-        region_id=region_id,
-        window=window,
-        n_messages=n_messages,
-        n_original=n_original,
-        n_retweets=n_retweets,
-        n_popular=n_popular,
-        active_users_window=len(users),
-        active_users_period=period_users,
-        mean_sentiment=sentiment_sum / sentiment_n if sentiment_n else None,
-        population=population,
-    )
-
-
 def normalized_activity(
     summary: ActivitySummary,
     mode: NormalizationMode = "per_period_user",
@@ -158,78 +124,197 @@ def local_popularity(summary: ActivitySummary) -> float | None:
     return summary.n_popular / summary.active_users_period
 
 
-def _assigned(
-    messages: Iterable[MessageRecord],
-    assignments: Mapping[str, str | None],
-    keywords: frozenset[str] | None,
-) -> dict[str, list[MessageRecord]]:
-    per_region: dict[str, list[MessageRecord]] = {}
-    for m in messages:
-        region = assignments.get(m.message_id)
-        if region is None:
-            continue
-        if keywords is not None and not (m.keywords & keywords):
-            continue
-        per_region.setdefault(region, []).append(m)
-    return per_region
+@dataclass(frozen=True)
+class RegionCodes:
+    """The region of each row of a :class:`MessageTable`: row ``i`` lies in
+    ``region_ids[codes[i]]``, or in no region when ``codes[i]`` is -1."""
+
+    codes: np.ndarray
+    region_ids: Sequence[str]
+
+    @classmethod
+    def from_mapping(cls, table: MessageTable, assignments: Mapping[str, str | None]) -> "RegionCodes":
+        """Codes from a message_id -> region_id (or None) mapping; absent ids lie in no region."""
+        region_ids = sorted({r for r in assignments.values() if r is not None})
+        position = {region_id: k for k, region_id in enumerate(region_ids)}
+        lookup = assignments.get
+        codes = np.fromiter(
+            (position.get(lookup(m), -1) for m in table.message_id.tolist()), np.int64, len(table)
+        )
+        return cls(codes, region_ids)
+
+
+def _region_codes(table: MessageTable, assignments: RegionCodes | Mapping[str, str | None]) -> RegionCodes:
+    if isinstance(assignments, RegionCodes):
+        return assignments
+    return RegionCodes.from_mapping(table, assignments)
+
+
+def _to_us(stamp: datetime) -> int:
+    return (stamp - UNIX_EPOCH) // MICROSECOND
+
+
+def _scoped_rows(
+    table: MessageTable, codes: np.ndarray, scopes: Sequence[frozenset[str] | None]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (row, scope) pair of an assigned row and a scope holding one of its tags.
+
+    ``scopes[s]`` is a tag set, or None for every tag. Returns the rows and
+    the scope numbers, ordered by row and then scope, so each scope's rows
+    stay in file order.
+    """
+    position = {tag: j for j, tag in enumerate(table.tags)}
+    member = np.ones((len(table.keyword_sets), len(scopes)), dtype=bool)
+    for s, scope in enumerate(scopes):
+        if scope is not None:
+            member[:, s] = table.tag_matrix[:, [position[t] for t in scope if t in position]].any(axis=1)
+    per_set = member.sum(axis=1)
+    rows = np.flatnonzero(codes >= 0)
+    repeats = per_set[table.keyword_set[rows]]
+    row = np.repeat(rows, repeats)
+    first = np.cumsum(per_set) - per_set  # where each set's scopes start in the flat list
+    offset = np.arange(len(row)) - np.repeat(np.cumsum(repeats) - repeats, repeats)
+    scope = np.nonzero(member)[1][first[table.keyword_set[row]] + offset]
+    return row, scope
+
+
+def _distinct(cell: np.ndarray, user: np.ndarray, n_users: int, n_cells: int) -> np.ndarray:
+    """Distinct users per cell."""
+    pairs = np.unique(cell * max(n_users, 1) + user)
+    return np.bincount(pairs // max(n_users, 1), minlength=n_cells)
+
+
+@dataclass(frozen=True)
+class _Cells:
+    """Counts per cell; ``mean_sentiment`` is NaN where no message carries a score."""
+
+    n_messages: np.ndarray
+    n_retweets: np.ndarray
+    n_popular: np.ndarray
+    users: np.ndarray
+    mean_sentiment: np.ndarray
+
+    @classmethod
+    def count(cls, table: MessageTable, row: np.ndarray, cell: np.ndarray, n_cells: int) -> "_Cells":
+        """Count the messages ``row`` into ``cell``; sentiment sums run in ``row`` order."""
+        retweet = table.is_retweet[row]
+        popular = ~retweet & (table.retweeted_count[row] >= 1)
+        sentiment = table.sentiment[row]
+        scored = ~np.isnan(sentiment)
+        # bincount adds each cell's weights one by one in array order, as a Python loop would
+        total = np.bincount(cell[scored], weights=sentiment[scored], minlength=n_cells)
+        with np.errstate(invalid="ignore"):
+            mean = total / np.bincount(cell[scored], minlength=n_cells)
+        return cls(
+            n_messages=np.bincount(cell, minlength=n_cells),
+            n_retweets=np.bincount(cell[retweet], minlength=n_cells),
+            n_popular=np.bincount(cell[popular], minlength=n_cells),
+            users=_distinct(cell, table.user[row], len(table.user_ids), n_cells),
+            mean_sentiment=mean,
+        )
+
+    def summaries(self, cells: list[int], region_ids: Iterable[str], windows: Iterable[TimeWindow | None],
+                  period_users: Iterable[int], population: Iterable[int | None]) -> list[ActivitySummary]:
+        c = np.array(cells, dtype=np.intp)
+        n_messages, n_retweets = self.n_messages[c], self.n_retweets[c]
+        means = [None if math.isnan(m) else m for m in self.mean_sentiment[c].tolist()]
+        return list(map(
+            ActivitySummary, region_ids, windows, n_messages.tolist(), (n_messages - n_retweets).tolist(),
+            n_retweets.tolist(), self.n_popular[c].tolist(), self.users[c].tolist(), period_users, means,
+            population,
+        ))
 
 
 def summarize_regions(
-    messages: Sequence[MessageRecord],
-    assignments: Mapping[str, str | None],
+    messages: MessageTable,
+    assignments: RegionCodes | Mapping[str, str | None],
     window: TimeWindow | None,
     keywords: frozenset[str] | None = None,
     population: Mapping[str, int] | None = None,
     region_ids: Iterable[str] | None = None,
-) -> dict[str, ActivitySummary]:
-    """One summary per region over ``window``.
+    scopes: Mapping[str, frozenset[str] | None] | None = None,
+) -> dict[str, ActivitySummary] | dict[str, dict[str, ActivitySummary]]:
+    """One summary per region over ``window`` (all messages when None).
 
-    The per-user denominator counts distinct users over the whole input
-    corpus (after keyword filtering), not just the window. Regions listed in
-    ``region_ids`` but silent in the corpus get all-zero summaries.
+    A region has a summary when it is listed in ``region_ids`` or has a
+    message in the tag scope at any time; listed regions silent in the
+    corpus get all-zero summaries. The per-user denominator counts distinct
+    users of the region's in-scope messages over the whole input, not just
+    the window. The scope is ``keywords`` (None for every tag). Given
+    ``scopes`` (name -> tag set, None for every tag) instead, the result is
+    one such dict per scope name, all from one grouped count.
     """
-    per_region = _assigned(messages, assignments, keywords)
-    wanted = set(region_ids) if region_ids is not None else set(per_region)
-    wanted.update(per_region)
-    out: dict[str, ActivitySummary] = {}
-    for region_id in sorted(wanted):
-        region_messages = per_region.get(region_id, [])
-        period_users = len({m.user_id for m in region_messages})
-        out[region_id] = compute_activity_summary(
-            region_messages,
-            region_id,
-            window,
-            period_users=period_users,
-            population=(population or {}).get(region_id),
-        )
+    if scopes is None:
+        return summarize_regions(
+            messages, assignments, window, population=population, region_ids=region_ids,
+            scopes={None: keywords},
+        )[None]
+    if keywords is not None:
+        raise ValueError("summarize_regions: give keywords or scopes, not both")
+    table, codes = messages, _region_codes(messages, assignments)
+    listed = set(region_ids or ())
+    names = [*codes.region_ids, *sorted(listed.difference(codes.region_ids))]  # the rest hold no message
+    row, scope = _scoped_rows(table, codes.codes, list(scopes.values()))
+    cell = scope * len(names) + codes.codes[row]
+    n_cells = len(scopes) * len(names)
+    period = _Cells.count(table, row, cell, n_cells)
+    if window is not None:
+        stamp = table.time_us[row]
+        inside = (_to_us(window.start) <= stamp) & (stamp < _to_us(window.end))
+        row, cell = row[inside], cell[inside]
+    counts = _Cells.count(table, row, cell, n_cells)
+
+    is_listed = np.array([region_id in listed for region_id in names], dtype=bool)
+    shown = (period.n_messages.reshape(len(scopes), len(names)) > 0) | is_listed
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    population = population or {}
+    out: dict = {}
+    for s, name in enumerate(scopes):
+        regions = [names[k] for k in by_name if shown[s, k]]
+        cells = [s * len(names) + k for k in by_name if shown[s, k]]
+        out[name] = dict(zip(regions, counts.summaries(
+            cells, regions, itertools.repeat(window), period.users[cells].tolist(),
+            map(population.get, regions),
+        )))
     return out
 
 
 def summarize_daily(
-    messages: Sequence[MessageRecord],
-    assignments: Mapping[str, str | None],
+    messages: MessageTable,
+    assignments: RegionCodes | Mapping[str, str | None],
     epoch: datetime,
     width: timedelta,
     bins: Sequence[int],
     keywords: frozenset[str] | None = None,
     population: Mapping[str, int] | None = None,
 ) -> dict[tuple[str, int], ActivitySummary]:
-    """Summaries keyed by (region_id, bin index) for each requested bin."""
-    per_region = _assigned(messages, assignments, keywords)
-    out: dict[tuple[str, int], ActivitySummary] = {}
-    for region_id in sorted(per_region):
-        region_messages = per_region[region_id]
-        period_users = len({m.user_id for m in region_messages})
-        indices = bin_offsets([m.timestamp for m in region_messages], epoch, width)
-        by_bin: dict[int, list[MessageRecord]] = {}
-        for m, k in zip(region_messages, indices):
-            by_bin.setdefault(k, []).append(m)
-        for k in bins:
-            out[(region_id, k)] = compute_activity_summary(
-                by_bin.get(k, []),
-                region_id,
-                bin_window(epoch, width, k),
-                period_users=period_users,
-                population=(population or {}).get(region_id),
-            )
-    return out
+    """Summaries keyed by (region_id, bin index) for each requested bin, for
+    every region with a message in the tag scope."""
+    if width <= timedelta(0):
+        raise ValueError("bin width must be positive")
+    table, codes = messages, _region_codes(messages, assignments)
+    names = list(codes.region_ids)
+    row, _ = _scoped_rows(table, codes.codes, [keywords])
+    region = codes.codes[row]
+    period = _Cells.count(table, row, region, len(names))
+
+    wanted = np.array(sorted(set(bins)), dtype=np.int64)
+    index = (table.time_us[row] - _to_us(epoch)) // (width // MICROSECOND)
+    slot = np.minimum(np.searchsorted(wanted, index), max(len(wanted) - 1, 0))
+    inside = wanted[slot] == index if len(wanted) else np.zeros(len(row), dtype=bool)
+    n_bins = len(wanted)
+    counts = _Cells.count(table, row[inside], region[inside] * n_bins + slot[inside], len(names) * n_bins)
+
+    slots = {b: j for j, b in enumerate(wanted.tolist())}
+    windows = [bin_window(epoch, width, b) for b in bins]
+    active = [k for k in sorted(range(len(names)), key=names.__getitem__) if period.n_messages[k]]
+    keys = [(names[k], b) for k in active for b in bins]
+    population = population or {}
+    summaries = counts.summaries(
+        [k * n_bins + slots[b] for k in active for b in bins],
+        [region_id for region_id, _ in keys],
+        windows * len(active),
+        [users for users in period.users[active].tolist() for _ in bins],
+        [population.get(region_id) for region_id, _ in keys],
+    )
+    return dict(zip(keys, summaries))

@@ -2,17 +2,25 @@
 
 Everything here is deliberately written the slow, obvious way (pair
 enumeration, explicit rank tables, literal permutation enumeration,
-region-by-region containment scans) so it shares no code path with the
-package under test.
+region-by-region containment scans, one object per message) so it shares no
+code path with the package under test; it borrows only the package's record
+types.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
+from dataclasses import dataclass, field
+from datetime import datetime, timedelta, timezone
 from itertools import combinations
 
 import numpy as np
+
+from damagenowcast.ingest import MessageRecord
+from damagenowcast.metrics import ActivitySummary, bin_window
 
 
 def tau_b_brute(x, y) -> float:
@@ -232,4 +240,193 @@ def brute_force_join(points, regions) -> dict[str, str | None]:
                 assigned = region.region_id
                 break
         out[point_id] = assigned
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Message parsing and activity summaries as they stood before the columnar
+# table: one MessageRecord per row from a per-row converter, and summaries
+# from per-object loops. Frozen here as the references for the bulk parser and
+# the grouped counts.
+
+_MESSAGE_COLUMNS = (
+    "message_id", "user_id", "timestamp", "lat", "lon", "keywords", "is_retweet", "retweeted_count", "sentiment",
+)
+
+
+@dataclass
+class ReferenceParse:
+    records: list
+    diagnostics: list = field(default_factory=list)
+    rows_total: int = 0
+    rows_rejected: int = 0
+    rows_filtered: int = 0
+
+
+def _reference_timestamp(text: str) -> datetime:
+    raw = text.strip()
+    if raw.endswith(("Z", "z")):
+        raw = raw[:-1] + "+00:00"
+    try:
+        stamp = datetime.fromisoformat(raw)
+    except ValueError:
+        raise ValueError(f"unparseable timestamp {text!r}")
+    if stamp.tzinfo is None:
+        raise ValueError(f"timestamp {text!r} lacks a UTC offset")
+    return stamp.astimezone(timezone.utc)
+
+
+def _reference_tags(text: str) -> frozenset:
+    return frozenset(t.strip().lower() for t in text.split(";") if t.strip())
+
+
+def _reference_message(row, col, seen_ids) -> MessageRecord:
+    def cell(name):
+        i = col[name]
+        return row[i].strip() if i < len(row) else ""
+
+    message_id = cell("message_id")
+    user_id = cell("user_id")
+    if not message_id or not user_id:
+        raise ValueError("missing message_id or user_id")
+    if message_id in seen_ids:
+        raise ValueError(f"duplicate message_id {message_id!r}")
+    stamp = _reference_timestamp(cell("timestamp"))
+    lat_text, lon_text = cell("lat"), cell("lon")
+    if bool(lat_text) != bool(lon_text):
+        raise ValueError("location requires both lat and lon")
+    location = None
+    if lat_text:
+        lat, lon = float(lat_text), float(lon_text)
+        if not -90.0 <= lat <= 90.0:
+            raise ValueError("latitude out of range")
+        if not -180.0 <= lon <= 180.0:
+            raise ValueError("longitude out of range")
+        location = (lat, lon)
+    keywords = _reference_tags(cell("keywords"))
+    if not keywords:
+        raise ValueError("no keywords after tag filtering")
+    retweet_text = cell("is_retweet")
+    if retweet_text not in ("0", "1"):
+        raise ValueError(f"is_retweet must be 0 or 1, got {retweet_text!r}")
+    retweeted_count = int(cell("retweeted_count"))
+    if retweeted_count < 0:
+        raise ValueError("retweeted_count negative")
+    sentiment_text = cell("sentiment")
+    sentiment = None
+    if sentiment_text:
+        sentiment = float(sentiment_text)
+        if not -1.0 <= sentiment <= 1.0:
+            raise ValueError("sentiment out of range")
+    return MessageRecord(message_id, user_id, stamp, location, keywords, retweet_text == "1",
+                         retweeted_count, sentiment)
+
+
+def parse_messages_reference(text: str, keyword_filter=None) -> ReferenceParse:
+    """``messages.csv`` text parsed one row at a time into MessageRecords."""
+    wanted = frozenset(t.strip().lower() for t in keyword_filter or () if t.strip())
+    result = ReferenceParse(records=[])
+    numbered = [
+        (lineno, line) for lineno, line in enumerate(io.StringIO(text, newline=""), start=1)
+        if line.strip() and not line.strip().startswith("#")
+    ]
+    current = [0]
+
+    def lines():
+        for lineno, line in numbered:
+            current[0] = lineno
+            yield line
+
+    rows = csv.reader(lines())
+    header = next(rows)
+    col = {name.strip().lower(): i for i, name in enumerate(header)}
+    seen_ids = set()
+    for row in rows:
+        result.rows_total += 1
+        try:
+            record = _reference_message(row, col, seen_ids)
+        except (ValueError, IndexError) as exc:
+            result.rows_rejected += 1
+            result.diagnostics.append(f"messages line {current[0]}: {exc}")
+            continue
+        seen_ids.add(record.message_id)
+        if wanted and not (record.keywords & wanted):
+            result.rows_filtered += 1
+            continue
+        result.records.append(record)
+    return result
+
+
+def compute_activity_summary_reference(messages, region_id, window, period_users, population=None):
+    """One region's summary over a window (every message when None), object by object."""
+    n_messages = n_original = n_retweets = n_popular = 0
+    users = set()
+    sentiment_sum = 0.0
+    sentiment_n = 0
+    for m in messages:
+        if window is not None and not window.contains(m.timestamp):
+            continue
+        n_messages += 1
+        users.add(m.user_id)
+        if m.is_retweet:
+            n_retweets += 1
+        else:
+            n_original += 1
+            if m.retweeted_count >= 1:
+                n_popular += 1
+        if m.sentiment is not None:
+            sentiment_sum += m.sentiment
+            sentiment_n += 1
+    return ActivitySummary(
+        region_id=region_id, window=window, n_messages=n_messages, n_original=n_original,
+        n_retweets=n_retweets, n_popular=n_popular, active_users_window=len(users),
+        active_users_period=period_users,
+        mean_sentiment=sentiment_sum / sentiment_n if sentiment_n else None, population=population,
+    )
+
+
+def _reference_assigned(messages, assignments, keywords):
+    per_region = {}
+    for m in messages:
+        region = assignments.get(m.message_id)
+        if region is None:
+            continue
+        if keywords is not None and not (m.keywords & keywords):
+            continue
+        per_region.setdefault(region, []).append(m)
+    return per_region
+
+
+def summarize_regions_reference(messages, assignments, window, keywords=None, population=None, region_ids=None):
+    """Per-region summaries of MessageRecords, one pass over the messages per call."""
+    per_region = _reference_assigned(messages, assignments, keywords)
+    wanted = set(region_ids) if region_ids is not None else set(per_region)
+    wanted.update(per_region)
+    out = {}
+    for region_id in sorted(wanted):
+        region_messages = per_region.get(region_id, [])
+        out[region_id] = compute_activity_summary_reference(
+            region_messages, region_id, window, period_users=len({m.user_id for m in region_messages}),
+            population=(population or {}).get(region_id),
+        )
+    return out
+
+
+def summarize_daily_reference(messages, assignments, epoch, width, bins, keywords=None, population=None):
+    """Per-(region, bin) summaries of MessageRecords."""
+    per_region = _reference_assigned(messages, assignments, keywords)
+    width_us = width // timedelta(microseconds=1)
+    out = {}
+    for region_id in sorted(per_region):
+        region_messages = per_region[region_id]
+        by_bin = {}
+        for m in region_messages:
+            k = ((m.timestamp - epoch) // timedelta(microseconds=1)) // width_us
+            by_bin.setdefault(k, []).append(m)
+        for k in bins:
+            out[(region_id, k)] = compute_activity_summary_reference(
+                by_bin.get(k, []), region_id, bin_window(epoch, width, k),
+                period_users=len({m.user_id for m in region_messages}),
+                population=(population or {}).get(region_id),
+            )
     return out

@@ -114,6 +114,14 @@ class TestCorrelateCommand:
         present = [v for v in values if v is not None]
         assert present and max(present) <= 1.0
 
+    def test_county_table_with_overlay_is_a_usage_error(self, tmp_path, capsys):
+        overlay = tmp_path / "overlay.geojson"
+        code = run("correlate", "--county-table", FIXTURE, "--overlay", overlay, "--out", tmp_path)
+        assert code == 1
+        assert "--overlay" in capsys.readouterr().err
+        assert not overlay.exists()
+        assert not (tmp_path / "correlations.csv").exists()
+
     def test_degenerate_only_exits_2(self, sim_bundle, tmp_path):
         code = run(
             "correlate",
@@ -416,6 +424,56 @@ class TestErrorHandling:
             "--out", tmp_path,
         ) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestRejectedRowsWarning:
+    def test_one_line_per_input_with_rejected_rows(self, sim_bundle, tmp_path, capsys):
+        messages = tmp_path / "messages.csv"
+        lines = (sim_bundle / "messages.csv").read_text().splitlines()
+        messages.write_text("\n".join(lines + ["bad,row", "m-x,u,not-a-time,,,storm,0,0,"]) + "\n")
+        population = tmp_path / "population.csv"
+        population.write_text((sim_bundle / "population.csv").read_text() + "r-x,zero\n")
+        inputs = ("--messages", messages, "--regions", sim_bundle / "regions.geojson")
+        tables = ("--population", population, "--damage", sim_bundle / "damage.csv")
+        commands = {
+            "join": ("join", *inputs),
+            "correlate": ("correlate", *inputs, *tables),
+            "series": ("series", *inputs, *tables),
+            "nowcast": ("nowcast", *inputs, *tables),
+            "rank-keywords": ("rank-keywords", *inputs, "--track", sim_bundle / "track.csv"),
+        }
+        total = len(lines) + 1
+        for name, argv in commands.items():
+            capsys.readouterr()
+            assert run(*argv, "--out", tmp_path / name) in (0, 2)
+            warnings = [line for line in capsys.readouterr().err.splitlines() if "rejected" in line]
+            expected = [f"messages: 2 of {total} rows rejected (run validate for details)"]
+            if name in ("correlate", "series", "nowcast"):
+                population_rows = len((sim_bundle / "population.csv").read_text().splitlines())
+                expected.append(f"population: 1 of {population_rows} rows rejected (run validate for details)")
+            assert warnings == expected, name
+
+    def test_clean_inputs_print_no_warning(self, sim_bundle, tmp_path, capsys):
+        assert run("join", "--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson",
+                   "--out", tmp_path) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_report_unchanged_by_rejected_rows(self, sim_bundle, tmp_path):
+        messages = tmp_path / "messages.csv"
+        messages.write_text((sim_bundle / "messages.csv").read_text() + "bad,row\n")
+        for name, path in (("clean", sim_bundle / "messages.csv"), ("dirty", messages)):
+            assert run("join", "--messages", path, "--regions", sim_bundle / "regions.geojson",
+                       "--out", tmp_path / name) == 0
+        clean, dirty = (read_report(tmp_path / name / "join.csv")[1] for name in ("clean", "dirty"))
+        assert clean == dirty
+
+
+class TestIndexBound:
+    def test_tiny_cell_size_exits_1(self, sim_bundle, tmp_path, capsys):
+        code = run("join", "--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson",
+                   "--cell-deg", "1e-6", "--out", tmp_path)
+        assert code == 1
+        assert "larger cell size" in capsys.readouterr().err
 
 
 class TestReportRoundTrip:

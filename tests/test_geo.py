@@ -356,6 +356,28 @@ class TestSpatialJoin:
                 merged.update(spatial_join(points[chunk::parts], regions, index))
             assert merged == whole
 
+    def test_index_entry_bound_checked_before_allocating(self):
+        big = rect_region("big", -60.0, -60.0, 60.0, 60.0)
+        with pytest.raises(ValueError, match="larger cell size"):
+            SpatialIndex([big], cell_deg=0.01)  # 12,000 x 12,000 cells
+        with pytest.raises(ValueError, match="larger cell size"):
+            SpatialIndex([big], cell_deg=1e-300)  # the cell count overflows to inf
+        assert SpatialIndex([big], cell_deg=0.1).candidates(GeoPoint(0.05, 0.05)) == ("big",)
+
+    def test_index_candidates_match_bbox_scan(self):
+        rng = np.random.default_rng(5)
+        regions = random_disjoint_rects(rng, 9) + [rect_region("wide", -25.0, -3.0, 25.0, 3.0)]
+        for cell in (0.3, 1.0, 7.0):
+            index = SpatialIndex(regions, cell_deg=cell)
+            for lat, lon in zip(rng.uniform(-30, 30, 300), rng.uniform(-30, 30, 300)):
+                cx, cy = math.floor(lon / cell), math.floor(lat / cell)
+                expected = tuple(sorted(
+                    r.region_id for r in regions
+                    if math.floor((r.bbox[0] - 1e-9) / cell) <= cx <= math.floor((r.bbox[2] + 1e-9) / cell)
+                    and math.floor((r.bbox[1] - 1e-9) / cell) <= cy <= math.floor((r.bbox[3] + 1e-9) / cell)
+                ))
+                assert index.candidates(GeoPoint(float(lat), float(lon))) == expected
+
     def test_index_candidates_cover_containing_regions(self):
         rng = np.random.default_rng(11)
         regions = random_disjoint_rects(rng, 16)

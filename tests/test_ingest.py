@@ -1,12 +1,17 @@
 import io
 import json
+import math
 from datetime import timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from damagenowcast import ingest
 from damagenowcast.ingest import (
+    MICROSECOND,
+    UNIX_EPOCH,
     IngestError,
     parse_county_table,
     parse_keyed_table,
@@ -15,6 +20,7 @@ from damagenowcast.ingest import (
     parse_track,
     write_messages_csv,
 )
+from oracles import parse_messages_reference
 
 HEADER = "message_id,user_id,timestamp,lat,lon,keywords,is_retweet,retweeted_count,sentiment\n"
 
@@ -37,7 +43,7 @@ class TestParseMessages:
 
     def test_latitude_out_of_range_dropped(self):
         result = parse_messages(messages_csv("m1,u1,2012-10-30T00:00:00Z,91.0,-74.01,sandy,0,0,"))
-        assert result.records == []
+        assert list(result.records) == []
         assert result.rows_rejected == 1
         assert "latitude out of range" in result.diagnostics[0]
         assert "line 2" in result.diagnostics[0]
@@ -112,7 +118,7 @@ class TestParseMessages:
         records = parse_messages(stream).records
         path = tmp_path / "out.csv"
         write_messages_csv(records, path)
-        assert parse_messages(path).records == records
+        assert list(parse_messages(path).records) == list(records)
 
 
 @st.composite
@@ -155,7 +161,7 @@ class TestMessageInvariants:
         buffer = io.StringIO()
         write_messages_csv(records, buffer)
         buffer.seek(0)
-        assert parse_messages(buffer).records == records
+        assert list(parse_messages(buffer).records) == list(records)
 
 
 def region_feature(region_id, rings, level="county", gtype="Polygon"):
@@ -388,3 +394,114 @@ class TestCsvReaderContract:
         assert prefix == what
         assert missing in detail
 
+
+
+TAG_POOL = tuple(f"t{k:02d}" for k in range(70)) + ("sandy", "storm", "stay safe", "no power")
+
+
+@st.composite
+def mutated_messages_csv(draw):
+    """A messages.csv text: canonical rows, many of them mutated into forms the
+    bulk path must hand to the per-row converter, plus comments and blank lines."""
+    n = draw(st.integers(0, 40))
+    lines = [draw(st.sampled_from([HEADER.strip(), "MESSAGE_ID, user_id,timestamp,lat,lon,keywords,"
+                                   "is_retweet,retweeted_count,sentiment,extra"]))]
+    ids = []
+    for i in range(n):
+        message_id = f"m{i}"
+        if ids and draw(st.integers(0, 9)) == 0:
+            message_id = draw(st.sampled_from(ids))  # reuses an id, accepted or rejected
+        ids.append(message_id)
+        stamp = f"2012-{draw(st.integers(10, 11)):02d}-{draw(st.integers(1, 31)):02d}T" \
+                f"{draw(st.integers(0, 23)):02d}:{draw(st.integers(0, 59)):02d}:{draw(st.integers(0, 59)):02d}Z"
+        located = draw(st.booleans())
+        lat = repr(draw(st.floats(-90, 90))) if located else ""
+        lon = repr(draw(st.floats(-180, 180))) if located else ""
+        tags = draw(st.lists(st.sampled_from(TAG_POOL), min_size=1, max_size=3))
+        sentiment = draw(st.one_of(st.just(""), st.floats(-1, 1).map(repr)))
+        cells = [message_id, f"u{draw(st.integers(0, 4))}", stamp, lat, lon, ";".join(tags),
+                 str(draw(st.integers(0, 1))), str(draw(st.integers(0, 30))), sentiment]
+        mutation = draw(st.integers(0, 30))
+        if mutation == 1:
+            cells = cells[: draw(st.integers(1, 8))]
+        elif mutation == 2:
+            cells.append("extra")
+        elif mutation == 3:
+            k = draw(st.integers(0, 8))
+            cells[k] = f" {cells[k]}\t"
+        elif mutation == 4:
+            cells[2] = cells[2][:-1] + draw(st.sampled_from(["+05:00", ".25Z", ".000001Z", "z", "", "-00:30"]))
+        elif mutation == 5:
+            k = draw(st.sampled_from([3, 4, 8]))
+            cells[k] = draw(st.sampled_from(["nan", "inf", "-inf", "1_0", "1e999", "NaN", "1-2", "0x1", "5.", "-0"]))
+        elif mutation == 6:
+            cells[5] = draw(st.sampled_from(["", " ; ", ";", "STORM; Sandy"]))
+        elif mutation == 7:
+            cells[6] = draw(st.sampled_from(["2", "", " 1", "true"]))
+        elif mutation == 8:
+            cells[7] = draw(st.sampled_from(["-1", "1_0", "+3", "", "999999999999999999", "٣"]))
+        elif mutation == 9:
+            cells[5] = f'"{cells[5]}\n{draw(st.sampled_from(TAG_POOL))}"'
+        elif mutation == 10:
+            cells[0] = ""
+        elif mutation == 11:
+            cells[2] = draw(st.sampled_from(["2012-02-30T00:00:00Z", "2012-10-30T24:00:00Z", "2012-10-30T00:00:60Z",
+                                             "0000-01-01T00:00:00Z", "2012-10-30 00:00:00Z", "2012-1O-30T00:00:00Z"]))
+        lines.append(",".join(cells))
+        if draw(st.integers(0, 12)) == 0:
+            lines.append(draw(st.sampled_from(["# a comment", "", "   ", "#m0,u0"])))
+    return "\n".join(lines) + "\n"
+
+
+def _float_bits(values):
+    return np.array([math.nan if v is None else v for v in values], dtype=float).view(np.uint64).tolist()
+
+
+class TestBulkMatchesPerRowReference:
+    """The table, counts and diagnostics equal those of the frozen per-row parser."""
+
+    @given(mutated_messages_csv(), st.sampled_from([1, 3, 1 << 14]),
+           st.one_of(st.none(), st.sets(st.sampled_from(TAG_POOL), max_size=3)))
+    @settings(max_examples=100, deadline=None)
+    def test_table_equals_reference(self, text, block_rows, keyword_filter):
+        expected = parse_messages_reference(text, keyword_filter)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+            result = parse_messages(io.StringIO(text, newline=""), keyword_filter)
+        assert (result.rows_total, result.rows_rejected, result.rows_filtered) == (
+            expected.rows_total, expected.rows_rejected, expected.rows_filtered)
+        assert result.diagnostics == expected.diagnostics
+        table, records = result.records, expected.records
+        assert list(table) == records
+        assert table.message_id.tolist() == [r.message_id for r in records]
+        assert [table.user_ids[u] for u in table.user.tolist()] == [r.user_id for r in records]
+        assert table.time_us.tolist() == [(r.timestamp - UNIX_EPOCH) // MICROSECOND for r in records]
+        assert table.lat.view(np.uint64).tolist() == _float_bits(r.location[0] if r.location else None for r in records)
+        assert table.lon.view(np.uint64).tolist() == _float_bits(r.location[1] if r.location else None for r in records)
+        assert table.sentiment.view(np.uint64).tolist() == _float_bits(r.sentiment for r in records)
+        assert [table.keyword_sets[k] for k in table.keyword_set.tolist()] == [r.keywords for r in records]
+        assert table.tags == tuple(sorted({t for r in records for t in r.keywords}))
+        for k, tags in enumerate(table.keyword_sets):
+            assert {table.tags[j] for j in np.flatnonzero(table.tag_matrix[k])} == tags
+
+    def test_more_than_64_tags(self):
+        rows = [f"m{k},u1,2012-10-30T00:00:00Z,,,{TAG_POOL[k]};sandy,0,0," for k in range(70)]
+        table = parse_messages(messages_csv(*rows)).records
+        assert len(table.tags) == 71
+        assert table.tag_matrix.shape == (70, 71)
+        assert table.tag_matrix.sum() == 140
+
+    def test_canonical_rows_taken_in_bulk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-row converter called on a canonical row")
+
+        monkeypatch.setattr(ingest, "_message_fields", refuse)
+        result = parse_messages(messages_csv(
+            "m1,u1,2012-10-30T00:00:00Z,40.71,-74.01,sandy;storm,0,3,-0.2",
+            "m2,u2,2012-02-29T23:59:59Z,,,gas,1,0,",
+        ))
+        assert len(result.records) == 2
+
+    def test_retweeted_count_beyond_int64_rejected(self):
+        result = parse_messages(messages_csv("m1,u1,2012-10-30T00:00:00Z,,,sandy,0,9223372036854775808,"))
+        assert result.diagnostics == ["messages line 2: retweeted_count out of range"]

@@ -1,21 +1,23 @@
+import io
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from damagenowcast.ingest import MessageRecord
+from damagenowcast.ingest import MessageRecord, parse_messages, write_messages_csv
 from damagenowcast.metrics import (
+    RegionCodes,
     TimeWindow,
     bin_offsets,
     bin_window,
-    compute_activity_summary,
     local_popularity,
     normalized_activity,
     retweet_fraction,
     summarize_daily,
     summarize_regions,
 )
+from oracles import compute_activity_summary_reference, summarize_daily_reference, summarize_regions_reference
 
 EPOCH = datetime(2012, 10, 30, tzinfo=timezone.utc)
 DAY = timedelta(hours=24)
@@ -33,6 +35,22 @@ def message(i, user="u1", stamp=EPOCH, retweet=False, rebroadcasts=0, sentiment=
         retweeted_count=rebroadcasts,
         sentiment=sentiment,
     )
+
+
+def table(messages):
+    """The message table ``parse_messages`` reads back from the records written as CSV."""
+    buffer = io.StringIO()
+    write_messages_csv(messages, buffer)
+    buffer.seek(0)
+    return parse_messages(buffer).records
+
+
+def summary(messages, window=None, population=None, region_id="r1"):
+    """The grouped summary of one region that holds every message."""
+    return summarize_regions(
+        table(messages), {m.message_id: region_id for m in messages}, window,
+        population={region_id: population} if population is not None else None, region_ids=[region_id],
+    )[region_id]
 
 
 class TestBinOffsets:
@@ -76,22 +94,20 @@ class TestTimeWindow:
 class TestActivitySummary:
     def test_original_retweet_split(self):
         messages = [message(i, retweet=(i < 3)) for i in range(10)]
-        s = compute_activity_summary(messages, "r1", None, period_users=1)
+        s = summary(messages)
         assert (s.n_messages, s.n_original, s.n_retweets) == (10, 7, 3)
         assert s.n_original + s.n_retweets == s.n_messages
 
     def test_popular_counts_rebroadcast_originals(self):
         messages = [message(i, rebroadcasts=(1 if i < 2 else 0)) for i in range(7)]
-        s = compute_activity_summary(messages, "r1", None, period_users=1)
-        assert s.n_popular == 2
+        assert summary(messages).n_popular == 2
 
     def test_retweets_never_count_as_popular(self):
         messages = [message(0, retweet=True, rebroadcasts=0), message(1, rebroadcasts=4)]
-        s = compute_activity_summary(messages, "r1", None, period_users=1)
-        assert s.n_popular == 1
+        assert summary(messages).n_popular == 1
 
     def test_zero_messages_valid(self):
-        s = compute_activity_summary([], "r1", TimeWindow(EPOCH, EPOCH + DAY), period_users=5)
+        s = summary([], TimeWindow(EPOCH, EPOCH + DAY))
         assert s.n_messages == 0
         assert s.mean_sentiment is None
 
@@ -102,55 +118,48 @@ class TestActivitySummary:
             message(2, stamp=EPOCH + DAY - timedelta(seconds=1)),
             message(3, stamp=EPOCH + DAY),
         ]
-        s = compute_activity_summary(messages, "r1", TimeWindow(EPOCH, EPOCH + DAY), period_users=4)
-        assert s.n_messages == 2
+        assert summary(messages, TimeWindow(EPOCH, EPOCH + DAY)).n_messages == 2
 
     def test_mean_sentiment_ignores_unscored(self):
         messages = [message(0, sentiment=0.5), message(1, sentiment=-0.5), message(2)]
-        s = compute_activity_summary(messages, "r1", None, period_users=3)
-        assert s.mean_sentiment == 0.0
+        assert summary(messages).mean_sentiment == 0.0
 
     def test_constant_sentiment_mean_is_constant(self):
         messages = [message(i, sentiment=0.31) for i in range(9)]
-        s = compute_activity_summary(messages, "r1", None, period_users=2)
-        assert s.mean_sentiment == pytest.approx(0.31)
+        assert summary(messages).mean_sentiment == pytest.approx(0.31)
 
     def test_distinct_window_users(self):
         messages = [message(i, user=f"u{i % 3}") for i in range(10)]
-        s = compute_activity_summary(messages, "r1", None, period_users=3)
-        assert s.active_users_window == 3
+        assert summary(messages).active_users_window == 3
 
 
 class TestNormalizedActivity:
     def test_atlantic_per_user_rate(self):
         messages = [message(i, user=f"u{i % 574}") for i in range(1580)]
-        s = compute_activity_summary(messages, "Atlantic", None, period_users=574, population=275422)
+        s = summary(messages, population=275422, region_id="Atlantic")
         assert normalized_activity(s, "per_period_user") == pytest.approx(1580 / 574)
         assert normalized_activity(s, "per_period_user") == pytest.approx(2.753, abs=5e-4)
 
     def test_atlantic_per_capita(self):
-        s = compute_activity_summary(
-            [message(i) for i in range(1580)], "Atlantic", None, 574, population=275422
-        )
+        s = summary([message(i) for i in range(1580)], population=275422, region_id="Atlantic")
         assert normalized_activity(s, "per_capita") == pytest.approx(5.74e-3, abs=5e-6)
 
     def test_new_york_per_capita(self):
-        s = compute_activity_summary(
-            [message(i) for i in range(50767)], "New York", None, 15558, population=1619090
-        )
+        s = summary([message(i) for i in range(50767)], population=1619090, region_id="New York")
         assert normalized_activity(s, "per_capita") == pytest.approx(3.136e-2, abs=5e-6)
 
     def test_zero_period_users_yields_none(self):
-        s = compute_activity_summary([], "r1", None, period_users=0)
+        s = summary([])
+        assert s.active_users_period == 0
         assert normalized_activity(s, "per_period_user") is None
 
     def test_missing_population_yields_none(self):
-        s = compute_activity_summary([message(0)], "r1", None, 1, population=None)
+        s = summary([message(0)], population=None)
         assert normalized_activity(s, "per_capita") is None
 
     def test_original_only_toggle(self):
         messages = [message(0), message(1, retweet=True)]
-        s = compute_activity_summary(messages, "r1", None, period_users=2, population=100)
+        s = summary(messages, population=100)
         assert normalized_activity(s, "per_capita", original_only=True) == pytest.approx(0.01)
         assert normalized_activity(s, "per_capita", original_only=False) == pytest.approx(0.02)
 
@@ -158,16 +167,14 @@ class TestNormalizedActivity:
 class TestRatios:
     def test_retweet_fraction(self):
         messages = [message(i, retweet=(i < 3)) for i in range(10)]
-        s = compute_activity_summary(messages, "r1", None, 1)
-        assert retweet_fraction(s) == pytest.approx(0.3)
+        assert retweet_fraction(summary(messages)) == pytest.approx(0.3)
 
     def test_retweet_fraction_empty(self):
-        s = compute_activity_summary([], "r1", None, 1)
-        assert retweet_fraction(s) is None
+        assert retweet_fraction(summary([])) is None
 
     def test_local_popularity(self):
-        messages = [message(i, rebroadcasts=(1 if i < 2 else 0)) for i in range(7)]
-        s = compute_activity_summary(messages, "r1", None, period_users=574)
+        messages = [message(i, user=f"u{i}", rebroadcasts=(1 if i < 2 else 0)) for i in range(574)]
+        s = summary(messages)
         assert local_popularity(s) == pytest.approx(2 / 574)
         assert local_popularity(s) == pytest.approx(3.48e-3, abs=5e-6)
 
@@ -196,9 +203,9 @@ class TestSummaryProperties:
     def test_counts_additive_across_disjoint_windows(self, messages):
         full = TimeWindow(EPOCH - timedelta(hours=96), EPOCH + timedelta(hours=96))
         mid = EPOCH
-        first = compute_activity_summary(messages, "r", TimeWindow(full.start, mid), 6)
-        second = compute_activity_summary(messages, "r", TimeWindow(mid, full.end), 6)
-        whole = compute_activity_summary(messages, "r", full, 6)
+        first = summary(messages, TimeWindow(full.start, mid))
+        second = summary(messages, TimeWindow(mid, full.end))
+        whole = summary(messages, full)
         assert first.n_messages + second.n_messages == whole.n_messages
         assert first.n_original + second.n_original == whole.n_original
         assert first.n_retweets + second.n_retweets == whole.n_retweets
@@ -207,20 +214,17 @@ class TestSummaryProperties:
     @given(region_messages())
     @settings(max_examples=50, deadline=None)
     def test_binning_partitions_messages(self, messages):
-        ks = bin_offsets([m.timestamp for m in messages], EPOCH, DAY)
-        totals = sum(
-            compute_activity_summary(messages, "r", bin_window(EPOCH, DAY, k), 6).n_messages
-            for k in sorted(set(ks))
-        )
-        assert totals == len(messages)
+        ks = sorted(set(bin_offsets([m.timestamp for m in messages], EPOCH, DAY)))
+        daily = summarize_daily(table(messages), {m.message_id: "r" for m in messages}, EPOCH, DAY, ks)
+        assert sum(daily[("r", k)].n_messages for k in ks) == len(messages)
 
     @given(region_messages(), st.randoms())
     @settings(max_examples=30, deadline=None)
     def test_reordering_invariance(self, messages, rnd):
         shuffled = list(messages)
         rnd.shuffle(shuffled)
-        a = compute_activity_summary(messages, "r", None, 6, population=100)
-        b = compute_activity_summary(shuffled, "r", None, 6, population=100)
+        a = summary(messages, population=100)
+        b = summary(shuffled, population=100)
         assert normalized_activity(a, "per_capita") == normalized_activity(b, "per_capita")
         assert a.mean_sentiment == pytest.approx(b.mean_sentiment) if a.mean_sentiment is not None else b.mean_sentiment is None
 
@@ -232,33 +236,115 @@ class TestSummarizeHelpers:
             message(1, user="b", stamp=EPOCH),
         ]
         assignments = {"m0": "r1", "m1": "r1"}
-        out = summarize_regions(messages, assignments, TimeWindow(EPOCH, EPOCH + DAY), population={"r1": 50})
+        out = summarize_regions(table(messages), assignments, TimeWindow(EPOCH, EPOCH + DAY), population={"r1": 50})
         assert out["r1"].n_messages == 1
         assert out["r1"].active_users_period == 2
 
     def test_silent_listed_regions_get_zero_summaries(self):
-        out = summarize_regions([], {}, None, region_ids=["r1", "r2"])
+        out = summarize_regions(table([]), {}, None, region_ids=["r1", "r2"])
         assert out["r1"].n_messages == 0
         assert out["r2"].n_messages == 0
 
     def test_keyword_filter_applies(self):
         messages = [message(0, keywords=("sandy",)), message(1, keywords=("gas",))]
         assignments = {"m0": "r1", "m1": "r1"}
-        out = summarize_regions(messages, assignments, None, keywords=frozenset({"sandy"}))
+        out = summarize_regions(table(messages), assignments, None, keywords=frozenset({"sandy"}))
         assert out["r1"].n_messages == 1
 
     def test_unassigned_messages_ignored(self):
         messages = [message(0), message(1)]
         assignments = {"m0": "r1", "m1": None}
-        out = summarize_regions(messages, assignments, None)
+        out = summarize_regions(table(messages), assignments, None)
         assert out["r1"].n_messages == 1
 
     def test_daily_summaries_cover_requested_bins(self):
         messages = [message(0, stamp=EPOCH), message(1, user="u2", stamp=EPOCH + DAY)]
         assignments = {"m0": "r1", "m1": "r1"}
-        out = summarize_daily(messages, assignments, EPOCH, DAY, bins=range(-1, 3))
+        out = summarize_daily(table(messages), assignments, EPOCH, DAY, bins=range(-1, 3))
         assert out[("r1", 0)].n_messages == 1
         assert out[("r1", 1)].n_messages == 1
         assert out[("r1", -1)].n_messages == 0
         assert out[("r1", 2)].n_messages == 0
         assert out[("r1", 0)].active_users_period == 2
+
+    def test_scopes_share_one_count(self):
+        messages = [message(0, keywords=("sandy",)), message(1, keywords=("gas", "sandy")), message(2, keywords=("gas",))]
+        assignments = {"m0": "r1", "m1": "r1", "m2": "r2"}
+        out = summarize_regions(table(messages), assignments, None, scopes={
+            "pool": None, "sandy": frozenset({"sandy"}), "gas": frozenset({"gas"}), "none": frozenset({"mta"}),
+        })
+        assert {name: {r: s.n_messages for r, s in per.items()} for name, per in out.items()} == {
+            "pool": {"r1": 2, "r2": 1}, "sandy": {"r1": 2}, "gas": {"r1": 1, "r2": 1}, "none": {},
+        }
+        with pytest.raises(ValueError):
+            summarize_regions(table(messages), assignments, None, keywords=frozenset({"gas"}), scopes={"x": None})
+
+    def test_region_codes_match_mapping(self):
+        messages = [message(0), message(1), message(2)]
+        codes = RegionCodes.from_mapping(table(messages), {"m0": "r2", "m2": "r1"})
+        assert codes.codes.tolist() == [1, -1, 0]
+        assert codes.region_ids == ["r1", "r2"]
+
+
+TAGS = ("sandy", "gas", "power", "mta")
+
+
+@st.composite
+def corpus(draw):
+    """Random messages, each in a region or in none, plus a window and scopes."""
+    messages, assignments = [], {}
+    for i in range(draw(st.integers(0, 60))):
+        messages.append(message(
+            i,
+            user=f"u{draw(st.integers(0, 6))}",
+            stamp=EPOCH + timedelta(seconds=draw(st.integers(-5 * 86400, 5 * 86400))),
+            retweet=draw(st.booleans()),
+            rebroadcasts=draw(st.integers(0, 2)),
+            sentiment=draw(st.one_of(st.none(), st.floats(-1, 1, allow_nan=False))),
+            keywords=draw(st.lists(st.sampled_from(TAGS), min_size=1, max_size=3)),
+        ))
+        assignments[f"m{i}"] = draw(st.one_of(st.none(), st.sampled_from(["r0", "r1", "r2", "r3"])))
+    start = EPOCH + timedelta(hours=draw(st.integers(-120, 100)))
+    window = draw(st.one_of(st.none(), st.just(TimeWindow(start, start + timedelta(hours=draw(st.integers(1, 72)))))))
+    scopes = draw(st.lists(st.one_of(st.none(), st.frozensets(st.sampled_from(TAGS + ("absent",)), max_size=3)),
+                           min_size=1, max_size=4))
+    region_ids = draw(st.one_of(st.none(), st.lists(st.sampled_from(["r0", "r1", "r4"]), max_size=3)))
+    return messages, assignments, window, scopes, region_ids
+
+
+def _same(a, b):
+    """Equal summaries, with mean sentiments equal to the last bit."""
+    assert a == b
+    assert [s.mean_sentiment.hex() if s.mean_sentiment is not None else None for s in a.values()] == \
+        [s.mean_sentiment.hex() if s.mean_sentiment is not None else None for s in b.values()]
+
+
+class TestGroupedMatchesReference:
+    """One grouped count equals the frozen per-object summaries, scope by scope."""
+
+    @given(corpus(), st.dictionaries(st.sampled_from(["r0", "r1", "r2"]), st.integers(1, 1000)))
+    @settings(max_examples=40, deadline=None)
+    def test_summarize_regions(self, case, population):
+        messages, assignments, window, scopes, region_ids = case
+        grouped = summarize_regions(table(messages), assignments, window, population=population,
+                                    region_ids=region_ids, scopes=dict(enumerate(scopes)))
+        for s, keywords in enumerate(scopes):
+            expected = summarize_regions_reference(messages, assignments, window, keywords, population, region_ids)
+            assert list(grouped[s]) == list(expected)
+            _same(grouped[s], expected)
+
+    @given(corpus(), st.sampled_from([1, 6, 24]), st.lists(st.integers(-6, 6), max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_summarize_daily(self, case, hours, bins):
+        messages, assignments, _, scopes, _ = case
+        width = timedelta(hours=hours)
+        grouped = summarize_daily(table(messages), assignments, EPOCH, width, bins, keywords=scopes[0],
+                                  population={"r1": 10})
+        expected = summarize_daily_reference(messages, assignments, EPOCH, width, bins, scopes[0], {"r1": 10})
+        assert list(grouped) == list(expected)
+        _same(grouped, expected)
+
+    def test_reference_summary_of_one_region(self):
+        messages = [message(i, user=f"u{i % 2}", retweet=i == 1, rebroadcasts=i % 3, sentiment=0.1 * i) for i in range(5)]
+        expected = compute_activity_summary_reference(messages, "r1", None, period_users=2, population=7)
+        _same({"r1": summary(messages, population=7)}, {"r1": expected})

@@ -103,7 +103,7 @@ class TestBundleWellFormed:
         )
         bundle = generate(config, tmp_path / "sim")
         assert bundle.n_messages == 0
-        assert parse_messages(bundle.messages_csv).records == []
+        assert list(parse_messages(bundle.messages_csv).records) == []
         gt = read_ground_truth(bundle.ground_truth_csv)
         assert all(v["realized_damage_pc"] == 0.0 for v in gt.values())
 
