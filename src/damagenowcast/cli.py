@@ -545,26 +545,29 @@ def _cmd_nowcast(args: argparse.Namespace) -> int:
         damage = None
         if args.damage:
             damage = _ex_post_damage(_load_damage(args.damage))
+            if not damage:
+                print(f"nowcast: no ex-post damage rows (every source except {MODELED_SOURCE}); "
+                      "damage_rank is empty", file=sys.stderr)
 
     report = nowcast(
         summaries,
         window=window,
         keywords=args.keywords,
         original_only=args.original_only,
-        damage_usd=damage,
+        damage_usd=damage or None,
     )
 
     out = Path(args.out) / "nowcast.csv"
+    columns = ["rank", "region_id", "per_capita_activity", "n_original", "population"]
     rows = [
         [e.rank, e.region_id, _fmt(e.per_capita_activity), e.n_original, e.population]
         for e in report.entries
     ]
-    n = _write_report(
-        out,
-        _echo_config(args),
-        ["rank", "region_id", "per_capita_activity", "n_original", "population"],
-        rows,
-    )
+    if damage is not None:  # where each region falls in the per-capita damage order, 1 hardest hit
+        columns.append("damage_rank")
+        for row, e in zip(rows, report.entries):
+            row.append(e.damage_rank)
+    n = _write_report(out, _echo_config(args), columns, rows)
     excluded_path = Path(args.out) / "nowcast_excluded.csv"
     _write_report(
         excluded_path, _echo_config(args), ["region_id", "reason"], list(report.excluded)

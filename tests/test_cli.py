@@ -163,6 +163,24 @@ class TestNowcastCommand:
         ) in (0, 2)
         assert (tmp_path / "nowcast_excluded.csv").exists()
 
+    def test_damage_adds_damage_rank_column(self, sim_bundle, tmp_path):
+        inputs = ("--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson",
+                  "--population", sim_bundle / "population.csv", "--keywords", "storm")
+        assert run("nowcast", *inputs, "--out", tmp_path / "plain") == 0
+        assert run("nowcast", *inputs, "--damage", sim_bundle / "damage.csv", "--out", tmp_path / "damage") == 0
+        _, plain = read_report(tmp_path / "plain" / "nowcast.csv")
+        _, ranked = read_report(tmp_path / "damage" / "nowcast.csv")
+        assert "damage_rank" not in plain[0]
+        assert [{k: v for k, v in row.items() if k != "damage_rank"} for row in ranked] == plain
+        population = {r["region_id"]: int(r["population"]) for r in csv.DictReader(open(sim_bundle / "population.csv"))}
+        damage = {}
+        for r in csv.DictReader(open(sim_bundle / "damage.csv")):
+            damage[r["region_id"]] = damage.get(r["region_id"], 0.0) + float(r["amount_usd"])
+        by_damage = sorted((-damage.get(row["region_id"], 0.0) / population[row["region_id"]], row["region_id"])
+                           for row in ranked)
+        expected = {region_id: str(i) for i, (_, region_id) in enumerate(by_damage, start=1)}
+        assert {row["region_id"]: row["damage_rank"] for row in ranked} == expected
+
     def test_all_inactive_exits_2(self, sim_bundle, tmp_path):
         code = run(
             "nowcast",
@@ -266,7 +284,10 @@ class TestExPostDamage:
             ) == 0
         reference = read_report(tmp_path / "a" / "nowcast.csv")[1]
         assert read_report(tmp_path / "b" / "nowcast.csv")[1] == reference
-        assert read_report(tmp_path / "c" / "nowcast.csv")[1] == reference
+        # with no ex-post rows the ranking stays and damage_rank is empty
+        hazus_only = read_report(tmp_path / "c" / "nowcast.csv")[1]
+        assert [row["damage_rank"] for row in hazus_only] == [""] * len(reference)
+        assert [dict(row, damage_rank="") for row in reference] == hazus_only
 
     def test_overlay_without_ex_post_rows_keeps_correlations(self, sim_bundle, tmp_path, capsys):
         damage = _hazus_only(sim_bundle, tmp_path)

@@ -47,7 +47,7 @@ GOLDEN = {
     "correlate/correlations.csv": "65f4e44ef3691580a695e5d3557c9b68b0b833d5c8f78750031798e3a7027119",
     "correlate/overlay.geojson": "ad86bc60f66cdb0791b4cbe7107916bc3eca2036e63386413d11608a38a92ac1",
     "join/join.csv": "65d55cb1e3f6d49505e827ef5e075048d103a526a04a749e1c3bbb6b8736475d",
-    "nowcast/nowcast.csv": "968277f2ab4858a7f57edbe269de2cb7fde15df8c156302fe55a579a58b3322a",
+    "nowcast/nowcast.csv": "7b1d222171d1a1a620fcc7f56e256e618aba655a35012a28ee4a1d8c32c3868f",  # damage_rank column
     "nowcast/nowcast_excluded.csv": "db0d7ba7af12742c49e6f5ca53bb9eac989ff7114b9e14f63bb711c5c57cc125",
     "rank-keywords/keywords.csv": "5cf1b3c22d8165b2004f139c2764261acadb8eea72e5e726791a6215bf8bbac5",
     "series/series.csv": "683e9c6dea776424c47633b607c458d77773c033ce42ef305060a0c576ec1635",
