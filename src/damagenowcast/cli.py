@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -133,9 +134,14 @@ def _write_report(
 
 
 def _assignments(messages: MessageTable, regions: Sequence[RegionBoundary], cell_deg: float) -> RegionCodes:
-    """The region of every message: one code per row into the sorted region ids."""
+    """The region of every message: one code per row into the sorted region ids, -1 for none."""
     index = SpatialIndex(regions, cell_deg=cell_deg)
-    return RegionCodes.from_mapping(messages, spatial_join(messages, regions, index))
+    joined = spatial_join(messages, regions, index)  # the located rows, in row order
+    position = {region_id: k for k, region_id in enumerate(index.region_ids)}
+    located = ~np.isnan(messages.lat)
+    codes = np.full(len(messages), -1, dtype=np.int64)
+    codes[located] = np.fromiter(map(position.get, joined.values(), itertools.repeat(-1)), np.int64, len(joined))
+    return RegionCodes(codes, index.region_ids)
 
 
 def _records(name: str, result: ParseResult):

@@ -53,6 +53,7 @@ EARTH_RADIUS_KM = 6371.0088
 _ON_EDGE_EPS = 1e-9  # degrees of perpendicular offset still counted as "on the boundary"
 _BATCH_ROWS = 1 << 12  # (point, edge) or (point, region) rows tested per batch; bounds the temporaries
 _MAX_CELL_ENTRIES = 1 << 22  # (cell, region) registrations a SpatialIndex may hold
+_POINT_BLOCK = 1 << 17  # points joined at once; bounds the per-point temporaries
 
 
 class _HasLatLon(Protocol):
@@ -340,7 +341,17 @@ class SpatialIndex:
         return tuple(self.region_ids[k] for k in registered.tolist())
 
     def _assign(self, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
-        """Position in ``region_ids`` of the first region containing each point, or -1."""
+        """Position in ``region_ids`` of the first region containing each point, or -1.
+
+        Points go through ``_assign_block`` ``_POINT_BLOCK`` at a time, which
+        bounds the kernel's temporaries whatever the number of points.
+        """
+        blocks = range(0, len(lon), _POINT_BLOCK)
+        return np.concatenate([np.empty(0, dtype=np.intp)] + [
+            self._assign_block(lon[i : i + _POINT_BLOCK], lat[i : i + _POINT_BLOCK]) for i in blocks
+        ])
+
+    def _assign_block(self, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
         edges = self._edges
         # group the points by grid cell: one id per occupied cell
         cell_x = np.floor(lon / self.cell_deg).astype(np.int64)
@@ -380,7 +391,7 @@ def spatial_join(
     """Assign each point to the region containing it (None when uncontained).
 
     ``points`` are (point_id, point) pairs, or a message table whose located
-    rows are the points, keyed by message_id. Overlapping boundaries are
+    rows are the points, keyed by message_id in row order. Overlapping boundaries are
     tie-broken to the lexicographically smallest region_id, so the result is
     independent of point order, region order, and index cell size. A given
     ``index`` must have been built over ``regions``.

@@ -18,6 +18,7 @@ what converting each row on its own would give.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from collections import Counter
@@ -71,6 +72,7 @@ UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 MICROSECOND = timedelta(microseconds=1)
 
 _BLOCK_ROWS = 1 << 14  # CSV rows held and converted at once; bounds the Python row lists
+_TEXT = np.dtypes.StringDType()  # variable-width strings stored in the array, not as Python objects
 _MAX_COUNT = 2**63 - 1  # retweeted_count must fit the table's int64 column
 
 
@@ -91,16 +93,6 @@ class MessageRecord:
     retweeted_count: int
     sentiment: float | None = None
 
-    @property
-    def lat(self) -> float:
-        """Latitude of a located message."""
-        return self.location[0]
-
-    @property
-    def lon(self) -> float:
-        """Longitude of a located message."""
-        return self.location[1]
-
 
 @dataclass(frozen=True, eq=False)
 class MessageTable(SequenceABC):
@@ -117,9 +109,9 @@ class MessageTable(SequenceABC):
     for callers that want objects; the analysis works on the arrays.
     """
 
-    message_id: np.ndarray  # object array of str
+    message_id: np.ndarray  # StringDType
     user: np.ndarray  # int64
-    user_ids: Sequence[str]
+    user_ids: np.ndarray  # StringDType, sorted
     time_us: np.ndarray  # int64
     lat: np.ndarray  # float64
     lon: np.ndarray  # float64
@@ -128,8 +120,8 @@ class MessageTable(SequenceABC):
     is_retweet: np.ndarray  # bool
     retweeted_count: np.ndarray  # int64
     sentiment: np.ndarray  # float64
-    tags: tuple[str, ...] = ()
-    tag_matrix: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=bool))
+    tags: tuple[str, ...]
+    tag_matrix: np.ndarray  # bool
 
     def __len__(self) -> int:
         return len(self.message_id)
@@ -141,14 +133,14 @@ class MessageTable(SequenceABC):
         return self._records(slice(None))
 
     def _records(self, rows) -> Iterator[MessageRecord]:
-        columns = (self.message_id, self.user, self.time_us, self.lat, self.lon, self.keyword_set,
+        columns = (self.message_id, self.user_ids[self.user], self.time_us, self.lat, self.lon, self.keyword_set,
                    self.is_retweet, self.retweeted_count, self.sentiment)
-        for message_id, user, stamp, lat, lon, tags, retweet, count, sentiment in zip(
+        for message_id, user_id, stamp, lat, lon, tags, retweet, count, sentiment in zip(
             *(column[rows].tolist() for column in columns)
         ):
             yield MessageRecord(
                 message_id=message_id,
-                user_id=self.user_ids[user],
+                user_id=user_id,
                 timestamp=UNIX_EPOCH + stamp * MICROSECOND,
                 location=None if math.isnan(lat) else (lat, lon),
                 keywords=self.keyword_sets[tags],
@@ -384,30 +376,27 @@ class _MessageColumns:
 
     def __init__(self) -> None:
         self.seen: set[str] = set()  # ids of the rows accepted so far
-        self.users: dict[str, int] = {}  # user_id -> code
         self.sets: dict[frozenset[str], int] = {}  # keyword set -> code
-        self.user_cells: dict[str, int] = {}  # raw cell -> user code, -1 when blank
         self.keyword_cells: dict[str, int] = {}  # raw cell -> set code, -1 when no tag
-        self.chunks: list[tuple[np.ndarray, ...]] = []
+        self.chunks: list[list[np.ndarray]] = []
 
     def add(self, rows: list[list[str]], col: dict[str, int], width: int, linenos: list[int],
             result: ParseResult) -> None:
         n = len(rows)
         whole = np.fromiter(map(len, rows), np.intp, n) == width
         regular = rows if whole.all() else [row for row, ok in zip(rows, whole) if ok]
-        position = col["message_id"]
-        ids = [row[position].strip() if position < len(row) else "" for row in rows]
-        bulk = whole & self._unique_ids(ids)
+        ids, users = ([row[i].strip() if i < len(row) else "" for row in rows]
+                      for i in (col["message_id"], col["user_id"]))
+        user = np.array(users, dtype=_TEXT)
+        bulk = whole & self._unique_ids(ids) & (user != "")
 
-        user = np.full(n, -1, dtype=np.int64)
         stamp = np.zeros(n, dtype=np.int64)
         lat, lon, sentiment = np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan)
         tags = np.full(n, -1, dtype=np.int64)
         retweet = np.zeros(n, dtype=bool)
         count = np.zeros(n, dtype=np.int64)
         if regular:
-            cell = {name: list(map(itemgetter(col[name]), regular)) for name in MESSAGE_COLUMNS[1:]}
-            user[whole] = _codes(cell["user_id"], self.user_cells, self._user_cell)
+            cell = {name: list(map(itemgetter(col[name]), regular)) for name in MESSAGE_COLUMNS[2:]}
             tags[whole] = _codes(cell["keywords"], self.keyword_cells, self._keyword_cell)
             stamp[whole], ok = _timestamps_us(cell["timestamp"])
             lat[whole], lat_present, lat_ok = _decimals(cell["lat"])
@@ -421,7 +410,7 @@ class _MessageColumns:
             ok &= retweet[whole] | (flag == "0")
             count[whole], count_ok = _counts(cell["retweeted_count"])
             bulk[whole] &= ok & count_ok
-        bulk &= (user >= 0) & (tags >= 0)
+        bulk &= tags >= 0
 
         accepted = bulk.copy()
         for i in np.flatnonzero(~bulk).tolist():
@@ -432,15 +421,15 @@ class _MessageColumns:
                 continue
             self.seen.add(fields[0])
             accepted[i] = True
-            user[i] = self._user_code(fields[1])
             stamp[i], lat[i], lon[i] = fields[2:5]
             tags[i] = self._set_code(fields[5])
             retweet[i], count[i], sentiment[i] = fields[6:]
-        message_id = np.array(ids, dtype=object)
-        self.seen.update(message_id[bulk].tolist())
-        self.chunks.append(tuple(
-            column[accepted] for column in (message_id, user, stamp, lat, lon, tags, retweet, count, sentiment)
-        ))
+        self.seen.update(itertools.compress(ids, bulk))
+        self.chunks.append([
+            column[accepted] for column in (
+                np.array(ids, dtype=_TEXT), user, stamp, lat, lon, tags, retweet, count, sentiment
+            )
+        ])
 
     def _unique_ids(self, ids: list[str]) -> np.ndarray:
         """Per row, whether its id is non-empty, alone in the block and not yet accepted."""
@@ -450,15 +439,8 @@ class _MessageColumns:
         uses = Counter(ids)
         return np.array([bool(i) and uses[i] == 1 and i not in self.seen for i in ids], dtype=bool)
 
-    def _user_code(self, user_id: str) -> int:
-        return self.users.setdefault(user_id, len(self.users))
-
     def _set_code(self, tags: frozenset[str]) -> int:
         return self.sets.setdefault(tags, len(self.sets))
-
-    def _user_cell(self, cell: str) -> int:
-        user_id = cell.strip()
-        return self._user_code(user_id) if user_id else -1
 
     def _keyword_cell(self, cell: str) -> int:
         tags = _parse_tags(cell)
@@ -467,13 +449,18 @@ class _MessageColumns:
     def table(self, wanted: frozenset[str]) -> MessageTable:
         """Concatenate the blocks, keep the rows whose tags meet ``wanted`` (all when
         empty) and renumber the keyword sets to those the kept rows use."""
-        empty = (np.empty(0, dtype=object), *(np.empty(0, dtype=t) for t in (
-            np.int64, np.int64, float, float, np.int64, bool, np.int64, float)))
-        columns = [np.concatenate(parts) for parts in zip(empty, *self.chunks)]
+        self.seen.clear()
+        columns = []
+        for j, dtype in enumerate((_TEXT, _TEXT, np.int64, float, float, np.int64, bool, np.int64, float)):
+            # one column at a time, dropping its blocks as it goes, so they are not all held twice
+            columns.append(np.concatenate([np.empty(0, dtype=dtype), *(chunk[j] for chunk in self.chunks)]))
+            for chunk in self.chunks:
+                chunk[j] = None
         sets = list(self.sets)
         if wanted:
             meets = np.array([bool(tags & wanted) for tags in sets], dtype=bool)
             columns = [column[meets[columns[5]]] for column in columns]
+        user_ids, columns[1] = np.unique(columns[1], return_inverse=True)
         used, columns[5] = np.unique(columns[5], return_inverse=True)
         keyword_sets = [sets[k] for k in used.tolist()]
         tags = tuple(sorted(set().union(*keyword_sets)))
@@ -483,7 +470,7 @@ class _MessageColumns:
             tag_matrix[k, [position[tag] for tag in tag_set]] = True
         message_id, user, stamp, lat, lon, keyword_set, retweet, count, sentiment = columns
         return MessageTable(
-            message_id=message_id, user=user, user_ids=list(self.users), time_us=stamp, lat=lat,
+            message_id=message_id, user=user, user_ids=user_ids, time_us=stamp, lat=lat,
             lon=lon, keyword_set=keyword_set.astype(np.int64), keyword_sets=keyword_sets,
             is_retweet=retweet, retweeted_count=count, sentiment=sentiment, tags=tags,
             tag_matrix=tag_matrix,
@@ -492,7 +479,7 @@ class _MessageColumns:
 
 def _codes(cells: list[str], known: dict[str, int], intern: Callable[[str], int]) -> np.ndarray:
     """Code of each cell through ``known`` (raw cell -> code), which ``intern`` extends."""
-    for cell in set(cells).difference(known):
+    for cell in dict.fromkeys(cells).keys() - known.keys():
         known[cell] = intern(cell)
     return np.fromiter(map(known.__getitem__, cells), np.int64, len(cells))
 

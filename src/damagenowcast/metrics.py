@@ -137,10 +137,8 @@ class RegionCodes:
         """Codes from a message_id -> region_id (or None) mapping; absent ids lie in no region."""
         region_ids = sorted({r for r in assignments.values() if r is not None})
         position = {region_id: k for k, region_id in enumerate(region_ids)}
-        lookup = assignments.get
-        codes = np.fromiter(
-            (position.get(lookup(m), -1) for m in table.message_id.tolist()), np.int64, len(table)
-        )
+        regions = map(assignments.get, table.message_id.tolist())
+        codes = np.fromiter(map(position.get, regions, itertools.repeat(-1)), np.int64, len(table))
         return cls(codes, region_ids)
 
 
@@ -169,19 +167,22 @@ def _scoped_rows(
         if scope is not None:
             member[:, s] = table.tag_matrix[:, [position[t] for t in scope if t in position]].any(axis=1)
     per_set = member.sum(axis=1)
-    rows = np.flatnonzero(codes >= 0)
-    repeats = per_set[table.keyword_set[rows]]
-    row = np.repeat(rows, repeats)
     first = np.cumsum(per_set) - per_set  # where each set's scopes start in the flat list
-    offset = np.arange(len(row)) - np.repeat(np.cumsum(repeats) - repeats, repeats)
-    scope = np.nonzero(member)[1][first[table.keyword_set[row]] + offset]
-    return row, scope
+    rows = np.flatnonzero(codes >= 0)
+    sets = table.keyword_set[rows]
+    repeats = per_set[sets]
+    # pair j of row i takes scope number (j - i's first pair) of i's set
+    shift = np.repeat(first[sets] - (np.cumsum(repeats) - repeats), repeats)
+    scope = np.nonzero(member)[1][shift + np.arange(len(shift))]
+    return np.repeat(rows, repeats), scope
 
 
 def _distinct(cell: np.ndarray, user: np.ndarray, n_users: int, n_cells: int) -> np.ndarray:
     """Distinct users per cell."""
-    pairs = np.unique(cell * max(n_users, 1) + user)
-    return np.bincount(pairs // max(n_users, 1), minlength=n_cells)
+    pairs = np.sort(cell * max(n_users, 1) + user)
+    first = np.ones(len(pairs), dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    return np.bincount(pairs[first] // max(n_users, 1), minlength=n_cells)
 
 
 @dataclass(frozen=True)
@@ -257,15 +258,16 @@ def summarize_regions(
     row, scope = _scoped_rows(table, codes.codes, list(scopes.values()))
     cell = scope * len(names) + codes.codes[row]
     n_cells = len(scopes) * len(names)
-    period = _Cells.count(table, row, cell, n_cells)
+    # presence in a scope and the per-user denominator ignore the window
+    present = np.bincount(cell, minlength=n_cells).reshape(len(scopes), len(names)) > 0
+    period_users = _distinct(cell, table.user[row], len(table.user_ids), n_cells)
     if window is not None:
         stamp = table.time_us[row]
         inside = (_to_us(window.start) <= stamp) & (stamp < _to_us(window.end))
         row, cell = row[inside], cell[inside]
     counts = _Cells.count(table, row, cell, n_cells)
 
-    is_listed = np.array([region_id in listed for region_id in names], dtype=bool)
-    shown = (period.n_messages.reshape(len(scopes), len(names)) > 0) | is_listed
+    shown = present | np.array([region_id in listed for region_id in names], dtype=bool)
     by_name = sorted(range(len(names)), key=names.__getitem__)
     population = population or {}
     out: dict = {}
@@ -273,7 +275,7 @@ def summarize_regions(
         regions = [names[k] for k in by_name if shown[s, k]]
         cells = [s * len(names) + k for k in by_name if shown[s, k]]
         out[name] = dict(zip(regions, counts.summaries(
-            cells, regions, itertools.repeat(window), period.users[cells].tolist(),
+            cells, regions, itertools.repeat(window), period_users[cells].tolist(),
             map(population.get, regions),
         )))
     return out
@@ -296,7 +298,7 @@ def summarize_daily(
     names = list(codes.region_ids)
     row, _ = _scoped_rows(table, codes.codes, [keywords])
     region = codes.codes[row]
-    period = _Cells.count(table, row, region, len(names))
+    period_users = _distinct(region, table.user[row], len(table.user_ids), len(names))
 
     wanted = np.array(sorted(set(bins)), dtype=np.int64)
     index = (table.time_us[row] - _to_us(epoch)) // (width // MICROSECOND)
@@ -307,14 +309,15 @@ def summarize_daily(
 
     slots = {b: j for j, b in enumerate(wanted.tolist())}
     windows = [bin_window(epoch, width, b) for b in bins]
-    active = [k for k in sorted(range(len(names)), key=names.__getitem__) if period.n_messages[k]]
+    in_scope = np.bincount(region, minlength=len(names)) > 0
+    active = [k for k in sorted(range(len(names)), key=names.__getitem__) if in_scope[k]]
     keys = [(names[k], b) for k in active for b in bins]
     population = population or {}
     summaries = counts.summaries(
         [k * n_bins + slots[b] for k in active for b in bins],
         [region_id for region_id, _ in keys],
         windows * len(active),
-        [users for users in period.users[active].tolist() for _ in bins],
+        [users for users in period_users[active].tolist() for _ in bins],
         [population.get(region_id) for region_id, _ in keys],
     )
     return dict(zip(keys, summaries))

@@ -268,7 +268,9 @@ class TestSummarizeHelpers:
         assert out[("r1", 0)].active_users_period == 2
 
     def test_scopes_share_one_count(self):
-        messages = [message(0, keywords=("sandy",)), message(1, keywords=("gas", "sandy")), message(2, keywords=("gas",))]
+        messages = [
+            message(0, keywords=("sandy",)), message(1, keywords=("gas", "sandy")), message(2, keywords=("gas",))
+        ]
         assignments = {"m0": "r1", "m1": "r1", "m2": "r2"}
         out = summarize_regions(table(messages), assignments, None, scopes={
             "pool": None, "sandy": frozenset({"sandy"}), "gas": frozenset({"gas"}), "none": frozenset({"mta"}),
@@ -345,6 +347,8 @@ class TestGroupedMatchesReference:
         _same(grouped, expected)
 
     def test_reference_summary_of_one_region(self):
-        messages = [message(i, user=f"u{i % 2}", retweet=i == 1, rebroadcasts=i % 3, sentiment=0.1 * i) for i in range(5)]
+        messages = [
+            message(i, user=f"u{i % 2}", retweet=i == 1, rebroadcasts=i % 3, sentiment=0.1 * i) for i in range(5)
+        ]
         expected = compute_activity_summary_reference(messages, "r1", None, period_users=2, population=7)
         _same({"r1": summary(messages, population=7)}, {"r1": expected})
