@@ -397,7 +397,7 @@ class _MessageColumns:
         count = np.zeros(n, dtype=np.int64)
         if regular:
             cell = {name: list(map(itemgetter(col[name]), regular)) for name in MESSAGE_COLUMNS[2:]}
-            tags[whole] = _codes(cell["keywords"], self.keyword_cells, self._keyword_cell)
+            tags[whole] = self._set_codes(cell["keywords"])
             stamp[whole], ok = _timestamps_us(cell["timestamp"])
             lat[whole], lat_present, lat_ok = _decimals(cell["lat"])
             lon[whole], lon_present, lon_ok = _decimals(cell["lon"])
@@ -442,9 +442,12 @@ class _MessageColumns:
     def _set_code(self, tags: frozenset[str]) -> int:
         return self.sets.setdefault(tags, len(self.sets))
 
-    def _keyword_cell(self, cell: str) -> int:
-        tags = _parse_tags(cell)
-        return self._set_code(tags) if tags else -1
+    def _set_codes(self, cells: list[str]) -> np.ndarray:
+        """Code of each keywords cell's tag set, -1 for a cell without a tag."""
+        for cell in [cell for cell in dict.fromkeys(cells) if cell not in self.keyword_cells]:
+            tags = _parse_tags(cell)
+            self.keyword_cells[cell] = self._set_code(tags) if tags else -1
+        return np.fromiter(map(self.keyword_cells.__getitem__, cells), np.int64, len(cells))
 
     def table(self, wanted: frozenset[str]) -> MessageTable:
         """Concatenate the blocks, keep the rows whose tags meet ``wanted`` (all when
@@ -475,13 +478,6 @@ class _MessageColumns:
             is_retweet=retweet, retweeted_count=count, sentiment=sentiment, tags=tags,
             tag_matrix=tag_matrix,
         )
-
-
-def _codes(cells: list[str], known: dict[str, int], intern: Callable[[str], int]) -> np.ndarray:
-    """Code of each cell through ``known`` (raw cell -> code), which ``intern`` extends."""
-    for cell in dict.fromkeys(cells).keys() - known.keys():
-        known[cell] = intern(cell)
-    return np.fromiter(map(known.__getitem__, cells), np.int64, len(cells))
 
 
 _DECIMAL_CHARS = dict.fromkeys(map(ord, "0123456789.+-eE"))
