@@ -232,10 +232,13 @@ class _LineFilter:
 
     def _filter(self, stream: Iterable[str]) -> Iterator[str]:
         for lineno, line in enumerate(stream, start=1):
-            stripped = line.strip()
-            if stripped and stripped[0] != "#":
-                self.lineno = lineno
-                yield line
+            # a line that starts with a visible character other than '#' is data
+            if line[:1].isspace() or line[:1] == "#":
+                stripped = line.strip()
+                if not stripped or stripped[0] == "#":
+                    continue
+            self.lineno = lineno
+            yield line
 
 
 def _open_text(source: str | Path | TextIO) -> tuple[TextIO, bool]:
@@ -385,8 +388,11 @@ class _MessageColumns:
         n = len(rows)
         whole = np.fromiter(map(len, rows), np.intp, n) == width
         regular = rows if whole.all() else [row for row, ok in zip(rows, whole) if ok]
-        ids, users = ([row[i].strip() if i < len(row) else "" for row in rows]
-                      for i in (col["message_id"], col["user_id"]))
+        ids, users = (
+            list(map(str.strip, map(itemgetter(i), rows))) if len(regular) == n
+            else [row[i].strip() if i < len(row) else "" for row in rows]
+            for i in (col["message_id"], col["user_id"])
+        )
         user = np.array(users, dtype=_TEXT)
         bulk = whole & self._unique_ids(ids) & (user != "")
 
@@ -405,9 +411,9 @@ class _MessageColumns:
             ok &= (lat_present == lon_present) & (~lat_present | (lat_ok & lon_ok & in_range))
             sentiment[whole], _, sentiment_ok = _decimals(cell["sentiment"])
             ok &= sentiment_ok & ~(np.abs(sentiment[whole]) > 1.0)
-            flag = np.array(cell["is_retweet"])
-            retweet[whole] = flag == "1"
-            ok &= retweet[whole] | (flag == "0")
+            retweet[whole] = np.fromiter(map("1".__eq__, cell["is_retweet"]), bool, len(regular))
+            if not {"0", "1"}.issuperset(cell["is_retweet"]):
+                ok &= retweet[whole] | np.fromiter(map("0".__eq__, cell["is_retweet"]), bool, len(regular))
             count[whole], count_ok = _counts(cell["retweeted_count"])
             bulk[whole] &= ok & count_ok
         bulk &= tags >= 0

@@ -185,19 +185,11 @@ def _distinct(cell: np.ndarray, user: np.ndarray, n_users: int, n_cells: int) ->
     return np.bincount(pairs[first] // max(n_users, 1), minlength=n_cells)
 
 
-@dataclass(frozen=True)
 class _Cells:
-    """Counts per cell; ``mean_sentiment`` is NaN where no message carries a score."""
+    """Counts of the messages ``row`` per ``cell``; ``mean_sentiment`` is NaN
+    where no message carries a score. Sentiment sums run in ``row`` order."""
 
-    n_messages: np.ndarray
-    n_retweets: np.ndarray
-    n_popular: np.ndarray
-    users: np.ndarray
-    mean_sentiment: np.ndarray
-
-    @classmethod
-    def count(cls, table: MessageTable, row: np.ndarray, cell: np.ndarray, n_cells: int) -> "_Cells":
-        """Count the messages ``row`` into ``cell``; sentiment sums run in ``row`` order."""
+    def __init__(self, table: MessageTable, row: np.ndarray, cell: np.ndarray, n_cells: int):
         retweet = table.is_retweet[row]
         popular = ~retweet & (table.retweeted_count[row] >= 1)
         sentiment = table.sentiment[row]
@@ -205,14 +197,11 @@ class _Cells:
         # bincount adds each cell's weights one by one in array order, as a Python loop would
         total = np.bincount(cell[scored], weights=sentiment[scored], minlength=n_cells)
         with np.errstate(invalid="ignore"):
-            mean = total / np.bincount(cell[scored], minlength=n_cells)
-        return cls(
-            n_messages=np.bincount(cell, minlength=n_cells),
-            n_retweets=np.bincount(cell[retweet], minlength=n_cells),
-            n_popular=np.bincount(cell[popular], minlength=n_cells),
-            users=_distinct(cell, table.user[row], len(table.user_ids), n_cells),
-            mean_sentiment=mean,
-        )
+            self.mean_sentiment = total / np.bincount(cell[scored], minlength=n_cells)
+        self.n_messages = np.bincount(cell, minlength=n_cells)
+        self.n_retweets = np.bincount(cell[retweet], minlength=n_cells)
+        self.n_popular = np.bincount(cell[popular], minlength=n_cells)
+        self.users = _distinct(cell, table.user[row], len(table.user_ids), n_cells)
 
     def summaries(self, cells: list[int], region_ids: Iterable[str], windows: Iterable[TimeWindow | None],
                   period_users: Iterable[int], population: Iterable[int | None]) -> list[ActivitySummary]:
@@ -265,7 +254,7 @@ def summarize_regions(
         stamp = table.time_us[row]
         inside = (_to_us(window.start) <= stamp) & (stamp < _to_us(window.end))
         row, cell = row[inside], cell[inside]
-    counts = _Cells.count(table, row, cell, n_cells)
+    counts = _Cells(table, row, cell, n_cells)
 
     shown = present | np.array([region_id in listed for region_id in names], dtype=bool)
     by_name = sorted(range(len(names)), key=names.__getitem__)
@@ -305,7 +294,7 @@ def summarize_daily(
     slot = np.minimum(np.searchsorted(wanted, index), max(len(wanted) - 1, 0))
     inside = wanted[slot] == index if len(wanted) else np.zeros(len(row), dtype=bool)
     n_bins = len(wanted)
-    counts = _Cells.count(table, row[inside], region[inside] * n_bins + slot[inside], len(names) * n_bins)
+    counts = _Cells(table, row[inside], region[inside] * n_bins + slot[inside], len(names) * n_bins)
 
     slots = {b: j for j, b in enumerate(wanted.tolist())}
     windows = [bin_window(epoch, width, b) for b in bins]

@@ -490,6 +490,7 @@ class TestBulkMatchesPerRowReference:
         assert len(table.tags) == 71
         assert table.tag_matrix.shape == (70, 71)
         assert table.tag_matrix.sum() == 140
+        assert list(table) == parse_messages_reference(HEADER + "\n".join(rows) + "\n").records
 
     def test_canonical_rows_taken_in_bulk(self, monkeypatch):
         def refuse(*args):
