@@ -7,9 +7,9 @@ point of the whole collection period, not just the window under analysis.
 
 Summaries are grouped counts over a :class:`MessageTable`: each message's
 (scope, region) or (region, bin) cell is one integer, ``np.bincount`` over
-those integers gives every count of every cell at once, and ``np.unique``
-over (cell, user) pairs gives the distinct users. A message counts in every
-scope whose tags it carries, so one call serves the pool and each keyword.
+those integers gives every count of every cell at once, and one sort of the
+(cell, user) pairs gives the distinct users. A message counts in every scope
+whose tags it carries, so one call serves the pool and each keyword.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def _scoped_rows(
     rows = np.flatnonzero(codes >= 0)
     sets = table.keyword_set[rows]
     repeats = per_set[sets]
-    # pair j of row i takes scope number (j - i's first pair) of i's set
+    # the k-th pair of a row takes the k-th scope of the row's tag set
     shift = np.repeat(first[sets] - (np.cumsum(repeats) - repeats), repeats)
     scope = np.nonzero(member)[1][shift + np.arange(len(shift))]
     return np.repeat(rows, repeats), scope

@@ -503,6 +503,28 @@ class TestBulkMatchesPerRowReference:
         ))
         assert len(result.records) == 2
 
+    def test_non_canonical_rows_go_to_the_converter(self, monkeypatch):
+        converted = []
+        convert = ingest._message_fields
+
+        def spy(row, col, seen_ids):
+            converted.append(row[0].strip())
+            return convert(row, col, seen_ids)
+
+        monkeypatch.setattr(ingest, "_message_fields", spy)
+        result = parse_messages(messages_csv(
+            "m1,u1,2012-10-30T00:00:00Z,1_0,-74.01,sandy,0,3,",
+            "m2,u1,2012-10-30T00:00:00Z,40.5,-74.01,sandy,0,3, 0.5",
+            "m3,u1,2012-10-30T05:00:00+05:00,,,sandy,0,3,",
+            "m4,u1,2012-10-30T00:00:00.5Z,,,sandy,0,3,",
+            "m5,u1,2012-10-30T00:00:00Z,,,sandy,0,1_0,",
+            "m6,u1,2012-10-30T00:00:00Z,,,sandy,0,3",
+            "m7,u1,2012-10-30T00:00:00Z,,,sandy,0,3,",
+            "m7,u1,2012-10-30T00:00:00Z,,,sandy,0,3,",
+        ))
+        assert converted == ["m1", "m2", "m3", "m4", "m5", "m6", "m7", "m7"]
+        assert len(result.records) == 7
+
     def test_retweeted_count_beyond_int64_rejected(self):
         result = parse_messages(messages_csv("m1,u1,2012-10-30T00:00:00Z,,,sandy,0,9223372036854775808,"))
         assert result.diagnostics == ["messages line 2: retweeted_count out of range"]
