@@ -4,7 +4,8 @@ Everything here is deliberately written the slow, obvious way (pair
 enumeration, explicit rank tables, literal permutation enumeration,
 region-by-region containment scans, one object per message) so it shares no
 code path with the package under test; it borrows only the package's record
-types.
+types and, for the simulator reference, its config types, region grid and
+GeoJSON feature.
 """
 
 from __future__ import annotations
@@ -12,15 +13,19 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
+from damagenowcast.geo import GeoPoint
 from damagenowcast.ingest import MessageRecord
 from damagenowcast.metrics import ActivitySummary, bin_window
+from damagenowcast.simulate import _region_feature, _region_grid
 
 
 def tau_b_brute(x, y) -> float:
@@ -430,3 +435,131 @@ def summarize_daily_reference(messages, assignments, epoch, width, bins, keyword
                 population=(population or {}).get(region_id),
             )
     return out
+
+
+# ---------------------------------------------------------------------------
+# The simulator as it stood before its columnar draws: one tuple, one shifted
+# datetime and one MessageRecord per message, a Python sort per region and a
+# per-record CSV writer. Frozen here as the reference for whole bundles; it
+# borrows the package's config types, region grid and GeoJSON feature.
+
+def _reference_stamp_text(stamp: datetime) -> str:
+    utc = stamp.astimezone(timezone.utc)
+    text = f"{utc.year:04d}-{utc.month:02d}-{utc.day:02d}T{utc.hour:02d}:{utc.minute:02d}:{utc.second:02d}"
+    if utc.microsecond:
+        text += f".{utc.microsecond:06d}".rstrip("0")
+    return text + "Z"
+
+
+def _reference_write_messages(records, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(_MESSAGE_COLUMNS)
+        for r in records:
+            writer.writerow([
+                r.message_id,
+                r.user_id,
+                _reference_stamp_text(r.timestamp),
+                repr(r.location[0]) if r.location else "",
+                repr(r.location[1]) if r.location else "",
+                ";".join(sorted(r.keywords)),
+                "1" if r.is_retweet else "0",
+                str(r.retweeted_count),
+                "" if r.sentiment is None else repr(r.sentiment),
+            ])
+
+
+def _reference_region(config, spec, seed_seq):
+    """One region's draws: (population, messages, window_count, latent_rate, damage_usd)."""
+    rng = np.random.default_rng(seed_seq)
+    pop_lo, pop_hi = config.population_range
+    population = int(rng.integers(pop_lo, pop_hi + 1))
+    n_users = max(1, int(population * config.user_fraction))
+    retweet_p = config.retweet.probability(spec.distance_km)
+    burst_rate = config.media_burst * float(rng.exponential(1.0))
+    window_lo, window_hi = config.damage.window_bins
+    drawn = []
+    window_count = 0
+    latent_rate = 0.0
+    for day in config.day_bins():
+        day_start = config.landfall + timedelta(days=day)
+        for keyword, profile in config.keywords:
+            proximity = max(0.0, 1.0 - spec.distance_km / profile.decay_cutoff_km)
+            if day < 0:
+                shape = profile.pre_event_ramp ** (-day)
+            elif day > 0:
+                shape = profile.post_event_persistence**day
+            else:
+                shape = 1.0
+            rate = profile.base_rate + profile.event_amplitude * proximity * shape
+            if day == 0:
+                rate += burst_rate
+            if window_lo <= day < window_hi:
+                latent_rate += rate
+            count = int(rng.poisson(population * rate))
+            if count == 0:
+                continue
+            seconds = rng.integers(0, 86400, size=count)
+            lats = rng.uniform(spec.min_lat, spec.max_lat, size=count)
+            lons = rng.uniform(spec.min_lon, spec.max_lon, size=count)
+            user_idx = rng.integers(0, n_users, size=count)
+            retweet_flags = rng.random(size=count) < retweet_p
+            rebroadcasts = rng.poisson(config.popularity_rate * max(proximity, 0.02), size=count)
+            sentiments = np.clip(
+                rng.normal(config.sentiment_base - config.sentiment_slope * proximity, config.sentiment_noise,
+                           size=count),
+                -1.0,
+                1.0,
+            )
+            if window_lo <= day < window_hi:
+                window_count += count
+            tags = frozenset({keyword})
+            for j in range(count):
+                is_retweet = bool(retweet_flags[j])
+                drawn.append((
+                    f"{spec.region_id}-u{int(user_idx[j]):05d}",
+                    day_start + timedelta(seconds=int(seconds[j])),
+                    (float(lats[j]), float(lons[j])),
+                    tags,
+                    is_retweet,
+                    0 if is_retweet else int(rebroadcasts[j]),
+                    float(sentiments[j]),
+                ))
+    noise = math.exp(config.damage.noise_sigma * float(rng.standard_normal()))
+    damage_usd = config.damage.coupling * window_count * noise
+    drawn.sort(key=lambda fields: fields[1])
+    messages = [MessageRecord(f"{spec.region_id}-m{i:06d}", *fields) for i, fields in enumerate(drawn)]
+    return population, messages, window_count, latent_rate, damage_usd
+
+
+def simulate_reference(config, out_dir) -> None:
+    """Write the six bundle files for ``config`` into ``out_dir``, record by record."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    specs = _region_grid(config, [GeoPoint(lat=lat, lon=lon) for lat, lon in config.track])
+    seeds = np.random.SeedSequence(config.seed).spawn(len(specs))
+    draws = [(spec, *_reference_region(config, spec, seq)) for spec, seq in zip(specs, seeds)]
+    _reference_write_messages([m for draw in draws for m in draw[2]], out / "messages.csv")
+    collection = {"type": "FeatureCollection", "features": [_region_feature(draw[0]) for draw in draws]}
+    (out / "regions.geojson").write_text(
+        json.dumps(collection, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
+    )
+
+    def write(name, header, rows):
+        with open(out / name, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    write("population.csv", ["region_id", "population"], [[spec.region_id, pop] for spec, pop, *_ in draws])
+    write("damage.csv", ["region_id", "amount_usd", "source"],
+          [[spec.region_id, repr(damage), "insurance"] for spec, *_, damage in draws])
+    half = len(config.track) // 2
+    write("track.csv", ["timestamp", "lat", "lon"], [
+        [_reference_stamp_text(config.landfall + timedelta(hours=6 * (i - half))), repr(lat), repr(lon)]
+        for i, (lat, lon) in enumerate(config.track)
+    ])
+    write("ground_truth.csv", ["region_id", "latent_rate", "expected_damage_pc", "realized_damage_pc"], [
+        [spec.region_id, repr(latent), repr(config.damage.coupling * window / pop), repr(damage / pop)]
+        for spec, pop, _, window, latent, damage in draws
+    ])

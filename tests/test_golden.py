@@ -1,5 +1,5 @@
-"""Golden report digests: the SHA-256 of every report the analysis commands
-write on one small simulated bundle.
+"""Golden digests: the SHA-256 of every report the analysis commands write on
+one small simulated bundle, and of every file of two simulated bundles.
 
 The commands run from a fixed working directory with relative paths, so the
 paths echoed in each report's ``#`` header are the same on every machine. A
@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from damagenowcast.cli import main
+from damagenowcast.simulate import DamageModel, KeywordProfile, SimConfig, generate
 
 BUNDLE = ("simulate", "--seed", "7", "--regions", "40", "--sigma", "0.5",
           "--base-rate", "0.002", "--out", "bundle")
@@ -54,6 +55,41 @@ GOLDEN = {
     "summarize/summaries.csv": "61f55affb8a2f68db796e7effccca3d2420437023f18788a3f90f0b5209e5b57",
 }
 
+BUNDLE_GOLDEN = {
+    "messages.csv": "d3f7808164f3f613f31602d8c54e661687d4d558c4419584292189a768e7d276",
+    "regions.geojson": "7219b8d5fd7d7a52733756f1f2723a8a749cb3a65769136efc3e1a44708c0eea",
+    "population.csv": "36f37324e69680f11ca40551c5a1a7bf6f8002484de1b65715d708bdc4b82252",
+    "damage.csv": "f86a90d1242f119fc0be34469897707d4de310d2ea16d5a8ce9d074b14d3773e",
+    "track.csv": "2f2973357e63b15324252bbf8eec8d76fb0f0e64f7a0c37447ead90c92c980a1",
+    "ground_truth.csv": "a284047d339b49410f89b34e4d7c1780f98541e857769f86c0dc44f24831aa83",
+}
+# two keywords, a media burst, a non-default persistence, and populations so
+# small that 9 of the 30 regions draw no message
+SPARSE_CONFIG = SimConfig(
+    seed=11,
+    n_regions=30,
+    population_range=(1, 12),
+    keywords=(
+        ("storm", KeywordProfile(base_rate=0.001, event_amplitude=0.02, post_event_persistence=0.5)),
+        ("power", KeywordProfile(base_rate=0.0, event_amplitude=0.05, decay_cutoff_km=600.0,
+                                 post_event_persistence=0.9)),
+    ),
+    media_burst=0.01,
+    damage=DamageModel(noise_sigma=0.3),
+)
+SPARSE_GOLDEN = {
+    "messages.csv": "59377d39b211da82df7e00a7601ef81fddb68aa12934e0913538abcc70b4d6be",
+    "regions.geojson": "b0f5cc288b0ed9fed03245378580d68b5885931e0a6a77ce482f2bd2fc46ebfa",
+    "population.csv": "686106b47acf1cb7030f2f8e1a77063ba6d67d327c88f3c939c2f1996401175a",
+    "damage.csv": "ee8da2645ec2b8ca6d15994e41b7431f0cb7c532379b049b105c73df3482c328",
+    "track.csv": "2f2973357e63b15324252bbf8eec8d76fb0f0e64f7a0c37447ead90c92c980a1",
+    "ground_truth.csv": "ecc926043c1471d0e7a5c87139bb20b152f9fb60482d4872e9b8cfbb09f6a576",
+}
+
+
+def _digests(directory: Path) -> dict[str, str]:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(directory.iterdir())}
+
 
 def _retag(path: Path) -> None:
     """Spread the simulated messages over several tags and add rows the bulk parser cannot take."""
@@ -89,3 +125,18 @@ def test_report_digests(reports):
     written = sorted(p.relative_to(root).as_posix() for name in COMMANDS for p in (root / name).iterdir())
     digests = {path: hashlib.sha256((root / path).read_bytes()).hexdigest() for path in written}
     assert digests == GOLDEN
+
+
+def test_bundle_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(list(BUNDLE)) == 0
+    assert _digests(tmp_path / "bundle") == BUNDLE_GOLDEN
+
+
+def test_sparse_bundle_digests(tmp_path):
+    bundle = generate(SPARSE_CONFIG, tmp_path)
+    assert bundle.n_messages == 62
+    assert _digests(tmp_path) == SPARSE_GOLDEN
+    with open(bundle.messages_csv, encoding="utf-8", newline="") as handle:
+        regions = {row["message_id"].split("-")[0] for row in csv.DictReader(handle)}
+    assert len(regions) == SPARSE_CONFIG.n_regions - 9

@@ -1,10 +1,13 @@
 import csv
 import hashlib
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from damagenowcast.geo import GeoPoint, point_to_track_km
 from damagenowcast.ingest import parse_messages, parse_regions, parse_track
@@ -16,7 +19,7 @@ from damagenowcast.simulate import (
     generate,
 )
 
-from oracles import tau_b_brute
+from oracles import simulate_reference, tau_b_brute
 
 BUNDLE_FILES = (
     "messages.csv",
@@ -106,6 +109,40 @@ class TestBundleWellFormed:
         assert list(parse_messages(bundle.messages_csv).records) == []
         gt = read_ground_truth(bundle.ground_truth_csv)
         assert all(v["realized_damage_pc"] == 0.0 for v in gt.values())
+
+
+# per-person daily rates: mostly zero or small enough that a region draws few messages
+_RATES = st.sampled_from([0.0, 0.0, 1e-4, 1e-3, 0.01])
+
+
+@st.composite
+def sim_configs(draw):
+    names = draw(st.lists(st.sampled_from(["storm", "power", "Gas", "flood"]), min_size=1, max_size=3))
+    keywords = tuple(
+        (name, KeywordProfile(base_rate=draw(_RATES), event_amplitude=draw(_RATES),
+                              post_event_persistence=draw(st.sampled_from([0.0, 0.7, 1.0]))))
+        for name in names
+    )
+    return SimConfig(
+        seed=draw(st.integers(0, 2**32)),
+        n_regions=draw(st.integers(1, 30)),
+        population_range=draw(st.sampled_from([(1, 1), (1, 50), (200, 600)])),
+        keywords=keywords,
+        media_burst=draw(st.sampled_from([0.0, 0.0, 1e-3])),
+        damage=DamageModel(noise_sigma=draw(st.sampled_from([0.0, 0.5]))),
+    )
+
+
+class TestMatchesReference:
+    @given(sim_configs())
+    @settings(max_examples=25, deadline=None)
+    def test_bundle_matches_record_by_record_reference(self, config):
+        with tempfile.TemporaryDirectory() as root:
+            bundle = generate(config, Path(root) / "columns")
+            simulate_reference(config, Path(root) / "records")
+            assert digest_dir(bundle.out_dir) == digest_dir(Path(root) / "records")
+            with open(bundle.messages_csv, encoding="utf-8") as handle:
+                assert bundle.n_messages == sum(1 for _ in handle) - 1
 
 
 class TestGenerativeCoupling:
