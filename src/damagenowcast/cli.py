@@ -699,6 +699,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_simulate(args: argparse.Namespace, parser: _Parser) -> None:
+    """Refuse option values the generator cannot draw from, before it writes anything."""
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
+    if args.regions < 1:
+        parser.error("--regions must be at least 1")
+    if not args.keyword.strip() or ";" in args.keyword or not args.keyword.isprintable():
+        parser.error("--keyword must be one tag: not blank, without ';' or control characters")
+    for name in ("base_rate", "amplitude", "persistence", "media_burst", "coupling", "sigma"):
+        value = getattr(args, name)
+        if not (math.isfinite(value) and value >= 0.0):
+            parser.error(f"--{name.replace('_', '-')} must be finite and non-negative, got {value!r}")
+
+
 def _require(args: argparse.Namespace, parser: _Parser, names: Sequence[str]) -> None:
     if getattr(args, "county_table", None):
         return
@@ -724,6 +738,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_INPUT_ERROR
         if args.command in required:
             _require(args, parser, required[args.command])
+        if args.command == "simulate":
+            _check_simulate(args, parser)
         if args.command == "correlate" and args.county_table and args.overlay:
             parser.error("--overlay needs region geometry, which a --county-table does not have")
     except SystemExit as exc:

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Callable, Generic, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
     "IngestError",
@@ -122,6 +123,50 @@ class MessageTable(SequenceABC):
     sentiment: np.ndarray  # float64
     tags: tuple[str, ...]
     tag_matrix: np.ndarray  # bool
+
+    @classmethod
+    def from_columns(cls, message_id: ArrayLike, user_id: ArrayLike, time_us: ArrayLike, lat: ArrayLike,
+                     lon: ArrayLike, keyword_set: ArrayLike, keyword_sets: Sequence[frozenset[str]],
+                     is_retweet: ArrayLike, retweeted_count: ArrayLike, sentiment: ArrayLike) -> MessageTable:
+        """The table of one array per field, in row order.
+
+        ``user_id`` holds the ids themselves and ``keyword_set`` codes into
+        ``keyword_sets``; users are coded in sorted order and the sets are
+        renumbered to those some row uses.
+        """
+        user_ids, user = np.unique(np.asarray(user_id, dtype=_TEXT), return_inverse=True)
+        used, keyword_set = np.unique(keyword_set, return_inverse=True)
+        keyword_sets = [keyword_sets[k] for k in used.tolist()]
+        tags = tuple(sorted(set().union(*keyword_sets)))
+        position = {tag: j for j, tag in enumerate(tags)}
+        tag_matrix = np.zeros((len(keyword_sets), len(tags)), dtype=bool)
+        for k, tag_set in enumerate(keyword_sets):
+            tag_matrix[k, [position[tag] for tag in tag_set]] = True
+        return cls(
+            message_id=np.asarray(message_id, dtype=_TEXT), user=user.astype(np.int64), user_ids=user_ids,
+            time_us=np.asarray(time_us, dtype=np.int64), lat=np.asarray(lat, dtype=float),
+            lon=np.asarray(lon, dtype=float), keyword_set=keyword_set.astype(np.int64), keyword_sets=keyword_sets,
+            is_retweet=np.asarray(is_retweet, dtype=bool), retweeted_count=np.asarray(retweeted_count, dtype=np.int64),
+            sentiment=np.asarray(sentiment, dtype=float), tags=tags, tag_matrix=tag_matrix,
+        )
+
+    @classmethod
+    def from_records(cls, records: Iterable[MessageRecord]) -> MessageTable:
+        """The table of the given records, in their order."""
+        records = list(records)
+        sets: dict[frozenset[str], int] = {}
+        return cls.from_columns(
+            message_id=[r.message_id for r in records],
+            user_id=[r.user_id for r in records],
+            time_us=[(r.timestamp.astimezone(timezone.utc) - UNIX_EPOCH) // MICROSECOND for r in records],
+            lat=[math.nan if r.location is None else r.location[0] for r in records],
+            lon=[math.nan if r.location is None else r.location[1] for r in records],
+            keyword_set=[sets.setdefault(r.keywords, len(sets)) for r in records],
+            keyword_sets=list(sets),
+            is_retweet=[r.is_retweet for r in records],
+            retweeted_count=[r.retweeted_count for r in records],
+            sentiment=[math.nan if r.sentiment is None else r.sentiment for r in records],
+        )
 
     def __len__(self) -> int:
         return len(self.message_id)
@@ -469,20 +514,10 @@ class _MessageColumns:
         if wanted:
             meets = np.array([bool(tags & wanted) for tags in sets], dtype=bool)
             columns = [column[meets[columns[5]]] for column in columns]
-        user_ids, columns[1] = np.unique(columns[1], return_inverse=True)
-        used, columns[5] = np.unique(columns[5], return_inverse=True)
-        keyword_sets = [sets[k] for k in used.tolist()]
-        tags = tuple(sorted(set().union(*keyword_sets)))
-        position = {tag: j for j, tag in enumerate(tags)}
-        tag_matrix = np.zeros((len(keyword_sets), len(tags)), dtype=bool)
-        for k, tag_set in enumerate(keyword_sets):
-            tag_matrix[k, [position[tag] for tag in tag_set]] = True
-        message_id, user, stamp, lat, lon, keyword_set, retweet, count, sentiment = columns
-        return MessageTable(
-            message_id=message_id, user=user, user_ids=user_ids, time_us=stamp, lat=lat,
-            lon=lon, keyword_set=keyword_set.astype(np.int64), keyword_sets=keyword_sets,
-            is_retweet=retweet, retweeted_count=count, sentiment=sentiment, tags=tags,
-            tag_matrix=tag_matrix,
+        message_id, user_id, stamp, lat, lon, keyword_set, retweet, count, sentiment = columns
+        return MessageTable.from_columns(
+            message_id=message_id, user_id=user_id, time_us=stamp, lat=lat, lon=lon, keyword_set=keyword_set,
+            keyword_sets=sets, is_retweet=retweet, retweeted_count=count, sentiment=sentiment,
         )
 
 
@@ -619,38 +654,54 @@ def _message_fields(row: list[str], col: dict[str, int], seen_ids: set[str]) -> 
 
 
 def format_timestamp(stamp: datetime) -> str:
-    """Canonical ISO-8601 UTC form with a ``Z`` suffix."""
+    """Canonical ISO-8601 UTC form with a ``Z`` suffix and a four-digit year."""
     utc = stamp.astimezone(timezone.utc)
-    if utc.microsecond:
-        text = utc.strftime("%Y-%m-%dT%H:%M:%S.%f").rstrip("0")
-        return text + "Z"
-    return utc.strftime("%Y-%m-%dT%H:%M:%SZ")
+    text = utc.replace(tzinfo=None).isoformat()
+    return (text.rstrip("0") if utc.microsecond else text) + "Z"
 
 
-def write_messages_csv(records: Iterable[MessageRecord], sink: str | Path | TextIO) -> None:
-    """Write records in the canonical ``messages.csv`` schema (round-trips exactly)."""
+def write_messages_csv(records: MessageTable | Iterable[MessageRecord], sink: str | Path | TextIO) -> None:
+    """Write messages in the canonical ``messages.csv`` schema (round-trips exactly).
+
+    A table is written from its columns, ``_BLOCK_ROWS`` rows at a time; any
+    other iterable of records is gathered into a table first.
+    """
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8", newline="") as handle:
             write_messages_csv(records, handle)
         return
+    table = records if isinstance(records, MessageTable) else MessageTable.from_records(records)
+    keyword_cells = [";".join(sorted(tags)) for tags in table.keyword_sets]
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(MESSAGE_COLUMNS)
-    for r in records:
-        lat = repr(r.location[0]) if r.location else ""
-        lon = repr(r.location[1]) if r.location else ""
-        writer.writerow(
-            [
-                r.message_id,
-                r.user_id,
-                format_timestamp(r.timestamp),
-                lat,
-                lon,
-                ";".join(sorted(r.keywords)),
-                "1" if r.is_retweet else "0",
-                str(r.retweeted_count),
-                "" if r.sentiment is None else repr(r.sentiment),
-            ]
-        )
+    for start in range(0, len(table), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        writer.writerows(zip(
+            table.message_id[rows].tolist(),
+            table.user_ids[table.user[rows]].tolist(),
+            _timestamp_texts(table.time_us[rows]),
+            _float_texts(table.lat[rows]),
+            _float_texts(table.lon[rows]),
+            list(map(keyword_cells.__getitem__, table.keyword_set[rows].tolist())),
+            np.where(table.is_retweet[rows], "1", "0").tolist(),
+            list(map(str, table.retweeted_count[rows].tolist())),
+            _float_texts(table.sentiment[rows]),
+        ))
+
+
+def _timestamp_texts(time_us: np.ndarray) -> list[str]:
+    """``format_timestamp`` of each instant, given as µs since the Unix epoch."""
+    texts = np.datetime_as_string(time_us.astype("datetime64[us]"), unit="us")
+    # drop trailing zeros of the fraction, then the point of a whole second
+    return np.strings.add(np.strings.rstrip(np.strings.rstrip(texts, "0"), "."), "Z").tolist()
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """Python's repr of each value, and an empty cell for NaN."""
+    out = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        out[i] = ""
+    return out
 
 
 def _close_ring(

@@ -12,6 +12,11 @@ per-capita to realized post-event activity with optional lognormal noise.
 Identical config and seed give byte-identical bundles: each region draws
 from its own substream spawned from the master seed, and outputs are
 canonically ordered by (region_id, timestamp).
+
+A region draws each (day, keyword) batch as arrays, joins its batches once
+and orders them with one stable sort on the timestamps, so messages posted in
+the same second keep their draw order. The messages go to the writer as one
+:class:`~damagenowcast.ingest.MessageTable`; no object is built per message.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .geo import GeoPoint, point_to_track_km
-from .ingest import MessageRecord, format_timestamp, write_messages_csv
+from .ingest import MICROSECOND, UNIX_EPOCH, MessageTable, format_timestamp, write_messages_csv
 
 __all__ = [
     "KeywordProfile",
@@ -38,6 +43,8 @@ __all__ = [
 ]
 
 _UTC = timezone.utc
+_TEXT = np.dtypes.StringDType()
+_DAY_US = 86_400_000_000
 
 
 @dataclass(frozen=True)
@@ -133,12 +140,21 @@ class _RegionSpec:
 
 @dataclass
 class _RegionDraw:
+    """One region's draws; its messages are columns in canonical (time) order."""
+
     spec: _RegionSpec
     population: int
-    messages: list[MessageRecord]
     window_count: int
     latent_rate: float
     damage_usd: float
+    time_us: np.ndarray  # int64, µs since the Unix epoch
+    lat: np.ndarray
+    lon: np.ndarray
+    user: np.ndarray  # int64 index of the region's user
+    keyword: np.ndarray  # int64 index into SimConfig.keywords
+    is_retweet: np.ndarray
+    retweeted_count: np.ndarray
+    sentiment: np.ndarray
 
 
 def _region_grid(config: SimConfig, track_points: list[GeoPoint]) -> list[_RegionSpec]:
@@ -197,15 +213,18 @@ def _simulate_region(config: SimConfig, spec: _RegionSpec, seed_seq: np.random.S
     n_users = max(1, int(population * config.user_fraction))
     retweet_p = config.retweet.probability(spec.distance_km)
     burst_rate = config.media_burst * float(rng.exponential(1.0))
+    landfall_us = (config.landfall.astimezone(_UTC) - UNIX_EPOCH) // MICROSECOND
 
     window_lo, window_hi = config.damage.window_bins
-    # MessageRecord fields after message_id, which follows the canonical sort
-    drawn: list[tuple[str, datetime, tuple[float, float], frozenset[str], bool, int, float]] = []
+    # per batch: second of the day, lat, lon, user, retweet uniform, rebroadcasts, unclipped sentiment
+    batches: list[tuple[np.ndarray, ...]] = []
+    batch_day_us: list[int] = []
+    batch_keyword: list[int] = []
     window_count = 0
     latent_rate = 0.0
     for day in config.day_bins():
-        day_start = config.landfall + timedelta(days=day)
-        for keyword, profile in config.keywords:
+        day_us = landfall_us + day * _DAY_US
+        for k, (_, profile) in enumerate(config.keywords):
             proximity = max(0.0, 1.0 - spec.distance_km / profile.decay_cutoff_km)
             rate = _per_person_rate(config, profile, proximity, day, burst_rate)
             if window_lo <= day < window_hi:
@@ -213,50 +232,77 @@ def _simulate_region(config: SimConfig, spec: _RegionSpec, seed_seq: np.random.S
             count = int(rng.poisson(population * rate))
             if count == 0:
                 continue
-            seconds = rng.integers(0, 86400, size=count)
-            lats = rng.uniform(spec.min_lat, spec.max_lat, size=count)
-            lons = rng.uniform(spec.min_lon, spec.max_lon, size=count)
-            user_idx = rng.integers(0, n_users, size=count)
-            retweet_flags = rng.random(size=count) < retweet_p
-            rebroadcasts = rng.poisson(config.popularity_rate * max(proximity, 0.02), size=count)
-            sentiments = np.clip(
-                rng.normal(
-                    config.sentiment_base - config.sentiment_slope * proximity,
-                    config.sentiment_noise,
-                    size=count,
-                ),
-                -1.0,
-                1.0,
-            )
+            batches.append((
+                rng.integers(0, 86400, size=count),
+                rng.uniform(spec.min_lat, spec.max_lat, size=count),
+                rng.uniform(spec.min_lon, spec.max_lon, size=count),
+                rng.integers(0, n_users, size=count),
+                rng.random(size=count),
+                rng.poisson(config.popularity_rate * max(proximity, 0.02), size=count),
+                rng.normal(config.sentiment_base - config.sentiment_slope * proximity, config.sentiment_noise,
+                           size=count),
+            ))
+            batch_day_us.append(day_us)
+            batch_keyword.append(k)
             if window_lo <= day < window_hi:
                 window_count += count
-            tags = frozenset({keyword})
-            for j in range(count):
-                is_retweet = bool(retweet_flags[j])
-                drawn.append(
-                    (
-                        f"{spec.region_id}-u{int(user_idx[j]):05d}",
-                        day_start + timedelta(seconds=int(seconds[j])),
-                        (float(lats[j]), float(lons[j])),
-                        tags,
-                        is_retweet,
-                        0 if is_retweet else int(rebroadcasts[j]),
-                        float(sentiments[j]),
-                    )
-                )
 
     noise = math.exp(config.damage.noise_sigma * float(rng.standard_normal()))
     damage_usd = config.damage.coupling * window_count * noise
 
-    drawn.sort(key=lambda fields: fields[1])  # stable, so equal timestamps keep draw order
-    messages = [MessageRecord(f"{spec.region_id}-m{i:06d}", *fields) for i, fields in enumerate(drawn)]
+    dtypes = (np.int64, float, float, np.int64, float, np.int64, float)
+    second, lat, lon, user, uniform, rebroadcasts, sentiment = (
+        np.concatenate([np.empty(0, dtype=dtype), *parts])
+        for dtype, parts in zip(dtypes, list(zip(*batches)) or [()] * len(dtypes))
+    )
+    counts = [len(batch[0]) for batch in batches]
+    day_us, keyword = (np.repeat(np.array(values, dtype=np.int64), counts) for values in (batch_day_us, batch_keyword))
+    stamp = day_us + second * 1_000_000
+    order = np.argsort(stamp, kind="stable")  # equal timestamps keep their draw order
+    is_retweet = uniform[order] < retweet_p
     return _RegionDraw(
         spec=spec,
         population=population,
-        messages=messages,
         window_count=window_count,
         latent_rate=latent_rate,
         damage_usd=damage_usd,
+        time_us=stamp[order],
+        lat=lat[order],
+        lon=lon[order],
+        user=user[order],
+        keyword=keyword[order],
+        is_retweet=is_retweet,
+        retweeted_count=np.where(is_retweet, 0, rebroadcasts[order]),
+        sentiment=np.clip(sentiment[order], -1.0, 1.0),
+    )
+
+
+def _message_table(config: SimConfig, draws: list[_RegionDraw]) -> MessageTable:
+    """Every region's messages in one table; ids number each region's messages in order."""
+    counts = np.array([len(draw.time_us) for draw in draws], dtype=np.int64)
+    region = np.repeat(np.arange(len(draws)), counts)
+    index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+    def ids(suffix: str, numbers: np.ndarray, width: int) -> np.ndarray:
+        prefix = np.array([f"{draw.spec.region_id}-{suffix}" for draw in draws], dtype=_TEXT)
+        return np.strings.add(prefix[region], np.strings.zfill(numbers.astype(_TEXT), width))
+
+    def column(name: str) -> np.ndarray:
+        return np.concatenate([getattr(draw, name) for draw in draws])
+
+    sets: dict[frozenset[str], int] = {}
+    set_code = np.array([sets.setdefault(frozenset({keyword}), len(sets)) for keyword, _ in config.keywords])
+    return MessageTable.from_columns(
+        message_id=ids("m", index, 6),
+        user_id=ids("u", column("user"), 5),
+        time_us=column("time_us"),
+        lat=column("lat"),
+        lon=column("lon"),
+        keyword_set=set_code[column("keyword")],
+        keyword_sets=list(sets),
+        is_retweet=column("is_retweet"),
+        retweeted_count=column("retweeted_count"),
+        sentiment=column("sentiment"),
     )
 
 
@@ -287,8 +333,8 @@ def generate(config: SimConfig, out_dir: str | Path) -> SimBundle:
     draws = [_simulate_region(config, spec, seq) for spec, seq in zip(specs, seeds)]
 
     messages_csv = out / "messages.csv"
-    all_messages = [m for draw in draws for m in draw.messages]
-    write_messages_csv(all_messages, messages_csv)
+    messages = _message_table(config, draws)
+    write_messages_csv(messages, messages_csv)
 
     regions_geojson = out / "regions.geojson"
     collection = {
@@ -339,6 +385,6 @@ def generate(config: SimConfig, out_dir: str | Path) -> SimBundle:
         damage_csv=damage_csv,
         track_csv=track_csv,
         ground_truth_csv=ground_truth_csv,
-        n_messages=len(all_messages),
+        n_messages=len(messages),
         n_regions=len(draws),
     )

@@ -52,6 +52,20 @@ class TestSimulateCommand:
                      "damage.csv", "track.csv", "ground_truth.csv"):
             assert sha(tmp_path / "a" / name) == sha(tmp_path / "b" / name)
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--regions", "0", "--regions must be at least 1"),
+        ("--regions", "-3", "--regions must be at least 1"),
+        ("--base-rate", "-1", "--base-rate must be finite and non-negative"),
+        ("--keyword", "", "--keyword must be one tag"),
+        ("--keyword", "a;b", "--keyword must be one tag"),
+        ("--sigma", "nan", "--sigma must be finite and non-negative"),
+    ])
+    def test_bad_argument_is_a_usage_error_before_writing(self, tmp_path, capsys, option, value, message):
+        out = tmp_path / "sim"
+        assert run("simulate", "--seed", 1, "--out", out, "--regions", 4, option, value) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCorrelateCommand:
     def test_full_grid_and_determinism(self, sim_bundle, tmp_path):

@@ -1,7 +1,8 @@
+import csv
 import io
 import json
 import math
-from datetime import timezone
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -121,21 +122,47 @@ class TestParseMessages:
         assert list(parse_messages(path).records) == list(records)
 
 
+    def test_round_trip_before_year_1000(self):
+        records = parse_messages(messages_csv("m1,u1,0999-01-02T03:04:05Z,,,sandy,0,0,")).records
+        buffer = io.StringIO()
+        write_messages_csv(records, buffer)
+        assert "0999-01-02T03:04:05Z" in buffer.getvalue()
+        buffer.seek(0)
+        result = parse_messages(buffer)
+        assert result.diagnostics == []
+        assert list(result.records) == list(records)
+
+    def test_format_timestamp_pads_the_year(self, utc):
+        assert ingest.format_timestamp(utc(999, 1, 2, 3, 4, 5)) == "0999-01-02T03:04:05Z"
+        assert ingest.format_timestamp(utc(5, 1, 2, 3, 4, 5, 120)) == "0005-01-02T03:04:05.00012Z"
+        assert ingest.format_timestamp(utc(2012, 10, 30)) == "2012-10-30T00:00:00Z"
+
+
+def _csv_line(cells) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="").writerow(cells)
+    return buffer.getvalue()
+
+
 @st.composite
 def message_rows(draw):
-    message_id = draw(st.uuids()).hex
-    user_id = draw(st.text(alphabet="abcdef0123456789", min_size=1, max_size=8))
-    second = draw(st.integers(0, 86399))
+    # ids and users may hold a comma, a quote or a space, which the writer must quote
+    quoted = st.text(alphabet='ab,"; ', max_size=4)
+    message_id = draw(st.uuids()).hex + draw(quoted)
+    user_id = draw(st.text(alphabet="abcdef0123456789", min_size=1, max_size=8)) + draw(quoted)
+    # years 1-9999, so both sides of the Unix epoch, to the microsecond
+    stamp = draw(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59, 999999)))
     lat = draw(st.one_of(st.none(), st.floats(-90, 90, allow_nan=False)))
     lon = draw(st.floats(-180, 180, allow_nan=False))
     keywords = draw(st.lists(st.sampled_from(["sandy", "storm", "gas", "power"]), min_size=1, max_size=3))
     is_retweet = draw(st.integers(0, 1))
     count = draw(st.integers(0, 50))
     sentiment = draw(st.one_of(st.none(), st.floats(-1, 1, allow_nan=False)))
-    loc = "," if lat is None else f"{lat!r},{lon!r}"
-    sent = "" if sentiment is None else repr(sentiment)
-    stamp = f"2012-10-{draw(st.integers(20, 30)):02d}T{second // 3600:02d}:{second % 3600 // 60:02d}:{second % 60:02d}Z"
-    return f"{message_id},{user_id},{stamp},{loc},{';'.join(keywords)},{is_retweet},{count},{sent}"
+    return _csv_line([
+        message_id, user_id, stamp.isoformat() + "Z", "" if lat is None else repr(lat),
+        "" if lat is None else repr(lon), ";".join(keywords), is_retweet, count,
+        "" if sentiment is None else repr(sentiment),
+    ])
 
 
 class TestMessageInvariants:
