@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Callable, Generic, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 __all__ = [
     "IngestError",
@@ -125,16 +124,16 @@ class MessageTable(SequenceABC):
     tag_matrix: np.ndarray  # bool
 
     @classmethod
-    def from_columns(cls, message_id: ArrayLike, user_id: ArrayLike, time_us: ArrayLike, lat: ArrayLike,
-                     lon: ArrayLike, keyword_set: ArrayLike, keyword_sets: Sequence[frozenset[str]],
-                     is_retweet: ArrayLike, retweeted_count: ArrayLike, sentiment: ArrayLike) -> MessageTable:
-        """The table of one array per field, in row order.
+    def from_columns(cls, message_id: np.ndarray, user_id: np.ndarray, time_us: np.ndarray, lat: np.ndarray,
+                     lon: np.ndarray, keyword_set: np.ndarray, keyword_sets: Sequence[frozenset[str]],
+                     is_retweet: np.ndarray, retweeted_count: np.ndarray, sentiment: np.ndarray) -> MessageTable:
+        """The table of one array per field, in row order, each of the field's dtype.
 
         ``user_id`` holds the ids themselves and ``keyword_set`` codes into
         ``keyword_sets``; users are coded in sorted order and the sets are
         renumbered to those some row uses.
         """
-        user_ids, user = np.unique(np.asarray(user_id, dtype=_TEXT), return_inverse=True)
+        user_ids, user = np.unique(user_id, return_inverse=True)
         used, keyword_set = np.unique(keyword_set, return_inverse=True)
         keyword_sets = [keyword_sets[k] for k in used.tolist()]
         tags = tuple(sorted(set().union(*keyword_sets)))
@@ -143,11 +142,9 @@ class MessageTable(SequenceABC):
         for k, tag_set in enumerate(keyword_sets):
             tag_matrix[k, [position[tag] for tag in tag_set]] = True
         return cls(
-            message_id=np.asarray(message_id, dtype=_TEXT), user=user.astype(np.int64), user_ids=user_ids,
-            time_us=np.asarray(time_us, dtype=np.int64), lat=np.asarray(lat, dtype=float),
-            lon=np.asarray(lon, dtype=float), keyword_set=keyword_set.astype(np.int64), keyword_sets=keyword_sets,
-            is_retweet=np.asarray(is_retweet, dtype=bool), retweeted_count=np.asarray(retweeted_count, dtype=np.int64),
-            sentiment=np.asarray(sentiment, dtype=float), tags=tags, tag_matrix=tag_matrix,
+            message_id=message_id, user=user, user_ids=user_ids, time_us=time_us, lat=lat, lon=lon,
+            keyword_set=keyword_set.astype(np.int64), keyword_sets=keyword_sets, is_retweet=is_retweet,
+            retweeted_count=retweeted_count, sentiment=sentiment, tags=tags, tag_matrix=tag_matrix,
         )
 
     @classmethod
@@ -155,17 +152,22 @@ class MessageTable(SequenceABC):
         """The table of the given records, in their order."""
         records = list(records)
         sets: dict[frozenset[str], int] = {}
+
+        def column(values: Iterable, dtype) -> np.ndarray:
+            return np.array(list(values), dtype=dtype)
+
         return cls.from_columns(
-            message_id=[r.message_id for r in records],
-            user_id=[r.user_id for r in records],
-            time_us=[(r.timestamp.astimezone(timezone.utc) - UNIX_EPOCH) // MICROSECOND for r in records],
-            lat=[math.nan if r.location is None else r.location[0] for r in records],
-            lon=[math.nan if r.location is None else r.location[1] for r in records],
-            keyword_set=[sets.setdefault(r.keywords, len(sets)) for r in records],
+            message_id=column((r.message_id for r in records), _TEXT),
+            user_id=column((r.user_id for r in records), _TEXT),
+            time_us=column(((r.timestamp.astimezone(timezone.utc) - UNIX_EPOCH) // MICROSECOND for r in records),
+                           np.int64),
+            lat=column((math.nan if r.location is None else r.location[0] for r in records), float),
+            lon=column((math.nan if r.location is None else r.location[1] for r in records), float),
+            keyword_set=column((sets.setdefault(r.keywords, len(sets)) for r in records), np.int64),
             keyword_sets=list(sets),
-            is_retweet=[r.is_retweet for r in records],
-            retweeted_count=[r.retweeted_count for r in records],
-            sentiment=[math.nan if r.sentiment is None else r.sentiment for r in records],
+            is_retweet=column((r.is_retweet for r in records), bool),
+            retweeted_count=column((r.retweeted_count for r in records), np.int64),
+            sentiment=column((math.nan if r.sentiment is None else r.sentiment for r in records), float),
         )
 
     def __len__(self) -> int:
