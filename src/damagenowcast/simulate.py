@@ -291,7 +291,8 @@ def _message_table(config: SimConfig, draws: list[_RegionDraw]) -> MessageTable:
         return np.concatenate([getattr(draw, name) for draw in draws])
 
     sets: dict[frozenset[str], int] = {}
-    set_code = np.array([sets.setdefault(frozenset({keyword}), len(sets)) for keyword, _ in config.keywords])
+    set_code = np.array([sets.setdefault(frozenset({keyword}), len(sets)) for keyword, _ in config.keywords],
+                        dtype=np.int64)
     return MessageTable.from_columns(
         message_id=ids("m", index, 6),
         user_id=ids("u", column("user"), 5),

@@ -144,6 +144,21 @@ class TestMatchesReference:
             with open(bundle.messages_csv, encoding="utf-8") as handle:
                 assert bundle.n_messages == sum(1 for _ in handle) - 1
 
+    def test_messages_in_the_same_second_keep_draw_order(self, tmp_path):
+        config = small_config(
+            4,
+            n_regions=1,
+            population_range=(5000, 5000),
+            keywords=(("storm", KeywordProfile(base_rate=0.3, event_amplitude=0.0)),
+                      ("power", KeywordProfile(base_rate=0.3, event_amplitude=0.0))),
+            **SHORT_TIMELINE,
+        )
+        bundle = generate(config, tmp_path / "columns")
+        simulate_reference(config, tmp_path / "records")
+        stamps = [m.timestamp for m in parse_messages(bundle.messages_csv).records]
+        assert len(set(stamps)) < len(stamps) - 100
+        assert digest_dir(bundle.out_dir) == digest_dir(tmp_path / "records")
+
 
 class TestGenerativeCoupling:
     def test_noiseless_damage_exactly_proportional_to_window_activity(self, tmp_path):
