@@ -27,6 +27,8 @@ COMMANDS = {
     "correlate": ("correlate", *INPUTS, *TABLES, "--overlay", "correlate/overlay.geojson",
                   "--out", "correlate"),
     "series": ("series", *INPUTS, *TABLES, "--out", "series"),
+    "series-per-user": ("series", *INPUTS, *TABLES, "--normalization", "per_period_user", "--bin-hours", "6",
+                        "--span", "2012-10-28..2012-11-03", "--out", "series-per-user"),
     "nowcast": ("nowcast", *INPUTS, *TABLES, "--out", "nowcast"),
     "rank-keywords": ("rank-keywords", *INPUTS, "--track", "bundle/track.csv",
                       "--window", "2012-10-25..2012-11-08", "--out", "rank-keywords"),
@@ -52,6 +54,7 @@ GOLDEN = {
     "nowcast/nowcast_excluded.csv": "db0d7ba7af12742c49e6f5ca53bb9eac989ff7114b9e14f63bb711c5c57cc125",
     "rank-keywords/keywords.csv": "5cf1b3c22d8165b2004f139c2764261acadb8eea72e5e726791a6215bf8bbac5",
     "series/series.csv": "683e9c6dea776424c47633b607c458d77773c033ce42ef305060a0c576ec1635",
+    "series-per-user/series.csv": "88e594fa3f77bfc104f739ab873caa881e7dc0556622b2087f6c7464e7c8945c",
     "summarize/summaries.csv": "61f55affb8a2f68db796e7effccca3d2420437023f18788a3f90f0b5209e5b57",
 }
 
