@@ -9,6 +9,7 @@ inputs; ties break on the keyword or region identifier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Mapping, Sequence
@@ -17,6 +18,7 @@ import numpy as np
 
 from .metrics import (
     ActivitySummary,
+    DailySummaries,
     TimeWindow,
     local_popularity,
     normalized_activity,
@@ -249,7 +251,7 @@ class CorrelationSeries:
 
 
 def daily_correlation_series(
-    daily_summaries: Mapping[tuple[str, int], ActivitySummary],
+    daily_summaries: DailySummaries | Mapping[tuple[str, int], ActivitySummary],
     damage_usd: Mapping[str, float],
     population: Mapping[str, int],
     bins: Sequence[int],
@@ -262,43 +264,46 @@ def daily_correlation_series(
     Damage is a fixed snapshot: per-capita by census population in every bin.
     Inactive regions (no messages that day) are discarded per bin; bins with
     fewer than three active regions yield degenerate entries but the series
-    continues. Regions without a population entry never participate.
+    continues. Regions without a population entry never participate. A plain
+    mapping is first gathered into :class:`DailySummaries`; each bin's vectors
+    are then slices of its arrays, regions in sorted order.
     """
-    regions = sorted(population)
-    entries: list[SeriesEntry] = []
-    for b in bins:
-        activity: list[float] = []
-        damage: list[float] = []
-        sentiment: list[float] = []
-        sentiment_damage: list[float] = []
-        active = 0
-        messages = 0
-        for region in regions:
-            summary = daily_summaries.get((region, b))
-            if summary is None or summary.n_messages < 1:
-                continue
-            active += 1
-            messages += summary.n_messages
-            value = normalized_activity(summary, normalization, original_only=True)
-            damage_pc = damage_usd.get(region, 0.0) / population[region]
-            if value is not None:
-                activity.append(value)
-                damage.append(damage_pc)
-            if summary.mean_sentiment is not None:
-                sentiment.append(summary.mean_sentiment)
-                sentiment_damage.append(damage_pc)
-        entries.append(
-            SeriesEntry(
-                bin_index=b,
-                bin_start=epoch + b * width if epoch is not None else None,
-                active_regions=active,
-                n_messages=messages,
-                activity_damage_kendall=_guarded(activity, damage, "kendall"),
-                activity_damage_spearman=_guarded(activity, damage, "spearman"),
-                sentiment_damage_kendall=_guarded(sentiment, sentiment_damage, "kendall"),
-            )
+    if normalization not in ("per_capita", "per_period_user"):
+        raise ValueError(f"unknown normalization mode {normalization!r}")
+    daily = DailySummaries.from_mapping(daily_summaries)
+    rows = [k for k, region in enumerate(daily.region_ids) if region in population]
+    regions = [daily.region_ids[k] for k in rows]
+    column = {b: j for j, b in enumerate(daily.bins)}
+    # a bin with no summaries reads the column appended below, where no region is present
+    columns = [column.get(b, len(daily.bins)) for b in bins]
+
+    def per_bin(values: np.ndarray, fill) -> np.ndarray:
+        """Requested bins x the regions in ``population``."""
+        return np.hstack([values[rows], np.full((len(rows), 1), fill, dtype=values.dtype)])[:, columns].T
+
+    n_messages = per_bin(daily.n_messages, 0)
+    active = per_bin(daily.present, False) & (n_messages >= 1)
+    denominator = per_bin(daily.population if normalization == "per_capita" else daily.active_users_period, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        activity = per_bin(daily.n_original, 0) / denominator
+        damage_pc = np.array([damage_usd.get(r, 0.0) for r in regions], dtype=float) / np.array(
+            [population[r] for r in regions], dtype=float)
+    valued = active & (denominator > 0)
+    sentiment = per_bin(daily.mean_sentiment, math.nan)
+    scored = active & ~np.isnan(sentiment)
+    entries = tuple(
+        SeriesEntry(
+            bin_index=b,
+            bin_start=epoch + b * width if epoch is not None else None,
+            active_regions=int(on.sum()),
+            n_messages=int(n[on].sum()),
+            activity_damage_kendall=_guarded(x[v], damage_pc[v], "kendall"),
+            activity_damage_spearman=_guarded(x[v], damage_pc[v], "spearman"),
+            sentiment_damage_kendall=_guarded(mood[s], damage_pc[s], "kendall"),
         )
-    return CorrelationSeries(entries=tuple(entries), normalization=normalization)
+        for b, n, on, x, v, mood, s in zip(bins, n_messages, active, activity, valued, sentiment, scored)
+    )
+    return CorrelationSeries(entries=entries, normalization=normalization)
 
 
 def _guarded(

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable, Literal, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +30,7 @@ __all__ = [
     "TimeWindow",
     "ActivitySummary",
     "RegionCodes",
+    "DailySummaries",
     "bin_offsets",
     "bin_window",
     "normalized_activity",
@@ -270,6 +273,93 @@ def summarize_regions(
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class DailySummaries(MappingABC):
+    """Per-(region, bin) summaries held as region × bin arrays.
+
+    Row ``k`` of every array is ``region_ids[k]`` and column ``j`` is
+    ``bins[j]``; the key ``(region_ids[k], bins[j])`` exists where
+    ``present[k, j]``. ``mean_sentiment`` is NaN where no message carries a
+    score and ``population`` is NaN where it is unknown. An array that holds
+    one value per region or per bin is a broadcast view, not a copy.
+
+    Indexing gives one :class:`ActivitySummary`, built on lookup, for callers
+    that want objects; the daily series works on the arrays.
+    """
+
+    region_ids: tuple[str, ...]
+    bins: tuple[int, ...]
+    windows: np.ndarray  # object: TimeWindow or None
+    n_messages: np.ndarray  # int64
+    n_original: np.ndarray  # int64
+    n_retweets: np.ndarray  # int64
+    n_popular: np.ndarray  # int64
+    active_users_window: np.ndarray  # int64
+    active_users_period: np.ndarray  # int64
+    mean_sentiment: np.ndarray  # float64
+    population: np.ndarray  # float64
+    present: np.ndarray  # bool
+
+    @classmethod
+    def from_mapping(cls, summaries: Mapping[tuple[str, int], ActivitySummary]) -> DailySummaries:
+        """The arrays of a (region_id, bin) -> summary mapping; regions and bins in sorted order."""
+        if isinstance(summaries, DailySummaries):
+            return summaries
+        region_ids = tuple(sorted({region_id for region_id, _ in summaries}))
+        bins = tuple(sorted({b for _, b in summaries}))
+        row = {region_id: k for k, region_id in enumerate(region_ids)}
+        column = {b: j for j, b in enumerate(bins)}
+        cell = (
+            np.fromiter((row[region_id] for region_id, _ in summaries), np.intp, len(summaries)),
+            np.fromiter((column[b] for _, b in summaries), np.intp, len(summaries)),
+        )
+        values = list(summaries.values())
+
+        def grid(field: str, dtype, fill) -> np.ndarray:
+            out = np.full((len(region_ids), len(bins)), fill, dtype=dtype)
+            out[cell] = [fill if (v := getattr(s, field)) is None else v for s in values]
+            return out
+
+        present = np.zeros((len(region_ids), len(bins)), dtype=bool)
+        present[cell] = True
+        return cls(
+            region_ids, bins, grid("window", object, None),
+            *(grid(field, np.int64, 0) for field in (
+                "n_messages", "n_original", "n_retweets", "n_popular", "active_users_window",
+                "active_users_period",
+            )),
+            grid("mean_sentiment", float, math.nan), grid("population", float, math.nan), present,
+        )
+
+    @cached_property
+    def _cell(self) -> tuple[dict[str, int], dict[int, int]]:
+        return {r: k for k, r in enumerate(self.region_ids)}, {b: j for j, b in enumerate(self.bins)}
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.present))
+
+    def __iter__(self) -> Iterator[tuple[str, int]]:
+        for k, j in zip(*np.nonzero(self.present)):
+            yield self.region_ids[k], self.bins[j]
+
+    def __getitem__(self, key: tuple[str, int]) -> ActivitySummary:
+        rows, columns = self._cell
+        try:
+            region_id, b = key
+            k, j = rows[region_id], columns[b]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+        if not self.present[k, j]:
+            raise KeyError(key)
+        mean, population = self.mean_sentiment[k, j].item(), self.population[k, j].item()
+        return ActivitySummary(
+            region_id, self.windows[k, j], self.n_messages[k, j].item(), self.n_original[k, j].item(),
+            self.n_retweets[k, j].item(), self.n_popular[k, j].item(), self.active_users_window[k, j].item(),
+            self.active_users_period[k, j].item(), None if math.isnan(mean) else mean,
+            None if math.isnan(population) else int(population),
+        )
+
+
 def summarize_daily(
     messages: MessageTable,
     assignments: RegionCodes | Mapping[str, str | None],
@@ -278,9 +368,9 @@ def summarize_daily(
     bins: Sequence[int],
     keywords: frozenset[str] | None = None,
     population: Mapping[str, int] | None = None,
-) -> dict[tuple[str, int], ActivitySummary]:
+) -> DailySummaries:
     """Summaries keyed by (region_id, bin index) for each requested bin, for
-    every region with a message in the tag scope."""
+    every region with a message in the tag scope, held as region × bin arrays."""
     if width <= timedelta(0):
         raise ValueError("bin width must be positive")
     table, codes = messages, _region_codes(messages, assignments)
@@ -296,17 +386,25 @@ def summarize_daily(
     n_bins = len(wanted)
     counts = _Cells(table, row[inside], region[inside] * n_bins + slot[inside], len(names) * n_bins)
 
-    slots = {b: j for j, b in enumerate(wanted.tolist())}
-    windows = [bin_window(epoch, width, b) for b in bins]
+    requested = list(dict.fromkeys(bins))
     in_scope = np.bincount(region, minlength=len(names)) > 0
-    active = [k for k in sorted(range(len(names)), key=names.__getitem__) if in_scope[k]]
-    keys = [(names[k], b) for k in active for b in bins]
+    active = np.array([k for k in sorted(range(len(names)), key=names.__getitem__) if in_scope[k]], dtype=np.intp)
+    cells = np.ix_(active, np.searchsorted(wanted, requested).astype(np.intp))
+    shape = (len(active), len(requested))
+
+    def grid(per_cell: np.ndarray) -> np.ndarray:
+        return per_cell.reshape(len(names), n_bins)[cells]
+
+    def per_region(values: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(values[:, None], shape)
+
+    windows = np.empty(len(requested), dtype=object)
+    windows[:] = [bin_window(epoch, width, b) for b in requested]
     population = population or {}
-    summaries = counts.summaries(
-        [k * n_bins + slots[b] for k in active for b in bins],
-        [region_id for region_id, _ in keys],
-        windows * len(active),
-        [users for users in period_users[active].tolist() for _ in bins],
-        [population.get(region_id) for region_id, _ in keys],
+    return DailySummaries(
+        tuple(names[k] for k in active.tolist()), tuple(requested), np.broadcast_to(windows, shape),
+        grid(counts.n_messages), grid(counts.n_messages - counts.n_retweets), grid(counts.n_retweets),
+        grid(counts.n_popular), grid(counts.users), per_region(period_users[active]), grid(counts.mean_sentiment),
+        per_region(np.array([population.get(names[k], math.nan) for k in active.tolist()], dtype=float)),
+        np.broadcast_to(True, shape),
     )
-    return dict(zip(keys, summaries))

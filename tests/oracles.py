@@ -4,8 +4,8 @@ Everything here is deliberately written the slow, obvious way (pair
 enumeration, explicit rank tables, literal permutation enumeration,
 region-by-region containment scans, one object per message) so it shares no
 code path with the package under test; it borrows only the package's record
-types and, for the simulator reference, its config types, region grid and
-GeoJSON feature.
+types, the daily series' correlation calls and, for the simulator reference,
+its config types, region grid and GeoJSON feature.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
+from damagenowcast.analysis import CorrelationSeries, SeriesEntry, _guarded
 from damagenowcast.geo import GeoPoint
 from damagenowcast.ingest import MessageRecord
-from damagenowcast.metrics import ActivitySummary, bin_window
+from damagenowcast.metrics import ActivitySummary, bin_window, normalized_activity
 from damagenowcast.simulate import _region_feature, _region_grid
 
 
@@ -435,6 +436,41 @@ def summarize_daily_reference(messages, assignments, epoch, width, bins, keyword
                 population=(population or {}).get(region_id),
             )
     return out
+
+
+def daily_correlation_series_reference(daily_summaries, damage_usd, population, bins,
+                                       normalization="per_capita", epoch=None, width=timedelta(hours=24)):
+    """The daily series read region by region from per-(region, bin) summary objects."""
+    regions = sorted(population)
+    entries = []
+    for b in bins:
+        activity, damage, sentiment, sentiment_damage = [], [], [], []
+        active = 0
+        messages = 0
+        for region in regions:
+            summary = daily_summaries.get((region, b))
+            if summary is None or summary.n_messages < 1:
+                continue
+            active += 1
+            messages += summary.n_messages
+            value = normalized_activity(summary, normalization, original_only=True)
+            damage_pc = damage_usd.get(region, 0.0) / population[region]
+            if value is not None:
+                activity.append(value)
+                damage.append(damage_pc)
+            if summary.mean_sentiment is not None:
+                sentiment.append(summary.mean_sentiment)
+                sentiment_damage.append(damage_pc)
+        entries.append(SeriesEntry(
+            bin_index=b,
+            bin_start=epoch + b * width if epoch is not None else None,
+            active_regions=active,
+            n_messages=messages,
+            activity_damage_kendall=_guarded(activity, damage, "kendall"),
+            activity_damage_spearman=_guarded(activity, damage, "spearman"),
+            sentiment_damage_kendall=_guarded(sentiment, sentiment_damage, "kendall"),
+        ))
+    return CorrelationSeries(entries=tuple(entries), normalization=normalization)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from datetime import datetime, timedelta, timezone
 
@@ -5,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from damagenowcast.analysis import daily_correlation_series
 from damagenowcast.ingest import MessageRecord, parse_messages, write_messages_csv
 from damagenowcast.metrics import (
+    ActivitySummary,
+    DailySummaries,
     RegionCodes,
     TimeWindow,
     bin_offsets,
@@ -17,7 +21,12 @@ from damagenowcast.metrics import (
     summarize_daily,
     summarize_regions,
 )
-from oracles import compute_activity_summary_reference, summarize_daily_reference, summarize_regions_reference
+from oracles import (
+    compute_activity_summary_reference,
+    daily_correlation_series_reference,
+    summarize_daily_reference,
+    summarize_regions_reference,
+)
 
 EPOCH = datetime(2012, 10, 30, tzinfo=timezone.utc)
 DAY = timedelta(hours=24)
@@ -352,3 +361,64 @@ class TestGroupedMatchesReference:
         ]
         expected = compute_activity_summary_reference(messages, "r1", None, period_users=2, population=7)
         _same({"r1": summary(messages, population=7)}, {"r1": expected})
+
+
+REGIONS = ("r0", "r1", "r2", "r3", "r4")
+
+
+@st.composite
+def plain_daily(draw):
+    """A sparse (region, bin) -> summary mapping whose fields vary from cell to cell."""
+    out = {}
+    for region in draw(st.lists(st.sampled_from(REGIONS), unique=True)):
+        for b in draw(st.lists(st.integers(-2, 3), unique=True)):
+            n = draw(st.integers(0, 9))
+            retweets = draw(st.integers(0, n))
+            out[(region, b)] = ActivitySummary(
+                region, None, n, n - retweets, retweets, draw(st.integers(0, n)), draw(st.integers(0, n)),
+                draw(st.integers(0, 5)), draw(st.one_of(st.none(), st.floats(-1, 1, allow_nan=False))),
+                draw(st.one_of(st.none(), st.integers(-1, 50))),
+            )
+    return out
+
+
+@st.composite
+def series_args(draw):
+    """Population, damage, the series' bins (repeats and unsummarized bins included) and the normalization."""
+    population = draw(st.dictionaries(st.sampled_from(REGIONS + ("r9",)), st.integers(1, 1000)))
+    damage = draw(st.dictionaries(st.sampled_from(REGIONS), st.floats(0, 1e6, allow_nan=False)))
+    bins = draw(st.lists(st.integers(-3, 4), max_size=6))
+    return population, damage, bins, draw(st.sampled_from(["per_capita", "per_period_user"]))
+
+
+def _bits(value):
+    """``value`` with each float as its hex text, so NaN equals NaN and only equal bits compare equal."""
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return value.hex() if isinstance(value, float) else value
+
+
+class TestSeriesMatchesReference:
+    """The array-based series equals the region-by-region reference, for both kinds of input."""
+
+    @given(corpus(), st.sampled_from([6, 24]), st.lists(st.integers(-6, 6), max_size=8), series_args())
+    @settings(max_examples=40, deadline=None)
+    def test_grouped_summaries(self, case, hours, bins, args):
+        messages, assignments, _, scopes, _ = case
+        population, damage, series_bins, normalization = args
+        width = timedelta(hours=hours)
+        daily = summarize_daily(table(messages), assignments, EPOCH, width, bins, scopes[0], population)
+        reference = summarize_daily_reference(messages, assignments, EPOCH, width, bins, scopes[0], population)
+        got = daily_correlation_series(daily, damage, population, series_bins, normalization, EPOCH, width)
+        expected = daily_correlation_series_reference(reference, damage, population, series_bins, normalization,
+                                                      EPOCH, width)
+        assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(expected))
+
+    @given(plain_daily(), series_args())
+    @settings(max_examples=60, deadline=None)
+    def test_plain_mapping(self, summaries, args):
+        population, damage, bins, normalization = args
+        assert DailySummaries.from_mapping(summaries) == summaries
+        got = daily_correlation_series(summaries, damage, population, bins, normalization)
+        expected = daily_correlation_series_reference(summaries, damage, population, bins, normalization)
+        assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(expected))
