@@ -457,7 +457,11 @@ def _write_overlay(
         collection = json.load(handle)
     features = collection.get("features", [])
     for feature in features:
-        props = feature.setdefault("properties", {})
+        if not isinstance(feature, dict):
+            continue  # parse_regions rejected it; it is copied through as it was
+        if not isinstance(feature.get("properties"), dict):
+            feature["properties"] = {}
+        props = feature["properties"]
         region_id = str(props.get("region_id", ""))
         props["activity_pc"] = activity_pc.get(region_id)
         props["damage_pc"] = damage_pc.get(region_id)

@@ -313,24 +313,29 @@ def _read_blocks(
     Each block comes as ``(col, width, rows, line numbers)``: ``col`` maps
     lowercased header names to column positions and ``width`` is the number
     of header cells. Every data row is counted in ``result.rows_total``.
+    Text the CSV reader cannot split, such as a cell over its field size
+    limit, is fatal: an :class:`IngestError` names the line.
     """
     stream, owned = _open_text(source)
     try:
         lines = _LineFilter(stream)
         reader = csv.reader(lines)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError(f"{what}: empty input")
-        col = _header_index(header, required, what)
-        rows: list[list[str]] = []
-        linenos: list[int] = []
-        for row in reader:
-            rows.append(row)
-            linenos.append(lines.lineno)
-            if len(rows) == _BLOCK_ROWS:
-                result.rows_total += len(rows)
-                yield col, len(header), rows, linenos
-                rows, linenos = [], []
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{what}: empty input")
+            col = _header_index(header, required, what)
+            rows: list[list[str]] = []
+            linenos: list[int] = []
+            for row in reader:
+                rows.append(row)
+                linenos.append(lines.lineno)
+                if len(rows) == _BLOCK_ROWS:
+                    result.rows_total += len(rows)
+                    yield col, len(header), rows, linenos
+                    rows, linenos = [], []
+        except csv.Error as exc:
+            raise IngestError(f"{what} line {lines.lineno}: {exc}") from None
         if rows:
             result.rows_total += len(rows)
             yield col, len(header), rows, linenos
@@ -675,11 +680,13 @@ def write_messages_csv(records: MessageTable | Iterable[MessageRecord], sink: st
     table = records if isinstance(records, MessageTable) else MessageTable.from_records(records)
     keyword_cells = [";".join(sorted(tags)) for tags in table.keyword_sets]
     writer = csv.writer(sink, lineterminator="\n")
+    quoted = csv.writer(sink, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(MESSAGE_COLUMNS)
     for start in range(0, len(table), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        writer.writerows(zip(
-            table.message_id[rows].tolist(),
+        ids = table.message_id[rows]
+        block = zip(
+            ids.tolist(),
             table.user_ids[table.user[rows]].tolist(),
             _timestamp_texts(table.time_us[rows]),
             _float_texts(table.lat[rows]),
@@ -688,7 +695,14 @@ def write_messages_csv(records: MessageTable | Iterable[MessageRecord], sink: st
             np.where(table.is_retweet[rows], "1", "0").tolist(),
             list(map(str, table.retweeted_count[rows].tolist())),
             _float_texts(table.sentiment[rows]),
-        ))
+        )
+        # a line whose first visible character is '#' reads back as a comment: quote such a row
+        comment = np.strings.startswith(np.strings.lstrip(ids), "#")
+        if comment.any():
+            for row, quote in zip(block, comment.tolist()):
+                (quoted if quote else writer).writerow(row)
+        else:
+            writer.writerows(block)
 
 
 def _timestamp_texts(time_us: np.ndarray) -> list[str]:

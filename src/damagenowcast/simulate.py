@@ -229,7 +229,11 @@ def _simulate_region(config: SimConfig, spec: _RegionSpec, seed_seq: np.random.S
             rate = _per_person_rate(config, profile, proximity, day, burst_rate)
             if window_lo <= day < window_hi:
                 latent_rate += rate
-            count = int(rng.poisson(population * rate))
+            try:
+                count = int(rng.poisson(population * rate))
+            except ValueError as exc:  # numpy draws no rate above about 9.2e18
+                raise ValueError(f"an expected {population * rate:g} messages in one region on one day is too "
+                                 f"many to draw ({exc}); lower --base-rate, --amplitude or --media-burst") from None
             if count == 0:
                 continue
             batches.append((
@@ -323,18 +327,21 @@ def _region_feature(spec: _RegionSpec) -> dict:
 
 
 def generate(config: SimConfig, out_dir: str | Path) -> SimBundle:
-    """Write the full synthetic bundle into ``out_dir`` and return its paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write the full synthetic bundle into ``out_dir`` and return its paths.
 
+    Every draw is made before ``out_dir`` is created, so a failing draw
+    leaves no directory behind.
+    """
     track_points = [GeoPoint(lat=lat, lon=lon) for lat, lon in config.track]
     specs = _region_grid(config, track_points)
     seeds = np.random.SeedSequence(config.seed).spawn(len(specs))
 
     draws = [_simulate_region(config, spec, seq) for spec, seq in zip(specs, seeds)]
-
-    messages_csv = out / "messages.csv"
     messages = _message_table(config, draws)
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    messages_csv = out / "messages.csv"
     write_messages_csv(messages, messages_csv)
 
     regions_geojson = out / "regions.geojson"

@@ -59,6 +59,8 @@ class TestSimulateCommand:
         ("--keyword", "", "--keyword must be one tag"),
         ("--keyword", "a;b", "--keyword must be one tag"),
         ("--sigma", "nan", "--sigma must be finite and non-negative"),
+        ("--base-rate", "1e300", "lower --base-rate, --amplitude or --media-burst"),
+        ("--amplitude", "1e300", "lower --base-rate, --amplitude or --media-burst"),
     ])
     def test_bad_argument_is_a_usage_error_before_writing(self, tmp_path, capsys, option, value, message):
         out = tmp_path / "sim"

@@ -110,6 +110,12 @@ class TestParseMessages:
         with pytest.raises(IngestError):
             parse_messages(tmp_path / "missing.csv")
 
+    def test_cell_over_the_field_limit_fatal_with_line(self):
+        # csv's default field limit is 131,072 characters; the limit itself is left alone
+        stream = messages_csv("m1,u1,2012-10-30T00:00:00Z,,,sandy,0,0,", f"m2,{'u' * 140_000},2012-10-30,,,sandy,0,0,")
+        with pytest.raises(IngestError, match=r"^messages line 3: field larger than field limit"):
+            parse_messages(stream)
+
     def test_round_trip(self, tmp_path):
         stream = messages_csv(
             "m1,u1,2012-10-30T00:00:00Z,40.71,-74.01,sandy;storm,0,3,-0.2",
@@ -138,17 +144,18 @@ class TestParseMessages:
         assert ingest.format_timestamp(utc(2012, 10, 30)) == "2012-10-30T00:00:00Z"
 
 
-def _csv_line(cells) -> str:
+def _csv_line(cells, quoting=csv.QUOTE_MINIMAL) -> str:
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="").writerow(cells)
+    csv.writer(buffer, lineterminator="", quoting=quoting).writerow(cells)
     return buffer.getvalue()
 
 
 @st.composite
 def message_rows(draw):
-    # ids and users may hold a comma, a quote or a space, which the writer must quote
+    # ids and users may hold a comma, a quote or a space, which the writer must quote; an id may
+    # start with '#', which the writer must quote too, or the line would read as a comment
     quoted = st.text(alphabet='ab,"; ', max_size=4)
-    message_id = draw(st.uuids()).hex + draw(quoted)
+    message_id = draw(st.sampled_from(["", "#"])) + draw(st.uuids()).hex + draw(quoted)
     user_id = draw(st.text(alphabet="abcdef0123456789", min_size=1, max_size=8)) + draw(quoted)
     # years 1-9999, so both sides of the Unix epoch, to the microsecond
     stamp = draw(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59, 999999)))
@@ -162,7 +169,7 @@ def message_rows(draw):
         message_id, user_id, stamp.isoformat() + "Z", "" if lat is None else repr(lat),
         "" if lat is None else repr(lon), ";".join(keywords), is_retweet, count,
         "" if sentiment is None else repr(sentiment),
-    ])
+    ], quoting=csv.QUOTE_ALL if message_id.startswith("#") else csv.QUOTE_MINIMAL)
 
 
 class TestMessageInvariants:
