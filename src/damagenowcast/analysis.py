@@ -9,7 +9,6 @@ inputs; ties break on the keyword or region identifier.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Mapping, Sequence
@@ -289,7 +288,7 @@ def daily_correlation_series(
         damage_pc = np.array([damage_usd.get(r, 0.0) for r in regions], dtype=float) / np.array(
             [population[r] for r in regions], dtype=float)
     valued = active & (denominator > 0)
-    sentiment = per_bin(daily.mean_sentiment, math.nan)
+    sentiment = per_bin(daily.mean_sentiment, np.nan)
     scored = active & ~np.isnan(sentiment)
     entries = tuple(
         SeriesEntry(
