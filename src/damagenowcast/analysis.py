@@ -273,7 +273,7 @@ def daily_correlation_series(
     rows = [k for k, region in enumerate(daily.region_ids) if region in population]
     regions = [daily.region_ids[k] for k in rows]
     column = {b: j for j, b in enumerate(daily.bins)}
-    # a bin with no summaries reads the column appended below, where no region is present
+    # a bin with no summaries reads the zero column appended below; like a missing key, it has no active region
     columns = [column.get(b, len(daily.bins)) for b in bins]
 
     def per_bin(values: np.ndarray, fill) -> np.ndarray:
@@ -281,7 +281,7 @@ def daily_correlation_series(
         return np.hstack([values[rows], np.full((len(rows), 1), fill, dtype=values.dtype)])[:, columns].T
 
     n_messages = per_bin(daily.n_messages, 0)
-    active = per_bin(daily.present, False) & (n_messages >= 1)
+    active = n_messages >= 1
     denominator = per_bin(daily.population if normalization == "per_capita" else daily.active_users_period, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         activity = per_bin(daily.n_original, 0) / denominator

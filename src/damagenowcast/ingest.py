@@ -684,25 +684,28 @@ def write_messages_csv(records: MessageTable | Iterable[MessageRecord], sink: st
     writer.writerow(MESSAGE_COLUMNS)
     for start in range(0, len(table), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        ids = table.message_id[rows]
-        block = zip(
-            ids.tolist(),
-            table.user_ids[table.user[rows]].tolist(),
-            _timestamp_texts(table.time_us[rows]),
-            _float_texts(table.lat[rows]),
-            _float_texts(table.lon[rows]),
-            list(map(keyword_cells.__getitem__, table.keyword_set[rows].tolist())),
-            np.where(table.is_retweet[rows], "1", "0").tolist(),
-            list(map(str, table.retweeted_count[rows].tolist())),
-            _float_texts(table.sentiment[rows]),
-        )
         # a line whose first visible character is '#' reads back as a comment: quote such a row
-        comment = np.strings.startswith(np.strings.lstrip(ids), "#")
+        comment = np.strings.startswith(np.strings.lstrip(table.message_id[rows]), "#")
         if comment.any():
-            for row, quote in zip(block, comment.tolist()):
+            for row, quote in zip(_message_cells(table, keyword_cells, rows), comment.tolist()):
                 (quoted if quote else writer).writerow(row)
         else:
-            writer.writerows(block)
+            writer.writerows(_message_cells(table, keyword_cells, rows))
+
+
+def _message_cells(table: MessageTable, keyword_cells: list[str], rows: slice) -> Iterator[tuple[str, ...]]:
+    """The CSV cells of the table's ``rows``, one tuple per row."""
+    return zip(
+        table.message_id[rows].tolist(),
+        table.user_ids[table.user[rows]].tolist(),
+        _timestamp_texts(table.time_us[rows]),
+        _float_texts(table.lat[rows]),
+        _float_texts(table.lon[rows]),
+        list(map(keyword_cells.__getitem__, table.keyword_set[rows].tolist())),
+        np.where(table.is_retweet[rows], "1", "0").tolist(),
+        list(map(str, table.retweeted_count[rows].tolist())),
+        _float_texts(table.sentiment[rows]),
+    )
 
 
 def _timestamp_texts(time_us: np.ndarray) -> list[str]:

@@ -279,8 +279,9 @@ class DailySummaries(MappingABC):
 
     Row ``k`` of every array is ``region_ids[k]`` and column ``j`` is
     ``bins[j]``; the key ``(region_ids[k], bins[j])`` exists where
-    ``present[k, j]``. ``mean_sentiment`` is NaN where no message carries a
-    score and ``population`` is NaN where it is unknown. An array that holds
+    ``present[k, j]``; the counts are 0 where it does not. ``mean_sentiment``
+    is NaN where no message carries a score and ``population`` is NaN where
+    it is unknown. An array that holds
     one value per region or per bin is a broadcast view, not a copy.
 
     Indexing gives one :class:`ActivitySummary`, built on lookup, for callers

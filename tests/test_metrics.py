@@ -370,8 +370,8 @@ REGIONS = ("r0", "r1", "r2", "r3", "r4")
 def plain_daily(draw):
     """A sparse (region, bin) -> summary mapping whose fields vary from cell to cell."""
     out = {}
-    for region in draw(st.lists(st.sampled_from(REGIONS), unique=True)):
-        for b in draw(st.lists(st.integers(-2, 3), unique=True)):
+    for region in draw(st.lists(st.sampled_from(REGIONS), min_size=3, unique=True)):
+        for b in draw(st.lists(st.integers(-1, 1), min_size=1, unique=True)):
             n = draw(st.integers(0, 9))
             retweets = draw(st.integers(0, n))
             out[(region, b)] = ActivitySummary(
@@ -385,9 +385,9 @@ def plain_daily(draw):
 @st.composite
 def series_args(draw):
     """Population, damage, the series' bins (repeats and unsummarized bins included) and the normalization."""
-    population = draw(st.dictionaries(st.sampled_from(REGIONS + ("r9",)), st.integers(1, 1000)))
+    population = draw(st.dictionaries(st.sampled_from(REGIONS + ("r9",)), st.integers(1, 1000), min_size=4))
     damage = draw(st.dictionaries(st.sampled_from(REGIONS), st.floats(0, 1e6, allow_nan=False)))
-    bins = draw(st.lists(st.integers(-3, 4), max_size=6))
+    bins = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=6))
     return population, damage, bins, draw(st.sampled_from(["per_capita", "per_period_user"]))
 
 
