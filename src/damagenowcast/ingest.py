@@ -683,20 +683,15 @@ def write_messages_csv(records: MessageTable | Iterable[MessageRecord], sink: st
     quoted = csv.writer(sink, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(MESSAGE_COLUMNS)
     for start in range(0, len(table), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        # a line whose first visible character is '#' reads back as a comment: quote such a row
-        comment = np.strings.startswith(np.strings.lstrip(table.message_id[rows]), "#")
-        if comment.any():
-            for row, quote in zip(_message_cells(table, keyword_cells, rows), comment.tolist()):
-                (quoted if quote else writer).writerow(row)
-        else:
-            writer.writerows(_message_cells(table, keyword_cells, rows))
+        _write_block(writer, quoted, table, keyword_cells, slice(start, start + _BLOCK_ROWS))
 
 
-def _message_cells(table: MessageTable, keyword_cells: list[str], rows: slice) -> Iterator[tuple[str, ...]]:
-    """The CSV cells of the table's ``rows``, one tuple per row."""
-    return zip(
-        table.message_id[rows].tolist(),
+def _write_block(writer, quoted, table: MessageTable, keyword_cells: list[str], rows: slice) -> None:
+    """Write the table's ``rows`` with ``writer``, and through ``quoted`` a row
+    whose line would start with '#', which reads back as a comment."""
+    ids = table.message_id[rows].tolist()
+    cells = zip(
+        ids,
         table.user_ids[table.user[rows]].tolist(),
         _timestamp_texts(table.time_us[rows]),
         _float_texts(table.lat[rows]),
@@ -706,6 +701,11 @@ def _message_cells(table: MessageTable, keyword_cells: list[str], rows: slice) -
         list(map(str, table.retweeted_count[rows].tolist())),
         _float_texts(table.sentiment[rows]),
     )
+    if "#" in "".join(ids):
+        for row in cells:
+            (quoted if row[0].lstrip()[:1] == "#" else writer).writerow(row)
+    else:
+        writer.writerows(cells)
 
 
 def _timestamp_texts(time_us: np.ndarray) -> list[str]:
