@@ -26,10 +26,13 @@ COMMANDS = {
                   "--window", "2012-10-31..2012-11-05", "--out", "summarize"),
     "correlate": ("correlate", *INPUTS, *TABLES, "--overlay", "correlate/overlay.geojson",
                   "--out", "correlate"),
+    "correlate-original": ("correlate", *INPUTS, *TABLES, "--original-only", "--keywords", "power,sandy",
+                           "--out", "correlate-original"),
     "series": ("series", *INPUTS, *TABLES, "--out", "series"),
     "series-per-user": ("series", *INPUTS, *TABLES, "--normalization", "per_period_user", "--bin-hours", "6",
                         "--span", "2012-10-28..2012-11-03", "--out", "series-per-user"),
     "nowcast": ("nowcast", *INPUTS, *TABLES, "--out", "nowcast"),
+    "nowcast-all": ("nowcast", *INPUTS, *TABLES, "--no-original-only", "--out", "nowcast-all"),
     "rank-keywords": ("rank-keywords", *INPUTS, "--track", "bundle/track.csv",
                       "--window", "2012-10-25..2012-11-08", "--out", "rank-keywords"),
 }
@@ -48,8 +51,11 @@ EXTRA_ROWS = (
 
 GOLDEN = {
     "correlate/correlations.csv": "65f4e44ef3691580a695e5d3557c9b68b0b833d5c8f78750031798e3a7027119",
+    "correlate-original/correlations.csv": "1f6072ac72ff89aeb8deb425c4449ee0c818df9ea22916cfb4b07707a0364f9d",
     "correlate/overlay.geojson": "ad86bc60f66cdb0791b4cbe7107916bc3eca2036e63386413d11608a38a92ac1",
     "join/join.csv": "65d55cb1e3f6d49505e827ef5e075048d103a526a04a749e1c3bbb6b8736475d",
+    "nowcast-all/nowcast.csv": "85a17b6ae13aa258fc1bcb4bef8af24f8511087ebdc47c96daaf299c896a2997",
+    "nowcast-all/nowcast_excluded.csv": "1274d2decdd9f16ba5233dc59af276b38987d11c7dabd42963752d953b646272",
     "nowcast/nowcast.csv": "7b1d222171d1a1a620fcc7f56e256e618aba655a35012a28ee4a1d8c32c3868f",  # damage_rank column
     "nowcast/nowcast_excluded.csv": "db0d7ba7af12742c49e6f5ca53bb9eac989ff7114b9e14f63bb711c5c57cc125",
     "rank-keywords/keywords.csv": "5cf1b3c22d8165b2004f139c2764261acadb8eea72e5e726791a6215bf8bbac5",
