@@ -17,7 +17,8 @@ import numpy as np
 
 from .metrics import (
     ActivitySummary,
-    DailySummaries,
+    GridColumn,
+    SummaryGrid,
     TimeWindow,
     local_popularity,
     normalized_activity,
@@ -101,37 +102,35 @@ def rank_keywords(
     """Rank keywords by the strength of their activity-vs-distance correlation.
 
     ``city_summaries`` is keyed by (city_id, keyword) and holds whole-period
-    summaries. Cities outside ``city_subset`` are ignored; a keyword active in
-    fewer than three subset cities is flagged degenerate and ranked last.
+    summaries; a plain mapping is first gathered into a :class:`SummaryGrid`.
+    Cities outside ``city_subset`` are ignored, and so is a keyword with no
+    summary in a subset city; a keyword active in fewer than three subset
+    cities is flagged degenerate and ranked last.
     """
-    cities = set(city_subset) if city_subset is not None else {c for c, _ in city_summaries}
-    missing = [c for c in sorted(cities) if c not in distances_km]
+    grid = SummaryGrid.from_mapping(city_summaries)
+    cities = sorted(set(city_subset) if city_subset is not None else grid.region_ids)
+    missing = [c for c in cities if c not in distances_km]
     if missing:
         raise ValueError(f"no track distance for city {missing[0]!r}")
 
-    keywords = sorted({k for _, k in city_summaries})
+    position = grid.positions[0]
+    rows = np.array([position[c] for c in cities if c in position], dtype=np.intp)
+    distance = np.array([distances_km[grid.region_ids[k]] for k in rows.tolist()], dtype=float)
+    count = (grid.n_original if original_only else grid.n_messages)[rows]
+    users = grid.active_users_period[rows]
+    present = grid.present[rows]
+    valued = present & (grid.n_messages[rows] >= 1) & (users > 0)
     entries = []
-    for keyword in keywords:
-        activity: list[float] = []
-        distance: list[float] = []
-        for city in sorted(cities):
-            summary = city_summaries.get((city, keyword))
-            if summary is None or summary.n_messages < 1:
-                continue
-            value = normalized_activity(summary, "per_period_user", original_only)
-            if value is None:
-                continue
-            activity.append(value)
-            distance.append(distances_km[city])
-        n_cities = len(activity)
-        kendall = _guarded(activity, distance, "kendall")
-        spearman = _guarded(activity, distance, "spearman")
+    for j in np.flatnonzero(present.any(axis=0)).tolist():
+        on = valued[:, j]
+        activity = count[on, j] / users[on, j]
+        kendall = _guarded(activity, distance[on], "kendall")
         entries.append(
             KeywordRelevance(
-                keyword=keyword,
+                keyword=grid.columns[j],
                 kendall=kendall,
-                spearman=spearman,
-                n_cities=n_cities,
+                spearman=_guarded(activity, distance[on], "spearman"),
+                n_cities=len(activity),
                 degenerate=kendall.degenerate,
             )
         )
@@ -250,7 +249,7 @@ class CorrelationSeries:
 
 
 def daily_correlation_series(
-    daily_summaries: DailySummaries | Mapping[tuple[str, int], ActivitySummary],
+    daily_summaries: SummaryGrid | Mapping[tuple[str, int], ActivitySummary],
     damage_usd: Mapping[str, float],
     population: Mapping[str, int],
     bins: Sequence[int],
@@ -264,17 +263,17 @@ def daily_correlation_series(
     Inactive regions (no messages that day) are discarded per bin; bins with
     fewer than three active regions yield degenerate entries but the series
     continues. Regions without a population entry never participate. A plain
-    mapping is first gathered into :class:`DailySummaries`; each bin's vectors
+    mapping is first gathered into a :class:`SummaryGrid`; each bin's vectors
     are then slices of its arrays, regions in sorted order.
     """
     if normalization not in ("per_capita", "per_period_user"):
         raise ValueError(f"unknown normalization mode {normalization!r}")
-    daily = DailySummaries.from_mapping(daily_summaries)
+    daily = SummaryGrid.from_mapping(daily_summaries)
     rows = [k for k, region in enumerate(daily.region_ids) if region in population]
     regions = [daily.region_ids[k] for k in rows]
-    column = {b: j for j, b in enumerate(daily.bins)}
+    column = daily.positions[1]
     # a bin with no summaries reads the zero column appended below; like a missing key, it has no active region
-    columns = [column.get(b, len(daily.bins)) for b in bins]
+    columns = [column.get(b, len(daily.columns)) for b in bins]
 
     def per_bin(values: np.ndarray, fill) -> np.ndarray:
         """Requested bins x the regions in ``population``."""
@@ -352,6 +351,22 @@ class DamageCorrelationReport:
         return None
 
 
+def _columns(per_column: Mapping[object, Mapping[str, ActivitySummary]]) -> tuple[SummaryGrid, list[int]]:
+    """One grid holding each region -> summary mapping of ``per_column`` as a
+    column, and their column numbers, names in sorted order. Columns of one
+    grid are used as they are; plain mappings are gathered first."""
+    names = sorted(per_column)
+    views = [per_column[name] for name in names]
+    if views and all(isinstance(v, GridColumn) and v.grid is views[0].grid for v in views):
+        return views[0].grid, [v.column for v in views]
+    summaries = {(region, name): s for name in names for region, s in per_column[name].items()}
+    return SummaryGrid.from_mapping(summaries, columns=names), list(range(len(names)))
+
+
+def _by_region(values: Mapping[str, float], region_ids: Sequence[str]) -> np.ndarray:
+    return np.array([values.get(region, 0.0) for region in region_ids], dtype=float)
+
+
 def damage_correlation_report(
     scope_summaries: Mapping[str, Mapping[str, ActivitySummary]],
     damage_by_source: Mapping[str, Mapping[str, float]],
@@ -366,43 +381,36 @@ def damage_correlation_report(
     """Every correlation cell for the keyword x source x normalization x transform grid.
 
     ``scope_summaries`` maps a scope name (a keyword, or :data:`POOLED`) to
-    per-region summaries over the analysis window. The activity side follows
-    the normalization toggle; per-capita damage always divides by census
-    population except in sentiment cells, where the toggle selects the damage
-    denominator (sentiment itself has no count to normalize). Sentiment cells
-    are emitted raw-only.
+    per-region summaries over the analysis window: the columns of one
+    :class:`SummaryGrid`, or plain mappings, which are gathered into one
+    first. The activity side follows the normalization toggle; per-capita
+    damage always divides by census population except in sentiment cells,
+    where the toggle selects the damage denominator (sentiment itself has no
+    count to normalize). Sentiment cells are emitted raw-only. Each cell's
+    vectors are slices of the grid's arrays, regions in sorted order.
     """
+    grid, columns = _columns(scope_summaries)
+    census = _by_region(population, grid.region_ids)
+    known = np.array([region in population for region in grid.region_ids], dtype=bool)
+    damages = {source: _by_region(damage_by_source[source], grid.region_ids) for source in sorted(damage_by_source)}
+    count = grid.n_original if original_only else grid.n_messages
+    own_population = np.nan_to_num(grid.population, nan=0.0)
     cells: list[ReportCell] = []
-    for scope in sorted(scope_summaries):
-        summaries = scope_summaries[scope]
-        for source in sorted(damage_by_source):
-            damage = damage_by_source[source]
+    for scope, j in zip(sorted(scope_summaries), columns):
+        on = grid.present[:, j] & known & (grid.n_messages[:, j] >= 1)
+        active = int(np.count_nonzero(on))
+        users, mood = grid.active_users_period[on, j], grid.mean_sentiment[on, j]
+        for source, damage in damages.items():
             for norm in normalizations:
-                mode = "per_capita" if norm == "census_population" else "per_period_user"
-                activity: list[float] = []
-                damage_pc: list[float] = []
-                sentiment: list[float] = []
-                sentiment_damage: list[float] = []
-                active = 0
-                for region in sorted(summaries):
-                    summary = summaries[region]
-                    if summary.n_messages < 1 or region not in population:
-                        continue
-                    active += 1
-                    value = normalized_activity(summary, mode, original_only)
-                    pc = damage.get(region, 0.0) / population[region]
-                    if value is not None:
-                        activity.append(value)
-                        damage_pc.append(pc)
-                    if summary.mean_sentiment is not None:
-                        denom = (
-                            population[region]
-                            if norm == "census_population"
-                            else summary.active_users_period
-                        )
-                        if denom > 0:
-                            sentiment.append(summary.mean_sentiment)
-                            sentiment_damage.append(damage.get(region, 0.0) / denom)
+                per_capita = norm == "census_population"
+                denominator = own_population[on, j] if per_capita else users
+                valued = denominator > 0
+                activity = count[on, j][valued] / denominator[valued]
+                damage_pc = (damage[on] / census[on])[valued]
+                mood_denominator = census[on] if per_capita else users
+                scored = ~np.isnan(mood) & (mood_denominator > 0)
+                sentiment = mood[scored]
+                sentiment_damage = damage[on][scored] / mood_denominator[scored]
                 for transform in transforms:
                     for method in methods:
                         cells.append(
@@ -462,43 +470,33 @@ def nowcast(
     Inactive regions and regions without a usable population denominator are
     listed separately with reasons. When a damage snapshot is supplied, each
     ranked region also reports its rank in the per-capita damage ordering (1
-    is the hardest hit), for rank-discrepancy inspection.
+    is the hardest hit), for rank-discrepancy inspection. ``summaries`` is a
+    column of a :class:`SummaryGrid` or a plain mapping gathered into one.
     """
-    scored: list[tuple[float, str, ActivitySummary]] = []
-    excluded: list[tuple[str, str]] = []
-    for region in sorted(summaries):
-        summary = summaries[region]
-        count = summary.n_original if original_only else summary.n_messages
-        if count < 1:
-            excluded.append((region, "inactive"))
-            continue
-        if not summary.population or summary.population <= 0:
-            excluded.append((region, "no population"))
-            continue
-        scored.append((count / summary.population, region, summary))
-    scored.sort(key=lambda item: (-item[0], item[1]))
+    grid, (j,) = _columns({None: summaries})
+    rows = np.flatnonzero(grid.present[:, j])
+    regions = [grid.region_ids[k] for k in rows.tolist()]
+    count = (grid.n_original if original_only else grid.n_messages)[rows, j]
+    population = grid.population[rows, j]
+    inactive = count < 1
+    usable = ~inactive & (population > 0)
+    excluded = [(regions[i], "inactive" if inactive[i] else "no population") for i in np.flatnonzero(~usable).tolist()]
+    ranked = np.flatnonzero(usable)  # regions in sorted order, so the stable sorts break ties on region_id
+    value = count[ranked] / population[ranked]
+    by_value = np.argsort(-value, kind="stable")
+    order = ranked[by_value]
 
-    damage_rank: dict[str, int] = {}
-    if damage_usd is not None and scored:
-        per_capita = [
-            (-(damage_usd.get(region, 0.0) / summary.population), region)
-            for _, region, summary in scored
-        ]
-        for position, (_, region) in enumerate(sorted(per_capita), start=1):
-            damage_rank[region] = position
+    damage_rank = np.zeros(len(rows), dtype=np.int64)  # 0: no damage snapshot
+    if damage_usd is not None:
+        per_capita = _by_region(damage_usd, [regions[i] for i in ranked.tolist()]) / population[ranked]
+        damage_rank[ranked[np.argsort(-per_capita, kind="stable")]] = np.arange(1, len(ranked) + 1)
 
-    entries = tuple(
-        NowcastEntry(
-            rank=i,
-            region_id=region,
-            per_capita_activity=value,
-            n_original=summary.n_original,
-            n_messages=summary.n_messages,
-            population=summary.population or 0,
-            damage_rank=damage_rank.get(region),
-        )
-        for i, (value, region, summary) in enumerate(scored, start=1)
-    )
+    at = rows[order]
+    entries = tuple(map(
+        NowcastEntry, range(1, len(order) + 1), [regions[k] for k in order.tolist()], value[by_value].tolist(),
+        grid.n_original[at, j].tolist(), grid.n_messages[at, j].tolist(), population[order].astype(int).tolist(),
+        [rank or None for rank in damage_rank[order].tolist()],
+    ))
     return NowcastReport(
         entries=entries,
         excluded=tuple(excluded),

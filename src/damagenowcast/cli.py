@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import sys
@@ -47,6 +46,7 @@ from .ingest import (
 )
 from .metrics import (
     ActivitySummary,
+    GridColumn,
     RegionCodes,
     TimeWindow,
     bin_offsets,
@@ -136,11 +136,9 @@ def _write_report(
 def _assignments(messages: MessageTable, regions: Sequence[RegionBoundary], cell_deg: float) -> RegionCodes:
     """The region of every message: one code per row into the sorted region ids, -1 for none."""
     index = SpatialIndex(regions, cell_deg=cell_deg)
-    joined = spatial_join(messages, regions, index)  # the located rows, in row order
-    position = {region_id: k for k, region_id in enumerate(index.region_ids)}
-    located = ~np.isnan(messages.lat)
+    joined = spatial_join(messages, regions, index)  # codes of the located rows, in row order
     codes = np.full(len(messages), -1, dtype=np.int64)
-    codes[located] = np.fromiter(map(position.get, joined.values(), itertools.repeat(-1)), np.int64, len(joined))
+    codes[~np.isnan(messages.lat)] = joined.codes
     return RegionCodes(codes, index.region_ids)
 
 
@@ -150,6 +148,12 @@ def _records(name: str, result: ParseResult):
         print(f"{name}: {result.rows_rejected} of {result.rows_total} rows rejected (run validate for details)",
               file=sys.stderr)
     return result.records
+
+
+def _regions(path: str, keep_document: bool = False) -> tuple[list[RegionBoundary], dict | None]:
+    """The parsed regions, and the decoded GeoJSON document when ``keep_document``."""
+    result = parse_regions(path)
+    return _records("regions", result), result.document if keep_document else None
 
 
 def _population(path: str) -> dict[str, int]:
@@ -311,14 +315,9 @@ def _cmd_rank_keywords(args: argparse.Namespace) -> int:
     per_keyword = summarize_regions(
         messages, assignments, window, scopes={tag: frozenset({tag}) for tag in messages.tags}
     )
-    city_summaries = {
-        (region_id, keyword): summary
-        for keyword, per_region in per_keyword.items()
-        for region_id, summary in per_region.items()
-        if region_id in distances
-    }
-
-    ranking = rank_keywords(city_summaries, distances, city_subset=distances)
+    # every column is a view of one region x keyword grid; no tags, no grid
+    grid = next(iter(per_keyword.values())).grid if per_keyword else {}
+    ranking = rank_keywords(grid, distances, city_subset=distances)
     rows = []
     for i, entry in enumerate(ranking.entries, start=1):
         rows.append(
@@ -361,7 +360,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         window = None
     else:
         messages = _records("messages", parse_messages(args.messages))
-        regions = _records("regions", parse_regions(args.regions))
+        regions, collection = _regions(args.regions, keep_document=bool(args.overlay))
         population = _population(args.population)
         damage_by_source = _load_damage(args.damage)
         assignments = _assignments(messages, regions, args.cell_deg)
@@ -421,7 +420,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
     if args.overlay:
         damage = _ex_post_damage(damage_by_source)
-        _write_overlay(args, scope_summaries[POOLED], damage, population)
+        _write_overlay(args.overlay, collection, scope_summaries[POOLED], damage, population)
 
     activity_cells = [c for c in report.cells if c.variable == "activity"]
     if activity_cells and all(c.result.degenerate for c in activity_cells):
@@ -431,8 +430,9 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _write_overlay(
-    args: argparse.Namespace,
-    pooled: Mapping[str, ActivitySummary],
+    path: str,
+    collection: dict,
+    pooled: GridColumn,
     damage: Mapping[str, float],
     population: Mapping[str, int],
 ) -> None:
@@ -443,18 +443,18 @@ def _write_overlay(
     if not damage:
         print(f"correlate: no ex-post damage rows (every source except {MODELED_SOURCE}); "
               "overlay damage_pc and rank_discrepancy are null", file=sys.stderr)
-    activity_pc: dict[str, float] = {}
+    grid, j = pooled.grid, pooled.column
+    known = np.array([region_id in population for region_id in grid.region_ids], dtype=bool)
+    rows = np.flatnonzero(grid.present[:, j] & known & (grid.n_messages[:, j] >= 1))
+    regions = [grid.region_ids[k] for k in rows.tolist()]
+    people = np.array([population[region_id] for region_id in regions], dtype=float)
+    activity_pc = dict(zip(regions, (grid.n_messages[rows, j] / people).tolist()))
     damage_pc: dict[str, float] = {}
-    for region_id, summary in pooled.items():
-        if region_id not in population or summary.n_messages < 1:
-            continue
-        activity_pc[region_id] = summary.n_messages / population[region_id]
-        if damage:
-            damage_pc[region_id] = damage.get(region_id, 0.0) / population[region_id]
+    if damage:
+        amounts = np.array([damage.get(region_id, 0.0) for region_id in regions], dtype=float)
+        damage_pc = dict(zip(regions, (amounts / people).tolist()))
     discrepancy = region_rank_discrepancy(activity_pc, damage_pc)
 
-    with open(args.regions, encoding="utf-8") as handle:
-        collection = json.load(handle)
     features = collection.get("features", [])
     for feature in features:
         if not isinstance(feature, dict):
@@ -466,10 +466,10 @@ def _write_overlay(
         props["activity_pc"] = activity_pc.get(region_id)
         props["damage_pc"] = damage_pc.get(region_id)
         props["rank_discrepancy"] = discrepancy.get(region_id)
-    Path(args.overlay).write_text(
+    Path(path).write_text(
         json.dumps(collection, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
     )
-    print(f"wrote {args.overlay} ({len(features)} features)")
+    print(f"wrote {path} ({len(features)} features)")
 
 
 def _cmd_series(args: argparse.Namespace) -> int:

@@ -30,7 +30,9 @@ rings minus its holes.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
@@ -40,6 +42,7 @@ from .ingest import MessageTable, RegionBoundary
 __all__ = [
     "EARTH_RADIUS_KM",
     "GeoPoint",
+    "JoinedRows",
     "SpatialIndex",
     "haversine_km",
     "point_to_track_km",
@@ -383,18 +386,50 @@ class SpatialIndex:
         return first
 
 
+@dataclass(frozen=True, eq=False)
+class JoinedRows(Mapping):
+    """Read-only message_id -> region_id (or None) view of the ``located``
+    rows of ``table``, in row order. ``codes[i]`` is the position in
+    ``region_ids`` of the region holding the ``i``-th of them, or -1 for
+    none; ids are read only when the view is read as a mapping."""
+
+    table: MessageTable
+    located: np.ndarray
+    codes: np.ndarray
+    region_ids: list[str]
+
+    @cached_property
+    def _row(self) -> dict[str, int]:
+        return {point_id: i for i, point_id in enumerate(self)}
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.table.message_id[self.located].tolist())
+
+    def __getitem__(self, point_id: str) -> str | None:
+        code = self.codes[self._row[point_id]]
+        return self.region_ids[code] if code >= 0 else None
+
+    def values(self) -> list[str | None]:
+        # position -1 picks the trailing None: contained by no region
+        return np.array(self.region_ids + [None], dtype=object)[self.codes].tolist()
+
+
 def spatial_join(
     points: Iterable[tuple[str, _HasLatLon]] | MessageTable,
     regions: Sequence[RegionBoundary],
     index: SpatialIndex | None = None,
-) -> dict[str, str | None]:
+) -> dict[str, str | None] | JoinedRows:
     """Assign each point to the region containing it (None when uncontained).
 
-    ``points`` are (point_id, point) pairs, or a message table whose located
-    rows are the points, keyed by message_id in row order. Overlapping boundaries are
-    tie-broken to the lexicographically smallest region_id, so the result is
-    independent of point order, region order, and index cell size. A given
-    ``index`` must have been built over ``regions``.
+    ``points`` are (point_id, point) pairs, which give a dict, or a message
+    table, which gives a :class:`JoinedRows` view of its located rows keyed
+    by message_id in row order. Overlapping boundaries are tie-broken to the
+    lexicographically smallest region_id, so the result is independent of
+    point order, region order, and index cell size. A given ``index`` must
+    have been built over ``regions``.
     """
     if index is None:
         index = SpatialIndex(regions)
@@ -402,14 +437,15 @@ def spatial_join(
         raise ValueError("spatial_join: index was built over other regions")
     if isinstance(points, MessageTable):
         located = ~np.isnan(points.lat)
-        ids, lat, lon = points.message_id[located].tolist(), points.lat[located], points.lon[located]
+        lat, lon = points.lat[located], points.lon[located]
     else:
         pairs = list(points)
-        ids = [point_id for point_id, _ in pairs]
         lat = np.array([p.lat for _, p in pairs], dtype=float)
         lon = np.array([p.lon for _, p in pairs], dtype=float)
     if not (np.isfinite(lat).all() and np.isfinite(lon).all()):
         raise ValueError("spatial_join: point coordinates must be finite")
-    # position -1 picks the trailing None: contained by no region
+    codes = index._assign(lon, lat)
+    if isinstance(points, MessageTable):
+        return JoinedRows(points, located, codes, index.region_ids)
     names = np.array(index.region_ids + [None], dtype=object)
-    return dict(zip(ids, names[index._assign(lon, lat)].tolist()))
+    return dict(zip([point_id for point_id, _ in pairs], names[codes].tolist()))

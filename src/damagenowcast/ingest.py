@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Generic, Iterable, Iterator, Sequence, TextIO, TypeVar
+from typing import Any, Callable, Generic, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -265,13 +265,21 @@ class ParseResult(Generic[T]):
     rows_total: int = 0
     rows_rejected: int = 0
     rows_filtered: int = 0
+    document: Any = None  # the decoded input, for a parser that reads a whole document (parse_regions)
 
 
 class _LineFilter:
-    """Line iterator that skips blanks and ``#`` comments, tracking source line numbers."""
+    """Line iterator that skips blanks and ``#`` comments between records,
+    tracking source line numbers.
+
+    The reader's caller sets ``between_records`` after each record it takes.
+    A line asked for before that continues a record whose quoted field holds
+    a newline, so it is passed on as it is, even when blank or ``#``-leading.
+    """
 
     def __init__(self, stream: Iterable[str]):
         self.lineno = 0
+        self.between_records = True
         self._lines = self._filter(stream)
 
     def __iter__(self) -> Iterator[str]:
@@ -280,11 +288,12 @@ class _LineFilter:
     def _filter(self, stream: Iterable[str]) -> Iterator[str]:
         for lineno, line in enumerate(stream, start=1):
             # a line that starts with a visible character other than '#' is data
-            if line[:1].isspace() or line[:1] == "#":
+            if (line[:1].isspace() or line[:1] == "#") and self.between_records:
                 stripped = line.strip()
                 if not stripped or stripped[0] == "#":
                     continue
             self.lineno = lineno
+            self.between_records = False
             yield line
 
 
@@ -325,11 +334,13 @@ def _read_blocks(
             if header is None:
                 raise IngestError(f"{what}: empty input")
             col = _header_index(header, required, what)
+            lines.between_records = True
             rows: list[list[str]] = []
             linenos: list[int] = []
             for row in reader:
                 rows.append(row)
                 linenos.append(lines.lineno)
+                lines.between_records = True
                 if len(rows) == _BLOCK_ROWS:
                     result.rows_total += len(rows)
                     yield col, len(header), rows, linenos
@@ -765,7 +776,7 @@ def parse_regions(source: str | Path | TextIO) -> ParseResult[RegionBoundary]:
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise IngestError("regions: expected a GeoJSON FeatureCollection")
 
-    result: ParseResult[RegionBoundary] = ParseResult(records=[])
+    result: ParseResult[RegionBoundary] = ParseResult(records=[], document=doc)
     seen: set[tuple[str, str]] = set()
     features = doc.get("features", [])
     if not isinstance(features, list):

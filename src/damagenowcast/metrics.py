@@ -30,7 +30,8 @@ __all__ = [
     "TimeWindow",
     "ActivitySummary",
     "RegionCodes",
-    "DailySummaries",
+    "SummaryGrid",
+    "GridColumn",
     "bin_offsets",
     "bin_window",
     "normalized_activity",
@@ -206,16 +207,18 @@ class _Cells:
         self.n_popular = np.bincount(cell[popular], minlength=n_cells)
         self.users = _distinct(cell, table.user[row], len(table.user_ids), n_cells)
 
-    def summaries(self, cells: list[int], region_ids: Iterable[str], windows: Iterable[TimeWindow | None],
-                  period_users: Iterable[int], population: Iterable[int | None]) -> list[ActivitySummary]:
-        c = np.array(cells, dtype=np.intp)
-        n_messages, n_retweets = self.n_messages[c], self.n_retweets[c]
-        means = [None if math.isnan(m) else m for m in self.mean_sentiment[c].tolist()]
-        return list(map(
-            ActivitySummary, region_ids, windows, n_messages.tolist(), (n_messages - n_retweets).tolist(),
-            n_retweets.tolist(), self.n_popular[c].tolist(), self.users[c].tolist(), period_users, means,
-            population,
-        ))
+    def grid(self, region_ids: Sequence[str], columns: Sequence, cells: np.ndarray, windows: np.ndarray,
+             period_users: np.ndarray, population: np.ndarray, present: np.ndarray) -> SummaryGrid:
+        """A grid whose entry ``[k, j]`` is cell ``cells[k, j]``; the other arrays broadcast to its shape."""
+        def shaped(values: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(values, cells.shape)
+
+        return SummaryGrid(
+            tuple(region_ids), tuple(columns), shaped(windows), self.n_messages[cells],
+            (self.n_messages - self.n_retweets)[cells], self.n_retweets[cells], self.n_popular[cells],
+            self.users[cells], shaped(period_users), self.mean_sentiment[cells], shaped(population[:, None]),
+            shaped(present),
+        )
 
 
 def summarize_regions(
@@ -226,7 +229,7 @@ def summarize_regions(
     population: Mapping[str, int] | None = None,
     region_ids: Iterable[str] | None = None,
     scopes: Mapping[str, frozenset[str] | None] | None = None,
-) -> dict[str, ActivitySummary] | dict[str, dict[str, ActivitySummary]]:
+) -> GridColumn | dict[str, GridColumn]:
     """One summary per region over ``window`` (all messages when None).
 
     A region has a summary when it is listed in ``region_ids`` or has a
@@ -235,7 +238,8 @@ def summarize_regions(
     users of the region's in-scope messages over the whole input, not just
     the window. The scope is ``keywords`` (None for every tag). Given
     ``scopes`` (name -> tag set, None for every tag) instead, the result is
-    one such dict per scope name, all from one grouped count.
+    one such mapping per scope name, all columns of one region × scope
+    :class:`SummaryGrid` from one grouped count.
     """
     if scopes is None:
         return summarize_regions(
@@ -257,39 +261,39 @@ def summarize_regions(
         stamp = table.time_us[row]
         inside = (_to_us(window.start) <= stamp) & (stamp < _to_us(window.end))
         row, cell = row[inside], cell[inside]
-    counts = _Cells(table, row, cell, n_cells)
 
-    shown = present | np.array([region_id in listed for region_id in names], dtype=bool)
-    by_name = sorted(range(len(names)), key=names.__getitem__)
+    by_name = np.array(sorted(range(len(names)), key=names.__getitem__), dtype=np.intp)
+    sorted_names = [names[k] for k in by_name.tolist()]
+    cells = by_name[:, None] + len(names) * np.arange(len(scopes))  # region x scope -> cell
+    present |= np.array([region_id in listed for region_id in names], dtype=bool)
     population = population or {}
-    out: dict = {}
-    for s, name in enumerate(scopes):
-        regions = [names[k] for k in by_name if shown[s, k]]
-        cells = [s * len(names) + k for k in by_name if shown[s, k]]
-        out[name] = dict(zip(regions, counts.summaries(
-            cells, regions, itertools.repeat(window), period_users[cells].tolist(),
-            map(population.get, regions),
-        )))
-    return out
+    grid = _Cells(table, row, cell, n_cells).grid(
+        sorted_names, scopes, cells, np.array(window, dtype=object), period_users[cells],
+        np.array([population.get(region_id, math.nan) for region_id in sorted_names], dtype=float),
+        present.T[by_name],
+    )
+    return {name: GridColumn(grid, j) for j, name in enumerate(scopes)}
 
 
 @dataclass(frozen=True, eq=False)
-class DailySummaries(MappingABC):
-    """Per-(region, bin) summaries held as region × bin arrays.
+class SummaryGrid(MappingABC):
+    """Per-(region, column) summaries held as region × column arrays; a
+    column is a time bin (``summarize_daily``) or a tag scope
+    (``summarize_regions``).
 
     Row ``k`` of every array is ``region_ids[k]`` and column ``j`` is
-    ``bins[j]``; the key ``(region_ids[k], bins[j])`` exists where
+    ``columns[j]``; the key ``(region_ids[k], columns[j])`` exists where
     ``present[k, j]``; the counts are 0 where it does not. ``mean_sentiment``
     is NaN where no message carries a score and ``population`` is NaN where
-    it is unknown. An array that holds
-    one value per region or per bin is a broadcast view, not a copy.
+    it is unknown. An array that holds one value per region or per column,
+    or one value in all, is a broadcast view, not a copy.
 
     Indexing gives one :class:`ActivitySummary`, built on lookup, for callers
-    that want objects; the daily series works on the arrays.
+    that want objects; the analyses work on the arrays.
     """
 
     region_ids: tuple[str, ...]
-    bins: tuple[int, ...]
+    columns: tuple
     windows: np.ndarray  # object: TimeWindow or None
     n_messages: np.ndarray  # int64
     n_original: np.ndarray  # int64
@@ -302,29 +306,31 @@ class DailySummaries(MappingABC):
     present: np.ndarray  # bool
 
     @classmethod
-    def from_mapping(cls, summaries: Mapping[tuple[str, int], ActivitySummary]) -> DailySummaries:
-        """The arrays of a (region_id, bin) -> summary mapping; regions and bins in sorted order."""
-        if isinstance(summaries, DailySummaries):
+    def from_mapping(cls, summaries: Mapping[tuple[str, object], ActivitySummary],
+                     columns: Sequence | None = None) -> SummaryGrid:
+        """The arrays of a (region_id, column) -> summary mapping; regions in sorted
+        order, columns in the given order or else sorted."""
+        if isinstance(summaries, SummaryGrid):
             return summaries
         region_ids = tuple(sorted({region_id for region_id, _ in summaries}))
-        bins = tuple(sorted({b for _, b in summaries}))
+        columns = tuple(sorted({c for _, c in summaries}) if columns is None else columns)
         row = {region_id: k for k, region_id in enumerate(region_ids)}
-        column = {b: j for j, b in enumerate(bins)}
+        column = {c: j for j, c in enumerate(columns)}
         cell = (
             np.fromiter((row[region_id] for region_id, _ in summaries), np.intp, len(summaries)),
-            np.fromiter((column[b] for _, b in summaries), np.intp, len(summaries)),
+            np.fromiter((column[c] for _, c in summaries), np.intp, len(summaries)),
         )
         values = list(summaries.values())
 
         def grid(field: str, dtype, fill) -> np.ndarray:
-            out = np.full((len(region_ids), len(bins)), fill, dtype=dtype)
+            out = np.full((len(region_ids), len(columns)), fill, dtype=dtype)
             out[cell] = [fill if (v := getattr(s, field)) is None else v for s in values]
             return out
 
-        present = np.zeros((len(region_ids), len(bins)), dtype=bool)
+        present = np.zeros((len(region_ids), len(columns)), dtype=bool)
         present[cell] = True
         return cls(
-            region_ids, bins, grid("window", object, None),
+            region_ids, columns, grid("window", object, None),
             *(grid(field, np.int64, 0) for field in (
                 "n_messages", "n_original", "n_retweets", "n_popular", "active_users_window",
                 "active_users_period",
@@ -333,21 +339,22 @@ class DailySummaries(MappingABC):
         )
 
     @cached_property
-    def _cell(self) -> tuple[dict[str, int], dict[int, int]]:
-        return {r: k for k, r in enumerate(self.region_ids)}, {b: j for j, b in enumerate(self.bins)}
+    def positions(self) -> tuple[dict[str, int], dict[object, int]]:
+        """Row of each region id and column of each column key."""
+        return {r: k for k, r in enumerate(self.region_ids)}, {c: j for j, c in enumerate(self.columns)}
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.present))
 
-    def __iter__(self) -> Iterator[tuple[str, int]]:
+    def __iter__(self) -> Iterator[tuple[str, object]]:
         for k, j in zip(*np.nonzero(self.present)):
-            yield self.region_ids[k], self.bins[j]
+            yield self.region_ids[k], self.columns[j]
 
-    def __getitem__(self, key: tuple[str, int]) -> ActivitySummary:
-        rows, columns = self._cell
+    def __getitem__(self, key: tuple[str, object]) -> ActivitySummary:
+        rows, columns = self.positions
         try:
-            region_id, b = key
-            k, j = rows[region_id], columns[b]
+            region_id, c = key
+            k, j = rows[region_id], columns[c]
         except (KeyError, TypeError, ValueError):
             raise KeyError(key) from None
         if not self.present[k, j]:
@@ -361,6 +368,24 @@ class DailySummaries(MappingABC):
         )
 
 
+@dataclass(frozen=True, eq=False)
+class GridColumn(MappingABC):
+    """Read-only region_id -> summary view of column ``column`` of ``grid``:
+    the regions present there, in sorted order."""
+
+    grid: SummaryGrid
+    column: int
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.grid.present[:, self.column]))
+
+    def __iter__(self) -> Iterator[str]:
+        return itertools.compress(self.grid.region_ids, self.grid.present[:, self.column].tolist())
+
+    def __getitem__(self, region_id: str) -> ActivitySummary:
+        return self.grid[region_id, self.grid.columns[self.column]]
+
+
 def summarize_daily(
     messages: MessageTable,
     assignments: RegionCodes | Mapping[str, str | None],
@@ -369,7 +394,7 @@ def summarize_daily(
     bins: Sequence[int],
     keywords: frozenset[str] | None = None,
     population: Mapping[str, int] | None = None,
-) -> DailySummaries:
+) -> SummaryGrid:
     """Summaries keyed by (region_id, bin index) for each requested bin, for
     every region with a message in the tag scope, held as region × bin arrays."""
     if width <= timedelta(0):
@@ -390,22 +415,11 @@ def summarize_daily(
     requested = list(dict.fromkeys(bins))
     in_scope = np.bincount(region, minlength=len(names)) > 0
     active = np.array([k for k in sorted(range(len(names)), key=names.__getitem__) if in_scope[k]], dtype=np.intp)
-    cells = np.ix_(active, np.searchsorted(wanted, requested).astype(np.intp))
-    shape = (len(active), len(requested))
-
-    def grid(per_cell: np.ndarray) -> np.ndarray:
-        return per_cell.reshape(len(names), n_bins)[cells]
-
-    def per_region(values: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(values[:, None], shape)
-
+    cells = active[:, None] * n_bins + np.searchsorted(wanted, requested).astype(np.intp)
     windows = np.empty(len(requested), dtype=object)
     windows[:] = [bin_window(epoch, width, b) for b in requested]
     population = population or {}
-    return DailySummaries(
-        tuple(names[k] for k in active.tolist()), tuple(requested), np.broadcast_to(windows, shape),
-        grid(counts.n_messages), grid(counts.n_messages - counts.n_retweets), grid(counts.n_retweets),
-        grid(counts.n_popular), grid(counts.users), per_region(period_users[active]), grid(counts.mean_sentiment),
-        per_region(np.array([population.get(names[k], math.nan) for k in active.tolist()], dtype=float)),
-        np.broadcast_to(True, shape),
+    return counts.grid(
+        [names[k] for k in active.tolist()], requested, cells, windows, period_users[active][:, None],
+        np.array([population.get(names[k], math.nan) for k in active.tolist()], dtype=float), np.array(True),
     )

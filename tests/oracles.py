@@ -22,7 +22,18 @@ from pathlib import Path
 
 import numpy as np
 
-from damagenowcast.analysis import CorrelationSeries, SeriesEntry, _guarded
+from damagenowcast.analysis import (
+    CorrelationSeries,
+    DamageCorrelationReport,
+    KeywordRanking,
+    KeywordRelevance,
+    NowcastEntry,
+    NowcastReport,
+    ReportCell,
+    SeriesEntry,
+    _guarded,
+    _relevance_sort_key,
+)
 from damagenowcast.geo import GeoPoint
 from damagenowcast.ingest import MessageRecord
 from damagenowcast.metrics import ActivitySummary, bin_window, normalized_activity
@@ -471,6 +482,97 @@ def daily_correlation_series_reference(daily_summaries, damage_usd, population, 
             sentiment_damage_kendall=_guarded(sentiment, sentiment_damage, "kendall"),
         ))
     return CorrelationSeries(entries=tuple(entries), normalization=normalization)
+
+
+def rank_keywords_reference(city_summaries, distances_km, city_subset=None, original_only=False):
+    """The keyword ranking read city by city from (city, keyword) -> summary objects."""
+    cities = set(city_subset) if city_subset is not None else {c for c, _ in city_summaries}
+    missing = [c for c in sorted(cities) if c not in distances_km]
+    if missing:
+        raise ValueError(f"no track distance for city {missing[0]!r}")
+    entries = []
+    for keyword in sorted({k for c, k in city_summaries if c in cities}):
+        activity, distance = [], []
+        for city in sorted(cities):
+            summary = city_summaries.get((city, keyword))
+            if summary is None or summary.n_messages < 1:
+                continue
+            value = normalized_activity(summary, "per_period_user", original_only)
+            if value is None:
+                continue
+            activity.append(value)
+            distance.append(distances_km[city])
+        kendall = _guarded(activity, distance, "kendall")
+        entries.append(KeywordRelevance(keyword, kendall, _guarded(activity, distance, "spearman"), len(activity),
+                                        kendall.degenerate))
+    entries.sort(key=_relevance_sort_key)
+    return KeywordRanking(entries=tuple(entries))
+
+
+def damage_correlation_report_reference(scope_summaries, damage_by_source, population, window=None,
+                                        normalizations=("census_population", "twitter_users"),
+                                        transforms=("raw", "log10"), methods=("kendall", "spearman", "pearson"),
+                                        original_only=False, include_sentiment=True):
+    """The report grid read region by region from per-scope region -> summary objects."""
+    cells = []
+    for scope in sorted(scope_summaries):
+        summaries = scope_summaries[scope]
+        for source in sorted(damage_by_source):
+            damage = damage_by_source[source]
+            for norm in normalizations:
+                mode = "per_capita" if norm == "census_population" else "per_period_user"
+                activity, damage_pc, sentiment, sentiment_damage = [], [], [], []
+                active = 0
+                for region in sorted(summaries):
+                    summary = summaries[region]
+                    if summary.n_messages < 1 or region not in population:
+                        continue
+                    active += 1
+                    value = normalized_activity(summary, mode, original_only)
+                    if value is not None:
+                        activity.append(value)
+                        damage_pc.append(damage.get(region, 0.0) / population[region])
+                    if summary.mean_sentiment is not None:
+                        denom = population[region] if norm == "census_population" else summary.active_users_period
+                        if denom > 0:
+                            sentiment.append(summary.mean_sentiment)
+                            sentiment_damage.append(damage.get(region, 0.0) / denom)
+                for transform in transforms:
+                    for method in methods:
+                        cells.append(ReportCell("activity", scope, source, norm,
+                                                _guarded(activity, damage_pc, method, transform), active))
+                if include_sentiment:
+                    for method in methods:
+                        cells.append(ReportCell("sentiment", scope, source, norm,
+                                                _guarded(sentiment, sentiment_damage, method), active))
+    return DamageCorrelationReport(cells=tuple(cells), window=window)
+
+
+def nowcast_reference(summaries, window=None, keywords=("sandy", "hurricane", "storm", "power", "flooding"),
+                      original_only=True, damage_usd=None):
+    """The nowcast ranking read region by region from region -> summary objects."""
+    scored, excluded = [], []
+    for region in sorted(summaries):
+        summary = summaries[region]
+        count = summary.n_original if original_only else summary.n_messages
+        if count < 1:
+            excluded.append((region, "inactive"))
+        elif not summary.population or summary.population <= 0:
+            excluded.append((region, "no population"))
+        else:
+            scored.append((count / summary.population, region, summary))
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    damage_rank = {}
+    if damage_usd is not None:
+        per_capita = sorted((-(damage_usd.get(region, 0.0) / summary.population), region)
+                            for _, region, summary in scored)
+        damage_rank = {region: position for position, (_, region) in enumerate(per_capita, start=1)}
+    entries = tuple(
+        NowcastEntry(i, region, value, summary.n_original, summary.n_messages, summary.population,
+                     damage_rank.get(region))
+        for i, (value, region, summary) in enumerate(scored, start=1)
+    )
+    return NowcastReport(entries, tuple(excluded), window, "per_capita", tuple(keywords))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import damagenowcast
+from damagenowcast import geo, metrics
 from damagenowcast.cli import main
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "sandy_counties.csv"
@@ -404,6 +405,21 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "regions: 0 records, 1 rejected" in out
         assert "regions feature 0: malformed ring coordinates" in out
+
+
+def test_analysis_commands_build_no_summary_objects_or_id_dicts(sim_bundle, tmp_path, monkeypatch):
+    # correlate, nowcast and rank-keywords read the join codes and the summary grid as arrays
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-region summary or message_id lookup on a command path")
+
+    monkeypatch.setattr(metrics, "ActivitySummary", refuse)
+    monkeypatch.setattr(geo.JoinedRows, "__iter__", refuse)
+    monkeypatch.setattr(geo.JoinedRows, "__getitem__", refuse)
+    inputs = ("--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson")
+    tables = ("--population", sim_bundle / "population.csv", "--damage", sim_bundle / "damage.csv")
+    assert run("correlate", *inputs, *tables, "--overlay", tmp_path / "overlay.geojson", "--out", tmp_path) == 0
+    assert run("nowcast", *inputs, *tables, "--out", tmp_path) == 0
+    assert run("rank-keywords", *inputs, "--track", sim_bundle / "track.csv", "--out", tmp_path) == 0
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tracemalloc
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from damagenowcast.geo import (
     EARTH_RADIUS_KM,
     GeoPoint,
+    JoinedRows,
     SpatialIndex,
     haversine_km,
     point_in_region,
@@ -18,7 +20,7 @@ from damagenowcast.geo import (
     region_centroid,
     spatial_join,
 )
-from damagenowcast.ingest import RegionBoundary, TrackPoint, parse_regions
+from damagenowcast.ingest import MessageRecord, MessageTable, RegionBoundary, TrackPoint, parse_regions
 
 from oracles import (
     brute_force_join,
@@ -328,6 +330,31 @@ class TestSpatialJoin:
         ]
         index = SpatialIndex(regions, cell_deg=cell)
         assert spatial_join(points, regions, index) == brute_force_join(points, regions)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.25, 3.0]))
+    @settings(max_examples=25, deadline=None)
+    def test_table_view_matches_brute_force(self, seed, cell):
+        rng = np.random.default_rng(seed)
+        regions = random_disjoint_rects(rng, rng.integers(3, 12))
+        lat, lon = rng.uniform(-22, 22, 60), rng.uniform(-22, 22, 60)
+        lat[rng.random(60) < 0.2] = np.nan  # unlocated rows are not points
+        table = MessageTable.from_records(
+            MessageRecord(f"m{i}", "u", datetime(2012, 10, 30, tzinfo=timezone.utc),
+                          None if math.isnan(y) else (float(y), float(x)), frozenset({"sandy"}), False, 0)
+            for i, (y, x) in enumerate(zip(lat, lon))
+        )
+        expected = brute_force_join(
+            [(f"m{i}", GeoPoint(float(y), float(x))) for i, (y, x) in enumerate(zip(lat, lon)) if not math.isnan(y)],
+            regions,
+        )
+        view = spatial_join(table, regions, SpatialIndex(regions, cell_deg=cell))
+        assert isinstance(view, JoinedRows) and len(view) == len(expected)
+        assert list(view.items()) == list(expected.items())  # row order, None where uncontained
+        assert view.values() == list(expected.values())
+        assert view == expected and dict(view) == expected and view.get("absent") is None
+        merged = {"absent": None}
+        merged.update(view)
+        assert merged == {"absent": None, **expected}
 
     def test_result_independent_of_point_order(self):
         rng = np.random.default_rng(3)

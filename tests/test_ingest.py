@@ -106,6 +106,18 @@ class TestParseMessages:
         result = parse_messages(stream)
         assert "line 4" in result.diagnostics[0]
 
+    def test_quoted_newline_then_comment_like_line_is_one_field(self):
+        # the '#' and blank lines continue the quoted user id; comments between records are still skipped
+        stream = messages_csv(
+            '"m1","u1\n#x",2012-10-30T00:00:00Z,,,sandy,0,0,', "# a comment", "",
+            '"m2"," u2\n\n ",2012-10-30T01:00:00Z,,,sandy,0,0,', "m3,u3,bad,,,sandy,0,0,",
+        )
+        result = parse_messages(stream)
+        assert (len(result.records), result.rows_total) == (2, 3)
+        assert result.records.message_id.tolist() == ["m1", "m2"]
+        assert result.records.user_ids[result.records.user].tolist() == ["u1\n#x", "u2"]
+        assert result.diagnostics == ["messages line 9: unparseable timestamp 'bad'"]
+
     def test_unreadable_source_fatal(self, tmp_path):
         with pytest.raises(IngestError):
             parse_messages(tmp_path / "missing.csv")

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from damagenowcast.analysis import daily_correlation_series
+from damagenowcast.analysis import daily_correlation_series, damage_correlation_report, nowcast, rank_keywords
 from damagenowcast.ingest import MessageRecord, parse_messages, write_messages_csv
 from damagenowcast.metrics import (
     ActivitySummary,
-    DailySummaries,
     RegionCodes,
+    SummaryGrid,
     TimeWindow,
     bin_offsets,
     bin_window,
@@ -24,6 +24,9 @@ from damagenowcast.metrics import (
 from oracles import (
     compute_activity_summary_reference,
     daily_correlation_series_reference,
+    damage_correlation_report_reference,
+    nowcast_reference,
+    rank_keywords_reference,
     summarize_daily_reference,
     summarize_regions_reference,
 )
@@ -418,7 +421,110 @@ class TestSeriesMatchesReference:
     @settings(max_examples=60, deadline=None)
     def test_plain_mapping(self, summaries, args):
         population, damage, bins, normalization = args
-        assert DailySummaries.from_mapping(summaries) == summaries
+        assert SummaryGrid.from_mapping(summaries) == summaries
         got = daily_correlation_series(summaries, damage, population, bins, normalization)
         expected = daily_correlation_series_reference(summaries, damage, population, bins, normalization)
         assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(expected))
+
+
+@st.composite
+def plain_summary(draw, region):
+    """One summary whose fields vary independently."""
+    n = draw(st.integers(0, 9))
+    retweets = draw(st.integers(0, n))
+    return ActivitySummary(
+        region, None, n, n - retweets, retweets, draw(st.integers(0, n)), draw(st.integers(0, n)),
+        draw(st.integers(0, 5)), draw(st.one_of(st.none(), st.floats(-1, 1, allow_nan=False))),
+        draw(st.one_of(st.none(), st.integers(-1, 50))),
+    )
+
+
+@st.composite
+def plain_regions(draw):
+    """A region -> summary mapping."""
+    return {region: draw(plain_summary(region)) for region in draw(st.lists(st.sampled_from(REGIONS), unique=True))}
+
+
+@st.composite
+def region_args(draw):
+    """Census population, damage by source, and a region distance table with ties."""
+    population = draw(st.dictionaries(st.sampled_from(REGIONS + ("r9",)), st.integers(1, 1000)))
+    damage = draw(st.dictionaries(st.sampled_from(["ex_post", "hazus"]), st.dictionaries(
+        st.sampled_from(REGIONS), st.one_of(st.floats(0, 1e6, allow_nan=False), st.integers(0, 10**6))),
+        min_size=1))
+    distances = {region: draw(st.sampled_from([5.0, 120.5, 300.0, 999.25])) for region in REGIONS + ("r9",)}
+    return population, damage, distances
+
+
+class TestAnalysesMatchReference:
+    """The report, the keyword ranking and the nowcast equal the region-by-region
+    references, bit for bit, for the grid of ``summarize_regions`` and for plain mappings."""
+
+    @staticmethod
+    def _same(got, expected):
+        assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(expected))
+
+    @given(corpus(), region_args(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_report_on_grid(self, case, args, original_only):
+        messages, assignments, window, scopes, region_ids = case
+        population, damage, _ = args
+        grid = summarize_regions(table(messages), assignments, window, population=population,
+                                 region_ids=region_ids, scopes={f"s{s}": scope for s, scope in enumerate(scopes)})
+        reference = {
+            f"s{s}": summarize_regions_reference(messages, assignments, window, scope, population, region_ids)
+            for s, scope in enumerate(scopes)
+        }
+        expected = damage_correlation_report_reference(reference, damage, population, original_only=original_only)
+        self._same(damage_correlation_report(grid, damage, population, original_only=original_only), expected)
+        self._same(damage_correlation_report(reference, damage, population, original_only=original_only), expected)
+
+    @given(st.dictionaries(st.sampled_from(["pooled", "gas", "sandy"]), plain_regions(), max_size=3), region_args(),
+           st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_report_on_plain_mapping(self, scopes, args, original_only, sentiment):
+        population, damage, _ = args
+        got = damage_correlation_report(scopes, damage, population, original_only=original_only,
+                                        include_sentiment=sentiment)
+        expected = damage_correlation_report_reference(scopes, damage, population, original_only=original_only,
+                                                       include_sentiment=sentiment)
+        self._same(got, expected)
+
+    @given(corpus(), region_args(), st.one_of(st.none(), st.lists(st.sampled_from(REGIONS), unique=True)),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_rank_keywords_on_grid(self, case, args, subset, original_only):
+        messages, assignments, window, _, _ = case
+        per_keyword = summarize_regions(table(messages), assignments, window,
+                                        scopes={tag: frozenset({tag}) for tag in TAGS})
+        grid = per_keyword["sandy"].grid
+        _, _, distances = args
+        expected = rank_keywords_reference(dict(grid.items()), distances, subset, original_only)
+        self._same(rank_keywords(grid, distances, subset, original_only), expected)
+
+    @given(st.dictionaries(st.tuples(st.sampled_from(REGIONS), st.sampled_from(TAGS)), st.none()), st.data(),
+           region_args(), st.one_of(st.none(), st.lists(st.sampled_from(REGIONS), unique=True)), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_rank_keywords_on_plain_mapping(self, keys, data, args, subset, original_only):
+        summaries = {key: data.draw(plain_summary(key[0])) for key in keys}
+        _, _, distances = args
+        expected = rank_keywords_reference(summaries, distances, subset, original_only)
+        self._same(rank_keywords(summaries, distances, subset, original_only), expected)
+
+    @given(corpus(), region_args(), st.booleans(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_nowcast_on_grid(self, case, args, original_only, with_damage):
+        messages, assignments, window, scopes, region_ids = case
+        population, damage, _ = args
+        summaries = summarize_regions(table(messages), assignments, window, scopes[0], population, region_ids)
+        damage_usd = damage["ex_post"] if with_damage and "ex_post" in damage else None
+        expected = nowcast_reference(summaries, window, original_only=original_only, damage_usd=damage_usd)
+        self._same(nowcast(summaries, window, original_only=original_only, damage_usd=damage_usd), expected)
+
+    @given(plain_regions(), region_args(), st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_nowcast_on_plain_mapping(self, summaries, args, original_only, with_damage):
+        _, damage, _ = args
+        damage_usd = next(iter(damage.values())) if with_damage else None
+        expected = nowcast_reference(summaries, original_only=original_only, damage_usd=damage_usd)
+        self._same(nowcast(summaries, original_only=original_only, damage_usd=damage_usd), expected)
