@@ -272,14 +272,14 @@ class _LineFilter:
     """Line iterator that skips blanks and ``#`` comments between records,
     tracking source line numbers.
 
-    The reader's caller sets ``between_records`` after each record it takes.
-    A line asked for before that continues a record whose quoted field holds
-    a newline, so it is passed on as it is, even when blank or ``#``-leading.
+    The reader's caller sets ``record_end`` to ``lineno`` after each record
+    it takes, the header included. While the two differ, the reader is
+    inside a record whose quoted field holds a newline: the next line
+    continues it and is passed on as it is, even when blank or ``#``-leading.
     """
 
     def __init__(self, stream: Iterable[str]):
-        self.lineno = 0
-        self.between_records = True
+        self.lineno = self.record_end = 0
         self._lines = self._filter(stream)
 
     def __iter__(self) -> Iterator[str]:
@@ -288,12 +288,11 @@ class _LineFilter:
     def _filter(self, stream: Iterable[str]) -> Iterator[str]:
         for lineno, line in enumerate(stream, start=1):
             # a line that starts with a visible character other than '#' is data
-            if (line[:1].isspace() or line[:1] == "#") and self.between_records:
+            if (line[:1].isspace() or line[:1] == "#") and self.record_end == self.lineno:
                 stripped = line.strip()
                 if not stripped or stripped[0] == "#":
                     continue
             self.lineno = lineno
-            self.between_records = False
             yield line
 
 
@@ -334,13 +333,13 @@ def _read_blocks(
             if header is None:
                 raise IngestError(f"{what}: empty input")
             col = _header_index(header, required, what)
-            lines.between_records = True
+            lines.record_end = lines.lineno
             rows: list[list[str]] = []
             linenos: list[int] = []
             for row in reader:
                 rows.append(row)
-                linenos.append(lines.lineno)
-                lines.between_records = True
+                lineno = lines.record_end = lines.lineno
+                linenos.append(lineno)
                 if len(rows) == _BLOCK_ROWS:
                     result.rows_total += len(rows)
                     yield col, len(header), rows, linenos
