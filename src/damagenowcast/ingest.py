@@ -288,7 +288,8 @@ class _LineFilter:
     def _filter(self, stream: Iterable[str]) -> Iterator[str]:
         for lineno, line in enumerate(stream, start=1):
             # a line that starts with a visible character other than '#' is data
-            if (line[:1].isspace() or line[:1] == "#") and self.record_end == self.lineno:
+            first = line[:1]
+            if (first == "#" or first.isspace()) and self.record_end == self.lineno:
                 stripped = line.strip()
                 if not stripped or stripped[0] == "#":
                     continue
