@@ -386,17 +386,15 @@ class SpatialIndex:
         return first
 
 
-@dataclass(frozen=True, eq=False)
 class JoinedRows(Mapping):
     """Read-only message_id -> region_id (or None) view of the ``located``
     rows of ``table``, in row order. ``codes[i]`` is the position in
     ``region_ids`` of the region holding the ``i``-th of them, or -1 for
     none; ids are read only when the view is read as a mapping."""
 
-    table: MessageTable
-    located: np.ndarray
-    codes: np.ndarray
-    region_ids: list[str]
+    # a plain class: building a dataclass adds about 1 ms to the package import
+    def __init__(self, table: MessageTable, located: np.ndarray, codes: np.ndarray, region_ids: list[str]):
+        self.table, self.located, self.codes, self.region_ids = table, located, codes, region_ids
 
     @cached_property
     def _row(self) -> dict[str, int]:

@@ -368,13 +368,13 @@ class SummaryGrid(MappingABC):
         )
 
 
-@dataclass(frozen=True, eq=False)
 class GridColumn(MappingABC):
     """Read-only region_id -> summary view of column ``column`` of ``grid``:
     the regions present there, in sorted order."""
 
-    grid: SummaryGrid
-    column: int
+    # a plain class: building a dataclass adds about 1 ms to the package import
+    def __init__(self, grid: SummaryGrid, column: int):
+        self.grid, self.column = grid, column
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.grid.present[:, self.column]))

@@ -370,18 +370,24 @@ REGIONS = ("r0", "r1", "r2", "r3", "r4")
 
 
 @st.composite
+def plain_summary(draw, region):
+    """One summary whose fields vary independently."""
+    n = draw(st.integers(0, 9))
+    retweets = draw(st.integers(0, n))
+    return ActivitySummary(
+        region, None, n, n - retweets, retweets, draw(st.integers(0, n)), draw(st.integers(0, n)),
+        draw(st.integers(0, 5)), draw(st.one_of(st.none(), st.floats(-1, 1, allow_nan=False))),
+        draw(st.one_of(st.none(), st.integers(-1, 50))),
+    )
+
+
+@st.composite
 def plain_daily(draw):
     """A sparse (region, bin) -> summary mapping whose fields vary from cell to cell."""
     out = {}
     for region in draw(st.lists(st.sampled_from(REGIONS), min_size=3, unique=True)):
         for b in draw(st.lists(st.integers(-1, 1), min_size=1, unique=True)):
-            n = draw(st.integers(0, 9))
-            retweets = draw(st.integers(0, n))
-            out[(region, b)] = ActivitySummary(
-                region, None, n, n - retweets, retweets, draw(st.integers(0, n)), draw(st.integers(0, n)),
-                draw(st.integers(0, 5)), draw(st.one_of(st.none(), st.floats(-1, 1, allow_nan=False))),
-                draw(st.one_of(st.none(), st.integers(-1, 50))),
-            )
+            out[(region, b)] = draw(plain_summary(region))
     return out
 
 
@@ -425,18 +431,6 @@ class TestSeriesMatchesReference:
         got = daily_correlation_series(summaries, damage, population, bins, normalization)
         expected = daily_correlation_series_reference(summaries, damage, population, bins, normalization)
         assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(expected))
-
-
-@st.composite
-def plain_summary(draw, region):
-    """One summary whose fields vary independently."""
-    n = draw(st.integers(0, 9))
-    retweets = draw(st.integers(0, n))
-    return ActivitySummary(
-        region, None, n, n - retweets, retweets, draw(st.integers(0, n)), draw(st.integers(0, n)),
-        draw(st.integers(0, 5)), draw(st.one_of(st.none(), st.floats(-1, 1, allow_nan=False))),
-        draw(st.one_of(st.none(), st.integers(-1, 50))),
-    )
 
 
 @st.composite
