@@ -386,6 +386,11 @@ class SpatialIndex:
         return first
 
 
+def _region_names(region_ids: list[str], codes: np.ndarray) -> list[str | None]:
+    # position -1 picks the trailing None: contained by no region
+    return np.array(region_ids + [None], dtype=object)[codes].tolist()
+
+
 class JoinedRows(Mapping):
     """Read-only message_id -> region_id (or None) view of the ``located``
     rows of ``table``, in row order. ``codes[i]`` is the position in
@@ -411,8 +416,7 @@ class JoinedRows(Mapping):
         return self.region_ids[code] if code >= 0 else None
 
     def values(self) -> list[str | None]:
-        # position -1 picks the trailing None: contained by no region
-        return np.array(self.region_ids + [None], dtype=object)[self.codes].tolist()
+        return _region_names(self.region_ids, self.codes)
 
 
 def spatial_join(
@@ -445,5 +449,4 @@ def spatial_join(
     codes = index._assign(lon, lat)
     if isinstance(points, MessageTable):
         return JoinedRows(points, located, codes, index.region_ids)
-    names = np.array(index.region_ids + [None], dtype=object)
-    return dict(zip([point_id for point_id, _ in pairs], names[codes].tolist()))
+    return dict(zip([point_id for point_id, _ in pairs], _region_names(index.region_ids, codes)))

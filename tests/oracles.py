@@ -4,8 +4,9 @@ Everything here is deliberately written the slow, obvious way (pair
 enumeration, explicit rank tables, literal permutation enumeration,
 region-by-region containment scans, one object per message) so it shares no
 code path with the package under test; it borrows only the package's record
-types, the daily series' correlation calls and, for the simulator reference,
-its config types, region grid and GeoJSON feature.
+and report types, the analyses' guarded correlation calls and keyword sort
+key and, for the simulator reference, its config types, region grid and
+GeoJSON feature.
 """
 
 from __future__ import annotations
@@ -483,6 +484,11 @@ def daily_correlation_series_reference(daily_summaries, damage_usd, population, 
         ))
     return CorrelationSeries(entries=tuple(entries), normalization=normalization)
 
+
+# ---------------------------------------------------------------------------
+# The region-level analyses as they stood before the summary grid: one summary
+# object per region, read in Python loops. Frozen here as the references for
+# the grid slices; the ranking skips a keyword no subset city has a summary for.
 
 def rank_keywords_reference(city_summaries, distances_km, city_subset=None, original_only=False):
     """The keyword ranking read city by city from (city, keyword) -> summary objects."""
