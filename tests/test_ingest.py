@@ -493,10 +493,24 @@ def mutated_messages_csv(draw):
         elif mutation == 11:
             cells[2] = draw(st.sampled_from(["2012-02-30T00:00:00Z", "2012-10-30T24:00:00Z", "2012-10-30T00:00:60Z",
                                              "0000-01-01T00:00:00Z", "2012-10-30 00:00:00Z", "2012-1O-30T00:00:00Z"]))
+        elif mutation == 12:
+            k = draw(st.sampled_from([0, 1, 5]))
+            cells[k] = cells[k][:1] + '"' + cells[k][1:]  # a stray quote inside an unquoted cell
+        elif mutation == 13:
+            k = draw(st.sampled_from([0, 1, 2, 5, 8]))
+            cells[k] = draw(st.sampled_from(["\0", "x\0", ""])) + cells[k] + draw(st.sampled_from(["\0", ""]))
+        elif mutation == 14:
+            k = draw(st.sampled_from([0, 3, 6, 9, 12, 15, 18]))
+            cells[2] = cells[2][:k] + draw(st.sampled_from(["\u0663", "\uff13", "\u00b2"])) + cells[2][k + 1:]
         lines.append(",".join(cells))
         if draw(st.integers(0, 12)) == 0:
             lines.append(draw(st.sampled_from(["# a comment", "", "   ", "#m0,u0"])))
-    return "\n".join(lines) + "\n"
+    if draw(st.booleans()):
+        # a quoted '#'-leading id late in the file, after lines that need no quoting
+        at = draw(st.integers((len(lines) + 1) // 2, len(lines)))
+        lines.insert(at, '"#late",u1,2012-10-30T00:00:00Z,,,sandy,0,0,')
+    ends = draw(st.lists(st.sampled_from(["\n"] * 8 + ["\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
 
 
 def _float_bits(values):
@@ -570,6 +584,32 @@ class TestBulkMatchesPerRowReference:
         ))
         assert converted == ["m1", "m2", "m3", "m4", "m5", "m6", "m7", "m7"]
         assert len(result.records) == 7
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 1 << 14])
+    def test_quoted_hash_id_late_in_the_file(self, block_rows, monkeypatch):
+        rows = [f"m{k},u{k % 3},2012-10-30T0{k}:00:00Z,40.5,-74.01,sandy,0,{k}," for k in range(7)]
+        rows[5] = '"#m5",u1,2012-10-30T05:00:00Z,,,storm,1,0,0.5'
+        text = HEADER + "\n".join(rows) + "\n"
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+        result = parse_messages(io.StringIO(text))
+        assert result.records.message_id.tolist() == ["m0", "m1", "m2", "m3", "m4", "#m5", "m6"]
+        assert list(result.records) == parse_messages_reference(text).records
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 1 << 14])
+    def test_line_over_a_lowered_field_limit(self, block_rows, monkeypatch):
+        # every line is over the lowered limit and parses; the one cell over it is fatal, with its line
+        rows = [f"m{k},u{k},2012-10-30T00:00:00Z,40.5,-74.01,sandy,0,{k},0.25" for k in range(6)]
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+        limit = csv.field_size_limit(48)
+        try:
+            result = parse_messages(messages_csv(*rows))
+            assert len(result.records) == 6 and result.diagnostics == []
+            rows[4] = rows[4].replace(",u4,", f",{'u' * 60},")
+            with pytest.raises(IngestError, match=r"^messages line 6: field larger than field limit"):
+                parse_messages(messages_csv(*rows))
+        finally:
+            csv.field_size_limit(limit)
+        assert csv.field_size_limit() == limit
 
     def test_retweeted_count_beyond_int64_rejected(self):
         result = parse_messages(messages_csv("m1,u1,2012-10-30T00:00:00Z,,,sandy,0,9223372036854775808,"))
