@@ -7,12 +7,13 @@ problems (unreadable or empty input, a missing column, duplicate keys where
 duplicates are banned, non-monotone track times) raise :class:`IngestError`.
 Files are UTF-8; timestamps must be ISO-8601 with an explicit UTC offset.
 
-``parse_messages`` returns a :class:`MessageTable`, one array per field. It
-converts rows a block at a time with numpy and accepts in bulk only the rows
-already in canonical form (the form ``write_messages_csv`` writes). Every
-other row goes through the per-row converter, which alone decides whether a
-row is malformed and why, so the table, the counts and the diagnostics are
-what converting each row on its own would give.
+``parse_messages`` returns a :class:`MessageTable`, one array per field. The
+reader splits blocks of lines that need no CSV quoting rules straight into
+columns. Each block is converted with numpy, and only the rows already in
+canonical form (the form ``write_messages_csv`` writes) are taken in bulk.
+Every other row goes through the per-row converter, which alone decides
+whether a row is malformed and why, so the table, the counts and the
+diagnostics are what converting each row on its own would give.
 """
 
 from __future__ import annotations
@@ -124,16 +125,19 @@ class MessageTable(SequenceABC):
     tag_matrix: np.ndarray  # bool
 
     @classmethod
-    def from_columns(cls, message_id: np.ndarray, user_id: np.ndarray, time_us: np.ndarray, lat: np.ndarray,
-                     lon: np.ndarray, keyword_set: np.ndarray, keyword_sets: Sequence[frozenset[str]],
+    def from_columns(cls, message_id: np.ndarray, user: np.ndarray, user_ids: Sequence[str], time_us: np.ndarray,
+                     lat: np.ndarray, lon: np.ndarray, keyword_set: np.ndarray, keyword_sets: Sequence[frozenset[str]],
                      is_retweet: np.ndarray, retweeted_count: np.ndarray, sentiment: np.ndarray) -> MessageTable:
         """The table of one array per field, in row order, each of the field's dtype.
 
-        ``user_id`` holds the ids themselves and ``keyword_set`` codes into
-        ``keyword_sets``; users are coded in sorted order and the sets are
-        renumbered to those some row uses.
+        ``user`` and ``keyword_set`` hold codes into ``user_ids`` and
+        ``keyword_sets``; both are renumbered to those some row uses, the
+        users in sorted id order. Only the distinct ids are sorted.
         """
-        user_ids, user = np.unique(user_id, return_inverse=True)
+        order = sorted(np.flatnonzero(np.bincount(user, minlength=len(user_ids))).tolist(), key=user_ids.__getitem__)
+        rank = np.zeros(len(user_ids), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        user, user_ids = rank[user], np.array([user_ids[k] for k in order], dtype=_TEXT)
         used, keyword_set = np.unique(keyword_set, return_inverse=True)
         keyword_sets = [keyword_sets[k] for k in used.tolist()]
         tags = tuple(sorted(set().union(*keyword_sets)))
@@ -151,6 +155,7 @@ class MessageTable(SequenceABC):
     def from_records(cls, records: Iterable[MessageRecord]) -> MessageTable:
         """The table of the given records, in their order."""
         records = list(records)
+        users: dict[str, int] = {}
         sets: dict[frozenset[str], int] = {}
 
         def column(values: Iterable, dtype) -> np.ndarray:
@@ -158,7 +163,8 @@ class MessageTable(SequenceABC):
 
         return cls.from_columns(
             message_id=column((r.message_id for r in records), _TEXT),
-            user_id=column((r.user_id for r in records), _TEXT),
+            user=column((users.setdefault(r.user_id, len(users)) for r in records), np.int64),
+            user_ids=list(users),
             time_us=column(((r.timestamp.astimezone(timezone.utc) - UNIX_EPOCH) // MICROSECOND for r in records),
                            np.int64),
             lat=column((math.nan if r.location is None else r.location[0] for r in records), float),
@@ -278,15 +284,21 @@ class _LineFilter:
     continues it and is passed on as it is, even when blank or ``#``-leading.
     """
 
-    def __init__(self, stream: Iterable[str]):
-        self.lineno = self.record_end = 0
+    def __init__(self, stream: Iterable[str], lineno: int = 0):
+        self.lineno = self.record_end = lineno  # the number of the line before the stream's first
         self._lines = self._filter(stream)
 
     def __iter__(self) -> Iterator[str]:
         return self._lines
 
+    def records(self) -> Iterator[tuple[list[str], int]]:
+        """The CSV records of the lines, each with the number of its last line."""
+        for row in csv.reader(self):
+            self.record_end = self.lineno
+            yield row, self.lineno
+
     def _filter(self, stream: Iterable[str]) -> Iterator[str]:
-        for lineno, line in enumerate(stream, start=1):
+        for lineno, line in enumerate(stream, start=self.lineno + 1):
             # a line that starts with a visible character other than '#' is data
             first = line[:1]
             if (first == "#" or first.isspace()) and self.record_end == self.lineno:
@@ -316,40 +328,55 @@ def _header_index(header: Sequence[str], required: Sequence[str], what: str) -> 
 
 def _read_blocks(
     source: str | Path | TextIO, what: str, required: Sequence[str], result: ParseResult
-) -> Iterator[tuple[dict[str, int], int, list[list[str]], list[int]]]:
-    """Yield the data rows of a CSV input in blocks of up to ``_BLOCK_ROWS``.
+) -> Iterator[tuple[dict[str, int], list[Sequence[str]], dict[int, list[str]], Sequence[int]]]:
+    """Yield the data rows of a CSV input as columns, in blocks of up to ``_BLOCK_ROWS``.
 
-    Each block comes as ``(col, width, rows, line numbers)``: ``col`` maps
-    lowercased header names to column positions and ``width`` is the number
-    of header cells. Every data row is counted in ``result.rows_total``.
-    Text the CSV reader cannot split, such as a cell over its field size
-    limit, is fatal: an :class:`IngestError` names the line.
+    Each block comes as ``(col, columns, ragged, line numbers)``: ``col`` maps
+    lowercased header names to column positions and ``columns`` holds the
+    cells of each header column. ``ragged`` maps the block position of each
+    row of another width to the row; its cells in ``columns`` are cut or
+    padded with "". Every data row is counted in ``result.rows_total``.
+
+    Lines are split on ',' here while a block is plain: no '"' or '\\r', and
+    each line of the header's width, within the field size limit and not
+    starting with '#' or whitespace, so ``csv.reader`` would give the same
+    cells and skip no line. From the first other block on, which starts
+    between records, ``csv.reader`` reads the rest. Text it cannot split,
+    such as a cell over its field size limit, is fatal: an
+    :class:`IngestError` names the line.
     """
     stream, owned = _open_text(source)
     try:
         lines = _LineFilter(stream)
-        reader = csv.reader(lines)
         try:
-            header = next(reader, None)
+            header, lineno = next(lines.records(), (None, 0))
             if header is None:
                 raise IngestError(f"{what}: empty input")
-            col = _header_index(header, required, what)
-            lines.record_end = lines.lineno
-            rows: list[list[str]] = []
-            linenos: list[int] = []
-            for row in reader:
-                rows.append(row)
-                lineno = lines.record_end = lines.lineno
-                linenos.append(lineno)
-                if len(rows) == _BLOCK_ROWS:
-                    result.rows_total += len(rows)
-                    yield col, len(header), rows, linenos
-                    rows, linenos = [], []
+            col, width = _header_index(header, required, what), len(header)
+            while block := list(itertools.islice(stream, _BLOCK_ROWS)):
+                body = "".join(block).removesuffix("\n")
+                firsts = "".join(map(itemgetter(0), block))  # ' ' is the one printable whitespace
+                if ('"' in body or "\r" in body or "#" in firsts or " " in firsts or not firsts.isprintable()
+                        or max(map(len, block)) > csv.field_size_limit()
+                        or set(map(str.count, block, itertools.repeat(","))) != {width - 1}):
+                    break
+                cells = body.replace("\n", ",").split(",")
+                result.rows_total += len(block)
+                yield col, [cells[j::width] for j in range(width)], {}, range(lineno + 1, lineno + len(block) + 1)
+                lineno += len(block)
+            else:
+                return
+            lines = _LineFilter(itertools.chain(block, stream), lineno)
+            records = lines.records()
+            while chunk := list(itertools.islice(records, _BLOCK_ROWS)):
+                rows, linenos = zip(*chunk)
+                ragged = {i: row for i, row in enumerate(rows) if len(row) != width}
+                if ragged:
+                    rows = [(row + [""] * width)[:width] for row in rows]
+                result.rows_total += len(rows)
+                yield col, list(zip(*rows)), ragged, linenos
         except csv.Error as exc:
             raise IngestError(f"{what} line {lines.lineno}: {exc}") from None
-        if rows:
-            result.rows_total += len(rows)
-            yield col, len(header), rows, linenos
     finally:
         if owned:
             stream.close()
@@ -374,10 +401,10 @@ def _read_table(
     The caller applies its own rule to the yielded records and appends the
     ones it keeps.
     """
-    for col, _, rows, linenos in _read_blocks(source, what, required, result):
-        for row, lineno in zip(rows, linenos):
+    for col, columns, ragged, linenos in _read_blocks(source, what, required, result):
+        for i, (row, lineno) in enumerate(zip(zip(*columns), linenos)):
             try:
-                record = convert(row, col)
+                record = convert(ragged.get(i, row), col)
             except (ValueError, IndexError) as exc:
                 _reject(result, what, lineno, exc)
                 continue
@@ -418,8 +445,8 @@ def parse_messages(
     wanted = frozenset(t.strip().lower() for t in keyword_filter or () if t.strip())
     result: ParseResult[MessageRecord] = ParseResult(records=[])
     columns = _MessageColumns()
-    for col, width, rows, linenos in _read_blocks(source, "messages", MESSAGE_COLUMNS, result):
-        columns.add(rows, col, width, linenos, result)
+    for col, cells, ragged, linenos in _read_blocks(source, "messages", MESSAGE_COLUMNS, result):
+        columns.add(cells, col, ragged, linenos, result)
     table = columns.table(wanted)
     result.rows_filtered = result.rows_total - result.rows_rejected - len(table)
     result.records = table
@@ -427,7 +454,7 @@ def parse_messages(
 
 
 class _MessageColumns:
-    """Converts ``messages.csv`` blocks into columns and assembles the table.
+    """Converts ``messages.csv`` blocks of columns into table columns and assembles the table.
 
     A row is taken in bulk when every cell is canonical: exactly the header's
     width; a non-empty id used by no other row of the block and by no row
@@ -442,49 +469,41 @@ class _MessageColumns:
 
     def __init__(self) -> None:
         self.seen: set[str] = set()  # ids of the rows accepted so far
+        self.users: dict[str, int] = {}  # user id -> code, in no particular order
         self.sets: dict[frozenset[str], int] = {}  # keyword set -> code
         self.keyword_cells: dict[str, int] = {}  # raw cell -> set code, -1 when no tag
         self.chunks: list[list[np.ndarray]] = []
 
-    def add(self, rows: list[list[str]], col: dict[str, int], width: int, linenos: list[int],
-            result: ParseResult) -> None:
-        n = len(rows)
-        whole = np.fromiter(map(len, rows), np.intp, n) == width
-        regular = rows if whole.all() else [row for row, ok in zip(rows, whole) if ok]
-        ids, users = (
-            list(map(str.strip, map(itemgetter(i), rows))) if len(regular) == n
-            else [row[i].strip() if i < len(row) else "" for row in rows]
-            for i in (col["message_id"], col["user_id"])
-        )
-        user = np.array(users, dtype=_TEXT)
-        bulk = whole & self._unique_ids(ids) & (user != "")
+    def add(self, columns: list[Sequence[str]], col: dict[str, int], ragged: dict[int, list[str]],
+            linenos: Sequence[int], result: ParseResult) -> None:
+        n = len(linenos)
+        cell = {name: columns[col[name]] for name in MESSAGE_COLUMNS}
+        ids, users = (list(map(str.strip, cell[name])) for name in ("message_id", "user_id"))
+        self.users.update(zip(set(users).difference(self.users), itertools.count(len(self.users))))
+        user = np.fromiter(map(self.users.__getitem__, users), np.int64, n)
 
-        stamp = np.zeros(n, dtype=np.int64)
-        lat, lon, sentiment = np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan)
-        tags = np.full(n, -1, dtype=np.int64)
-        retweet = np.zeros(n, dtype=bool)
-        count = np.zeros(n, dtype=np.int64)
-        if regular:
-            cell = {name: list(map(itemgetter(col[name]), regular)) for name in MESSAGE_COLUMNS[2:]}
-            tags[whole] = self._set_codes(cell["keywords"])
-            stamp[whole], ok = _timestamps_us(cell["timestamp"])
-            lat[whole], lat_present, lat_ok = _decimals(cell["lat"])
-            lon[whole], lon_present, lon_ok = _decimals(cell["lon"])
-            in_range = (np.abs(lat[whole]) <= 90.0) & (np.abs(lon[whole]) <= 180.0)
-            ok &= (lat_present == lon_present) & (~lat_present | (lat_ok & lon_ok & in_range))
-            sentiment[whole], _, sentiment_ok = _decimals(cell["sentiment"])
-            ok &= sentiment_ok & ~(np.abs(sentiment[whole]) > 1.0)
-            retweet[whole] = np.fromiter(map("1".__eq__, cell["is_retweet"]), bool, len(regular))
-            if not {"0", "1"}.issuperset(cell["is_retweet"]):
-                ok &= retweet[whole] | np.fromiter(map("0".__eq__, cell["is_retweet"]), bool, len(regular))
-            count[whole], count_ok = _counts(cell["retweeted_count"])
-            bulk[whole] &= ok & count_ok
-        bulk &= tags >= 0
+        stamp, ok = _timestamps_us(cell["timestamp"])
+        lat, lat_present, lat_ok = _decimals(cell["lat"])
+        lon, lon_present, lon_ok = _decimals(cell["lon"])
+        in_range = (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)
+        ok &= (lat_present == lon_present) & (~lat_present | (lat_ok & lon_ok & in_range))
+        sentiment, _, sentiment_ok = _decimals(cell["sentiment"])
+        ok &= sentiment_ok & ~(np.abs(sentiment) > 1.0)
+        if {"0", "1"}.issuperset(cell["is_retweet"]):
+            retweet = np.frombuffer("".join(cell["is_retweet"]).encode(), np.uint8) == ord("1")
+        else:
+            retweet = np.fromiter(map("1".__eq__, cell["is_retweet"]), bool, n)
+            ok &= retweet | np.fromiter(map("0".__eq__, cell["is_retweet"]), bool, n)
+        count, count_ok = _counts(cell["retweeted_count"])
+        tags = self._set_codes(cell["keywords"])
+        bulk = ok & count_ok & (tags >= 0) & self._unique_ids(ids) & (user != self.users.get("", -1))
+        bulk[list(ragged)] = False
 
         accepted = bulk.copy()
         for i in np.flatnonzero(~bulk).tolist():
             try:
-                fields = _message_fields(rows[i], col, self.seen)
+                # the converter reads header columns only, a missing cell as "": a cut or padded row converts the same
+                fields = _message_fields([column[i] for column in columns], col, self.seen)
             except (ValueError, IndexError) as exc:
                 _reject(result, "messages", linenos[i], exc)
                 continue
@@ -523,7 +542,7 @@ class _MessageColumns:
         empty) and renumber the keyword sets to those the kept rows use."""
         self.seen.clear()
         columns = []
-        for j, dtype in enumerate((_TEXT, _TEXT, np.int64, float, float, np.int64, bool, np.int64, float)):
+        for j, dtype in enumerate((_TEXT, np.int64, np.int64, float, float, np.int64, bool, np.int64, float)):
             # one column at a time, dropping its blocks as it goes, so they are not all held twice
             columns.append(np.concatenate([np.empty(0, dtype=dtype), *(chunk[j] for chunk in self.chunks)]))
             for chunk in self.chunks:
@@ -532,10 +551,10 @@ class _MessageColumns:
         if wanted:
             meets = np.array([bool(tags & wanted) for tags in sets], dtype=bool)
             columns = [column[meets[columns[5]]] for column in columns]
-        message_id, user_id, stamp, lat, lon, keyword_set, retweet, count, sentiment = columns
+        message_id, user, stamp, lat, lon, keyword_set, retweet, count, sentiment = columns
         return MessageTable.from_columns(
-            message_id=message_id, user_id=user_id, time_us=stamp, lat=lat, lon=lon, keyword_set=keyword_set,
-            keyword_sets=sets, is_retweet=retweet, retweeted_count=count, sentiment=sentiment,
+            message_id=message_id, user=user, user_ids=list(self.users), time_us=stamp, lat=lat, lon=lon,
+            keyword_set=keyword_set, keyword_sets=sets, is_retweet=retweet, retweeted_count=count, sentiment=sentiment,
         )
 
 
@@ -553,7 +572,9 @@ def _timestamps_us(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """
     n = len(cells)
     ok = np.fromiter(map(len, cells), np.intp, n) == 20
-    chars = np.array(cells, dtype="U20").view(np.uint32).reshape(n, 20)
+    cells = cells if ok.all() else [cell if good else "?" * 20 for cell, good in zip(cells, ok.tolist())]
+    # one byte per character: a character outside ASCII becomes '?', which no cell in the form holds
+    chars = np.frombuffer("".join(cells).encode("ascii", "replace"), np.uint8).reshape(n, 20)
     digits = chars[:, _STAMP_DIGITS] - ord("0")  # unsigned: anything below '0' wraps high
     ok &= (digits <= 9).all(axis=1)
     for i, mark in _STAMP_MARKS.items():
@@ -585,10 +606,10 @@ def _decimals(cells: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and not ok.
     """
     n = len(cells)
-    present = np.fromiter(map(bool, cells), bool, n)
+    texts = list(filter(None, cells))
+    present = np.ones(n, dtype=bool) if len(texts) == n else np.fromiter(map(bool, cells), bool, n)
     value = np.full(n, np.nan)
     ok = np.ones(n, dtype=bool)
-    texts = cells if present.all() else [cell for cell in cells if cell]
     if not "".join(texts).translate(_DECIMAL_CHARS):
         try:
             value[present] = np.array(texts, dtype=np.float64)
@@ -609,7 +630,7 @@ def _counts(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Cells of 1 to 18 ASCII digits as int64; ``ok`` is False (value 0) elsewhere."""
     text = "".join(cells)
     if text.isascii() and text.isdigit() and all(cells) and max(map(len, cells)) <= 18:
-        return np.fromiter(map(int, cells), np.int64, len(cells)), np.ones(len(cells), dtype=bool)
+        return np.array(cells, dtype=np.int64), np.ones(len(cells), dtype=bool)
     ok = [cell.isascii() and cell.isdigit() and len(cell) <= 18 for cell in cells]
     value = np.zeros(len(cells), dtype=np.int64)
     value[ok] = [int(cell) for cell, good in zip(cells, ok) if good]

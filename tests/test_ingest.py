@@ -21,6 +21,7 @@ from damagenowcast.ingest import (
     parse_track,
     write_messages_csv,
 )
+from damagenowcast.simulate import KeywordProfile, SimConfig, generate
 from oracles import parse_messages_reference
 
 HEADER = "message_id,user_id,timestamp,lat,lon,keywords,is_retweet,retweeted_count,sentiment\n"
@@ -610,6 +611,28 @@ class TestBulkMatchesPerRowReference:
         finally:
             csv.field_size_limit(limit)
         assert csv.field_size_limit() == limit
+
+    def test_simulated_bundle_needs_neither_csv_reader_nor_the_per_row_converter(self, tmp_path, monkeypatch):
+        # csv.reader reads the header and nothing else; every data row is split and converted in bulk
+        config = SimConfig(seed=3, n_regions=16, population_range=(500, 1500),
+                           keywords=(("storm", KeywordProfile(base_rate=0.001, event_amplitude=0.01)),))
+        bundle = generate(config, tmp_path / "sim")
+        reader, records = csv.reader, []
+
+        def counting_reader(lines):
+            for row in reader(lines):
+                records.append(row)
+                yield row
+
+        def refuse(*args):
+            raise AssertionError("per-row converter called on a simulated row")
+
+        monkeypatch.setattr(csv, "reader", counting_reader)
+        monkeypatch.setattr(ingest, "_message_fields", refuse)
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 64)
+        result = parse_messages(bundle.messages_csv)
+        assert records == [list(ingest.MESSAGE_COLUMNS)]
+        assert len(result.records) == result.rows_total > 3 * 64
 
     def test_retweeted_count_beyond_int64_rejected(self):
         result = parse_messages(messages_csv("m1,u1,2012-10-30T00:00:00Z,,,sandy,0,9223372036854775808,"))
