@@ -258,24 +258,18 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         population=population or None,
         region_ids=[r.region_id for r in regions],
     )
-    rows = []
-    for region_id in sorted(summaries):
-        s = summaries[region_id]
-        rows.append(
-            [
-                region_id,
-                s.window.start.isoformat() if s.window else "",
-                s.window.end.isoformat() if s.window else "",
-                s.n_messages,
-                s.n_original,
-                s.n_retweets,
-                s.n_popular,
-                s.active_users_window,
-                s.active_users_period,
-                _fmt(s.mean_sentiment),
-                s.population if s.population is not None else "",
-            ]
+    grid, j = summaries.grid, summaries.column
+    present = np.flatnonzero(grid.present[:, j])
+    counts = ("n_messages", "n_original", "n_retweets", "n_popular", "active_users_window", "active_users_period")
+    rows = [
+        [region_id, w.start.isoformat() if w else "", w.end.isoformat() if w else "", *values, _fmt(mean),
+         "" if math.isnan(people) else int(people)]
+        for region_id, w, *values, mean, people in zip(
+            [grid.region_ids[k] for k in present.tolist()], grid.windows[present, j].tolist(),
+            *(getattr(grid, name)[present, j].tolist() for name in counts),
+            grid.mean_sentiment[present, j].tolist(), grid.population[present, j].tolist(),
         )
+    ]
     out = Path(args.out) / "summaries.csv"
     n = _write_report(
         out,

@@ -408,7 +408,7 @@ class TestValidateCommand:
 
 
 def test_analysis_commands_build_no_summary_objects_or_id_dicts(sim_bundle, tmp_path, monkeypatch):
-    # correlate, nowcast and rank-keywords read the join codes and the summary grid as arrays
+    # correlate, nowcast, rank-keywords and summarize read the join codes and the summary grid as arrays
     def refuse(*args, **kwargs):
         raise AssertionError("per-region summary or message_id lookup on a command path")
 
@@ -420,6 +420,7 @@ def test_analysis_commands_build_no_summary_objects_or_id_dicts(sim_bundle, tmp_
     assert run("correlate", *inputs, *tables, "--overlay", tmp_path / "overlay.geojson", "--out", tmp_path) == 0
     assert run("nowcast", *inputs, *tables, "--out", tmp_path) == 0
     assert run("rank-keywords", *inputs, "--track", sim_bundle / "track.csv", "--out", tmp_path) == 0
+    assert run("summarize", *inputs, tables[0], tables[1], "--window", "2012-10-29..2012-11-02", "--out", tmp_path) == 0
 
 
 def test_cli_import_leaves_scipy_unloaded():
