@@ -7,10 +7,9 @@ problems (unreadable or empty input, a missing column, duplicate keys where
 duplicates are banned, non-monotone track times) raise :class:`IngestError`.
 Files are UTF-8; timestamps must be ISO-8601 with an explicit UTC offset.
 
-``parse_messages`` returns a :class:`MessageTable`, one array per field. The
-reader splits blocks of lines that need no CSV quoting rules straight into
-columns. Each block is converted with numpy, and only the rows already in
-canonical form (the form ``write_messages_csv`` writes) are taken in bulk.
+``parse_messages`` returns a :class:`MessageTable`, one array per field. It
+converts columns a block at a time with numpy and accepts in bulk only the
+rows already in canonical form (the form ``write_messages_csv`` writes).
 Every other row goes through the per-row converter, which alone decides
 whether a row is malformed and why, so the table, the counts and the
 diagnostics are what converting each row on its own would give.
@@ -132,12 +131,9 @@ class MessageTable(SequenceABC):
 
         ``user`` and ``keyword_set`` hold codes into ``user_ids`` and
         ``keyword_sets``; both are renumbered to those some row uses, the
-        users in sorted id order. Only the distinct ids are sorted.
+        users in sorted id order.
         """
-        order = sorted(np.flatnonzero(np.bincount(user, minlength=len(user_ids))).tolist(), key=user_ids.__getitem__)
-        rank = np.zeros(len(user_ids), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        user, user_ids = rank[user], np.array([user_ids[k] for k in order], dtype=_TEXT)
+        user, user_ids = _sorted_codes(user, user_ids)
         used, keyword_set = np.unique(keyword_set, return_inverse=True)
         keyword_sets = [keyword_sets[k] for k in used.tolist()]
         tags = tuple(sorted(set().union(*keyword_sets)))
@@ -201,6 +197,16 @@ class MessageTable(SequenceABC):
                 retweeted_count=count,
                 sentiment=None if math.isnan(sentiment) else sentiment,
             )
+
+
+def _sorted_codes(codes: np.ndarray, ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Codes into ``ids`` recoded into the ids some code uses, in sorted order."""
+    used = np.flatnonzero(np.bincount(codes, minlength=len(ids)))
+    rank = np.zeros(len(ids), dtype=np.int64)
+    ids = np.asarray(ids, dtype=_TEXT)[used]
+    order = np.argsort(ids, kind="stable")  # quicksort's heapsort fallback crashes on StringDType
+    rank[used[order]] = np.arange(len(order))
+    return rank[codes], ids[order]
 
 
 @dataclass(frozen=True)
@@ -337,12 +343,11 @@ def _read_blocks(
     row of another width to the row; its cells in ``columns`` are cut or
     padded with "". Every data row is counted in ``result.rows_total``.
 
-    Lines are split on ',' here while a block is plain: no '"' or '\\r', and
-    each line of the header's width, within the field size limit and not
-    starting with '#' or whitespace, so ``csv.reader`` would give the same
-    cells and skip no line. From the first other block on, which starts
-    between records, ``csv.reader`` reads the rest. Text it cannot split,
-    such as a cell over its field size limit, is fatal: an
+    A plain block (no '"' or '\\r'; every line of the header's width, within
+    the field size limit, not starting with '#' or whitespace) is split on
+    ',' here, as ``csv.reader`` would split it. From the first other block
+    on, which starts between records, ``csv.reader`` reads the rest. Text it
+    cannot split, such as a cell over its field size limit, is fatal: an
     :class:`IngestError` names the line.
     """
     stream, owned = _open_text(source)

@@ -295,16 +295,14 @@ def _message_table(config: SimConfig, draws: list[_RegionDraw]) -> MessageTable:
         return np.concatenate([getattr(draw, name) for draw in draws])
 
     # a user is a (region, number) pair: code the pairs, and write the id of each distinct one
-    number = column("user")
-    span = int(number.max(initial=0)) + 1
-    pairs, user = np.unique(region * span + number, return_inverse=True)
+    pairs, user = np.unique(region << 32 | column("user"), return_inverse=True)
     sets: dict[frozenset[str], int] = {}
     set_code = np.array([sets.setdefault(frozenset({keyword}), len(sets)) for keyword, _ in config.keywords],
                         dtype=np.int64)
     return MessageTable.from_columns(
         message_id=ids("m", region, index, 6),
         user=user,
-        user_ids=ids("u", pairs // span, pairs % span, 5).tolist(),
+        user_ids=ids("u", pairs >> 32, pairs & 0xFFFFFFFF, 5),
         time_us=column("time_us"),
         lat=column("lat"),
         lon=column("lon"),
