@@ -284,10 +284,10 @@ class _LineFilter:
     """Line iterator that skips blanks and ``#`` comments between records,
     tracking source line numbers.
 
-    The reader's caller sets ``record_end`` to ``lineno`` after each record
-    it takes, the header included. While the two differ, the reader is
-    inside a record whose quoted field holds a newline: the next line
-    continues it and is passed on as it is, even when blank or ``#``-leading.
+    ``records`` sets ``record_end`` to ``lineno`` after each record the CSV
+    reader takes. While the two differ, the reader is inside a record whose
+    quoted field holds a newline: the next line continues it and is passed
+    on as it is, even when blank or ``#``-leading.
     """
 
     def __init__(self, stream: Iterable[str], lineno: int = 0):
@@ -474,7 +474,7 @@ class _MessageColumns:
 
     def __init__(self) -> None:
         self.seen: set[str] = set()  # ids of the rows accepted so far
-        self.users: dict[str, int] = {}  # user id -> code, in no particular order
+        self.users: dict[str, int] = {}  # user id -> code, in first-seen order
         self.sets: dict[frozenset[str], int] = {}  # keyword set -> code
         self.keyword_cells: dict[str, int] = {}  # raw cell -> set code, -1 when no tag
         self.chunks: list[list[np.ndarray]] = []
@@ -484,8 +484,7 @@ class _MessageColumns:
         n = len(linenos)
         cell = {name: columns[col[name]] for name in MESSAGE_COLUMNS}
         ids, users = (list(map(str.strip, cell[name])) for name in ("message_id", "user_id"))
-        self.users.update(zip(set(users).difference(self.users), itertools.count(len(self.users))))
-        user = np.fromiter(map(self.users.__getitem__, users), np.int64, n)
+        user = np.array([self.users.setdefault(u, len(self.users)) for u in users], dtype=np.int64)
 
         stamp, ok = _timestamps_us(cell["timestamp"])
         lat, lat_present, lat_ok = _decimals(cell["lat"])
@@ -563,7 +562,7 @@ class _MessageColumns:
         )
 
 
-_DECIMAL_CHARS = dict.fromkeys(map(ord, "0123456789.+-eE"))
+_DECIMAL_CHARS = b"0123456789.+-eE"
 _STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _STAMP_MARKS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":", 19: "Z"}
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
@@ -615,7 +614,7 @@ def _decimals(cells: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     present = np.ones(n, dtype=bool) if len(texts) == n else np.fromiter(map(bool, cells), bool, n)
     value = np.full(n, np.nan)
     ok = np.ones(n, dtype=bool)
-    if not "".join(texts).translate(_DECIMAL_CHARS):
+    if not "".join(texts).encode("utf-8", "replace").translate(None, _DECIMAL_CHARS):
         try:
             value[present] = np.array(texts, dtype=np.float64)
             return value, present, ok
@@ -623,7 +622,7 @@ def _decimals(cells: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             pass
     for i, cell in zip(np.flatnonzero(present).tolist(), texts):
         try:
-            if cell.translate(_DECIMAL_CHARS):
+            if cell.encode("utf-8", "replace").translate(None, _DECIMAL_CHARS):
                 raise ValueError(cell)
             value[i] = float(cell)
         except ValueError:
