@@ -200,7 +200,7 @@ class MessageTable(SequenceABC):
 
 
 def _sorted_codes(codes: np.ndarray, ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Codes into ``ids`` recoded into the ids some code uses, in sorted order."""
+    """``codes`` into ``ids`` renumbered to the ids some code uses, in sorted order, and those ids."""
     used = np.flatnonzero(np.bincount(codes, minlength=len(ids)))
     rank = np.zeros(len(ids), dtype=np.int64)
     ids = np.asarray(ids, dtype=_TEXT)[used]
