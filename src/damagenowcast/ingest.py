@@ -124,16 +124,16 @@ class MessageTable(SequenceABC):
     tag_matrix: np.ndarray  # bool
 
     @classmethod
-    def from_columns(cls, message_id: np.ndarray, user: np.ndarray, user_ids: Sequence[str], time_us: np.ndarray,
-                     lat: np.ndarray, lon: np.ndarray, keyword_set: np.ndarray, keyword_sets: Sequence[frozenset[str]],
+    def from_columns(cls, message_id: np.ndarray, user_id: np.ndarray, time_us: np.ndarray, lat: np.ndarray,
+                     lon: np.ndarray, keyword_set: np.ndarray, keyword_sets: Sequence[frozenset[str]],
                      is_retweet: np.ndarray, retweeted_count: np.ndarray, sentiment: np.ndarray) -> MessageTable:
         """The table of one array per field, in row order, each of the field's dtype.
 
-        ``user`` and ``keyword_set`` hold codes into ``user_ids`` and
-        ``keyword_sets``; both are renumbered to those some row uses, the
-        users in sorted id order.
+        ``user_id`` holds the ids themselves and ``keyword_set`` codes into
+        ``keyword_sets``; users are coded in sorted order and the sets are
+        renumbered to those some row uses.
         """
-        user, user_ids = _sorted_codes(user, user_ids)
+        user_ids, user = _unique(user_id)
         used, keyword_set = np.unique(keyword_set, return_inverse=True)
         keyword_sets = [keyword_sets[k] for k in used.tolist()]
         tags = tuple(sorted(set().union(*keyword_sets)))
@@ -151,7 +151,6 @@ class MessageTable(SequenceABC):
     def from_records(cls, records: Iterable[MessageRecord]) -> MessageTable:
         """The table of the given records, in their order."""
         records = list(records)
-        users: dict[str, int] = {}
         sets: dict[frozenset[str], int] = {}
 
         def column(values: Iterable, dtype) -> np.ndarray:
@@ -159,8 +158,7 @@ class MessageTable(SequenceABC):
 
         return cls.from_columns(
             message_id=column((r.message_id for r in records), _TEXT),
-            user=column((users.setdefault(r.user_id, len(users)) for r in records), np.int64),
-            user_ids=list(users),
+            user_id=column((r.user_id for r in records), _TEXT),
             time_us=column(((r.timestamp.astimezone(timezone.utc) - UNIX_EPOCH) // MICROSECOND for r in records),
                            np.int64),
             lat=column((math.nan if r.location is None else r.location[0] for r in records), float),
@@ -199,14 +197,16 @@ class MessageTable(SequenceABC):
             )
 
 
-def _sorted_codes(codes: np.ndarray, ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """``codes`` into ``ids`` renumbered to the ids some code uses, in sorted order, and those ids."""
-    used = np.flatnonzero(np.bincount(codes, minlength=len(ids)))
-    rank = np.zeros(len(ids), dtype=np.int64)
-    ids = np.asarray(ids, dtype=_TEXT)[used]
-    order = np.argsort(ids, kind="stable")  # quicksort's heapsort fallback crashes on StringDType
-    rank[used[order]] = np.arange(len(order))
-    return rank[codes], ids[order]
+def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` by a stable sort. Its quicksort falls back to
+    heapsort when it recurses too deep, which StringDType lacks: the process dies."""
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = values[1:] != values[:-1]
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return values[new], inverse
 
 
 @dataclass(frozen=True)
@@ -343,12 +343,10 @@ def _read_blocks(
     row of another width to the row; its cells in ``columns`` are cut or
     padded with "". Every data row is counted in ``result.rows_total``.
 
-    A plain block (no '"' or '\\r'; every line of the header's width, within
-    the field size limit, not starting with '#' or whitespace) is split on
-    ',' here, as ``csv.reader`` would split it. From the first other block
-    on, which starts between records, ``csv.reader`` reads the rest. Text it
-    cannot split, such as a cell over its field size limit, is fatal: an
-    :class:`IngestError` names the line.
+    Blocks are split on ',' while they are plain (``_plain_columns``). From
+    the first other block on, which starts between records, ``csv.reader``
+    reads the rest. Text it cannot split, such as a cell over its field size
+    limit, is fatal: an :class:`IngestError` names the line.
     """
     stream, owned = _open_text(source)
     try:
@@ -359,15 +357,11 @@ def _read_blocks(
                 raise IngestError(f"{what}: empty input")
             col, width = _header_index(header, required, what), len(header)
             while block := list(itertools.islice(stream, _BLOCK_ROWS)):
-                body = "".join(block).removesuffix("\n")
-                firsts = "".join(map(itemgetter(0), block))  # ' ' is the one printable whitespace
-                if ('"' in body or "\r" in body or "#" in firsts or " " in firsts or not firsts.isprintable()
-                        or max(map(len, block)) > csv.field_size_limit()
-                        or set(map(str.count, block, itertools.repeat(","))) != {width - 1}):
+                columns = _plain_columns(block, width)
+                if columns is None:
                     break
-                cells = body.replace("\n", ",").split(",")
                 result.rows_total += len(block)
-                yield col, [cells[j::width] for j in range(width)], {}, range(lineno + 1, lineno + len(block) + 1)
+                yield col, columns, {}, range(lineno + 1, lineno + len(block) + 1)
                 lineno += len(block)
             else:
                 return
@@ -385,6 +379,24 @@ def _read_blocks(
     finally:
         if owned:
             stream.close()
+
+
+def _plain_columns(block: list[str], width: int) -> list[list[str]] | None:
+    """The cells of each of ``width`` columns of a block of lines, or None when the block is not plain.
+
+    A plain block holds no '"' or '\\r', and each line has ``width`` cells, fits
+    the field size limit and starts with neither '#' nor whitespace; ``csv.reader``
+    would split it on ',' alike. The block's text and flat cell list die here,
+    before the caller converts the columns, so their memory serves the next block.
+    """
+    body = "".join(block).removesuffix("\n")
+    firsts = "".join(map(itemgetter(0), block))  # ' ' is the one printable whitespace
+    if ('"' in body or "\r" in body or "#" in firsts or " " in firsts or not firsts.isprintable()
+            or max(map(len, block)) > csv.field_size_limit()
+            or set(map(str.count, block, itertools.repeat(","))) != {width - 1}):
+        return None
+    cells = body.replace("\n", ",").split(",")
+    return [cells[j::width] for j in range(width)]
 
 
 def _reject(result: ParseResult, what: str, lineno: int, exc: Exception) -> None:
@@ -474,7 +486,6 @@ class _MessageColumns:
 
     def __init__(self) -> None:
         self.seen: set[str] = set()  # ids of the rows accepted so far
-        self.users: dict[str, int] = {}  # user id -> code, in first-seen order
         self.sets: dict[frozenset[str], int] = {}  # keyword set -> code
         self.keyword_cells: dict[str, int] = {}  # raw cell -> set code, -1 when no tag
         self.chunks: list[list[np.ndarray]] = []
@@ -484,7 +495,7 @@ class _MessageColumns:
         n = len(linenos)
         cell = {name: columns[col[name]] for name in MESSAGE_COLUMNS}
         ids, users = (list(map(str.strip, cell[name])) for name in ("message_id", "user_id"))
-        user = np.array([self.users.setdefault(u, len(self.users)) for u in users], dtype=np.int64)
+        user = np.array(users, dtype=_TEXT)
 
         stamp, ok = _timestamps_us(cell["timestamp"])
         lat, lat_present, lat_ok = _decimals(cell["lat"])
@@ -500,7 +511,7 @@ class _MessageColumns:
             ok &= retweet | np.fromiter(map("0".__eq__, cell["is_retweet"]), bool, n)
         count, count_ok = _counts(cell["retweeted_count"])
         tags = self._set_codes(cell["keywords"])
-        bulk = ok & count_ok & (tags >= 0) & self._unique_ids(ids) & (user != self.users.get("", -1))
+        bulk = ok & count_ok & (tags >= 0) & self._unique_ids(ids) & (user != "")
         bulk[list(ragged)] = False
 
         accepted = bulk.copy()
@@ -546,7 +557,7 @@ class _MessageColumns:
         empty) and renumber the keyword sets to those the kept rows use."""
         self.seen.clear()
         columns = []
-        for j, dtype in enumerate((_TEXT, np.int64, np.int64, float, float, np.int64, bool, np.int64, float)):
+        for j, dtype in enumerate((_TEXT, _TEXT, np.int64, float, float, np.int64, bool, np.int64, float)):
             # one column at a time, dropping its blocks as it goes, so they are not all held twice
             columns.append(np.concatenate([np.empty(0, dtype=dtype), *(chunk[j] for chunk in self.chunks)]))
             for chunk in self.chunks:
@@ -555,10 +566,10 @@ class _MessageColumns:
         if wanted:
             meets = np.array([bool(tags & wanted) for tags in sets], dtype=bool)
             columns = [column[meets[columns[5]]] for column in columns]
-        message_id, user, stamp, lat, lon, keyword_set, retweet, count, sentiment = columns
+        message_id, user_id, stamp, lat, lon, keyword_set, retweet, count, sentiment = columns
         return MessageTable.from_columns(
-            message_id=message_id, user=user, user_ids=list(self.users), time_us=stamp, lat=lat, lon=lon,
-            keyword_set=keyword_set, keyword_sets=sets, is_retweet=retweet, retweeted_count=count, sentiment=sentiment,
+            message_id=message_id, user_id=user_id, time_us=stamp, lat=lat, lon=lon, keyword_set=keyword_set,
+            keyword_sets=sets, is_retweet=retweet, retweeted_count=count, sentiment=sentiment,
         )
 
 

@@ -287,22 +287,19 @@ def _message_table(config: SimConfig, draws: list[_RegionDraw]) -> MessageTable:
     region = np.repeat(np.arange(len(draws)), counts)
     index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    def ids(suffix: str, of_region: np.ndarray, numbers: np.ndarray, width: int) -> np.ndarray:
+    def ids(suffix: str, numbers: np.ndarray, width: int) -> np.ndarray:
         prefix = np.array([f"{draw.spec.region_id}-{suffix}" for draw in draws], dtype=_TEXT)
-        return np.strings.add(prefix[of_region], np.strings.zfill(numbers.astype(_TEXT), width))
+        return np.strings.add(prefix[region], np.strings.zfill(numbers.astype(_TEXT), width))
 
     def column(name: str) -> np.ndarray:
         return np.concatenate([getattr(draw, name) for draw in draws])
 
-    # a user is a (region, number) pair: code the pairs, and write the id of each distinct one
-    pairs, user = np.unique(region << 32 | column("user"), return_inverse=True)
     sets: dict[frozenset[str], int] = {}
     set_code = np.array([sets.setdefault(frozenset({keyword}), len(sets)) for keyword, _ in config.keywords],
                         dtype=np.int64)
     return MessageTable.from_columns(
-        message_id=ids("m", region, index, 6),
-        user=user,
-        user_ids=ids("u", pairs >> 32, pairs & 0xFFFFFFFF, 5),
+        message_id=ids("m", index, 6),
+        user_id=ids("u", column("user"), 5),
         time_us=column("time_us"),
         lat=column("lat"),
         lon=column("lon"),
