@@ -6,7 +6,8 @@ NaN/inf cells, a byte-order mark, CRLF line ends, duplicate ids, empty
 files, GeoJSON that is not an object, an over-long cell, an id that starts
 with ``#``), and runs ``join``, ``correlate --overlay``, ``series`` and
 ``nowcast`` on it in-process. Every run must return exit code 0, 1 or 2;
-an exception escaping ``main`` fails the test.
+an exception escaping ``main`` fails the test, and so does a numpy
+``RuntimeWarning``, the only sign of an overflow or an invalid operation.
 """
 
 import csv
@@ -14,6 +15,7 @@ import io
 import json
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,7 @@ from damagenowcast.cli import main
 
 CSV_FILES = ("messages.csv", "population.csv", "damage.csv")
 LONG_CELL = "x" * 140_000  # over csv's default field limit of 131,072 characters
-CELLS = ("nan", "inf", "-inf", "1e999", "", "-1", "0", "#x", "2012-13-45", LONG_CELL)
+CELLS = ("nan", "inf", "-inf", "1e999", "1e300", "", "-1", "0", "#x", "2012-13-45", LONG_CELL)
 DOCUMENTS = ("[]", "null", "3", '"x"', "{", "NaN", '{"type": "FeatureCollection", "features": 5}',
              '{"type": "FeatureCollection", "features": [1, null, "x", []]}')
 FEATURES = (None, 1, [], {"type": "Feature"}, {"type": "Feature", "properties": None, "geometry": None},
@@ -120,7 +122,8 @@ def _damage(directory: Path, name: str, kind: str, a: int, b: int, cell: str) ->
 @given(mutations())
 @settings(max_examples=40, deadline=None)
 def test_damaged_bundle_never_crashes(bundle, damages):
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as scratch, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         root = Path(scratch)
         inputs = shutil.copytree(bundle, root / "in")
         for damage in damages:
