@@ -1,7 +1,6 @@
 """Analysis pipelines over regional activity summaries: keyword relevance
-ranking, activity-distance curves, the city-by-keyword heatmap, daily
-correlation series, the damage-correlation report grid, and the nowcast
-ranking.
+ranking, daily correlation series, the damage-correlation report grid, and
+the nowcast ranking.
 
 Every ordering produced here is deterministic under permutation of the
 inputs; ties break on the keyword or region identifier.
@@ -15,26 +14,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import (
-    ActivitySummary,
-    GridColumn,
-    SummaryGrid,
-    TimeWindow,
-    local_popularity,
-    normalized_activity,
-    retweet_fraction,
-)
+from .metrics import ActivitySummary, GridColumn, SummaryGrid, TimeWindow
 from .stats import CorrelationResult, correlate, rank_discrepancy
 
 __all__ = [
     "DEFAULT_KEYWORD_POOL",
-    "COLLECTION_KEYWORDS",
     "POOLED",
     "KeywordRelevance",
     "KeywordRanking",
-    "CurvePoint",
-    "ActivityDistanceCurve",
-    "HeatmapMatrix",
     "SeriesEntry",
     "CorrelationSeries",
     "ReportCell",
@@ -42,8 +29,6 @@ __all__ = [
     "NowcastEntry",
     "NowcastReport",
     "rank_keywords",
-    "activity_distance_curve",
-    "heatmap_matrix",
     "daily_correlation_series",
     "damage_correlation_report",
     "nowcast",
@@ -51,14 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_KEYWORD_POOL = ("sandy", "hurricane", "storm", "power", "flooding")
-
-# Full collection vocabulary of the Hurricane Sandy corpus, most-posted first.
-COLLECTION_KEYWORDS = (
-    "power", "sandy", "hurricane", "weather", "storm", "gas", "governor",
-    "stay safe", "recovery", "climate", "fema", "flooding", "no power",
-    "climate change", "wall st", "blackout", "mta", "frankenstorm", "cuomo",
-    "prayforusa",
-)
 
 POOLED = "pooled"
 
@@ -136,99 +113,6 @@ def rank_keywords(
         )
     entries.sort(key=_relevance_sort_key)
     return KeywordRanking(entries=tuple(entries))
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    city_id: str
-    distance_km: float
-    activity: float
-    retweet_fraction: float | None
-    popularity: float | None
-
-
-@dataclass(frozen=True)
-class ActivityDistanceCurve:
-    keyword: str
-    points: tuple[CurvePoint, ...]
-    excluded: tuple[tuple[str, str], ...]  # (city_id, reason)
-
-
-def activity_distance_curve(
-    city_summaries: Mapping[tuple[str, str], ActivitySummary],
-    distances_km: Mapping[str, float],
-    keyword: str,
-    original_only: bool = False,
-) -> ActivityDistanceCurve:
-    """Raw plot-ready points (one per city) sorted by distance; no smoothing."""
-    points: list[CurvePoint] = []
-    excluded: list[tuple[str, str]] = []
-    for city in sorted({c for c, k in city_summaries if k == keyword}):
-        if city not in distances_km:
-            excluded.append((city, "no distance"))
-            continue
-        summary = city_summaries[(city, keyword)]
-        value = normalized_activity(summary, "per_period_user", original_only)
-        if value is None:
-            excluded.append((city, "zero period users"))
-            continue
-        points.append(
-            CurvePoint(
-                city_id=city,
-                distance_km=distances_km[city],
-                activity=value,
-                retweet_fraction=retweet_fraction(summary),
-                popularity=local_popularity(summary),
-            )
-        )
-    points.sort(key=lambda p: (p.distance_km, p.city_id))
-    return ActivityDistanceCurve(keyword=keyword, points=tuple(points), excluded=tuple(excluded))
-
-
-@dataclass(frozen=True)
-class HeatmapMatrix:
-    """Dense city x keyword x bin grid of per-user normalized daily activity."""
-
-    cities: tuple[str, ...]  # columns, nearest city first
-    keywords: tuple[str, ...]  # rows, highest total message count first
-    bins: tuple[int, ...]
-    values: np.ndarray  # shape (len(cities), len(keywords), len(bins))
-
-
-def heatmap_matrix(
-    bin_summaries: Mapping[tuple[str, str, int], ActivitySummary],
-    distances_km: Mapping[str, float],
-    keywords: Iterable[str] | None = None,
-    bins: Sequence[int] | None = None,
-) -> HeatmapMatrix:
-    """Assemble the daily activity heatmap from (city, keyword, bin) summaries.
-
-    Cities order by proximity to the track, keywords by total message count;
-    both tie-break on the identifier. Missing cells are zero.
-    """
-    cities = sorted(distances_km, key=lambda c: (distances_km[c], c))
-    kw = sorted(keywords) if keywords is not None else sorted({k for _, k, _ in bin_summaries})
-    bin_list = tuple(bins) if bins is not None else tuple(sorted({b for _, _, b in bin_summaries}))
-
-    totals = {k: 0 for k in kw}
-    for (city, keyword, b), summary in bin_summaries.items():
-        if keyword in totals and city in distances_km and b in bin_list:
-            totals[keyword] += summary.n_messages
-    kw_sorted = sorted(kw, key=lambda k: (-totals[k], k))
-
-    values = np.zeros((len(cities), len(kw_sorted), len(bin_list)))
-    bin_pos = {b: i for i, b in enumerate(bin_list)}
-    for ci, city in enumerate(cities):
-        for ki, keyword in enumerate(kw_sorted):
-            for b in bin_list:
-                summary = bin_summaries.get((city, keyword, b))
-                if summary is None:
-                    continue
-                value = normalized_activity(summary, "per_period_user")
-                values[ci, ki, bin_pos[b]] = value if value is not None else 0.0
-    return HeatmapMatrix(
-        cities=tuple(cities), keywords=tuple(kw_sorted), bins=bin_list, values=values
-    )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ The join is batched numpy work with no Python loop per point:
   over (pair, edge) rows in fixed-size batches, visiting only the edges whose
   y-extent reaches the point. A point goes to the smallest region_id that
   contains it.
-- ``point_in_region`` runs the same kernel for one point and one region.
 
 ``region_centroid`` is the planar area-weighted centroid of a region's outer
 rings minus its holes.
@@ -30,9 +29,7 @@ rings minus its holes.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
@@ -46,7 +43,6 @@ __all__ = [
     "SpatialIndex",
     "haversine_km",
     "point_to_track_km",
-    "point_in_region",
     "region_centroid",
     "spatial_join",
 ]
@@ -269,22 +265,15 @@ def region_centroid(region: RegionBoundary) -> GeoPoint:
     return GeoPoint(lat=min_lat + moment_y / area, lon=min_lon + moment_x / area)
 
 
-def point_in_region(p: _HasLatLon, region: RegionBoundary) -> bool:
-    """Even-odd containment over all rings; boundary points count as inside."""
-    edges = _EdgeTable([region])
-    x, y, only = np.array([p.lon]), np.array([p.lat]), np.zeros(1, dtype=np.intp)
-    return bool(edges.in_bbox(x, y, only)[0] and edges.contains(x, y, only)[0])
-
-
 class SpatialIndex:
     """Edge table and uniform lon/lat grid over a set of regions.
 
     Regions sharing a region_id keep the last one given. Each region is
     registered in every grid cell its bbox, widened by the boundary
-    tolerance, overlaps, so ``candidates`` is always a superset of the
-    regions truly containing a point. The registrations are compressed
-    rows: the occupied cells' keys, sorted, and per cell a run of region
-    numbers. A grid that would need more than ``_MAX_CELL_ENTRIES``
+    tolerance, overlaps, so the regions registered in a point's cell are
+    always a superset of those truly containing it. The registrations are
+    compressed rows: the occupied cells' keys, sorted, and per cell a run of
+    region numbers. A grid that would need more than ``_MAX_CELL_ENTRIES``
     registrations raises ValueError before anything is allocated.
     Immutable once built.
     """
@@ -337,12 +326,6 @@ class SpatialIndex:
         offset = np.arange(len(query)) - np.repeat(np.cumsum(count) - count, count)
         return query, self._cell_regions[np.repeat(start, count) + offset]
 
-    def candidates(self, p: _HasLatLon) -> tuple[str, ...]:
-        """Region ids whose bbox cell covers the point, sorted; possibly empty."""
-        cell = np.floor(np.array([p.lon, p.lat]) / self.cell_deg).astype(np.int64)
-        _, registered = self._registered(cell[:1], cell[1:])
-        return tuple(self.region_ids[k] for k in registered.tolist())
-
     def _assign(self, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
         """Position in ``region_ids`` of the first region containing each point, or -1.
 
@@ -386,37 +369,18 @@ class SpatialIndex:
         return first
 
 
-def _region_names(region_ids: list[str], codes: np.ndarray) -> list[str | None]:
-    # position -1 picks the trailing None: contained by no region
-    return np.array(region_ids + [None], dtype=object)[codes].tolist()
-
-
-class JoinedRows(Mapping):
-    """Read-only message_id -> region_id (or None) view of the ``located``
-    rows of ``table``, in row order. ``codes[i]`` is the position in
-    ``region_ids`` of the region holding the ``i``-th of them, or -1 for
-    none; ids are read only when the view is read as a mapping."""
+class JoinedRows:
+    """The join of the located rows of a message table, in row order:
+    ``codes[i]`` is the position in ``region_ids`` of the region holding the
+    ``i``-th of them, or -1 for none."""
 
     # a plain class: building a dataclass adds about 1 ms to the package import
-    def __init__(self, table: MessageTable, located: np.ndarray, codes: np.ndarray, region_ids: list[str]):
-        self.table, self.located, self.codes, self.region_ids = table, located, codes, region_ids
-
-    @cached_property
-    def _row(self) -> dict[str, int]:
-        return {point_id: i for i, point_id in enumerate(self)}
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.table.message_id[self.located].tolist())
-
-    def __getitem__(self, point_id: str) -> str | None:
-        code = self.codes[self._row[point_id]]
-        return self.region_ids[code] if code >= 0 else None
+    def __init__(self, codes: np.ndarray, region_ids: list[str]):
+        self.codes, self.region_ids = codes, region_ids
 
     def values(self) -> list[str | None]:
-        return _region_names(self.region_ids, self.codes)
+        # position -1 picks the trailing None: contained by no region
+        return np.array(self.region_ids + [None], dtype=object)[self.codes].tolist()
 
 
 def spatial_join(
@@ -427,11 +391,11 @@ def spatial_join(
     """Assign each point to the region containing it (None when uncontained).
 
     ``points`` are (point_id, point) pairs, which give a dict, or a message
-    table, which gives a :class:`JoinedRows` view of its located rows keyed
-    by message_id in row order. Overlapping boundaries are tie-broken to the
-    lexicographically smallest region_id, so the result is independent of
-    point order, region order, and index cell size. A given ``index`` must
-    have been built over ``regions``.
+    table, which gives the :class:`JoinedRows` of its located rows.
+    Overlapping boundaries are tie-broken to the lexicographically smallest
+    region_id, so the result is independent of point order, region order,
+    and index cell size. A given ``index`` must have been built over
+    ``regions``.
     """
     if index is None:
         index = SpatialIndex(regions)
@@ -446,7 +410,7 @@ def spatial_join(
         lon = np.array([p.lon for _, p in pairs], dtype=float)
     if not (np.isfinite(lat).all() and np.isfinite(lon).all()):
         raise ValueError("spatial_join: point coordinates must be finite")
-    codes = index._assign(lon, lat)
+    joined = JoinedRows(index._assign(lon, lat), index.region_ids)
     if isinstance(points, MessageTable):
-        return JoinedRows(points, located, codes, index.region_ids)
-    return dict(zip([point_id for point_id, _ in pairs], _region_names(index.region_ids, codes)))
+        return joined
+    return dict(zip([point_id for point_id, _ in pairs], joined.values()))

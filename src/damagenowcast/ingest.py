@@ -147,29 +147,6 @@ class MessageTable(SequenceABC):
             retweeted_count=retweeted_count, sentiment=sentiment, tags=tags, tag_matrix=tag_matrix,
         )
 
-    @classmethod
-    def from_records(cls, records: Iterable[MessageRecord]) -> MessageTable:
-        """The table of the given records, in their order."""
-        records = list(records)
-        sets: dict[frozenset[str], int] = {}
-
-        def column(values: Iterable, dtype) -> np.ndarray:
-            return np.array(list(values), dtype=dtype)
-
-        return cls.from_columns(
-            message_id=column((r.message_id for r in records), _TEXT),
-            user_id=column((r.user_id for r in records), _TEXT),
-            time_us=column(((r.timestamp.astimezone(timezone.utc) - UNIX_EPOCH) // MICROSECOND for r in records),
-                           np.int64),
-            lat=column((math.nan if r.location is None else r.location[0] for r in records), float),
-            lon=column((math.nan if r.location is None else r.location[1] for r in records), float),
-            keyword_set=column((sets.setdefault(r.keywords, len(sets)) for r in records), np.int64),
-            keyword_sets=list(sets),
-            is_retweet=column((r.is_retweet for r in records), bool),
-            retweeted_count=column((r.retweeted_count for r in records), np.int64),
-            sentiment=column((math.nan if r.sentiment is None else r.sentiment for r in records), float),
-        )
-
     def __len__(self) -> int:
         return len(self.message_id)
 
@@ -714,17 +691,13 @@ def format_timestamp(stamp: datetime) -> str:
     return (text.rstrip("0") if utc.microsecond else text) + "Z"
 
 
-def write_messages_csv(records: MessageTable | Iterable[MessageRecord], sink: str | Path | TextIO) -> None:
-    """Write messages in the canonical ``messages.csv`` schema (round-trips exactly).
-
-    A table is written from its columns, ``_BLOCK_ROWS`` rows at a time; any
-    other iterable of records is gathered into a table first.
-    """
+def write_messages_csv(table: MessageTable, sink: str | Path | TextIO) -> None:
+    """Write a table in the canonical ``messages.csv`` schema (round-trips
+    exactly), from its columns, ``_BLOCK_ROWS`` rows at a time."""
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8", newline="") as handle:
-            write_messages_csv(records, handle)
+            write_messages_csv(table, handle)
         return
-    table = records if isinstance(records, MessageTable) else MessageTable.from_records(records)
     keyword_cells = [";".join(sorted(tags)) for tags in table.keyword_sets]
     writer = csv.writer(sink, lineterminator="\n")
     quoted = csv.writer(sink, lineterminator="\n", quoting=csv.QUOTE_ALL)
@@ -939,9 +912,17 @@ def _population_row(row: list[str], col: dict[str, int]) -> PopulationEntry:
 def _parse_damage(source: str | Path | TextIO) -> ParseResult[DamageRecord]:
     result: ParseResult[DamageRecord] = ParseResult(records=[])
     totals: dict[tuple[str, str], float] = {}  # insertion order is first-seen order
-    for entry in _read_table(source, "damage", ("region_id", "amount_usd", "source"), _damage_row, result):
+
+    def add(row: list[str], col: dict[str, int]) -> None:
+        entry = _damage_row(row, col)
         key = (entry.region_id, entry.source)
-        totals[key] = totals.get(key, 0.0) + entry.amount_usd
+        total = totals.get(key, 0.0) + entry.amount_usd
+        if total == math.inf:
+            raise ValueError(f"amount_usd overflows the {entry.source} total of {entry.region_id!r}")
+        totals[key] = total
+
+    for _ in _read_table(source, "damage", ("region_id", "amount_usd", "source"), add, result):
+        pass
     result.records = [
         DamageRecord(region_id=rid, amount_usd=amount, source=src) for (rid, src), amount in totals.items()
     ]
@@ -954,8 +935,8 @@ def _damage_row(row: list[str], col: dict[str, int]) -> DamageRecord:
     damage_source = row[col["source"]].strip().lower()
     if not region_id:
         raise ValueError("missing region_id")
-    if amount < 0 or math.isnan(amount):
-        raise ValueError("amount_usd must be non-negative")
+    if not 0 <= amount < math.inf:
+        raise ValueError("amount_usd must be finite and non-negative")
     if damage_source not in DAMAGE_SOURCES:
         raise ValueError(f"source must be one of {sorted(DAMAGE_SOURCES)}")
     return DamageRecord(region_id=region_id, amount_usd=amount, source=damage_source)
@@ -990,4 +971,6 @@ def _county_row(row: list[str], col: dict[str, int]) -> CountyStats:
     )
     if stats.population <= 0 or stats.tweets < 0 or stats.users < 0:
         raise ValueError("counts out of range")
+    if not (0 <= stats.expost_damage_usd < math.inf and 0 <= stats.hazus_damage_usd < math.inf):
+        raise ValueError("damage must be finite and non-negative")
     return stats

@@ -20,7 +20,7 @@ from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
-from typing import Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,14 +34,9 @@ __all__ = [
     "GridColumn",
     "bin_offsets",
     "bin_window",
-    "normalized_activity",
-    "retweet_fraction",
-    "local_popularity",
     "summarize_regions",
     "summarize_daily",
 ]
-
-NormalizationMode = Literal["per_period_user", "per_capita"]
 
 
 @dataclass(frozen=True)
@@ -54,9 +49,6 @@ class TimeWindow:
     def __post_init__(self) -> None:
         if self.start >= self.end:
             raise ValueError("window start must precede end")
-
-    def contains(self, stamp: datetime) -> bool:
-        return self.start <= stamp < self.end
 
 
 @dataclass(frozen=True)
@@ -94,38 +86,6 @@ def bin_offsets(
 def bin_window(epoch: datetime, width: timedelta, index: int) -> TimeWindow:
     """The half-open window covered by one bin index."""
     return TimeWindow(start=epoch + index * width, end=epoch + (index + 1) * width)
-
-
-def normalized_activity(
-    summary: ActivitySummary,
-    mode: NormalizationMode = "per_period_user",
-    original_only: bool = False,
-) -> float | None:
-    """Message count divided by the chosen denominator; None when undefined."""
-    count = summary.n_original if original_only else summary.n_messages
-    if mode == "per_period_user":
-        denominator = summary.active_users_period
-    elif mode == "per_capita":
-        denominator = summary.population or 0
-    else:
-        raise ValueError(f"unknown normalization mode {mode!r}")
-    if denominator <= 0:
-        return None
-    return count / denominator
-
-
-def retweet_fraction(summary: ActivitySummary) -> float | None:
-    """Share of the window's messages that are rebroadcasts; None when empty."""
-    if summary.n_messages == 0:
-        return None
-    return summary.n_retweets / summary.n_messages
-
-
-def local_popularity(summary: ActivitySummary) -> float | None:
-    """Locally authored messages rebroadcast at least once, per period-active user."""
-    if summary.active_users_period <= 0:
-        return None
-    return summary.n_popular / summary.active_users_period
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,10 @@ def _spearman(x: np.ndarray, y: np.ndarray, transform: str, excluded: int) -> Co
 
 def _pearson(x: np.ndarray, y: np.ndarray, transform: str, excluded: int) -> CorrelationResult:
     n = len(x)
+    # scale each vector below 1 in magnitude by a power of two, which is exact and leaves r
+    # unchanged, so that the sums of squares below neither overflow nor vanish
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
     ax = x - x.mean()
     ay = y - y.mean()
     denom = math.sqrt(float(ax @ ax) * float(ay @ ay))
@@ -288,7 +292,7 @@ def correlate(
     With ``transform="log10"`` any pair containing a non-positive value is
     dropped first and counted in ``excluded``. Fewer than 2 usable pairs, or
     a constant vector, yields a degenerate result rather than an exception;
-    a NaN raises ``ValueError``.
+    a NaN or an infinity raises ``ValueError``.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -298,8 +302,8 @@ def correlate(
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be equal-length 1-D vectors")
-    if np.isnan(x).any() or np.isnan(y).any():
-        raise ValueError("x and y must not contain NaN")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must not contain NaN or inf")
 
     excluded = 0
     if transform == "log10":

@@ -6,7 +6,8 @@ region-by-region containment scans, one object per message) so it shares no
 code path with the package under test; it borrows only the package's record
 and report types, the analyses' guarded correlation calls and keyword sort
 key and, for the simulator reference, its config types, region grid and
-GeoJSON feature.
+GeoJSON feature. ``message_table`` reads records written the reference way
+back through the package's parser, for tests that need a message table.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import io
 import itertools
 import json
 import math
+import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
@@ -36,8 +38,8 @@ from damagenowcast.analysis import (
     _relevance_sort_key,
 )
 from damagenowcast.geo import GeoPoint
-from damagenowcast.ingest import MessageRecord
-from damagenowcast.metrics import ActivitySummary, bin_window, normalized_activity
+from damagenowcast.ingest import MessageRecord, parse_messages
+from damagenowcast.metrics import ActivitySummary, bin_window
 from damagenowcast.simulate import _region_feature, _region_grid
 
 
@@ -375,6 +377,20 @@ def parse_messages_reference(text: str, keyword_filter=None) -> ReferenceParse:
     return result
 
 
+def normalized_activity(summary, mode="per_period_user", original_only=False):
+    """Message count divided by the chosen denominator; None when undefined."""
+    count = summary.n_original if original_only else summary.n_messages
+    if mode == "per_period_user":
+        denominator = summary.active_users_period
+    elif mode == "per_capita":
+        denominator = summary.population or 0
+    else:
+        raise ValueError(f"unknown normalization mode {mode!r}")
+    if denominator <= 0:
+        return None
+    return count / denominator
+
+
 def compute_activity_summary_reference(messages, region_id, window, period_users, population=None):
     """One region's summary over a window (every message when None), object by object."""
     n_messages = n_original = n_retweets = n_popular = 0
@@ -382,7 +398,7 @@ def compute_activity_summary_reference(messages, region_id, window, period_users
     sentiment_sum = 0.0
     sentiment_n = 0
     for m in messages:
-        if window is not None and not window.contains(m.timestamp):
+        if window is not None and not window.start <= m.timestamp < window.end:
             continue
         n_messages += 1
         users.add(m.user_id)
@@ -611,6 +627,14 @@ def _reference_write_messages(records, path) -> None:
                 str(r.retweeted_count),
                 "" if r.sentiment is None else repr(r.sentiment),
             ])
+
+
+def message_table(records):
+    """The message table ``parse_messages`` reads back from the records written as CSV."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "messages.csv"
+        _reference_write_messages(records, path)
+        return parse_messages(path).records
 
 
 def _reference_region(config, spec, seed_seq):

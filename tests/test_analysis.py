@@ -5,10 +5,8 @@ import pytest
 
 from damagenowcast.analysis import (
     POOLED,
-    activity_distance_curve,
     daily_correlation_series,
     damage_correlation_report,
-    heatmap_matrix,
     nowcast,
     rank_keywords,
     region_rank_discrepancy,
@@ -105,46 +103,6 @@ class TestRankKeywords:
         assert a.keywords() == b.keywords()
 
 
-class TestActivityDistanceCurve:
-    def test_points_sorted_by_distance(self):
-        distances = {"near": 100.0, "mid": 500.0, "far": 2000.0}
-        summaries = {
-            ("far", "kw"): summary("far", 1, users=10),
-            ("near", "kw"): summary("near", 9, users=10),
-            ("mid", "kw"): summary("mid", 4, users=10),
-        }
-        curve = activity_distance_curve(summaries, distances, "kw")
-        assert [p.city_id for p in curve.points] == ["near", "mid", "far"]
-        assert [p.activity for p in curve.points] == [0.9, 0.4, 0.1]
-
-    def test_zero_user_city_excluded_with_reason(self):
-        distances = {"a": 10.0, "b": 20.0}
-        summaries = {("a", "kw"): summary("a", 5), ("b", "kw"): summary("b", 5, users=0)}
-        curve = activity_distance_curve(summaries, distances, "kw")
-        assert [p.city_id for p in curve.points] == ["a"]
-        assert curve.excluded == (("b", "zero period users"),)
-
-
-class TestCurveFromLatentDecay:
-    def test_curve_monotone_under_exact_decay(self):
-        """Counts built from the latent linear-decay law give a monotone curve."""
-        cutoff = 1500.0
-        users = 1000
-        base, amplitude = 0.02, 0.5
-        distances = {f"c{i:02d}": 120.0 * i for i in range(25)}  # 0 .. 2880 km
-        summaries = {}
-        for city, d in distances.items():
-            rate = base + amplitude * max(0.0, 1.0 - d / cutoff)
-            summaries[(city, "kw")] = summary(city, round(users * rate), users=users)
-        curve = activity_distance_curve(summaries, distances, "kw")
-        assert len(curve.points) == 25
-        inside = [p for p in curve.points if p.distance_km <= cutoff]
-        beyond = [p for p in curve.points if p.distance_km > cutoff]
-        for near, far in zip(inside, inside[1:]):
-            assert near.activity >= far.activity
-        assert len({p.activity for p in beyond}) == 1
-
-
 class TestSeriesFromNoiselessCoupling:
     def test_post_landfall_tau_above_point_eight_each_day(self, tmp_path):
         """Damage coupled 1:1 to window activity keeps every post-event day strongly correlated."""
@@ -183,37 +141,6 @@ class TestSeriesFromNoiselessCoupling:
         series = daily_correlation_series(daily, damage, population, bins)
         for entry in series.entries:
             assert entry.activity_damage_kendall.coefficient > 0.8
-
-
-class TestHeatmapMatrix:
-    def test_shape_and_orderings(self):
-        distances = {"near": 10.0, "far": 900.0}
-        summaries = {}
-        for b in (0, 1):
-            summaries[("near", "loud", b)] = summary("near", 50, users=10)
-            summaries[("far", "loud", b)] = summary("far", 50, users=10)
-            summaries[("near", "quiet", b)] = summary("near", 3, users=10)
-            summaries[("far", "quiet", b)] = summary("far", 4, users=10)
-        grid = heatmap_matrix(summaries, distances, bins=(0, 1))
-        assert grid.cities == ("near", "far")
-        assert grid.keywords == ("loud", "quiet")
-        assert grid.values.shape == (2, 2, 2)
-        assert grid.values[0, 0, 0] == pytest.approx(5.0)
-
-    def test_missing_cells_are_zero(self):
-        distances = {"a": 10.0}
-        summaries = {("a", "kw", 0): summary("a", 10, users=10)}
-        grid = heatmap_matrix(summaries, distances, bins=(0, 1))
-        assert grid.values[0, 0, 1] == 0.0
-
-    def test_keyword_rows_ordered_by_total_count(self):
-        distances = {"a": 10.0}
-        summaries = {
-            ("a", "small", 0): summary("a", 7),
-            ("a", "big", 0): summary("a", 100),
-        }
-        grid = heatmap_matrix(summaries, distances, bins=(0,))
-        assert grid.keywords == ("big", "small")
 
 
 class TestDailyCorrelationSeries:

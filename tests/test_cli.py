@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import damagenowcast
-from damagenowcast import geo, metrics
+from damagenowcast import metrics
 from damagenowcast.cli import main
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "sandy_counties.csv"
@@ -109,6 +109,21 @@ class TestCorrelateCommand:
         )
         assert float(cell["coefficient"]) == pytest.approx(0.339031, abs=1e-5)
         assert cell["n"] == "27"
+
+    @pytest.mark.parametrize("damage", ["inf", "-5"])
+    def test_county_row_with_unusable_damage_is_dropped(self, tmp_path, capsys, damage):
+        # an inf gave Pearson 1, p 0 for raw and log10; a negative amount was read silently
+        lines = FIXTURE.read_text().splitlines(keepends=True)
+        (tmp_path / "bad.csv").write_text("".join(lines[:1] + [lines[1].replace(",954,", f",{damage},")] + lines[2:]))
+        (tmp_path / "dropped.csv").write_text("".join(lines[:1] + lines[2:]))
+        assert run("correlate", "--county-table", tmp_path / "bad.csv", "--out", tmp_path / "bad") == 0
+        assert "county table: 1 of 27 rows rejected" in capsys.readouterr().err
+        assert run("correlate", "--county-table", tmp_path / "dropped.csv", "--out", tmp_path / "dropped") == 0
+
+        def data(report):
+            return [line for line in (report / "correlations.csv").read_text().splitlines() if line[:1] != "#"]
+
+        assert data(tmp_path / "bad") == data(tmp_path / "dropped")
 
     def test_overlay_geojson(self, sim_bundle, tmp_path):
         overlay = tmp_path / "overlay.geojson"
@@ -413,8 +428,7 @@ def test_analysis_commands_build_no_summary_objects_or_id_dicts(sim_bundle, tmp_
         raise AssertionError("per-region summary or message_id lookup on a command path")
 
     monkeypatch.setattr(metrics, "ActivitySummary", refuse)
-    monkeypatch.setattr(geo.JoinedRows, "__iter__", refuse)
-    monkeypatch.setattr(geo.JoinedRows, "__getitem__", refuse)
+    monkeypatch.setattr(metrics.RegionCodes, "from_mapping", refuse)
     inputs = ("--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson")
     tables = ("--population", sim_bundle / "population.csv", "--damage", sim_bundle / "damage.csv")
     assert run("correlate", *inputs, *tables, "--overlay", tmp_path / "overlay.geojson", "--out", tmp_path) == 0

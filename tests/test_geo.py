@@ -15,16 +15,16 @@ from damagenowcast.geo import (
     JoinedRows,
     SpatialIndex,
     haversine_km,
-    point_in_region,
     point_to_track_km,
     region_centroid,
     spatial_join,
 )
-from damagenowcast.ingest import MessageRecord, MessageTable, RegionBoundary, TrackPoint, parse_regions
+from damagenowcast.ingest import MessageRecord, RegionBoundary, TrackPoint, parse_regions
 
 from oracles import (
     brute_force_join,
     haversine_law_of_cosines,
+    message_table,
     point_in_polygon_winding,
     point_in_region_scalar,
 )
@@ -51,6 +51,11 @@ def rect_region(region_id, min_lon, min_lat, max_lon, max_lat, holes=()):
 
 
 UNIT = rect_region("unit", 0.0, 0.0, 1.0, 1.0)
+
+
+def inside(p, region) -> bool:
+    """Containment of one point in one region, through a one-region join."""
+    return spatial_join([("p", p)], [region])["p"] is not None
 
 
 def _segment_gap(px, py, a, b):
@@ -154,23 +159,23 @@ class TestPointToTrack:
 
 class TestPointInRegion:
     def test_inside_unit_square(self):
-        assert point_in_region(GeoPoint(0.5, 0.5), UNIT)
+        assert inside(GeoPoint(0.5, 0.5), UNIT)
 
     def test_outside_unit_square(self):
-        assert not point_in_region(GeoPoint(0.5, 1.5), UNIT)
+        assert not inside(GeoPoint(0.5, 1.5), UNIT)
 
     def test_boundary_counts_as_inside(self):
-        assert point_in_region(GeoPoint(0.0, 0.5), UNIT)
-        assert point_in_region(GeoPoint(0.5, 1.0), UNIT)
-        assert point_in_region(GeoPoint(0.0, 0.0), UNIT)
+        assert inside(GeoPoint(0.0, 0.5), UNIT)
+        assert inside(GeoPoint(0.5, 1.0), UNIT)
+        assert inside(GeoPoint(0.0, 0.0), UNIT)
 
     def test_point_inside_hole_is_outside(self):
         hole = ((0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (0.25, 0.75), (0.25, 0.25))
         donut = rect_region("donut", 0.0, 0.0, 1.0, 1.0, holes=(hole,))
-        assert not point_in_region(GeoPoint(0.5, 0.5), donut)
-        assert point_in_region(GeoPoint(0.1, 0.1), donut)
+        assert not inside(GeoPoint(0.5, 0.5), donut)
+        assert inside(GeoPoint(0.1, 0.1), donut)
         # hole boundary is still region boundary
-        assert point_in_region(GeoPoint(0.25, 0.5), donut)
+        assert inside(GeoPoint(0.25, 0.5), donut)
 
     def test_invariant_under_ring_rotation(self):
         ring = ((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 2.0), (0.0, 1.0), (0.0, 0.0))
@@ -183,7 +188,7 @@ class TestPointInRegion:
             xs = [x for x, _ in closed]
             ys = [y for _, y in closed]
             region = RegionBoundary("rot", "rot", "county", (closed,), (min(xs), min(ys), max(xs), max(ys)))
-            results.append([point_in_region(p, region) for p in probes])
+            results.append([inside(p, region) for p in probes])
         assert all(r == results[0] for r in results)
 
     @given(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5))
@@ -195,7 +200,7 @@ class TestPointInRegion:
         xs = [x for x, _ in ring]
         ys = [y for _, y in ring]
         region = RegionBoundary("poly", "poly", "county", (ring,), (min(xs), min(ys), max(xs), max(ys)))
-        assert point_in_region(GeoPoint(lat, lon), region) == point_in_polygon_winding(lon, lat, ring)
+        assert inside(GeoPoint(lat, lon), region) == point_in_polygon_winding(lon, lat, ring)
 
 
 def square_ring(min_lon, min_lat, max_lon, max_lat, clockwise=False):
@@ -221,7 +226,7 @@ class TestRegionCentroid:
         island = square_ring(-72.9, 40.3, -72.89, 40.31)
         region = parsed_region({"type": "MultiPolygon", "coordinates": [[square], [island]]})
         center = region_centroid(region)
-        assert point_in_region(center, region)
+        assert inside(center, region)
         assert -74.0 < center.lon < -73.8 and 40.6 < center.lat < 40.8
 
     @pytest.mark.parametrize("clockwise", [False, True])
@@ -290,7 +295,6 @@ class TestSpatialJoin:
         # line is within the boundary tolerance and inside at every cell size
         a = rect_region("a", 0.1, 0.1, 0.25 - 5e-10, 0.2)
         p = GeoPoint(0.15, 0.25)
-        assert point_in_region(p, a)
         for cell in (0.1, 0.25, 1.0):
             assert spatial_join([("p", p)], [a], SpatialIndex([a], cell_deg=cell)) == {"p": "a"}
 
@@ -338,23 +342,20 @@ class TestSpatialJoin:
         regions = random_disjoint_rects(rng, rng.integers(3, 12))
         lat, lon = rng.uniform(-22, 22, 60), rng.uniform(-22, 22, 60)
         lat[rng.random(60) < 0.2] = np.nan  # unlocated rows are not points
-        table = MessageTable.from_records(
+        table = message_table([
             MessageRecord(f"m{i}", "u", datetime(2012, 10, 30, tzinfo=timezone.utc),
                           None if math.isnan(y) else (float(y), float(x)), frozenset({"sandy"}), False, 0)
             for i, (y, x) in enumerate(zip(lat, lon))
-        )
+        ])
         expected = brute_force_join(
             [(f"m{i}", GeoPoint(float(y), float(x))) for i, (y, x) in enumerate(zip(lat, lon)) if not math.isnan(y)],
             regions,
         )
-        view = spatial_join(table, regions, SpatialIndex(regions, cell_deg=cell))
-        assert isinstance(view, JoinedRows) and len(view) == len(expected)
-        assert list(view.items()) == list(expected.items())  # row order, None where uncontained
-        assert view.values() == list(expected.values())
-        assert view == expected and dict(view) == expected and view.get("absent") is None
-        merged = {"absent": None}
-        merged.update(view)
-        assert merged == {"absent": None, **expected}
+        joined = spatial_join(table, regions, SpatialIndex(regions, cell_deg=cell))
+        assert isinstance(joined, JoinedRows)
+        assert table.message_id[~np.isnan(table.lat)].tolist() == list(expected)  # the located rows, in row order
+        assert joined.values() == list(expected.values())  # None where uncontained
+        assert [joined.region_ids[c] if c >= 0 else None for c in joined.codes.tolist()] == list(expected.values())
 
     def test_result_independent_of_point_order(self):
         rng = np.random.default_rng(3)
@@ -389,30 +390,36 @@ class TestSpatialJoin:
             SpatialIndex([big], cell_deg=0.01)  # 12,000 x 12,000 cells
         with pytest.raises(ValueError, match="larger cell size"):
             SpatialIndex([big], cell_deg=1e-300)  # the cell count overflows to inf
-        assert SpatialIndex([big], cell_deg=0.1).candidates(GeoPoint(0.05, 0.05)) == ("big",)
+        p = GeoPoint(0.05, 0.05)
+        assert spatial_join([("p", p)], [big], SpatialIndex([big], cell_deg=0.1)) == {"p": "big"}
 
     def test_index_candidates_match_bbox_scan(self):
         rng = np.random.default_rng(5)
         regions = random_disjoint_rects(rng, 9) + [rect_region("wide", -25.0, -3.0, 25.0, 3.0)]
         for cell in (0.3, 1.0, 7.0):
             index = SpatialIndex(regions, cell_deg=cell)
-            for lat, lon in zip(rng.uniform(-30, 30, 300), rng.uniform(-30, 30, 300)):
-                cx, cy = math.floor(lon / cell), math.floor(lat / cell)
-                expected = tuple(sorted(
+            lat, lon = rng.uniform(-30, 30, 300), rng.uniform(-30, 30, 300)
+            cell_x, cell_y = np.floor(lon / cell).astype(np.int64), np.floor(lat / cell).astype(np.int64)
+            query, registered = index._registered(cell_x, cell_y)
+            for q, (cx, cy) in enumerate(zip(cell_x.tolist(), cell_y.tolist())):
+                expected = sorted(
                     r.region_id for r in regions
                     if math.floor((r.bbox[0] - 1e-9) / cell) <= cx <= math.floor((r.bbox[2] + 1e-9) / cell)
                     and math.floor((r.bbox[1] - 1e-9) / cell) <= cy <= math.floor((r.bbox[3] + 1e-9) / cell)
-                ))
-                assert index.candidates(GeoPoint(float(lat), float(lon))) == expected
+                )
+                assert [index.region_ids[k] for k in registered[query == q].tolist()] == expected
 
     def test_index_candidates_cover_containing_regions(self):
         rng = np.random.default_rng(11)
         regions = random_disjoint_rects(rng, 16)
         index = SpatialIndex(regions, cell_deg=0.3)
-        for lat, lon in zip(rng.uniform(-22, 22, 200), rng.uniform(-22, 22, 200)):
-            p = GeoPoint(float(lat), float(lon))
-            candidates = set(index.candidates(p))
-            truly_containing = {r.region_id for r in regions if point_in_region(p, r)}
+        lat, lon = rng.uniform(-22, 22, 200), rng.uniform(-22, 22, 200)
+        cell_x, cell_y = np.floor(lon / 0.3).astype(np.int64), np.floor(lat / 0.3).astype(np.int64)
+        query, registered = index._registered(cell_x, cell_y)
+        candidates = {(q, index.region_ids[k]) for q, k in zip(query.tolist(), registered.tolist())}
+        points = [(q, GeoPoint(float(y), float(x))) for q, (y, x) in enumerate(zip(lat, lon))]
+        for r in regions:
+            truly_containing = {(q, r.region_id) for q, found in spatial_join(points, [r]).items() if found}
             assert truly_containing <= candidates
 
 
@@ -476,9 +483,10 @@ class TestKernelMatchesScalarReference:
         assert {"a-right", "dot"} <= set(expected.values())
         for cell in (0.1, 0.25, 1.0):
             assert spatial_join(points, regions, SpatialIndex(regions, cell_deg=cell)) == expected
-        for _, point in points[:: max(1, len(points) // 15)]:
-            for region in regions:
-                assert point_in_region(point, region) == point_in_region_scalar(point, region)
+        sample = points[:: max(1, len(points) // 15)]
+        for region in regions:
+            found = spatial_join(sample, [region])
+            assert [found[i] is not None for i, _ in sample] == [point_in_region_scalar(p, region) for _, p in sample]
 
     def test_point_at_the_far_end_of_the_tolerance_band(self):
         # on the line through the edge (0,0)-(1,1), exactly at the top of its widened extent
@@ -486,7 +494,6 @@ class TestKernelMatchesScalarReference:
         end = 1.0 + 1e-9
         p = GeoPoint(end, end)
         assert point_in_region_scalar(p, triangle)
-        assert point_in_region(p, triangle)
         assert spatial_join([("p", p)], [triangle]) == {"p": "t"}
 
     def test_join_memory_stays_within_budget(self):

@@ -348,6 +348,21 @@ class TestParseKeyedTable:
         assert result.records == []
         assert result.rows_rejected == 1
 
+    def test_non_finite_or_negative_damage_rejected(self):
+        amounts = ["inf", "-inf", "nan", "1e999", "-5", "0", "1e300"]
+        rows = "".join(f"r{i},{amount},fema_ia\n" for i, amount in enumerate(amounts))
+        result = parse_keyed_table(io.StringIO("region_id,amount_usd,source\n" + rows), "damage")
+        assert [(r.region_id, r.amount_usd) for r in result.records] == [("r5", 0.0), ("r6", 1e300)]
+        assert result.diagnostics == [
+            f"damage line {line}: amount_usd must be finite and non-negative" for line in range(2, 7)
+        ]
+
+    def test_damage_total_overflow_rejected(self):
+        stream = io.StringIO("region_id,amount_usd,source\nr1,1e308,fema_ia\nr1,1e308,fema_ia\nr1,1e308,insurance\n")
+        result = parse_keyed_table(stream, "damage")
+        assert [(r.source, r.amount_usd) for r in result.records] == [("fema_ia", 1e308), ("insurance", 1e308)]
+        assert result.diagnostics == ["damage line 3: amount_usd overflows the fema_ia total of 'r1'"]
+
 
 class TestCountyTable:
     def test_fixture_loads_verbatim(self, sandy_counties_path):
@@ -361,6 +376,15 @@ class TestCountyTable:
         assert atlantic.hazus_damage_usd == 1630e6
         ny = by_county["New York"]
         assert (ny.population, ny.tweets, ny.users) == (1619090, 50767, 15558)
+
+    def test_non_finite_or_negative_damage_rejected(self):
+        damages = [("inf", "1"), ("1", "-inf"), ("nan", "1"), ("-5", "1"), ("1", "1e303"), ("0", "1e300")]
+        rows = "".join(f"c{i},100,1,1,{expost},{hazus}\n" for i, (expost, hazus) in enumerate(damages))
+        result = parse_county_table(io.StringIO(",".join(ingest._COUNTY_COLUMNS) + "\n" + rows))
+        assert [s.county for s in result.records] == ["c5"]
+        assert result.diagnostics == [
+            f"county table line {line}: damage must be finite and non-negative" for line in range(2, 7)
+        ]
 
 
 # One case per CSV parser: (what, parse, header, good row, malformed row,

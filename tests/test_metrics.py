@@ -1,5 +1,4 @@
 import dataclasses
-import io
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from damagenowcast.analysis import daily_correlation_series, damage_correlation_report, nowcast, rank_keywords
-from damagenowcast.ingest import MessageRecord, parse_messages, write_messages_csv
+from damagenowcast.ingest import MessageRecord
 from damagenowcast.metrics import (
     ActivitySummary,
     RegionCodes,
@@ -15,9 +14,6 @@ from damagenowcast.metrics import (
     TimeWindow,
     bin_offsets,
     bin_window,
-    local_popularity,
-    normalized_activity,
-    retweet_fraction,
     summarize_daily,
     summarize_regions,
 )
@@ -25,6 +21,8 @@ from oracles import (
     compute_activity_summary_reference,
     daily_correlation_series_reference,
     damage_correlation_report_reference,
+    message_table,
+    normalized_activity,
     nowcast_reference,
     rank_keywords_reference,
     summarize_daily_reference,
@@ -49,18 +47,10 @@ def message(i, user="u1", stamp=EPOCH, retweet=False, rebroadcasts=0, sentiment=
     )
 
 
-def table(messages):
-    """The message table ``parse_messages`` reads back from the records written as CSV."""
-    buffer = io.StringIO()
-    write_messages_csv(messages, buffer)
-    buffer.seek(0)
-    return parse_messages(buffer).records
-
-
 def summary(messages, window=None, population=None, region_id="r1"):
     """The grouped summary of one region that holds every message."""
     return summarize_regions(
-        table(messages), {m.message_id: region_id for m in messages}, window,
+        message_table(messages), {m.message_id: region_id for m in messages}, window,
         population={region_id: population} if population is not None else None, region_ids=[region_id],
     )[region_id]
 
@@ -87,9 +77,10 @@ class TestBinOffsets:
         width = timedelta(hours=hours)
         stamp = EPOCH + timedelta(seconds=seconds)
         (k,) = bin_offsets([stamp], EPOCH, width)
-        assert bin_window(EPOCH, width, k).contains(stamp)
-        assert not bin_window(EPOCH, width, k - 1).contains(stamp)
-        assert not bin_window(EPOCH, width, k + 1).contains(stamp)
+        window, below, above = (bin_window(EPOCH, width, k + step) for step in (0, -1, 1))
+        assert window.start <= stamp < window.end
+        assert not below.start <= stamp < below.end
+        assert not above.start <= stamp < above.end
 
 
 class TestTimeWindow:
@@ -99,8 +90,8 @@ class TestTimeWindow:
 
     def test_half_open(self):
         window = TimeWindow(start=EPOCH, end=EPOCH + DAY)
-        assert window.contains(EPOCH)
-        assert not window.contains(EPOCH + DAY)
+        assert window.start <= EPOCH < window.end
+        assert not window.start <= EPOCH + DAY < window.end
 
 
 class TestActivitySummary:
@@ -176,21 +167,6 @@ class TestNormalizedActivity:
         assert normalized_activity(s, "per_capita", original_only=False) == pytest.approx(0.02)
 
 
-class TestRatios:
-    def test_retweet_fraction(self):
-        messages = [message(i, retweet=(i < 3)) for i in range(10)]
-        assert retweet_fraction(summary(messages)) == pytest.approx(0.3)
-
-    def test_retweet_fraction_empty(self):
-        assert retweet_fraction(summary([])) is None
-
-    def test_local_popularity(self):
-        messages = [message(i, user=f"u{i}", rebroadcasts=(1 if i < 2 else 0)) for i in range(574)]
-        s = summary(messages)
-        assert local_popularity(s) == pytest.approx(2 / 574)
-        assert local_popularity(s) == pytest.approx(3.48e-3, abs=5e-6)
-
-
 @st.composite
 def region_messages(draw):
     count = draw(st.integers(1, 40))
@@ -227,7 +203,7 @@ class TestSummaryProperties:
     @settings(max_examples=50, deadline=None)
     def test_binning_partitions_messages(self, messages):
         ks = sorted(set(bin_offsets([m.timestamp for m in messages], EPOCH, DAY)))
-        daily = summarize_daily(table(messages), {m.message_id: "r" for m in messages}, EPOCH, DAY, ks)
+        daily = summarize_daily(message_table(messages), {m.message_id: "r" for m in messages}, EPOCH, DAY, ks)
         assert sum(daily[("r", k)].n_messages for k in ks) == len(messages)
 
     @given(region_messages(), st.randoms())
@@ -248,31 +224,32 @@ class TestSummarizeHelpers:
             message(1, user="b", stamp=EPOCH),
         ]
         assignments = {"m0": "r1", "m1": "r1"}
-        out = summarize_regions(table(messages), assignments, TimeWindow(EPOCH, EPOCH + DAY), population={"r1": 50})
+        window = TimeWindow(EPOCH, EPOCH + DAY)
+        out = summarize_regions(message_table(messages), assignments, window, population={"r1": 50})
         assert out["r1"].n_messages == 1
         assert out["r1"].active_users_period == 2
 
     def test_silent_listed_regions_get_zero_summaries(self):
-        out = summarize_regions(table([]), {}, None, region_ids=["r1", "r2"])
+        out = summarize_regions(message_table([]), {}, None, region_ids=["r1", "r2"])
         assert out["r1"].n_messages == 0
         assert out["r2"].n_messages == 0
 
     def test_keyword_filter_applies(self):
         messages = [message(0, keywords=("sandy",)), message(1, keywords=("gas",))]
         assignments = {"m0": "r1", "m1": "r1"}
-        out = summarize_regions(table(messages), assignments, None, keywords=frozenset({"sandy"}))
+        out = summarize_regions(message_table(messages), assignments, None, keywords=frozenset({"sandy"}))
         assert out["r1"].n_messages == 1
 
     def test_unassigned_messages_ignored(self):
         messages = [message(0), message(1)]
         assignments = {"m0": "r1", "m1": None}
-        out = summarize_regions(table(messages), assignments, None)
+        out = summarize_regions(message_table(messages), assignments, None)
         assert out["r1"].n_messages == 1
 
     def test_daily_summaries_cover_requested_bins(self):
         messages = [message(0, stamp=EPOCH), message(1, user="u2", stamp=EPOCH + DAY)]
         assignments = {"m0": "r1", "m1": "r1"}
-        out = summarize_daily(table(messages), assignments, EPOCH, DAY, bins=range(-1, 3))
+        out = summarize_daily(message_table(messages), assignments, EPOCH, DAY, bins=range(-1, 3))
         assert out[("r1", 0)].n_messages == 1
         assert out[("r1", 1)].n_messages == 1
         assert out[("r1", -1)].n_messages == 0
@@ -284,18 +261,19 @@ class TestSummarizeHelpers:
             message(0, keywords=("sandy",)), message(1, keywords=("gas", "sandy")), message(2, keywords=("gas",))
         ]
         assignments = {"m0": "r1", "m1": "r1", "m2": "r2"}
-        out = summarize_regions(table(messages), assignments, None, scopes={
+        out = summarize_regions(message_table(messages), assignments, None, scopes={
             "pool": None, "sandy": frozenset({"sandy"}), "gas": frozenset({"gas"}), "none": frozenset({"mta"}),
         })
         assert {name: {r: s.n_messages for r, s in per.items()} for name, per in out.items()} == {
             "pool": {"r1": 2, "r2": 1}, "sandy": {"r1": 2}, "gas": {"r1": 1, "r2": 1}, "none": {},
         }
         with pytest.raises(ValueError):
-            summarize_regions(table(messages), assignments, None, keywords=frozenset({"gas"}), scopes={"x": None})
+            summarize_regions(
+                message_table(messages), assignments, None, keywords=frozenset({"gas"}), scopes={"x": None})
 
     def test_region_codes_match_mapping(self):
         messages = [message(0), message(1), message(2)]
-        codes = RegionCodes.from_mapping(table(messages), {"m0": "r2", "m2": "r1"})
+        codes = RegionCodes.from_mapping(message_table(messages), {"m0": "r2", "m2": "r1"})
         assert codes.codes.tolist() == [1, -1, 0]
         assert codes.region_ids == ["r1", "r2"]
 
@@ -340,7 +318,7 @@ class TestGroupedMatchesReference:
     @settings(max_examples=40, deadline=None)
     def test_summarize_regions(self, case, population):
         messages, assignments, window, scopes, region_ids = case
-        grouped = summarize_regions(table(messages), assignments, window, population=population,
+        grouped = summarize_regions(message_table(messages), assignments, window, population=population,
                                     region_ids=region_ids, scopes=dict(enumerate(scopes)))
         for s, keywords in enumerate(scopes):
             expected = summarize_regions_reference(messages, assignments, window, keywords, population, region_ids)
@@ -352,7 +330,7 @@ class TestGroupedMatchesReference:
     def test_summarize_daily(self, case, hours, bins):
         messages, assignments, _, scopes, _ = case
         width = timedelta(hours=hours)
-        grouped = summarize_daily(table(messages), assignments, EPOCH, width, bins, keywords=scopes[0],
+        grouped = summarize_daily(message_table(messages), assignments, EPOCH, width, bins, keywords=scopes[0],
                                   population={"r1": 10})
         expected = summarize_daily_reference(messages, assignments, EPOCH, width, bins, scopes[0], {"r1": 10})
         assert list(grouped) == list(expected)
@@ -416,7 +394,7 @@ class TestSeriesMatchesReference:
         messages, assignments, _, scopes, _ = case
         population, damage, series_bins, normalization = args
         width = timedelta(hours=hours)
-        daily = summarize_daily(table(messages), assignments, EPOCH, width, bins, scopes[0], population)
+        daily = summarize_daily(message_table(messages), assignments, EPOCH, width, bins, scopes[0], population)
         reference = summarize_daily_reference(messages, assignments, EPOCH, width, bins, scopes[0], population)
         got = daily_correlation_series(daily, damage, population, series_bins, normalization, EPOCH, width)
         expected = daily_correlation_series_reference(reference, damage, population, series_bins, normalization,
@@ -463,7 +441,7 @@ class TestAnalysesMatchReference:
     def test_report_on_grid(self, case, args, original_only):
         messages, assignments, window, scopes, region_ids = case
         population, damage, _ = args
-        grid = summarize_regions(table(messages), assignments, window, population=population,
+        grid = summarize_regions(message_table(messages), assignments, window, population=population,
                                  region_ids=region_ids, scopes={f"s{s}": scope for s, scope in enumerate(scopes)})
         reference = {
             f"s{s}": summarize_regions_reference(messages, assignments, window, scope, population, region_ids)
@@ -489,7 +467,7 @@ class TestAnalysesMatchReference:
     @settings(max_examples=40, deadline=None)
     def test_rank_keywords_on_grid(self, case, args, subset, original_only):
         messages, assignments, window, _, _ = case
-        per_keyword = summarize_regions(table(messages), assignments, window,
+        per_keyword = summarize_regions(message_table(messages), assignments, window,
                                         scopes={tag: frozenset({tag}) for tag in TAGS})
         grid = per_keyword["sandy"].grid
         _, _, distances = args
@@ -510,7 +488,7 @@ class TestAnalysesMatchReference:
     def test_nowcast_on_grid(self, case, args, original_only, with_damage):
         messages, assignments, window, scopes, region_ids = case
         population, damage, _ = args
-        summaries = summarize_regions(table(messages), assignments, window, scopes[0], population, region_ids)
+        summaries = summarize_regions(message_table(messages), assignments, window, scopes[0], population, region_ids)
         damage_usd = damage["ex_post"] if with_damage and "ex_post" in damage else None
         expected = nowcast_reference(summaries, window, original_only=original_only, damage_usd=damage_usd)
         self._same(nowcast(summaries, window, original_only=original_only, damage_usd=damage_usd), expected)

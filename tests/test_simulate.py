@@ -88,11 +88,13 @@ class TestBundleWellFormed:
     def test_every_message_falls_inside_its_region(self, tmp_path):
         bundle = generate(small_config(5), tmp_path / "sim")
         regions = {r.region_id: r for r in parse_regions(bundle.regions_geojson).records}
-        from damagenowcast.geo import point_in_region
+        from damagenowcast.geo import spatial_join
 
+        points = {}
         for m in parse_messages(bundle.messages_csv).records:
-            region_id = m.message_id.rsplit("-", 1)[0]
-            assert point_in_region(GeoPoint(*m.location), regions[region_id])
+            points.setdefault(m.message_id.rsplit("-", 1)[0], []).append((m.message_id, GeoPoint(*m.location)))
+        for region_id, located in points.items():
+            assert None not in spatial_join(located, [regions[region_id]]).values()
 
     def test_canonical_ordering(self, tmp_path):
         bundle = generate(small_config(9), tmp_path / "sim")

@@ -247,11 +247,12 @@ class TestSortBasedKernels:
     @pytest.mark.parametrize("method", ["kendall", "spearman", "pearson"])
     @pytest.mark.parametrize("transform", ["raw", "log10"])
     def test_nan_rejected(self, method, transform):
-        # pearson gave coefficient 1.0 with p 0.0 here, spearman ranked the NaN last
-        with pytest.raises(ValueError, match="NaN"):
-            correlate([1.0, float("nan"), 3.0, 4.0], [1.0, 2.0, 3.0, 5.0], method, transform)
-        with pytest.raises(ValueError, match="NaN"):
-            correlate([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, float("nan"), 5.0], method, transform)
+        # pearson gave coefficient 1.0 with p 0.0 here, spearman ranked the NaN (or inf) last
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="NaN or inf"):
+                correlate([1.0, bad, 3.0, 4.0], [1.0, 2.0, 3.0, 5.0], method, transform)
+            with pytest.raises(ValueError, match="NaN or inf"):
+                correlate([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, bad, 5.0], method, transform)
 
 
 class TestInvariances:
@@ -292,6 +293,18 @@ class TestInvariances:
         # centering cancels digits when |shift| dominates the scaled spread
         conditioning = 1.0 + abs(shift) / (scale * (float(np.ptp(x)) + 1e-9))
         assert a.coefficient == pytest.approx(b.coefficient, abs=1e-12 * conditioning)
+
+    @given(vector_pairs(ties=True), st.floats(1e-300, 1e300))
+    @settings(max_examples=60, deadline=None)
+    def test_pearson_invariant_under_huge_and_tiny_scales(self, pair, scale):
+        # unscaled squares overflowed to inf above about 1e154 (r read 0) and underflowed to 0
+        # below about 1e-154 (a degenerate result)
+        x, y = pair
+        a = correlate(x, y, "pearson")
+        b = correlate(x, scale * y, "pearson")
+        assert a.degenerate == b.degenerate
+        if not a.degenerate:
+            assert b.coefficient == pytest.approx(a.coefficient, abs=1e-12)
 
     @given(vector_pairs(ties=True))
     @settings(max_examples=60, deadline=None)
