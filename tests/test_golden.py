@@ -24,6 +24,9 @@ COMMANDS = {
     "join": ("join", *INPUTS, "--out", "join"),
     "summarize": ("summarize", *INPUTS, "--population", "bundle/population.csv",
                   "--window", "2012-10-31..2012-11-05", "--out", "summarize"),
+    "summarize-keywords": ("summarize", *INPUTS, "--population", "bundle/population.csv",
+                           "--window", "2012-10-31..2012-11-05", "--keywords", "power,sandy",
+                           "--out", "summarize-keywords"),
     "correlate": ("correlate", *INPUTS, *TABLES, "--overlay", "correlate/overlay.geojson",
                   "--out", "correlate"),
     "correlate-original": ("correlate", *INPUTS, *TABLES, "--original-only", "--keywords", "power,sandy",
@@ -62,6 +65,7 @@ GOLDEN = {
     "series/series.csv": "683e9c6dea776424c47633b607c458d77773c033ce42ef305060a0c576ec1635",
     "series-per-user/series.csv": "88e594fa3f77bfc104f739ab873caa881e7dc0556622b2087f6c7464e7c8945c",
     "summarize/summaries.csv": "61f55affb8a2f68db796e7effccca3d2420437023f18788a3f90f0b5209e5b57",
+    "summarize-keywords/summaries.csv": "27a9f4340ce668779e8f462c255ca6467deee43f9f26cebb59f3e878bbafede0",
 }
 
 BUNDLE_GOLDEN = {
