@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import ActivitySummary, GridColumn, SummaryGrid, TimeWindow
+from .metrics import ActivitySummary, GridColumn, SummaryGrid
 from .stats import CorrelationResult, correlate, rank_discrepancy
 
 __all__ = [
@@ -129,7 +129,6 @@ class SeriesEntry:
 @dataclass(frozen=True)
 class CorrelationSeries:
     entries: tuple[SeriesEntry, ...]
-    normalization: str
 
 
 def daily_correlation_series(
@@ -185,7 +184,7 @@ def daily_correlation_series(
         )
         for b, n, on, x, v, mood, s in zip(bins, n_messages, active, activity, valued, sentiment, scored)
     )
-    return CorrelationSeries(entries=entries, normalization=normalization)
+    return CorrelationSeries(entries=entries)
 
 
 def _guarded(
@@ -216,7 +215,6 @@ class ReportCell:
 @dataclass(frozen=True)
 class DamageCorrelationReport:
     cells: tuple[ReportCell, ...]
-    window: TimeWindow | None
 
     def cell(
         self, variable: str, keyword: str, damage_source: str, normalization: str,
@@ -255,7 +253,6 @@ def damage_correlation_report(
     scope_summaries: Mapping[str, Mapping[str, ActivitySummary]],
     damage_by_source: Mapping[str, Mapping[str, float]],
     population: Mapping[str, int],
-    window: TimeWindow | None = None,
     normalizations: Sequence[str] = ("census_population", "twitter_users"),
     transforms: Sequence[str] = ("raw", "log10"),
     methods: Sequence[str] = ("kendall", "spearman", "pearson"),
@@ -319,7 +316,7 @@ def damage_correlation_report(
                                 active_regions=active,
                             )
                         )
-    return DamageCorrelationReport(cells=tuple(cells), window=window)
+    return DamageCorrelationReport(cells=tuple(cells))
 
 
 @dataclass(frozen=True)
@@ -328,7 +325,6 @@ class NowcastEntry:
     region_id: str
     per_capita_activity: float
     n_original: int
-    n_messages: int
     population: int
     damage_rank: int | None = None
 
@@ -337,15 +333,10 @@ class NowcastEntry:
 class NowcastReport:
     entries: tuple[NowcastEntry, ...]
     excluded: tuple[tuple[str, str], ...]  # (region_id, reason)
-    window: TimeWindow | None
-    normalization: str
-    keywords: tuple[str, ...]
 
 
 def nowcast(
     summaries: Mapping[str, ActivitySummary],
-    window: TimeWindow | None = None,
-    keywords: Sequence[str] = DEFAULT_KEYWORD_POOL,
     original_only: bool = True,
     damage_usd: Mapping[str, float] | None = None,
 ) -> NowcastReport:
@@ -375,19 +366,12 @@ def nowcast(
         per_capita = _by_region(damage_usd, [regions[i] for i in ranked.tolist()]) / population[ranked]
         damage_rank[ranked[np.argsort(-per_capita, kind="stable")]] = np.arange(1, len(ranked) + 1)
 
-    at = rows[order]
     entries = tuple(map(
         NowcastEntry, range(1, len(order) + 1), [regions[k] for k in order.tolist()], value[by_value].tolist(),
-        grid.n_original[at, j].tolist(), grid.n_messages[at, j].tolist(), population[order].astype(int).tolist(),
+        grid.n_original[rows[order], j].tolist(), population[order].astype(int).tolist(),
         [rank or None for rank in damage_rank[order].tolist()],
     ))
-    return NowcastReport(
-        entries=entries,
-        excluded=tuple(excluded),
-        window=window,
-        normalization="per_capita",
-        keywords=tuple(keywords),
-    )
+    return NowcastReport(entries=entries, excluded=tuple(excluded))
 
 
 def region_rank_discrepancy(

@@ -60,6 +60,7 @@ DEFAULT_WINDOW = "2012-10-31..2012-11-12"
 DEFAULT_SPAN = "2012-10-22..2012-11-11"
 DEFAULT_MIN_LON = -90.0  # "east coast" city subset: centroids east of this longitude
 MODELED_SOURCE = "hazus"  # the one damage source that is not ex-post
+DIAGNOSTICS_SHOWN = 5  # validate prints this many diagnostics per input
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -150,12 +151,6 @@ def _records(name: str, result: ParseResult):
     return result.records
 
 
-def _regions(path: str, keep_document: bool = False) -> tuple[list[RegionBoundary], dict | None]:
-    """The parsed regions, and the decoded GeoJSON document when ``keep_document``."""
-    result = parse_regions(path)
-    return _records("regions", result), result.document if keep_document else None
-
-
 def _population(path: str) -> dict[str, int]:
     return {e.region_id: e.population for e in _records("population", parse_keyed_table(path, "population"))}
 
@@ -200,12 +195,12 @@ def _ex_post_damage(by_source: Mapping[str, Mapping[str, float]]) -> dict[str, f
     return damage
 
 
-def _print_diagnostics(name: str, result, limit: int = 5) -> None:
+def _print_diagnostics(name: str, result) -> None:
     print(f"{name}: {len(result.records)} records, {result.rows_rejected} rejected", flush=True)
-    for line in result.diagnostics[:limit]:
+    for line in result.diagnostics[:DIAGNOSTICS_SHOWN]:
         print(f"  {line}")
-    if len(result.diagnostics) > limit:
-        print(f"  ... {len(result.diagnostics) - limit} more diagnostics")
+    if len(result.diagnostics) > DIAGNOSTICS_SHOWN:
+        print(f"  ... {len(result.diagnostics) - DIAGNOSTICS_SHOWN} more diagnostics")
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +249,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         messages,
         assignments,
         window,
-        keywords=frozenset(args.keywords) if args.keywords else None,
         population=population or None,
         region_ids=[r.region_id for r in regions],
     )
@@ -351,10 +345,12 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
             "hazus": {s.county: s.hazus_damage_usd for s in stats},
         }
         include_sentiment = False
-        window = None
     else:
         messages = _records("messages", parse_messages(args.messages))
-        regions, collection = _regions(args.regions, keep_document=bool(args.overlay))
+        parsed = parse_regions(args.regions)
+        regions = _records("regions", parsed)
+        collection = parsed.document if args.overlay else None
+        del parsed  # without --overlay, the decoded document is not kept
         population = _population(args.population)
         damage_by_source = _load_damage(args.damage)
         assignments = _assignments(messages, regions, args.cell_deg)
@@ -371,7 +367,6 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         scope_summaries,
         damage_by_source,
         population,
-        window=window,
         original_only=args.original_only,
         include_sentiment=include_sentiment,
     )
@@ -488,7 +483,6 @@ def _cmd_series(args: argparse.Namespace) -> int:
         epoch,
         width,
         bins,
-        keywords=frozenset(args.keywords) or None,
         population=population,
     )
     series = daily_correlation_series(
@@ -504,7 +498,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
         ):
             rows.append(
                 [
-                    entry.bin_start.isoformat() if entry.bin_start else entry.bin_index,
+                    entry.bin_start.isoformat(),
                     entry.active_regions,
                     entry.n_messages,
                     label,
@@ -527,7 +521,6 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_nowcast(args: argparse.Namespace) -> int:
-    window = None
     if args.county_table:
         stats = _records("county table", parse_county_table(args.county_table))
         summaries = _county_summaries(stats)
@@ -542,7 +535,6 @@ def _cmd_nowcast(args: argparse.Namespace) -> int:
             messages,
             assignments,
             window,
-            keywords=frozenset(args.keywords) or None,
             population=population,
             region_ids=[r.region_id for r in regions],
         )
@@ -553,13 +545,7 @@ def _cmd_nowcast(args: argparse.Namespace) -> int:
                 print(f"nowcast: no ex-post damage rows (every source except {MODELED_SOURCE}); "
                       "damage_rank is empty", file=sys.stderr)
 
-    report = nowcast(
-        summaries,
-        window=window,
-        keywords=args.keywords,
-        original_only=args.original_only,
-        damage_usd=damage or None,
-    )
+    report = nowcast(summaries, original_only=args.original_only, damage_usd=damage or None)
 
     out = Path(args.out) / "nowcast.csv"
     columns = ["rank", "region_id", "per_capita_activity", "n_original", "population"]

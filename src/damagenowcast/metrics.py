@@ -185,7 +185,6 @@ def summarize_regions(
     messages: MessageTable,
     assignments: RegionCodes | Mapping[str, str | None],
     window: TimeWindow | None,
-    keywords: frozenset[str] | None = None,
     population: Mapping[str, int] | None = None,
     region_ids: Iterable[str] | None = None,
     scopes: Mapping[str, frozenset[str] | None] | None = None,
@@ -196,18 +195,15 @@ def summarize_regions(
     message in the tag scope at any time; listed regions silent in the
     corpus get all-zero summaries. The per-user denominator counts distinct
     users of the region's in-scope messages over the whole input, not just
-    the window. The scope is ``keywords`` (None for every tag). Given
-    ``scopes`` (name -> tag set, None for every tag) instead, the result is
-    one such mapping per scope name, all columns of one region × scope
+    the window. Without ``scopes`` every message is in scope. Given
+    ``scopes`` (name -> tag set, None for every tag), the result is one such
+    mapping per scope name, all columns of one region × scope
     :class:`SummaryGrid` from one grouped count.
     """
     if scopes is None:
         return summarize_regions(
-            messages, assignments, window, population=population, region_ids=region_ids,
-            scopes={None: keywords},
+            messages, assignments, window, population=population, region_ids=region_ids, scopes={None: None},
         )[None]
-    if keywords is not None:
-        raise ValueError("summarize_regions: give keywords or scopes, not both")
     table, codes = messages, _region_codes(messages, assignments)
     listed = set(region_ids or ())
     names = [*codes.region_ids, *sorted(listed.difference(codes.region_ids))]  # the rest hold no message
@@ -352,16 +348,15 @@ def summarize_daily(
     epoch: datetime,
     width: timedelta,
     bins: Sequence[int],
-    keywords: frozenset[str] | None = None,
     population: Mapping[str, int] | None = None,
 ) -> SummaryGrid:
     """Summaries keyed by (region_id, bin index) for each requested bin, for
-    every region with a message in the tag scope, held as region × bin arrays."""
+    every region with a message, held as region × bin arrays."""
     if width <= timedelta(0):
         raise ValueError("bin width must be positive")
     table, codes = messages, _region_codes(messages, assignments)
     names = list(codes.region_ids)
-    row, _ = _scoped_rows(table, codes.codes, [keywords])
+    row = np.flatnonzero(codes.codes >= 0)
     region = codes.codes[row]
     period_users = _distinct(region, table.user[row], len(table.user_ids), len(names))
 
@@ -373,8 +368,8 @@ def summarize_daily(
     counts = _Cells(table, row[inside], region[inside] * n_bins + slot[inside], len(names) * n_bins)
 
     requested = list(dict.fromkeys(bins))
-    in_scope = np.bincount(region, minlength=len(names)) > 0
-    active = np.array([k for k in sorted(range(len(names)), key=names.__getitem__) if in_scope[k]], dtype=np.intp)
+    has_message = np.bincount(region, minlength=len(names)) > 0
+    active = np.array([k for k in sorted(range(len(names)), key=names.__getitem__) if has_message[k]], dtype=np.intp)
     cells = active[:, None] * n_bins + np.searchsorted(wanted, requested).astype(np.intp)
     windows = np.empty(len(requested), dtype=object)
     windows[:] = [bin_window(epoch, width, b) for b in requested]

@@ -46,6 +46,14 @@ _UTC = timezone.utc
 _TEXT = np.dtypes.StringDType()
 _DAY_US = 86_400_000_000
 
+TRACK = ((33.0, -77.5), (39.5, -74.5), (44.0, -73.0))  # storm track (lat, lon), 6 h apart around landfall
+LANDFALL = datetime(2012, 10, 30, tzinfo=_UTC)
+USER_FRACTION = 0.1  # distinct users per resident
+POPULARITY_RATE = 0.3  # mean rebroadcasts of an original message at full proximity
+SENTIMENT_BASE = 0.1  # mean sentiment far from the track ...
+SENTIMENT_SLOPE = 0.4  # ... minus this much at full proximity
+SENTIMENT_NOISE = 0.2  # standard deviation of a message's sentiment
+
 
 @dataclass(frozen=True)
 class KeywordProfile:
@@ -95,23 +103,16 @@ class SimConfig:
     n_regions: int = 100
     extent: tuple[float, float, float, float] = (-76.0, 35.0, -66.0, 43.0)
     population_range: tuple[int, int] = (1000, 5000)
-    user_fraction: float = 0.1
-    track: tuple[tuple[float, float], ...] = ((33.0, -77.5), (39.5, -74.5), (44.0, -73.0))
     timeline_start: datetime = datetime(2012, 10, 20, tzinfo=_UTC)
     timeline_end: datetime = datetime(2012, 11, 12, tzinfo=_UTC)
-    landfall: datetime = datetime(2012, 10, 30, tzinfo=_UTC)
     keywords: tuple[tuple[str, KeywordProfile], ...] = (("storm", KeywordProfile()),)
     media_burst: float = 0.0
     retweet: RetweetModel = field(default_factory=RetweetModel)
     damage: DamageModel = field(default_factory=DamageModel)
-    popularity_rate: float = 0.3
-    sentiment_base: float = 0.1
-    sentiment_slope: float = 0.4
-    sentiment_noise: float = 0.2
 
     def day_bins(self) -> range:
-        first = (self.timeline_start - self.landfall) // timedelta(days=1)
-        last = math.ceil((self.timeline_end - self.landfall) / timedelta(days=1))
+        first = (self.timeline_start - LANDFALL) // timedelta(days=1)
+        last = math.ceil((self.timeline_end - LANDFALL) / timedelta(days=1))
         return range(first, last)
 
 
@@ -210,10 +211,10 @@ def _simulate_region(config: SimConfig, spec: _RegionSpec, seed_seq: np.random.S
     rng = np.random.default_rng(seed_seq)
     pop_lo, pop_hi = config.population_range
     population = int(rng.integers(pop_lo, pop_hi + 1))
-    n_users = max(1, int(population * config.user_fraction))
+    n_users = max(1, int(population * USER_FRACTION))
     retweet_p = config.retweet.probability(spec.distance_km)
     burst_rate = config.media_burst * float(rng.exponential(1.0))
-    landfall_us = (config.landfall.astimezone(_UTC) - UNIX_EPOCH) // MICROSECOND
+    landfall_us = (LANDFALL - UNIX_EPOCH) // MICROSECOND
 
     window_lo, window_hi = config.damage.window_bins
     # per batch: second of the day, lat, lon, user, retweet uniform, rebroadcasts, unclipped sentiment
@@ -242,9 +243,8 @@ def _simulate_region(config: SimConfig, spec: _RegionSpec, seed_seq: np.random.S
                 rng.uniform(spec.min_lon, spec.max_lon, size=count),
                 rng.integers(0, n_users, size=count),
                 rng.random(size=count),
-                rng.poisson(config.popularity_rate * max(proximity, 0.02), size=count),
-                rng.normal(config.sentiment_base - config.sentiment_slope * proximity, config.sentiment_noise,
-                           size=count),
+                rng.poisson(POPULARITY_RATE * max(proximity, 0.02), size=count),
+                rng.normal(SENTIMENT_BASE - SENTIMENT_SLOPE * proximity, SENTIMENT_NOISE, size=count),
             ))
             batch_day_us.append(day_us)
             batch_keyword.append(k)
@@ -332,7 +332,7 @@ def generate(config: SimConfig, out_dir: str | Path) -> SimBundle:
     Every draw is made before ``out_dir`` is created, so a failing draw
     leaves no directory behind.
     """
-    track_points = [GeoPoint(lat=lat, lon=lon) for lat, lon in config.track]
+    track_points = [GeoPoint(lat=lat, lon=lon) for lat, lon in TRACK]
     specs = _region_grid(config, track_points)
     seeds = np.random.SeedSequence(config.seed).spawn(len(specs))
 
@@ -366,12 +366,12 @@ def generate(config: SimConfig, out_dir: str | Path) -> SimBundle:
             writer.writerow([draw.spec.region_id, repr(draw.damage_usd), "insurance"])
 
     track_csv = out / "track.csv"
-    half = len(config.track) // 2
+    half = len(TRACK) // 2
     with open(track_csv, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["timestamp", "lat", "lon"])
-        for i, (lat, lon) in enumerate(config.track):
-            stamp = config.landfall + timedelta(hours=6 * (i - half))
+        for i, (lat, lon) in enumerate(TRACK):
+            stamp = LANDFALL + timedelta(hours=6 * (i - half))
             writer.writerow([format_timestamp(stamp), repr(lat), repr(lon)])
 
     ground_truth_csv = out / "ground_truth.csv"

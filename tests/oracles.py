@@ -5,8 +5,8 @@ enumeration, explicit rank tables, literal permutation enumeration,
 region-by-region containment scans, one object per message) so it shares no
 code path with the package under test; it borrows only the package's record
 and report types, the analyses' guarded correlation calls and keyword sort
-key and, for the simulator reference, its config types, region grid and
-GeoJSON feature. ``message_table`` reads records written the reference way
+key and, for the simulator reference, its config types and constants,
+region grid and GeoJSON feature. ``message_table`` reads records written the reference way
 back through the package's parser, for tests that need a message table.
 """
 
@@ -40,7 +40,17 @@ from damagenowcast.analysis import (
 from damagenowcast.geo import GeoPoint
 from damagenowcast.ingest import MessageRecord, parse_messages
 from damagenowcast.metrics import ActivitySummary, bin_window
-from damagenowcast.simulate import _region_feature, _region_grid
+from damagenowcast.simulate import (
+    LANDFALL,
+    POPULARITY_RATE,
+    SENTIMENT_BASE,
+    SENTIMENT_NOISE,
+    SENTIMENT_SLOPE,
+    TRACK,
+    USER_FRACTION,
+    _region_feature,
+    _region_grid,
+)
 
 
 def tau_b_brute(x, y) -> float:
@@ -498,7 +508,7 @@ def daily_correlation_series_reference(daily_summaries, damage_usd, population, 
             activity_damage_spearman=_guarded(activity, damage, "spearman"),
             sentiment_damage_kendall=_guarded(sentiment, sentiment_damage, "kendall"),
         ))
-    return CorrelationSeries(entries=tuple(entries), normalization=normalization)
+    return CorrelationSeries(entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +541,7 @@ def rank_keywords_reference(city_summaries, distances_km, city_subset=None, orig
     return KeywordRanking(entries=tuple(entries))
 
 
-def damage_correlation_report_reference(scope_summaries, damage_by_source, population, window=None,
+def damage_correlation_report_reference(scope_summaries, damage_by_source, population,
                                         normalizations=("census_population", "twitter_users"),
                                         transforms=("raw", "log10"), methods=("kendall", "spearman", "pearson"),
                                         original_only=False, include_sentiment=True):
@@ -567,11 +577,10 @@ def damage_correlation_report_reference(scope_summaries, damage_by_source, popul
                     for method in methods:
                         cells.append(ReportCell("sentiment", scope, source, norm,
                                                 _guarded(sentiment, sentiment_damage, method), active))
-    return DamageCorrelationReport(cells=tuple(cells), window=window)
+    return DamageCorrelationReport(cells=tuple(cells))
 
 
-def nowcast_reference(summaries, window=None, keywords=("sandy", "hurricane", "storm", "power", "flooding"),
-                      original_only=True, damage_usd=None):
+def nowcast_reference(summaries, original_only=True, damage_usd=None):
     """The nowcast ranking read region by region from region -> summary objects."""
     scored, excluded = [], []
     for region in sorted(summaries):
@@ -590,18 +599,17 @@ def nowcast_reference(summaries, window=None, keywords=("sandy", "hurricane", "s
                             for _, region, summary in scored)
         damage_rank = {region: position for position, (_, region) in enumerate(per_capita, start=1)}
     entries = tuple(
-        NowcastEntry(i, region, value, summary.n_original, summary.n_messages, summary.population,
-                     damage_rank.get(region))
+        NowcastEntry(i, region, value, summary.n_original, summary.population, damage_rank.get(region))
         for i, (value, region, summary) in enumerate(scored, start=1)
     )
-    return NowcastReport(entries, tuple(excluded), window, "per_capita", tuple(keywords))
+    return NowcastReport(entries, tuple(excluded))
 
 
 # ---------------------------------------------------------------------------
 # The simulator as it stood before its columnar draws: one tuple, one shifted
 # datetime and one MessageRecord per message, a Python sort per region and a
 # per-record CSV writer. Frozen here as the reference for whole bundles; it
-# borrows the package's config types, region grid and GeoJSON feature.
+# borrows the package's config types and constants, region grid and GeoJSON feature.
 
 def _reference_stamp_text(stamp: datetime) -> str:
     utc = stamp.astimezone(timezone.utc)
@@ -629,12 +637,13 @@ def _reference_write_messages(records, path) -> None:
             ])
 
 
-def message_table(records):
-    """The message table ``parse_messages`` reads back from the records written as CSV."""
+def message_table(records, keyword_filter=None):
+    """The message table ``parse_messages`` reads back from the records written as CSV,
+    holding the rows whose tags meet ``keyword_filter`` (every row when empty or None)."""
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "messages.csv"
         _reference_write_messages(records, path)
-        return parse_messages(path).records
+        return parse_messages(path, keyword_filter).records
 
 
 def _reference_region(config, spec, seed_seq):
@@ -642,7 +651,7 @@ def _reference_region(config, spec, seed_seq):
     rng = np.random.default_rng(seed_seq)
     pop_lo, pop_hi = config.population_range
     population = int(rng.integers(pop_lo, pop_hi + 1))
-    n_users = max(1, int(population * config.user_fraction))
+    n_users = max(1, int(population * USER_FRACTION))
     retweet_p = config.retweet.probability(spec.distance_km)
     burst_rate = config.media_burst * float(rng.exponential(1.0))
     window_lo, window_hi = config.damage.window_bins
@@ -650,7 +659,7 @@ def _reference_region(config, spec, seed_seq):
     window_count = 0
     latent_rate = 0.0
     for day in config.day_bins():
-        day_start = config.landfall + timedelta(days=day)
+        day_start = LANDFALL + timedelta(days=day)
         for keyword, profile in config.keywords:
             proximity = max(0.0, 1.0 - spec.distance_km / profile.decay_cutoff_km)
             if day < 0:
@@ -672,10 +681,9 @@ def _reference_region(config, spec, seed_seq):
             lons = rng.uniform(spec.min_lon, spec.max_lon, size=count)
             user_idx = rng.integers(0, n_users, size=count)
             retweet_flags = rng.random(size=count) < retweet_p
-            rebroadcasts = rng.poisson(config.popularity_rate * max(proximity, 0.02), size=count)
+            rebroadcasts = rng.poisson(POPULARITY_RATE * max(proximity, 0.02), size=count)
             sentiments = np.clip(
-                rng.normal(config.sentiment_base - config.sentiment_slope * proximity, config.sentiment_noise,
-                           size=count),
+                rng.normal(SENTIMENT_BASE - SENTIMENT_SLOPE * proximity, SENTIMENT_NOISE, size=count),
                 -1.0,
                 1.0,
             )
@@ -704,7 +712,7 @@ def simulate_reference(config, out_dir) -> None:
     """Write the six bundle files for ``config`` into ``out_dir``, record by record."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    specs = _region_grid(config, [GeoPoint(lat=lat, lon=lon) for lat, lon in config.track])
+    specs = _region_grid(config, [GeoPoint(lat=lat, lon=lon) for lat, lon in TRACK])
     seeds = np.random.SeedSequence(config.seed).spawn(len(specs))
     draws = [(spec, *_reference_region(config, spec, seq)) for spec, seq in zip(specs, seeds)]
     _reference_write_messages([m for draw in draws for m in draw[2]], out / "messages.csv")
@@ -722,10 +730,10 @@ def simulate_reference(config, out_dir) -> None:
     write("population.csv", ["region_id", "population"], [[spec.region_id, pop] for spec, pop, *_ in draws])
     write("damage.csv", ["region_id", "amount_usd", "source"],
           [[spec.region_id, repr(damage), "insurance"] for spec, *_, damage in draws])
-    half = len(config.track) // 2
+    half = len(TRACK) // 2
     write("track.csv", ["timestamp", "lat", "lon"], [
-        [_reference_stamp_text(config.landfall + timedelta(hours=6 * (i - half))), repr(lat), repr(lon)]
-        for i, (lat, lon) in enumerate(config.track)
+        [_reference_stamp_text(LANDFALL + timedelta(hours=6 * (i - half))), repr(lat), repr(lon)]
+        for i, (lat, lon) in enumerate(TRACK)
     ])
     write("ground_truth.csv", ["region_id", "latent_rate", "expected_damage_pc", "realized_damage_pc"], [
         [spec.region_id, repr(latent), repr(config.damage.coupling * window / pop), repr(damage / pop)]

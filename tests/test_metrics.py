@@ -237,8 +237,8 @@ class TestSummarizeHelpers:
     def test_keyword_filter_applies(self):
         messages = [message(0, keywords=("sandy",)), message(1, keywords=("gas",))]
         assignments = {"m0": "r1", "m1": "r1"}
-        out = summarize_regions(message_table(messages), assignments, None, keywords=frozenset({"sandy"}))
-        assert out["r1"].n_messages == 1
+        out = summarize_regions(message_table(messages), assignments, None, scopes={"k": frozenset({"sandy"})})
+        assert out["k"]["r1"].n_messages == 1
 
     def test_unassigned_messages_ignored(self):
         messages = [message(0), message(1)]
@@ -267,9 +267,6 @@ class TestSummarizeHelpers:
         assert {name: {r: s.n_messages for r, s in per.items()} for name, per in out.items()} == {
             "pool": {"r1": 2, "r2": 1}, "sandy": {"r1": 2}, "gas": {"r1": 1, "r2": 1}, "none": {},
         }
-        with pytest.raises(ValueError):
-            summarize_regions(
-                message_table(messages), assignments, None, keywords=frozenset({"gas"}), scopes={"x": None})
 
     def test_region_codes_match_mapping(self):
         messages = [message(0), message(1), message(2)]
@@ -330,9 +327,10 @@ class TestGroupedMatchesReference:
     def test_summarize_daily(self, case, hours, bins):
         messages, assignments, _, scopes, _ = case
         width = timedelta(hours=hours)
-        grouped = summarize_daily(message_table(messages), assignments, EPOCH, width, bins, keywords=scopes[0],
+        keywords = scopes[0] or None  # the CLI's composition: an empty --keywords filters nothing
+        grouped = summarize_daily(message_table(messages, keywords), assignments, EPOCH, width, bins,
                                   population={"r1": 10})
-        expected = summarize_daily_reference(messages, assignments, EPOCH, width, bins, scopes[0], {"r1": 10})
+        expected = summarize_daily_reference(messages, assignments, EPOCH, width, bins, keywords, {"r1": 10})
         assert list(grouped) == list(expected)
         _same(grouped, expected)
 
@@ -394,8 +392,9 @@ class TestSeriesMatchesReference:
         messages, assignments, _, scopes, _ = case
         population, damage, series_bins, normalization = args
         width = timedelta(hours=hours)
-        daily = summarize_daily(message_table(messages), assignments, EPOCH, width, bins, scopes[0], population)
-        reference = summarize_daily_reference(messages, assignments, EPOCH, width, bins, scopes[0], population)
+        keywords = scopes[0] or None
+        daily = summarize_daily(message_table(messages, keywords), assignments, EPOCH, width, bins, population)
+        reference = summarize_daily_reference(messages, assignments, EPOCH, width, bins, keywords, population)
         got = daily_correlation_series(daily, damage, population, series_bins, normalization, EPOCH, width)
         expected = daily_correlation_series_reference(reference, damage, population, series_bins, normalization,
                                                       EPOCH, width)
@@ -488,10 +487,11 @@ class TestAnalysesMatchReference:
     def test_nowcast_on_grid(self, case, args, original_only, with_damage):
         messages, assignments, window, scopes, region_ids = case
         population, damage, _ = args
-        summaries = summarize_regions(message_table(messages), assignments, window, scopes[0], population, region_ids)
+        summaries = summarize_regions(message_table(messages), assignments, window, population, region_ids,
+                                      scopes={"s": scopes[0]})["s"]
         damage_usd = damage["ex_post"] if with_damage and "ex_post" in damage else None
-        expected = nowcast_reference(summaries, window, original_only=original_only, damage_usd=damage_usd)
-        self._same(nowcast(summaries, window, original_only=original_only, damage_usd=damage_usd), expected)
+        expected = nowcast_reference(summaries, original_only=original_only, damage_usd=damage_usd)
+        self._same(nowcast(summaries, original_only=original_only, damage_usd=damage_usd), expected)
 
     @given(plain_regions(), region_args(), st.booleans(), st.booleans())
     @settings(max_examples=60, deadline=None)
