@@ -126,14 +126,16 @@ class MessageTable(SequenceABC):
     @classmethod
     def from_columns(cls, message_id: np.ndarray, user_id: np.ndarray, time_us: np.ndarray, lat: np.ndarray,
                      lon: np.ndarray, keyword_set: np.ndarray, keyword_sets: Sequence[frozenset[str]],
-                     is_retweet: np.ndarray, retweeted_count: np.ndarray, sentiment: np.ndarray) -> MessageTable:
+                     is_retweet: np.ndarray, retweeted_count: np.ndarray, sentiment: np.ndarray,
+                     nul_users: bool = False) -> MessageTable:
         """The table of one array per field, in row order, each of the field's dtype.
 
         ``user_id`` holds the ids themselves and ``keyword_set`` codes into
         ``keyword_sets``; users are coded in sorted order and the sets are
-        renumbered to those some row uses.
+        renumbered to those some row uses. ``nul_users`` says that some user
+        id holds a NUL, which StringDType comparisons stop at.
         """
-        user_ids, user = _unique(user_id)
+        user_ids, user = _unique_by_python(user_id) if nul_users else _unique(user_id)
         used, keyword_set = np.unique(keyword_set, return_inverse=True)
         keyword_sets = [keyword_sets[k] for k in used.tolist()]
         tags = tuple(sorted(set().union(*keyword_sets)))
@@ -184,6 +186,14 @@ def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
     return values[new], inverse
+
+
+def _unique_by_python(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_unique` by Python string comparison, which a NUL does not cut short."""
+    texts = values.tolist()
+    distinct = sorted(set(texts))
+    code = {text: k for k, text in enumerate(distinct)}
+    return np.array(distinct, dtype=values.dtype), np.fromiter(map(code.__getitem__, texts), np.int64, len(texts))
 
 
 @dataclass(frozen=True)
@@ -466,6 +476,7 @@ class _MessageColumns:
         self.sets: dict[frozenset[str], int] = {}  # keyword set -> code
         self.keyword_cells: dict[str, int] = {}  # raw cell -> set code, -1 when no tag
         self.chunks: list[list[np.ndarray]] = []
+        self.nul_users = False  # whether a user id holds a NUL
 
     def add(self, columns: list[Sequence[str]], col: dict[str, int], ragged: dict[int, list[str]],
             linenos: Sequence[int], result: ParseResult) -> None:
@@ -473,6 +484,7 @@ class _MessageColumns:
         cell = {name: columns[col[name]] for name in MESSAGE_COLUMNS}
         ids, users = (list(map(str.strip, cell[name])) for name in ("message_id", "user_id"))
         user = np.array(users, dtype=_TEXT)
+        self.nul_users = self.nul_users or "\0" in "".join(users)
 
         stamp, ok = _timestamps_us(cell["timestamp"])
         lat, lat_present, lat_ok = _decimals(cell["lat"])
@@ -547,6 +559,7 @@ class _MessageColumns:
         return MessageTable.from_columns(
             message_id=message_id, user_id=user_id, time_us=stamp, lat=lat, lon=lon, keyword_set=keyword_set,
             keyword_sets=sets, is_retweet=retweet, retweeted_count=count, sentiment=sentiment,
+            nul_users=self.nul_users,
         )
 
 

@@ -6,7 +6,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from damagenowcast import ingest
@@ -21,6 +21,7 @@ from damagenowcast.ingest import (
     parse_track,
     write_messages_csv,
 )
+from damagenowcast.metrics import summarize_regions
 from damagenowcast.simulate import KeywordProfile, SimConfig, generate
 from oracles import parse_messages_reference
 
@@ -42,6 +43,17 @@ class TestParseMessages:
         assert m.sentiment == -0.2
         assert not m.is_retweet
         assert m.timestamp.tzinfo == timezone.utc
+
+    def test_user_ids_holding_a_nul_stay_distinct(self):
+        # numpy's StringDType comparisons stop at a NUL, so "a\0b" == "a\0c" there
+        users = ["a\0b", "a\0c", "ab", "ac", "a"]
+        table = parse_messages(messages_csv(
+            *(f"m{k},{user},2012-10-30T00:00:00Z,40.5,-74.5,sandy,0,0," for k, user in enumerate(users))
+        )).records
+        assert table.user_ids.tolist() == sorted(users)
+        assert [table.user_ids[u] for u in table.user.tolist()] == users
+        summary = summarize_regions(table, dict.fromkeys(table.message_id.tolist(), "r1"), None)["r1"]
+        assert summary.active_users_period == 5
 
     def test_latitude_out_of_range_dropped(self):
         result = parse_messages(messages_csv("m1,u1,2012-10-30T00:00:00Z,91.0,-74.01,sandy,0,0,"))
@@ -547,6 +559,8 @@ class TestBulkMatchesPerRowReference:
 
     @given(mutated_messages_csv(), st.sampled_from([1, 3, 1 << 14]),
            st.one_of(st.none(), st.sets(st.sampled_from(TAG_POOL), max_size=3)))
+    @example(HEADER + "m0,x\0u0,2012-10-30T00:00:00Z,,,sandy,0,0,\nm1,x\0u2,2012-10-30T00:00:00Z,,,sandy,0,0,\n",
+             1 << 14, None)
     @settings(max_examples=100, deadline=None)
     def test_table_equals_reference(self, text, block_rows, keyword_filter):
         expected = parse_messages_reference(text, keyword_filter)
