@@ -260,6 +260,8 @@ def _spearman(x: np.ndarray, y: np.ndarray, transform: str, excluded: int) -> Co
 
 def _pearson(x: np.ndarray, y: np.ndarray, transform: str, excluded: int) -> CorrelationResult:
     n = len(x)
+    if x.min() == x.max() or y.min() == y.max():  # centring an inexact mean leaves a constant vector ±1 ulp
+        return _degenerate("pearson", transform, n, excluded)
     # scale each vector below 1 in magnitude by a power of two, which is exact and leaves r
     # unchanged, so that the sums of squares below neither overflow nor vanish
     x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
