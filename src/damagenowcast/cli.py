@@ -32,6 +32,7 @@ from .analysis import (
 )
 from .geo import SpatialIndex, point_to_track_km, region_centroid, spatial_join
 from .ingest import (
+    MODELED_SOURCE,
     CountyStats,
     IngestError,
     MessageTable,
@@ -59,7 +60,6 @@ DEFAULT_EPOCH = datetime(2012, 10, 30, tzinfo=timezone.utc)
 DEFAULT_WINDOW = "2012-10-31..2012-11-12"
 DEFAULT_SPAN = "2012-10-22..2012-11-11"
 DEFAULT_MIN_LON = -90.0  # "east coast" city subset: centroids east of this longitude
-MODELED_SOURCE = "hazus"  # the one damage source that is not ex-post
 DIAGNOSTICS_SHOWN = 5  # validate prints this many diagnostics per input
 
 EXIT_OK = 0
@@ -175,12 +175,10 @@ def _county_summaries(stats: Sequence[CountyStats]) -> dict[str, ActivitySummary
 
 
 def _load_damage(path: str) -> dict[str, dict[str, float]]:
+    """Source -> region -> amount; the parser has already summed each (region, source)."""
     by_source: dict[str, dict[str, float]] = {}
     for record in _records("damage", parse_keyed_table(path, "damage")):
-        by_source.setdefault(record.source, {})
-        by_source[record.source][record.region_id] = (
-            by_source[record.source].get(record.region_id, 0.0) + record.amount_usd
-        )
+        by_source.setdefault(record.source, {})[record.region_id] = record.amount_usd
     return by_source
 
 

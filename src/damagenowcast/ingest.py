@@ -53,6 +53,7 @@ __all__ = [
 
 REGION_LEVELS = frozenset({"metro", "county", "zcta"})
 DAMAGE_SOURCES = frozenset({"fema_ia", "insurance", "hazus"})
+MODELED_SOURCE = "hazus"  # the one damage source that is not ex-post
 
 MESSAGE_COLUMNS = (
     "message_id",
@@ -892,7 +893,9 @@ def parse_keyed_table(
     """Read ``population.csv`` or ``damage.csv`` depending on ``kind``.
 
     Duplicate region_id in a population table is fatal; duplicate
-    (region_id, source) damage rows are summed.
+    (region_id, source) damage rows are summed. A damage row is rejected
+    when adding it overflows its (region_id, source) total or, for an
+    ex-post source, its region's total over the ex-post sources.
     """
     if kind == "population":
         return _parse_population(source)
@@ -932,6 +935,10 @@ def _parse_damage(source: str | Path | TextIO) -> ParseResult[DamageRecord]:
         total = totals.get(key, 0.0) + entry.amount_usd
         if total == math.inf:
             raise ValueError(f"amount_usd overflows the {entry.source} total of {entry.region_id!r}")
+        if entry.source != MODELED_SOURCE:
+            others = DAMAGE_SOURCES - {MODELED_SOURCE, entry.source}
+            if total + sum(totals.get((entry.region_id, s), 0.0) for s in sorted(others)) == math.inf:
+                raise ValueError(f"amount_usd overflows the ex-post total of {entry.region_id!r}")
         totals[key] = total
 
     for _ in _read_table(source, "damage", ("region_id", "amount_usd", "source"), add, result):

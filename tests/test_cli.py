@@ -332,6 +332,31 @@ class TestExPostDamage:
         assert any(p["activity_pc"] is not None for p in props)
         assert all(p["damage_pc"] is None and p["rank_discrepancy"] is None for p in props)
 
+    def test_ex_post_sum_overflow_rejected(self, sim_bundle, tmp_path, capsys):
+        # each row is finite and within its own source's total; their ex-post sum is not
+        text = (sim_bundle / "damage.csv").read_text(encoding="utf-8")
+        fema, both = tmp_path / "fema.csv", tmp_path / "both.csv"
+        fema.write_text(text + "r0000,1e308,fema_ia\n", encoding="utf-8")
+        both.write_text(text + "r0000,1e308,fema_ia\nr0000,1e308,insurance\n", encoding="utf-8")
+        assert run("validate", "--damage", both) == 0
+        line = len(text.splitlines()) + 2
+        assert f"damage line {line}: amount_usd overflows the ex-post total of 'r0000'" in capsys.readouterr().out
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        reports = {}
+        for name, damage in (("fema", fema), ("both", both)):
+            overlay = tmp_path / name / "overlay.geojson"
+            assert self.correlate(sim_bundle, damage, tmp_path / name, overlay) == 0
+            assert run("nowcast", "--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson",
+                       "--population", sim_bundle / "population.csv", "--damage", damage, "--keywords", "storm",
+                       "--out", tmp_path / name) == 0
+            reports[name] = (json.loads(overlay.read_text(encoding="utf-8"), parse_constant=refuse),
+                             read_report(tmp_path / name / "nowcast.csv")[1])
+        # the rejected row changes nothing: the overlay and the damage ranks are those of the accepted rows
+        assert reports["both"] == reports["fema"]
+
     def test_overlay_uses_ex_post_total(self, sim_bundle, tmp_path):
         overlay = tmp_path / "overlay.geojson"
         assert self.correlate(sim_bundle, _with_hazus_row(sim_bundle, tmp_path), tmp_path, overlay) == 0

@@ -370,10 +370,15 @@ class TestParseKeyedTable:
         ]
 
     def test_damage_total_overflow_rejected(self):
-        stream = io.StringIO("region_id,amount_usd,source\nr1,1e308,fema_ia\nr1,1e308,fema_ia\nr1,1e308,insurance\n")
+        stream = io.StringIO("region_id,amount_usd,source\nr1,1e308,fema_ia\nr1,1e308,fema_ia\nr1,1e308,insurance\n"
+                             "r1,1e308,hazus\nr2,1e308,insurance\n")
         result = parse_keyed_table(stream, "damage")
-        assert [(r.source, r.amount_usd) for r in result.records] == [("fema_ia", 1e308), ("insurance", 1e308)]
-        assert result.diagnostics == ["damage line 3: amount_usd overflows the fema_ia total of 'r1'"]
+        assert [(r.region_id, r.source, r.amount_usd) for r in result.records] == [
+            ("r1", "fema_ia", 1e308), ("r1", "hazus", 1e308), ("r2", "insurance", 1e308)]
+        assert result.diagnostics == [
+            "damage line 3: amount_usd overflows the fema_ia total of 'r1'",
+            "damage line 4: amount_usd overflows the ex-post total of 'r1'",  # fema_ia + insurance; hazus is not ex-post
+        ]
 
 
 class TestCountyTable:
