@@ -5,9 +5,10 @@ enumeration, explicit rank tables, literal permutation enumeration,
 region-by-region containment scans, one object per message) so it shares no
 code path with the package under test; it borrows only the package's record
 and report types, the analyses' guarded correlation calls and keyword sort
-key and, for the simulator reference, its config types and constants,
-region grid and GeoJSON feature. ``message_table`` reads records written the reference way
-back through the package's parser, for tests that need a message table.
+key and, for the simulator reference, its config types and constants, region
+grid and GeoJSON feature. ``message_table`` reads records written the
+reference way back through the package's parser, for tests that need a
+message table.
 """
 
 from __future__ import annotations

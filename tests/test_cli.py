@@ -349,9 +349,9 @@ class TestExPostDamage:
         for name, damage in (("fema", fema), ("both", both)):
             overlay = tmp_path / name / "overlay.geojson"
             assert self.correlate(sim_bundle, damage, tmp_path / name, overlay) == 0
-            assert run("nowcast", "--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson",
-                       "--population", sim_bundle / "population.csv", "--damage", damage, "--keywords", "storm",
-                       "--out", tmp_path / name) == 0
+            assert run("nowcast", "--messages", sim_bundle / "messages.csv",
+                       "--regions", sim_bundle / "regions.geojson", "--population", sim_bundle / "population.csv",
+                       "--damage", damage, "--keywords", "storm", "--out", tmp_path / name) == 0
             reports[name] = (json.loads(overlay.read_text(encoding="utf-8"), parse_constant=refuse),
                              read_report(tmp_path / name / "nowcast.csv")[1])
         # the rejected row changes nothing: the overlay and the damage ranks are those of the accepted rows

@@ -375,9 +375,10 @@ class TestParseKeyedTable:
         result = parse_keyed_table(stream, "damage")
         assert [(r.region_id, r.source, r.amount_usd) for r in result.records] == [
             ("r1", "fema_ia", 1e308), ("r1", "hazus", 1e308), ("r2", "insurance", 1e308)]
+        # line 4 overflows the ex-post (fema_ia + insurance) total; hazus is not ex-post
         assert result.diagnostics == [
             "damage line 3: amount_usd overflows the fema_ia total of 'r1'",
-            "damage line 4: amount_usd overflows the ex-post total of 'r1'",  # fema_ia + insurance; hazus is not ex-post
+            "damage line 4: amount_usd overflows the ex-post total of 'r1'",
         ]
 
 
