@@ -560,6 +560,20 @@ def _float_bits(values):
     return np.array([math.nan if v is None else v for v in values], dtype=float).view(np.uint64).tolist()
 
 
+# The first valid row of an id is accepted; every later row of that id, valid
+# or not, is a duplicate; a failing row before the first valid one keeps its
+# own diagnostic. With "storm" as the filter, the accepted "a" (line 3) is
+# filtered out and still makes lines 5 and 7 duplicates.
+DUPLICATE_RULE_CSV = HEADER + "".join(f"{row}\n" for row in (
+    "b,u1,yesterday,,,storm,0,0,",
+    "a,u1,2012-10-30T01:00:00Z,,,sandy,0,0,",
+    "c,u2,2012-10-30T02:00:00Z,,,storm,0,0,",
+    "a,u2,noon,,,storm,0,0,",
+    "b,u3,2012-10-30T04:00:00Z,,,storm,0,0,",
+    "a,u3,2012-10-30T05:00:00Z,,,storm,0,0,",
+))
+
+
 class TestBulkMatchesPerRowReference:
     """The table, counts and diagnostics equal those of the frozen per-row parser."""
 
@@ -567,6 +581,12 @@ class TestBulkMatchesPerRowReference:
            st.one_of(st.none(), st.sets(st.sampled_from(TAG_POOL), max_size=3)))
     @example(HEADER + "m0,x\0u0,2012-10-30T00:00:00Z,,,sandy,0,0,\nm1,x\0u2,2012-10-30T00:00:00Z,,,sandy,0,0,\n",
              1 << 14, None)
+    @example(DUPLICATE_RULE_CSV, 1, None)
+    @example(DUPLICATE_RULE_CSV, 2, None)
+    @example(DUPLICATE_RULE_CSV, ingest._BLOCK_ROWS, None)
+    @example(DUPLICATE_RULE_CSV, 1, {"storm"})
+    @example(DUPLICATE_RULE_CSV, 2, {"storm"})
+    @example(DUPLICATE_RULE_CSV, ingest._BLOCK_ROWS, {"storm"})
     @settings(max_examples=100, deadline=None)
     def test_table_equals_reference(self, text, block_rows, keyword_filter):
         expected = parse_messages_reference(text, keyword_filter)
