@@ -37,7 +37,7 @@ from .ingest import (
     IngestError,
     MessageTable,
     ParseResult,
-    RegionBoundary,
+    RegionTable,
     parse_county_table,
     parse_keyed_table,
     parse_messages,
@@ -134,7 +134,7 @@ def _write_report(
     return count
 
 
-def _assignments(messages: MessageTable, regions: Sequence[RegionBoundary], cell_deg: float) -> RegionCodes:
+def _assignments(messages: MessageTable, regions: RegionTable, cell_deg: float) -> RegionCodes:
     """The region of every message: one code per row into the sorted region ids, -1 for none."""
     index = SpatialIndex(regions, cell_deg=cell_deg)
     joined = spatial_join(messages, regions, index)  # codes of the located rows, in row order
@@ -248,7 +248,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         assignments,
         window,
         population=population or None,
-        region_ids=[r.region_id for r in regions],
+        region_ids=regions.region_id.tolist(),
     )
     grid, j = summaries.grid, summaries.column
     present = np.flatnonzero(grid.present[:, j])
@@ -333,7 +333,6 @@ def _cmd_rank_keywords(args: argparse.Namespace) -> int:
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
-    window = _parse_window(args.window)
     if args.county_table:
         stats = _records("county table", parse_county_table(args.county_table))
         scope_summaries = {POOLED: _county_summaries(stats)}
@@ -344,6 +343,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         }
         include_sentiment = False
     else:
+        window = _parse_window(args.window)
         messages = _records("messages", parse_messages(args.messages))
         parsed = parse_regions(args.regions)
         regions = _records("regions", parsed)
@@ -357,7 +357,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
             scopes[keyword] = frozenset({keyword})
         scope_summaries = summarize_regions(
             messages, assignments, window, population=population,
-            region_ids=[r.region_id for r in regions], scopes=scopes,
+            region_ids=regions.region_id.tolist(), scopes=scopes,
         )
         include_sentiment = True
 
@@ -534,7 +534,7 @@ def _cmd_nowcast(args: argparse.Namespace) -> int:
             assignments,
             window,
             population=population,
-            region_ids=[r.region_id for r in regions],
+            region_ids=regions.region_id.tolist(),
         )
         damage = None
         if args.damage:
@@ -639,8 +639,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("correlate", help="activity-damage correlation report")
     _add_common_io(p)
     p.add_argument("--county-table", help="use a county counts table instead of raw inputs")
-    p.add_argument("--window", default=DEFAULT_WINDOW)
-    p.add_argument("--keywords", type=_parse_keywords, default=DEFAULT_KEYWORD_POOL)
+    p.add_argument("--window", help=f"default {DEFAULT_WINDOW}; not with --county-table")
+    p.add_argument("--keywords", type=_parse_keywords, help="default: the keyword pool; not with --county-table")
     p.add_argument("--original-only", action="store_true",
                    help="count original messages only on the activity side")
     p.add_argument("--overlay", help="also write a region overlay GeoJSON to this path")
@@ -659,8 +659,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("nowcast", help="rank regions by post-event per-capita activity")
     _add_common_io(p)
     p.add_argument("--county-table", help="use a county counts table instead of raw inputs")
-    p.add_argument("--window", default=DEFAULT_WINDOW)
-    p.add_argument("--keywords", type=_parse_keywords, default=DEFAULT_KEYWORD_POOL)
+    p.add_argument("--window", help=f"default {DEFAULT_WINDOW}; not with --county-table")
+    p.add_argument("--keywords", type=_parse_keywords, help="default: the keyword pool; not with --county-table")
     p.add_argument("--original-only", action=argparse.BooleanOptionalAction, default=True,
                    help="rank by original messages (default) or all messages")
     p.set_defaults(func=_cmd_nowcast)
@@ -695,6 +695,22 @@ def _check_simulate(args: argparse.Namespace, parser: _Parser) -> None:
             parser.error(f"--{name.replace('_', '-')} must be finite and non-negative, got {value!r}")
 
 
+def _check_county_table(args: argparse.Namespace, parser: _Parser) -> None:
+    """A county table holds no messages, so --window and --keywords cannot apply to it: given,
+    they are a usage error, and otherwise they are left out of the report header. Without a
+    county table, they take their defaults."""
+    if args.county_table:
+        given = [f"--{name}" for name in ("window", "keywords") if getattr(args, name) is not None]
+        if given:
+            parser.error(f"{' and '.join(given)} cannot apply to a --county-table, which holds no messages")
+        del args.window, args.keywords
+        return
+    if args.window is None:
+        args.window = DEFAULT_WINDOW
+    if args.keywords is None:
+        args.keywords = DEFAULT_KEYWORD_POOL
+
+
 def _require(args: argparse.Namespace, parser: _Parser, names: Sequence[str]) -> None:
     if getattr(args, "county_table", None):
         return
@@ -724,6 +740,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             _check_simulate(args, parser)
         if args.command == "correlate" and args.county_table and args.overlay:
             parser.error("--overlay needs region geometry, which a --county-table does not have")
+        if args.command in ("correlate", "nowcast"):
+            _check_county_table(args, parser)
     except SystemExit as exc:
         # our error() raises 1; argparse raises 0 for --help/--version
         return int(exc.code or 0)

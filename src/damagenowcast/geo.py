@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .ingest import MessageTable, RegionBoundary
+from .ingest import MessageTable, RegionBoundary, RegionTable
 
 __all__ = [
     "EARTH_RADIUS_KM",
@@ -178,29 +178,33 @@ def _batches(count: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 class _EdgeTable:
-    """Every edge of every ring of a sequence of regions, as flat float64 arrays.
+    """Every edge of every ring of some regions of a table, as flat float64 arrays.
 
-    Region ``k`` owns the edges where ``region == k``, in ring order. Region
-    bboxes and edge extents are stored widened by ``_ON_EDGE_EPS``, the band
-    within which a point still counts as on the boundary.
+    The regions ``chosen`` are numbered in that order, and region ``k`` owns
+    the edges where ``region == k``, in ring order. Region bboxes and edge
+    extents are stored widened by ``_ON_EDGE_EPS``, the band within which a
+    point still counts as on the boundary.
     """
 
-    def __init__(self, regions: Sequence[RegionBoundary]):
-        self.region_ids = [r.region_id for r in regions]
-        bbox = np.array([r.bbox for r in regions], dtype=float).reshape(-1, 4)
+    def __init__(self, regions: RegionTable, chosen: Sequence[int]):
+        chosen = np.asarray(chosen, dtype=np.intp)
+        self.region_ids = regions.region_id[chosen].tolist()
+        bbox = regions.bbox[chosen]
         self.x0, self.y0 = bbox[:, 0] - _ON_EDGE_EPS, bbox[:, 1] - _ON_EDGE_EPS
         self.x1, self.y1 = bbox[:, 2] + _ON_EDGE_EPS, bbox[:, 3] + _ON_EDGE_EPS
 
-        rings = [ring for r in regions for ring in r.rings]
-        vertices = np.array([v for ring in rings for v in ring], dtype=float).reshape(-1, 2)
-        opens_edge = np.ones(len(vertices), dtype=bool)
-        opens_edge[np.cumsum([len(ring) for ring in rings], dtype=np.intp) - 1] = False
+        number = np.full(len(regions), -1, dtype=np.intp)
+        number[chosen] = np.arange(len(chosen))
+        ring_number = np.repeat(number, np.diff(regions.ring_offsets))
+        vertex_number = np.repeat(ring_number, np.diff(regions.vertex_offsets))
+        opens_edge = vertex_number >= 0
+        opens_edge[regions.vertex_offsets[1:] - 1] = False
         a = np.flatnonzero(opens_edge)
+        a = a[np.argsort(vertex_number[a], kind="stable")]
+        vertices = regions.vertices
         self.ax, self.ay = vertices[a, 0], vertices[a, 1]
         self.bx, self.by = vertices[a + 1, 0], vertices[a + 1, 1]
-        self.region = np.repeat(
-            np.arange(len(regions)), [sum(len(ring) - 1 for ring in r.rings) for r in regions]
-        )
+        self.region = vertex_number[a]
         self.dx, self.dy = self.bx - self.ax, self.by - self.ay
         self.norm = _hypot(self.dx, self.dy)
         self.ex0 = np.minimum(self.ax, self.bx) - _ON_EDGE_EPS
@@ -278,12 +282,14 @@ class SpatialIndex:
     Immutable once built.
     """
 
-    def __init__(self, regions: Iterable[RegionBoundary], cell_deg: float = 0.25):
+    def __init__(self, regions: RegionTable | Iterable[RegionBoundary], cell_deg: float = 0.25):
         if cell_deg <= 0:
             raise ValueError("cell_deg must be positive")
         self.cell_deg = cell_deg
-        by_id = {r.region_id: r for r in regions}
-        edges = self._edges = _EdgeTable([by_id[region_id] for region_id in sorted(by_id)])
+        if not isinstance(regions, RegionTable):
+            regions = RegionTable.from_regions(regions)
+        last = {region_id: k for k, region_id in enumerate(regions.region_id.tolist())}
+        edges = self._edges = _EdgeTable(regions, [last[region_id] for region_id in sorted(last)])
         self.region_ids: list[str] = edges.region_ids
         first_x, last_x = np.floor(edges.x0 / cell_deg), np.floor(edges.x1 / cell_deg)
         first_y, last_y = np.floor(edges.y0 / cell_deg), np.floor(edges.y1 / cell_deg)
@@ -385,7 +391,7 @@ class JoinedRows:
 
 def spatial_join(
     points: Iterable[tuple[str, _HasLatLon]] | MessageTable,
-    regions: Sequence[RegionBoundary],
+    regions: RegionTable | Sequence[RegionBoundary],
     index: SpatialIndex | None = None,
 ) -> dict[str, str | None] | JoinedRows:
     """Assign each point to the region containing it (None when uncontained).
@@ -399,8 +405,10 @@ def spatial_join(
     """
     if index is None:
         index = SpatialIndex(regions)
-    elif sorted({r.region_id for r in regions}) != index.region_ids:
-        raise ValueError("spatial_join: index was built over other regions")
+    else:
+        region_ids = regions.region_id.tolist() if isinstance(regions, RegionTable) else [r.region_id for r in regions]
+        if sorted(set(region_ids)) != index.region_ids:
+            raise ValueError("spatial_join: index was built over other regions")
     if isinstance(points, MessageTable):
         located = ~np.isnan(points.lat)
         lat, lon = points.lat[located], points.lon[located]

@@ -21,7 +21,6 @@ import csv
 import itertools
 import json
 import math
-from collections import Counter
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -36,6 +35,7 @@ __all__ = [
     "MessageRecord",
     "MessageTable",
     "RegionBoundary",
+    "RegionTable",
     "PopulationEntry",
     "DamageRecord",
     "TrackPoint",
@@ -72,7 +72,7 @@ T = TypeVar("T")
 UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 MICROSECOND = timedelta(microseconds=1)
 
-_BLOCK_ROWS = 1 << 14  # CSV rows held and converted at once; bounds the Python row lists
+_BLOCK_ROWS = 1 << 12  # CSV rows held and converted at once; bounds the Python row lists
 _TEXT = np.dtypes.StringDType()  # variable-width strings stored in the array, not as Python objects
 _MAX_COUNT = 2**63 - 1  # retweeted_count must fit the table's int64 column
 
@@ -214,6 +214,61 @@ class RegionBoundary:
     rings: tuple[tuple[tuple[float, float], ...], ...]
     bbox: tuple[float, float, float, float]  # min_lon, min_lat, max_lon, max_lat
     holes: frozenset[int] = frozenset()
+
+
+@dataclass(frozen=True, eq=False)
+class RegionTable(SequenceABC):
+    """Regions as flat arrays, in input order, with compressed-row offsets.
+
+    Region ``i`` holds rings ``ring_offsets[i]`` to ``ring_offsets[i + 1]``
+    and ring ``k`` holds the closed lon/lat rows ``vertex_offsets[k]`` to
+    ``vertex_offsets[k + 1]`` of ``vertices``; ``hole[k]`` says whether ring
+    ``k`` was a hole. ``bbox`` holds each region's min_lon, min_lat, max_lon,
+    max_lat. A vertex costs its 16 bytes and no Python object.
+
+    Indexing or iterating gives one :class:`RegionBoundary` per region, a view
+    for callers that want objects; the spatial index reads the arrays.
+    """
+
+    region_id: np.ndarray  # StringDType
+    name: np.ndarray  # StringDType
+    level: np.ndarray  # StringDType
+    bbox: np.ndarray  # float64, one row per region
+    ring_offsets: np.ndarray  # int64, one more than the regions
+    hole: np.ndarray  # bool, one per ring
+    vertex_offsets: np.ndarray  # int64, one more than the rings
+    vertices: np.ndarray  # float64, one (lon, lat) row per vertex
+
+    @classmethod
+    def from_regions(cls, regions: Iterable[RegionBoundary]) -> RegionTable:
+        regions = list(regions)
+        rings = [ring for r in regions for ring in r.rings]
+        return cls(
+            region_id=np.array([r.region_id for r in regions], dtype=_TEXT),
+            name=np.array([r.name for r in regions], dtype=_TEXT),
+            level=np.array([r.level for r in regions], dtype=_TEXT),
+            bbox=np.array([r.bbox for r in regions], dtype=float).reshape(-1, 4),
+            ring_offsets=np.cumsum([0] + [len(r.rings) for r in regions], dtype=np.int64),
+            hole=np.array([k in r.holes for r in regions for k in range(len(r.rings))], dtype=bool),
+            vertex_offsets=np.cumsum([0] + [len(ring) for ring in rings], dtype=np.int64),
+            vertices=np.array([v for ring in rings for v in ring], dtype=float).reshape(-1, 2),
+        )
+
+    def __len__(self) -> int:
+        return len(self.region_id)
+
+    def __getitem__(self, i: int) -> RegionBoundary:
+        i = range(len(self))[i]
+        first, last = self.ring_offsets[i : i + 2].tolist()
+        offsets = self.vertex_offsets[first : last + 1].tolist()
+        rings = tuple(tuple(map(tuple, self.vertices[a:b].tolist())) for a, b in zip(offsets, offsets[1:]))
+        return RegionBoundary(
+            region_id=self.region_id[i], name=self.name[i], level=self.level[i], rings=rings,
+            bbox=tuple(self.bbox[i].tolist()), holes=frozenset(np.flatnonzero(self.hole[first:last]).tolist()),
+        )
+
+    def __iter__(self) -> Iterator[RegionBoundary]:
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -452,7 +507,7 @@ def parse_messages(
     columns = _MessageColumns()
     for col, cells, ragged, linenos in _read_blocks(source, "messages", MESSAGE_COLUMNS, result):
         columns.add(cells, col, ragged, linenos, result)
-    table = columns.table(wanted)
+    table = columns.table(wanted, result)
     result.rows_filtered = result.rows_total - result.rows_rejected - len(table)
     result.records = table
     return result
@@ -462,22 +517,24 @@ class _MessageColumns:
     """Converts ``messages.csv`` blocks of columns into table columns and assembles the table.
 
     A row is taken in bulk when every cell is canonical: exactly the header's
-    width; a non-empty id used by no other row of the block and by no row
-    accepted before; a non-empty user; a ``YYYY-MM-DDTHH:MM:SSZ`` timestamp;
-    both or neither coordinate, as plain decimals in range; at least one tag;
-    ``0``/``1`` for is_retweet; at most 18 ASCII digits for retweeted_count;
-    and an empty or plain-decimal sentiment in range. Every other row goes to
-    ``_message_fields`` one at a time, in file order. Ids shared inside a
-    block all go that way, so a bulk row never shares an id with a row of its
-    own block that the per-row converter accepts.
+    width; a non-empty id; a non-empty user; a ``YYYY-MM-DDTHH:MM:SSZ``
+    timestamp; both or neither coordinate, as plain decimals in range; at
+    least one tag; ``0``/``1`` for is_retweet; at most 18 ASCII digits for
+    retweeted_count; and an empty or plain-decimal sentiment in range. Every
+    other row goes to ``_message_fields`` one at a time, in file order.
+
+    Neither path looks at other rows' ids. Each accepted row keeps its line
+    and its id's ``hash()``, each rejected row its line and, when it has an
+    id and a user, its id; ``_repeats`` applies the duplicate rule to them
+    once the whole input is read.
     """
 
     def __init__(self) -> None:
-        self.seen: set[str] = set()  # ids of the rows accepted so far
         self.sets: dict[frozenset[str], int] = {}  # keyword set -> code
         self.keyword_cells: dict[str, int] = {}  # raw cell -> set code, -1 when no tag
         self.chunks: list[list[np.ndarray]] = []
         self.nul_users = False  # whether a user id holds a NUL
+        self.rejected: list[tuple[int, str]] = []  # per diagnostic: its line, and its row's id ("" without a user)
 
     def add(self, columns: list[Sequence[str]], col: dict[str, int], ragged: dict[int, list[str]],
             linenos: Sequence[int], result: ParseResult) -> None:
@@ -501,36 +558,28 @@ class _MessageColumns:
             ok &= retweet | np.fromiter(map("0".__eq__, cell["is_retweet"]), bool, n)
         count, count_ok = _counts(cell["retweeted_count"])
         tags = self._set_codes(cell["keywords"])
-        bulk = ok & count_ok & (tags >= 0) & self._unique_ids(ids) & (user != "")
+        bulk = ok & count_ok & (tags >= 0) & np.fromiter(map(bool, ids), bool, n) & (user != "")
         bulk[list(ragged)] = False
 
         accepted = bulk.copy()
         for i in np.flatnonzero(~bulk).tolist():
             try:
                 # the converter reads header columns only, a missing cell as "": a cut or padded row converts the same
-                fields = _message_fields([column[i] for column in columns], col, self.seen)
+                fields = _message_fields([column[i] for column in columns], col)
             except (ValueError, IndexError) as exc:
+                self.rejected.append((linenos[i], ids[i] if users[i] else ""))
                 _reject(result, "messages", linenos[i], exc)
                 continue
-            self.seen.add(fields[0])
             accepted[i] = True
             stamp[i], lat[i], lon[i] = fields[2:5]
             tags[i] = self._set_code(fields[5])
             retweet[i], count[i], sentiment[i] = fields[6:]
-        self.seen.update(itertools.compress(ids, bulk))
         self.chunks.append([
             column[accepted] for column in (
-                np.array(ids, dtype=_TEXT), user, stamp, lat, lon, tags, retweet, count, sentiment
+                np.array(ids, dtype=_TEXT), user, stamp, lat, lon, tags, retweet, count, sentiment,
+                np.fromiter(map(hash, ids), np.int64, n), np.asarray(linenos, dtype=np.int64),
             )
         ])
-
-    def _unique_ids(self, ids: list[str]) -> np.ndarray:
-        """Per row, whether its id is non-empty, alone in the block and not yet accepted."""
-        distinct = set(ids)
-        if len(distinct) == len(ids) and "" not in distinct and self.seen.isdisjoint(distinct):
-            return np.ones(len(ids), dtype=bool)
-        uses = Counter(ids)
-        return np.array([bool(i) and uses[i] == 1 and i not in self.seen for i in ids], dtype=bool)
 
     def _set_code(self, tags: frozenset[str]) -> int:
         return self.sets.setdefault(tags, len(self.sets))
@@ -542,26 +591,75 @@ class _MessageColumns:
             self.keyword_cells[cell] = self._set_code(tags) if tags else -1
         return np.fromiter(map(self.keyword_cells.__getitem__, cells), np.int64, len(cells))
 
-    def table(self, wanted: frozenset[str]) -> MessageTable:
-        """Concatenate the blocks, keep the rows whose tags meet ``wanted`` (all when
-        empty) and renumber the keyword sets to those the kept rows use."""
-        self.seen.clear()
+    def table(self, wanted: frozenset[str], result: ParseResult) -> MessageTable:
+        """Concatenate the blocks, reject the rows that repeat an accepted id, keep the rows
+        whose tags meet ``wanted`` (all when empty) and renumber the keyword sets to those
+        the kept rows use."""
         columns = []
-        for j, dtype in enumerate((_TEXT, _TEXT, np.int64, float, float, np.int64, bool, np.int64, float)):
+        dtypes = (_TEXT, _TEXT, np.int64, float, float, np.int64, bool, np.int64, float, np.int64, np.int64)
+        for j, dtype in enumerate(dtypes):
             # one column at a time, dropping its blocks as it goes, so they are not all held twice
             columns.append(np.concatenate([np.empty(0, dtype=dtype), *(chunk[j] for chunk in self.chunks)]))
             for chunk in self.chunks:
                 chunk[j] = None
+        *columns, hashes, lines = columns
+        keep = self._repeats(columns[0], hashes, lines, result)
+        del hashes, lines
         sets = list(self.sets)
         if wanted:
             meets = np.array([bool(tags & wanted) for tags in sets], dtype=bool)
-            columns = [column[meets[columns[5]]] for column in columns]
+            keep &= meets[columns[5]]
+        if not keep.all():
+            columns = [column[keep] for column in columns]
         message_id, user_id, stamp, lat, lon, keyword_set, retweet, count, sentiment = columns
         return MessageTable.from_columns(
             message_id=message_id, user_id=user_id, time_us=stamp, lat=lat, lon=lon, keyword_set=keyword_set,
             keyword_sets=sets, is_retweet=retweet, retweeted_count=count, sentiment=sentiment,
             nul_users=self.nul_users,
         )
+
+    def _repeats(self, message_id: np.ndarray, hashes: np.ndarray, lines: np.ndarray,
+                 result: ParseResult) -> np.ndarray:
+        """Per accepted row, whether it keeps its place; the rows that repeat an id are rejected.
+
+        The rule is the per-row one: the first valid row of an id is accepted, and every
+        later row of that id that has a user, valid or not, is rejected at its own line as
+        a duplicate, in place of any other reason. Equal hashes only pick the rows to
+        compare; the ids decide, as Python strings, which a NUL does not cut short.
+        """
+        n = len(hashes)
+        keep = np.ones(n, dtype=bool)
+        named = [(k, line, message) for k, (line, message) in enumerate(self.rejected) if message]
+        every = np.concatenate([hashes, np.fromiter((hash(message) for *_, message in named), np.int64, len(named))])
+        ordered = np.sort(every)
+        repeated = np.unique(ordered[1:][ordered[1:] == ordered[:-1]])
+        if not len(repeated):
+            return keep
+        uses: dict[str, list[tuple[int, int]]] = {}  # id -> (line, row) of each row with its hash
+        at = np.searchsorted(repeated, every).clip(max=len(repeated) - 1)
+        for row in np.flatnonzero(repeated[at] == every).tolist():
+            if row < n:
+                uses.setdefault(message_id[row], []).append((int(lines[row]), row))
+            else:
+                _, line, message = named[row - n]
+                uses.setdefault(message, []).append((line, row))
+        repeats: dict[int, str] = {}  # line -> diagnostic
+        for message, rows in uses.items():
+            rows.sort()
+            first = next((line for line, row in rows if row < n), math.inf)
+            for line, row in rows:
+                if line > first:
+                    repeats[line] = f"messages line {line}: duplicate message_id {message!r}"
+                    if row < n:
+                        keep[row] = False
+        for k, line, _ in named:
+            if line in repeats:
+                result.diagnostics[k] = repeats.pop(line)
+        # the rest were accepted rows: their diagnostics join the others in line order
+        result.rows_rejected += len(repeats)
+        diagnostics = [(line, text) for (line, _), text in zip(self.rejected, result.diagnostics)]
+        result.diagnostics = [text for _, text in sorted(diagnostics + list(repeats.items()), key=itemgetter(0))]
+        return keep
 
 
 _DECIMAL_CHARS = b"0123456789.+-eE"
@@ -643,12 +741,13 @@ def _counts(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return value, np.array(ok, dtype=bool)
 
 
-def _message_fields(row: list[str], col: dict[str, int], seen_ids: set[str]) -> tuple:
+def _message_fields(row: list[str], col: dict[str, int]) -> tuple:
     """One row's column values, or ValueError naming the first malformed field.
 
     The values are, in order: message_id, user_id, timestamp as µs since the
     Unix epoch, lat, lon (NaN when unlocated), the tag set, is_retweet,
-    retweeted_count and sentiment (NaN when absent).
+    retweeted_count and sentiment (NaN when absent). Whether another row
+    already took the id is not checked here (``_MessageColumns._repeats``).
     """
     def cell(name: str) -> str:
         i = col[name]
@@ -658,8 +757,6 @@ def _message_fields(row: list[str], col: dict[str, int], seen_ids: set[str]) -> 
     user_id = cell("user_id")
     if not message_id or not user_id:
         raise ValueError("missing message_id or user_id")
-    if message_id in seen_ids:
-        raise ValueError(f"duplicate message_id {message_id!r}")
 
     stamp = parse_timestamp(cell("timestamp"))
 
@@ -757,34 +854,35 @@ def _float_texts(values: np.ndarray) -> list[str]:
     return out
 
 
-def _close_ring(
-    coords: Sequence[Sequence[float]], region_id: str, diagnostics: list[str]
-) -> tuple[tuple[float, float], ...]:
+def _close_ring(coords: Sequence[Sequence[float]], region_id: str, diagnostics: list[str]) -> list[float]:
+    """A ring's vertices, closed, as one flat list: lon, lat, lon, lat, ..."""
     # positions may carry an altitude third element; only lon/lat are kept
     try:
-        ring = [(float(v[0]), float(v[1])) for v in coords]
+        ring = [float(v[k]) for v in coords for k in (0, 1)]
     except (TypeError, IndexError, KeyError):
         # a null, a bare number or a short position where [lon, lat] belongs
         raise ValueError("malformed ring coordinates") from None
     # NaN fails every comparison, so this also rejects non-finite vertices
-    if not all(-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0 for lon, lat in ring):
+    if not (all(-180.0 <= lon <= 180.0 for lon in ring[0::2]) and all(-90.0 <= lat <= 90.0 for lat in ring[1::2])):
         raise ValueError("vertex coordinates non-finite or out of range")
-    if len(ring) < 3:
-        raise ValueError(f"ring with {len(ring)} vertices")
-    if ring[0] != ring[-1]:
+    if len(ring) < 6:
+        raise ValueError(f"ring with {len(ring) // 2} vertices")
+    if ring[:2] != ring[-2:]:
         diagnostics.append(f"regions: auto-closed open ring in {region_id!r}")
-        ring.append(ring[0])
-    if len(ring) < 4:
+        ring += ring[:2]
+    if len(ring) < 8:
         raise ValueError("degenerate ring")
-    return tuple(ring)
+    return ring
 
 
 def parse_regions(source: str | Path | TextIO) -> ParseResult[RegionBoundary]:
-    """Read a GeoJSON FeatureCollection of Polygon/MultiPolygon regions.
+    """Read a GeoJSON FeatureCollection of Polygon/MultiPolygon regions into a
+    :class:`RegionTable` (``result.records``).
 
     Open rings are auto-closed with a diagnostic; a feature without a usable
     region_id/name/level or geometry is dropped with a diagnostic. Two
     features sharing a region_id at the same level raise :class:`IngestError`.
+    The decoded document is ``result.document``.
     """
     stream, owned = _open_text(source)
     try:
@@ -804,23 +902,46 @@ def parse_regions(source: str | Path | TextIO) -> ParseResult[RegionBoundary]:
     features = doc.get("features", [])
     if not isinstance(features, list):
         raise IngestError("regions: features is not a list")
+    ids: list[str] = []
+    names: list[str] = []
+    levels: list[str] = []
+    bboxes: list[tuple[float, float, float, float]] = []
+    ring_counts: list[int] = []  # per region
+    hole: list[bool] = []  # per ring
+    vertex_counts: list[int] = []  # per ring
+    coordinates: list[float] = []  # every vertex's lon and lat, in ring order
     for i, feature in enumerate(features):
         result.rows_total += 1
         try:
-            region = _region_from_feature(feature, result.diagnostics)
+            region_id, name, level, bbox, rings, holes = _region_from_feature(feature, result.diagnostics)
         except ValueError as exc:
             result.rows_rejected += 1
             result.diagnostics.append(f"regions feature {i}: {exc}")
             continue
-        key = (region.level, region.region_id)
-        if key in seen:
-            raise IngestError(f"regions: duplicate region_id {region.region_id!r} at level {region.level!r}")
-        seen.add(key)
-        result.records.append(region)
+        if (level, region_id) in seen:
+            raise IngestError(f"regions: duplicate region_id {region_id!r} at level {level!r}")
+        seen.add((level, region_id))
+        ids.append(region_id)
+        names.append(name)
+        levels.append(level)
+        bboxes.append(bbox)
+        ring_counts.append(len(rings))
+        hole += holes
+        for ring in rings:
+            vertex_counts.append(len(ring) // 2)
+            coordinates += ring
+    result.records = RegionTable(
+        region_id=np.array(ids, dtype=_TEXT), name=np.array(names, dtype=_TEXT), level=np.array(levels, dtype=_TEXT),
+        bbox=np.array(bboxes, dtype=float).reshape(-1, 4), ring_offsets=np.cumsum([0] + ring_counts, dtype=np.int64),
+        hole=np.array(hole, dtype=bool), vertex_offsets=np.cumsum([0] + vertex_counts, dtype=np.int64),
+        vertices=np.array(coordinates, dtype=float).reshape(-1, 2),
+    )
     return result
 
 
-def _region_from_feature(feature: dict, diagnostics: list[str]) -> RegionBoundary:
+def _region_from_feature(feature: dict, diagnostics: list[str]) -> tuple:
+    """A feature's region_id, name, level, bbox, closed rings (flat lon, lat lists)
+    and, per ring, whether it is a hole (a ring after its polygon's first)."""
     if not isinstance(feature, dict):
         raise ValueError("feature is not an object")
     props = feature.get("properties") or {}
@@ -851,21 +972,11 @@ def _region_from_feature(feature: dict, diagnostics: list[str]) -> RegionBoundar
     if not isinstance(polygons, list) or not all(isinstance(polygon, list) for polygon in polygons):
         raise ValueError("malformed polygon coordinates")
 
-    rings: list[tuple[tuple[float, float], ...]] = []
-    holes: set[int] = set()
-    for polygon in polygons:
-        for k, ring_coords in enumerate(polygon):
-            if k > 0:
-                holes.add(len(rings))
-            rings.append(_close_ring(ring_coords, region_id, diagnostics))
-
-    xs = [x for ring in rings for x, _ in ring]
-    ys = [y for ring in rings for _, y in ring]
+    rings = [_close_ring(ring, region_id, diagnostics) for polygon in polygons for ring in polygon]
+    xs = [x for ring in rings for x in ring[0::2]]
+    ys = [y for ring in rings for y in ring[1::2]]
     bbox = (min(xs), min(ys), max(xs), max(ys))
-    return RegionBoundary(
-        region_id=region_id, name=name, level=level, rings=tuple(rings), bbox=bbox,
-        holes=frozenset(holes),
-    )
+    return region_id, name, level, bbox, rings, [k > 0 for polygon in polygons for k in range(len(polygon))]
 
 
 def parse_track(source: str | Path | TextIO) -> ParseResult[TrackPoint]:

@@ -154,6 +154,18 @@ class TestCorrelateCommand:
         assert not overlay.exists()
         assert not (tmp_path / "correlations.csv").exists()
 
+    @pytest.mark.parametrize("command", ["correlate", "nowcast"])
+    def test_county_table_with_window_or_keywords_is_a_usage_error(self, command, tmp_path, capsys):
+        # both were echoed in the header of a report they did not change
+        for option, value in (("--window", "2099-01-01..2099-01-02"), ("--keywords", "gas")):
+            assert run(command, "--county-table", FIXTURE, option, value, "--out", tmp_path / option) == 1
+            assert option in capsys.readouterr().err
+            assert not (tmp_path / option).exists()
+        assert run(command, "--county-table", FIXTURE, "--out", tmp_path / "plain") == 0
+        report = tmp_path / "plain" / ("correlations.csv" if command == "correlate" else "nowcast.csv")
+        config, _ = read_report(report)
+        assert "county-table" in config and "window" not in config and "keywords" not in config
+
     def test_degenerate_only_exits_2(self, sim_bundle, tmp_path):
         code = run(
             "correlate",
@@ -204,10 +216,12 @@ class TestNowcastCommand:
         _, ranked = read_report(tmp_path / "damage" / "nowcast.csv")
         assert "damage_rank" not in plain[0]
         assert [{k: v for k, v in row.items() if k != "damage_rank"} for row in ranked] == plain
-        population = {r["region_id"]: int(r["population"]) for r in csv.DictReader(open(sim_bundle / "population.csv"))}
+        with open(sim_bundle / "population.csv", encoding="utf-8", newline="") as handle:
+            population = {r["region_id"]: int(r["population"]) for r in csv.DictReader(handle)}
         damage = {}
-        for r in csv.DictReader(open(sim_bundle / "damage.csv")):
-            damage[r["region_id"]] = damage.get(r["region_id"], 0.0) + float(r["amount_usd"])
+        with open(sim_bundle / "damage.csv", encoding="utf-8", newline="") as handle:
+            for r in csv.DictReader(handle):
+                damage[r["region_id"]] = damage.get(r["region_id"], 0.0) + float(r["amount_usd"])
         by_damage = sorted((-damage.get(row["region_id"], 0.0) / population[row["region_id"]], row["region_id"])
                            for row in ranked)
         expected = {region_id: str(i) for i, (_, region_id) in enumerate(by_damage, start=1)}

@@ -1,7 +1,9 @@
 import csv
+import gc
 import io
 import json
 import math
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -322,6 +324,48 @@ class TestParseRegions:
             parse_regions(io.StringIO(json.dumps({"type": "FeatureCollection", "features": 5})))
 
 
+class TestParseMemory:
+    """What a parse holds stays near what it returns."""
+
+    def test_message_parse_peak_is_within_three_tables(self, tmp_path):
+        # the accepted-id set and 16,384-row blocks peaked at about 7x the table
+        config = SimConfig(seed=1, n_regions=240,
+                           keywords=(("storm", KeywordProfile(base_rate=0.0012, event_amplitude=0.012)),))
+        path = generate(config, tmp_path / "sim").messages_csv
+        parse_messages(path)  # one-time allocations of the first parse are not the parse's own
+        tracemalloc.start()
+        try:
+            table = parse_messages(path).records
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(value.nbytes for value in vars(table).values() if isinstance(value, np.ndarray))
+        assert len(table) > 40_000
+        assert peak <= 3 * nbytes
+
+    def test_regions_retain_at_most_40_bytes_per_vertex(self):
+        # tuple rings retained about 230 bytes per vertex of a grid of small regions
+        features = []
+        for i in range(2500):
+            x, y = i % 50 * 0.12 - 77.0, i // 50 * 0.1 + 37.5
+            ring = [[x + 0.05 * math.cos(a), y + 0.04 * math.sin(a)] for a in np.linspace(0.1, 6.0, 5).tolist()]
+            features.append(region_feature(f"z{i:05d}", [ring + ring[:1]], level="zcta"))
+            features[-1]["properties"]["name"] = f"area z{i:05d}"
+        text = collection(*features)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            result = parse_regions(text)
+            result.document = None
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) == 2500
+        assert retained <= 40 * 2500 * 6
+
+
 class TestParseTrack:
     def test_two_points(self):
         stream = io.StringIO("timestamp,lat,lon\n2012-10-29T12:00:00Z,39.4,-74.4\n2012-10-29T18:00:00Z,40.0,-74.8\n")
@@ -577,7 +621,7 @@ DUPLICATE_RULE_CSV = HEADER + "".join(f"{row}\n" for row in (
 class TestBulkMatchesPerRowReference:
     """The table, counts and diagnostics equal those of the frozen per-row parser."""
 
-    @given(mutated_messages_csv(), st.sampled_from([1, 3, 1 << 14]),
+    @given(mutated_messages_csv(), st.sampled_from([1, 3, 1 << 12, 1 << 14]),
            st.one_of(st.none(), st.sets(st.sampled_from(TAG_POOL), max_size=3)))
     @example(HEADER + "m0,x\0u0,2012-10-30T00:00:00Z,,,sandy,0,0,\nm1,x\0u2,2012-10-30T00:00:00Z,,,sandy,0,0,\n",
              1 << 14, None)
@@ -632,9 +676,9 @@ class TestBulkMatchesPerRowReference:
         converted = []
         convert = ingest._message_fields
 
-        def spy(row, col, seen_ids):
+        def spy(row, col):
             converted.append(row[0].strip())
-            return convert(row, col, seen_ids)
+            return convert(row, col)
 
         monkeypatch.setattr(ingest, "_message_fields", spy)
         result = parse_messages(messages_csv(
@@ -647,8 +691,10 @@ class TestBulkMatchesPerRowReference:
             "m7,u1,2012-10-30T00:00:00Z,,,sandy,0,3,",
             "m7,u1,2012-10-30T00:00:00Z,,,sandy,0,3,",
         ))
-        assert converted == ["m1", "m2", "m3", "m4", "m5", "m6", "m7", "m7"]
+        # a canonical row that repeats an id is taken in bulk and rejected once the file is read
+        assert converted == ["m1", "m2", "m3", "m4", "m5", "m6"]
         assert len(result.records) == 7
+        assert result.diagnostics == ["messages line 9: duplicate message_id 'm7'"]
 
     @pytest.mark.parametrize("block_rows", [1, 3, 1 << 14])
     def test_quoted_hash_id_late_in_the_file(self, block_rows, monkeypatch):
