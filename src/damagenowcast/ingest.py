@@ -73,6 +73,7 @@ UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 MICROSECOND = timedelta(microseconds=1)
 
 _BLOCK_ROWS = 1 << 12  # CSV rows held and converted at once; bounds the Python row lists
+_SEGMENT_BLOCKS = 32  # blocks of accepted rows joined into one array while the parse runs
 _TEXT = np.dtypes.StringDType()  # variable-width strings stored in the array, not as Python objects
 _MAX_COUNT = 2**63 - 1  # retweeted_count must fit the table's int64 column
 
@@ -532,7 +533,8 @@ class _MessageColumns:
     def __init__(self) -> None:
         self.sets: dict[frozenset[str], int] = {}  # keyword set -> code
         self.keyword_cells: dict[str, int] = {}  # raw cell -> set code, -1 when no tag
-        self.chunks: list[list[np.ndarray]] = []
+        self.chunks: list[list[np.ndarray]] = []  # per column: the joined segments, then the blocks since
+        self.segments = 0
         self.nul_users = False  # whether a user id holds a NUL
         self.rejected: list[tuple[int, str]] = []  # per diagnostic: its line, and its row's id ("" without a user)
 
@@ -580,6 +582,12 @@ class _MessageColumns:
                 np.fromiter(map(hash, ids), np.int64, n), np.asarray(linenos, dtype=np.int64),
             )
         ])
+        # the small arrays of the joined blocks die now and their memory serves the next blocks, where
+        # holding every block's arrays until the table is built would leave them all allocated beside it
+        if len(self.chunks) - self.segments == _SEGMENT_BLOCKS:
+            blocks = self.chunks[self.segments:]
+            self.chunks[self.segments:] = [[np.concatenate(column) for column in zip(*blocks)]]
+            self.segments += 1
 
     def _set_code(self, tags: frozenset[str]) -> int:
         return self.sets.setdefault(tags, len(self.sets))

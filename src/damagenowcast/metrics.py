@@ -116,37 +116,29 @@ def _to_us(stamp: datetime) -> int:
     return (stamp - UNIX_EPOCH) // MICROSECOND
 
 
-def _scoped_rows(
-    table: MessageTable, codes: np.ndarray, scopes: Sequence[frozenset[str] | None]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every (row, scope) pair of an assigned row and a scope holding one of its tags.
-
-    ``scopes[s]`` is a tag set, or None for every tag. Returns the rows and
-    the scope numbers, ordered by row and then scope, so each scope's rows
-    stay in file order.
-    """
+def _scope_members(table: MessageTable, scopes: Sequence[frozenset[str] | None]) -> np.ndarray:
+    """Whether keyword set ``k`` holds a tag of ``scopes[s]``, as ``member[k, s]``;
+    a scope of None holds every tag."""
     position = {tag: j for j, tag in enumerate(table.tags)}
     member = np.ones((len(table.keyword_sets), len(scopes)), dtype=bool)
     for s, scope in enumerate(scopes):
         if scope is not None:
             member[:, s] = table.tag_matrix[:, [position[t] for t in scope if t in position]].any(axis=1)
-    per_set = member.sum(axis=1)
-    first = np.cumsum(per_set) - per_set  # where each set's scopes start in the flat list
-    rows = np.flatnonzero(codes >= 0)
-    sets = table.keyword_set[rows]
-    repeats = per_set[sets]
-    # the k-th pair of a row takes the k-th scope of the row's tag set
-    shift = np.repeat(first[sets] - (np.cumsum(repeats) - repeats), repeats)
-    scope = np.nonzero(member)[1][shift + np.arange(len(shift))]
-    return np.repeat(rows, repeats), scope
+    return member
 
 
 def _distinct(cell: np.ndarray, user: np.ndarray, n_users: int, n_cells: int) -> np.ndarray:
     """Distinct users per cell."""
-    pairs = np.sort(cell * max(n_users, 1) + user)
+    # in place where it can be: at ZCTA scale each temporary here is as large as a table column
+    width = max(n_users, 1)
+    pairs = cell * width
+    pairs += user
+    pairs.sort()
     first = np.ones(len(pairs), dtype=bool)
-    first[1:] = pairs[1:] != pairs[:-1]
-    return np.bincount(pairs[first] // max(n_users, 1), minlength=n_cells)
+    np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+    pairs = pairs[first]
+    pairs //= width
+    return np.bincount(pairs, minlength=n_cells)
 
 
 class _Cells:
@@ -154,30 +146,52 @@ class _Cells:
     where no message carries a score. Sentiment sums run in ``row`` order."""
 
     def __init__(self, table: MessageTable, row: np.ndarray, cell: np.ndarray, n_cells: int):
-        retweet = table.is_retweet[row]
-        popular = ~retweet & (table.retweeted_count[row] >= 1)
+        # each per-message temporary is dropped once used: at ZCTA scale each is as large as a table column
         sentiment = table.sentiment[row]
         scored = ~np.isnan(sentiment)
+        scored_cell, weights = cell[scored], sentiment[scored]
+        del sentiment, scored
         # bincount adds each cell's weights one by one in array order, as a Python loop would
-        total = np.bincount(cell[scored], weights=sentiment[scored], minlength=n_cells)
+        total = np.bincount(scored_cell, weights=weights, minlength=n_cells)
+        del weights
         with np.errstate(invalid="ignore"):
-            self.mean_sentiment = total / np.bincount(cell[scored], minlength=n_cells)
-        self.n_messages = np.bincount(cell, minlength=n_cells)
-        self.n_retweets = np.bincount(cell[retweet], minlength=n_cells)
-        self.n_popular = np.bincount(cell[popular], minlength=n_cells)
+            self.mean_sentiment = total / np.bincount(scored_cell, minlength=n_cells)
+        del scored_cell, total
         self.users = _distinct(cell, table.user[row], len(table.user_ids), n_cells)
+        self.n_messages = np.bincount(cell, minlength=n_cells)
+        retweet = table.is_retweet[row]
+        self.n_retweets = np.bincount(cell[retweet], minlength=n_cells)
+        popular = table.retweeted_count[row] >= 1
+        popular &= ~retweet
+        self.n_popular = np.bincount(cell[popular], minlength=n_cells)
+
+    @classmethod
+    def stacked(cls, parts: Sequence[_Cells]) -> _Cells:
+        """The counts of ``parts``, their cells laid end to end."""
+        cells = cls.__new__(cls)
+        for name in ("mean_sentiment", "n_messages", "n_retweets", "n_popular", "users"):
+            setattr(cells, name, np.concatenate([getattr(part, name) for part in parts]))
+        return cells
 
     def grid(self, region_ids: Sequence[str], columns: Sequence, cells: np.ndarray, windows: np.ndarray,
              period_users: np.ndarray, population: np.ndarray, present: np.ndarray) -> SummaryGrid:
-        """A grid whose entry ``[k, j]`` is cell ``cells[k, j]``; the other arrays broadcast to its shape."""
+        """A grid whose entry ``[k, j]`` is cell ``cells[k, j]``; the other arrays broadcast to its shape.
+
+        Each count moves into the grid, so the two are not held at once: this object is empty afterwards.
+        """
         def shaped(values: np.ndarray) -> np.ndarray:
             return np.broadcast_to(values, cells.shape)
 
+        def take(name: str) -> np.ndarray:
+            values = getattr(self, name)[cells]
+            delattr(self, name)
+            return values
+
+        n_messages, n_retweets = take("n_messages"), take("n_retweets")
         return SummaryGrid(
-            tuple(region_ids), tuple(columns), shaped(windows), self.n_messages[cells],
-            (self.n_messages - self.n_retweets)[cells], self.n_retweets[cells], self.n_popular[cells],
-            self.users[cells], shaped(period_users), self.mean_sentiment[cells], shaped(population[:, None]),
-            shaped(present),
+            tuple(region_ids), tuple(columns), shaped(windows), n_messages, n_messages - n_retweets, n_retweets,
+            take("n_popular"), take("users"), shaped(period_users), take("mean_sentiment"),
+            shaped(population[:, None]), shaped(present),
         )
 
 
@@ -198,32 +212,42 @@ def summarize_regions(
     the window. Without ``scopes`` every message is in scope. Given
     ``scopes`` (name -> tag set, None for every tag), the result is one such
     mapping per scope name, all columns of one region × scope
-    :class:`SummaryGrid` from one grouped count.
+    :class:`SummaryGrid`, from one grouped count per scope.
     """
     if scopes is None:
         return summarize_regions(
             messages, assignments, window, population=population, region_ids=region_ids, scopes={None: None},
         )[None]
+    if not scopes:
+        return {}
     table, codes = messages, _region_codes(messages, assignments)
     listed = set(region_ids or ())
     names = [*codes.region_ids, *sorted(listed.difference(codes.region_ids))]  # the rest hold no message
-    row, scope = _scoped_rows(table, codes.codes, list(scopes.values()))
-    cell = scope * len(names) + codes.codes[row]
-    n_cells = len(scopes) * len(names)
-    # presence in a scope and the per-user denominator ignore the window
-    present = np.bincount(cell, minlength=n_cells).reshape(len(scopes), len(names)) > 0
-    period_users = _distinct(cell, table.user[row], len(table.user_ids), n_cells)
-    if window is not None:
-        stamp = table.time_us[row]
-        inside = (_to_us(window.start) <= stamp) & (stamp < _to_us(window.end))
-        row, cell = row[inside], cell[inside]
+    located = np.flatnonzero(codes.codes >= 0)
+    present, period_users, counts = [], [], []
+    # one scope at a time, so each temporary has one entry per message, not one per (message, scope)
+    for member in _scope_members(table, list(scopes.values())).T:
+        row = located[member[table.keyword_set[located]]]
+        region = codes.codes[row]
+        # presence in a scope and the per-user denominator ignore the window
+        present.append(np.bincount(region, minlength=len(names)) > 0)
+        period_users.append(_distinct(region, table.user[row], len(table.user_ids), len(names)))
+        if window is not None:
+            stamp = table.time_us[row]
+            inside = (_to_us(window.start) <= stamp) & (stamp < _to_us(window.end))
+            del stamp
+            row, region = row[inside], region[inside]
+        counts.append(_Cells(table, row, region, len(names)))
+    del located, row, region
+    present = np.concatenate(present).reshape(len(scopes), len(names))
+    period_users = np.concatenate(period_users)
 
     by_name = np.array(sorted(range(len(names)), key=names.__getitem__), dtype=np.intp)
     sorted_names = [names[k] for k in by_name.tolist()]
     cells = by_name[:, None] + len(names) * np.arange(len(scopes))  # region x scope -> cell
     present |= np.array([region_id in listed for region_id in names], dtype=bool)
     population = population or {}
-    grid = _Cells(table, row, cell, n_cells).grid(
+    grid = _Cells.stacked(counts).grid(
         sorted_names, scopes, cells, np.array(window, dtype=object), period_users[cells],
         np.array([population.get(region_id, math.nan) for region_id in sorted_names], dtype=float),
         present.T[by_name],
@@ -358,17 +382,28 @@ def summarize_daily(
     names = list(codes.region_ids)
     row = np.flatnonzero(codes.codes >= 0)
     region = codes.codes[row]
+    has_message = np.bincount(region, minlength=len(names)) > 0
     period_users = _distinct(region, table.user[row], len(table.user_ids), len(names))
 
+    # in place, and each temporary dropped once used: at ZCTA scale each is as large as a table column
     wanted = np.array(sorted(set(bins)), dtype=np.int64)
-    index = (table.time_us[row] - _to_us(epoch)) // (width // MICROSECOND)
-    slot = np.minimum(np.searchsorted(wanted, index), max(len(wanted) - 1, 0))
+    index = table.time_us[row]
+    index -= _to_us(epoch)
+    index //= width // MICROSECOND
+    slot = np.searchsorted(wanted, index)
+    np.minimum(slot, max(len(wanted) - 1, 0), out=slot)
     inside = wanted[slot] == index if len(wanted) else np.zeros(len(row), dtype=bool)
+    del index
     n_bins = len(wanted)
-    counts = _Cells(table, row[inside], region[inside] * n_bins + slot[inside], len(names) * n_bins)
+    row, cell = row[inside], region[inside]
+    del region
+    cell *= n_bins
+    cell += slot[inside]
+    del slot, inside
+    counts = _Cells(table, row, cell, len(names) * n_bins)
+    del row, cell
 
     requested = list(dict.fromkeys(bins))
-    has_message = np.bincount(region, minlength=len(names)) > 0
     active = np.array([k for k in sorted(range(len(names)), key=names.__getitem__) if has_message[k]], dtype=np.intp)
     cells = active[:, None] * n_bins + np.searchsorted(wanted, requested).astype(np.intp)
     windows = np.empty(len(requested), dtype=object)
