@@ -30,7 +30,7 @@ from .analysis import (
     rank_keywords,
     region_rank_discrepancy,
 )
-from .geo import SpatialIndex, point_to_track_km, region_centroid, spatial_join
+from .geo import SpatialIndex, point_to_track_km, region_centroids, spatial_join
 from .ingest import (
     MODELED_SOURCE,
     CountyStats,
@@ -293,10 +293,9 @@ def _cmd_rank_keywords(args: argparse.Namespace) -> int:
     window = _parse_window(args.window) if args.window else None
 
     distances = {}
-    for region in regions:
-        center = region_centroid(region)
+    for region_id, center in zip(regions.region_id.tolist(), region_centroids(regions)):
         if center.lon >= args.min_lon:
-            distances[region.region_id] = point_to_track_km(center, track)
+            distances[region_id] = point_to_track_km(center, track)
 
     per_keyword = summarize_regions(
         messages, assignments, window, scopes={tag: frozenset({tag}) for tag in messages.tags}

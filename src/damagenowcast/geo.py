@@ -23,14 +23,15 @@ The join is batched numpy work with no Python loop per point:
   contains it.
 
 ``region_centroid`` is the planar area-weighted centroid of a region's outer
-rings minus its holes.
+rings minus its holes; ``region_centroids`` gives it for every region of a
+table from the table's arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Container, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "haversine_km",
     "point_to_track_km",
     "region_centroid",
+    "region_centroids",
     "spatial_join",
 ]
 
@@ -249,9 +251,23 @@ def region_centroid(region: RegionBoundary) -> GeoPoint:
     """Area-weighted centroid of the outer rings minus the holes, in the lon/lat
     plane; ring orientation does not matter. A region with no positive area
     falls back to its bbox midpoint."""
-    min_lon, min_lat, max_lon, max_lat = region.bbox
+    return _centroid(region.rings, region.holes, region.bbox)
+
+
+def region_centroids(regions: RegionTable) -> Iterator[GeoPoint]:
+    """:func:`region_centroid` of each region of a table, in table order, read from its arrays."""
+    ring_offsets, vertex_offsets = regions.ring_offsets.tolist(), regions.vertex_offsets.tolist()
+    hole = regions.hole.tolist()
+    for first, last, bbox in zip(ring_offsets, ring_offsets[1:], regions.bbox.tolist()):
+        rings = [regions.vertices[vertex_offsets[k] : vertex_offsets[k + 1]].tolist() for k in range(first, last)]
+        yield _centroid(rings, {k - first for k in range(first, last) if hole[k]}, bbox)
+
+
+def _centroid(rings: Sequence[Sequence[Sequence[float]]], holes: Container[int],
+              bbox: Sequence[float]) -> GeoPoint:
+    min_lon, min_lat, max_lon, max_lat = bbox
     area = moment_x = moment_y = 0.0
-    for k, ring in enumerate(region.rings):
+    for k, ring in enumerate(rings):
         twice_area = ring_x = ring_y = 0.0
         for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
             # relative to the bbox corner, so the cross products do not cancel
@@ -260,7 +276,7 @@ def region_centroid(region: RegionBoundary) -> GeoPoint:
             twice_area += cross
             ring_x += (ax + bx) * cross
             ring_y += (ay + by) * cross
-        sign = math.copysign(1.0, twice_area) * (-1.0 if k in region.holes else 1.0)
+        sign = math.copysign(1.0, twice_area) * (-1.0 if k in holes else 1.0)
         area += sign * twice_area / 2.0
         moment_x += sign * ring_x / 6.0
         moment_y += sign * ring_y / 6.0

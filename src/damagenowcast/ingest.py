@@ -242,18 +242,11 @@ class RegionTable(SequenceABC):
 
     @classmethod
     def from_regions(cls, regions: Iterable[RegionBoundary]) -> RegionTable:
-        regions = list(regions)
-        rings = [ring for r in regions for ring in r.rings]
-        return cls(
-            region_id=np.array([r.region_id for r in regions], dtype=_TEXT),
-            name=np.array([r.name for r in regions], dtype=_TEXT),
-            level=np.array([r.level for r in regions], dtype=_TEXT),
-            bbox=np.array([r.bbox for r in regions], dtype=float).reshape(-1, 4),
-            ring_offsets=np.cumsum([0] + [len(r.rings) for r in regions], dtype=np.int64),
-            hole=np.array([k in r.holes for r in regions for k in range(len(r.rings))], dtype=bool),
-            vertex_offsets=np.cumsum([0] + [len(ring) for ring in rings], dtype=np.int64),
-            vertices=np.array([v for ring in rings for v in ring], dtype=float).reshape(-1, 2),
-        )
+        columns = _RegionColumns()
+        for r in regions:
+            columns.add(r.region_id, r.name, r.level, r.bbox, [[x for vertex in ring for x in vertex] for ring in r.rings],
+                        [k in r.holes for k in range(len(r.rings))])
+        return columns.table()
 
     def __len__(self) -> int:
         return len(self.region_id)
@@ -270,6 +263,42 @@ class RegionTable(SequenceABC):
 
     def __iter__(self) -> Iterator[RegionBoundary]:
         return map(self.__getitem__, range(len(self)))
+
+
+class _RegionColumns:
+    """Collects regions one at a time into the columns of a :class:`RegionTable`."""
+
+    def __init__(self) -> None:
+        self.region_id: list[str] = []
+        self.name: list[str] = []
+        self.level: list[str] = []
+        self.bbox: list[tuple[float, float, float, float]] = []
+        self.rings: list[int] = []  # per region
+        self.hole: list[bool] = []  # per ring
+        self.vertices: list[int] = []  # per ring
+        self.coordinates: list[float] = []  # every vertex's lon and lat, in ring order
+
+    def add(self, region_id: str, name: str, level: str, bbox: tuple[float, float, float, float],
+            rings: list[list[float]], hole: list[bool]) -> None:
+        """One region: its closed rings as flat lon, lat lists, and whether each is a hole."""
+        self.region_id.append(region_id)
+        self.name.append(name)
+        self.level.append(level)
+        self.bbox.append(bbox)
+        self.rings.append(len(rings))
+        self.hole += hole
+        for ring in rings:
+            self.vertices.append(len(ring) // 2)
+            self.coordinates += ring
+
+    def table(self) -> RegionTable:
+        return RegionTable(
+            region_id=np.array(self.region_id, dtype=_TEXT), name=np.array(self.name, dtype=_TEXT),
+            level=np.array(self.level, dtype=_TEXT), bbox=np.array(self.bbox, dtype=float).reshape(-1, 4),
+            ring_offsets=np.cumsum([0] + self.rings, dtype=np.int64), hole=np.array(self.hole, dtype=bool),
+            vertex_offsets=np.cumsum([0] + self.vertices, dtype=np.int64),
+            vertices=np.array(self.coordinates, dtype=float).reshape(-1, 2),
+        )
 
 
 @dataclass(frozen=True)
@@ -910,46 +939,28 @@ def parse_regions(source: str | Path | TextIO) -> ParseResult[RegionBoundary]:
     features = doc.get("features", [])
     if not isinstance(features, list):
         raise IngestError("regions: features is not a list")
-    ids: list[str] = []
-    names: list[str] = []
-    levels: list[str] = []
-    bboxes: list[tuple[float, float, float, float]] = []
-    ring_counts: list[int] = []  # per region
-    hole: list[bool] = []  # per ring
-    vertex_counts: list[int] = []  # per ring
-    coordinates: list[float] = []  # every vertex's lon and lat, in ring order
+    columns = _RegionColumns()
     for i, feature in enumerate(features):
         result.rows_total += 1
         try:
-            region_id, name, level, bbox, rings, holes = _region_from_feature(feature, result.diagnostics)
+            region = _region_from_feature(feature, result.diagnostics)
         except ValueError as exc:
             result.rows_rejected += 1
             result.diagnostics.append(f"regions feature {i}: {exc}")
             continue
+        region_id, _, level, *_ = region
         if (level, region_id) in seen:
             raise IngestError(f"regions: duplicate region_id {region_id!r} at level {level!r}")
         seen.add((level, region_id))
-        ids.append(region_id)
-        names.append(name)
-        levels.append(level)
-        bboxes.append(bbox)
-        ring_counts.append(len(rings))
-        hole += holes
-        for ring in rings:
-            vertex_counts.append(len(ring) // 2)
-            coordinates += ring
-    result.records = RegionTable(
-        region_id=np.array(ids, dtype=_TEXT), name=np.array(names, dtype=_TEXT), level=np.array(levels, dtype=_TEXT),
-        bbox=np.array(bboxes, dtype=float).reshape(-1, 4), ring_offsets=np.cumsum([0] + ring_counts, dtype=np.int64),
-        hole=np.array(hole, dtype=bool), vertex_offsets=np.cumsum([0] + vertex_counts, dtype=np.int64),
-        vertices=np.array(coordinates, dtype=float).reshape(-1, 2),
-    )
+        columns.add(*region)
+    result.records = columns.table()
     return result
 
 
 def _region_from_feature(feature: dict, diagnostics: list[str]) -> tuple:
     """A feature's region_id, name, level, bbox, closed rings (flat lon, lat lists)
-    and, per ring, whether it is a hole (a ring after its polygon's first)."""
+    and, per ring, whether it is a hole (a ring after its polygon's first): the
+    arguments of ``_RegionColumns.add``."""
     if not isinstance(feature, dict):
         raise ValueError("feature is not an object")
     props = feature.get("properties") or {}

@@ -17,6 +17,7 @@ from damagenowcast.geo import (
     haversine_km,
     point_to_track_km,
     region_centroid,
+    region_centroids,
     spatial_join,
 )
 from damagenowcast.ingest import MessageRecord, RegionBoundary, TrackPoint, parse_regions
@@ -249,6 +250,24 @@ class TestRegionCentroid:
         center = region_centroid(region)
         assert center.lon == pytest.approx((0.5 + 2.5 * 0.96) / 1.96, abs=1e-12)
         assert center.lat == pytest.approx(0.5, abs=1e-12)
+
+    def test_table_centroids_are_each_region_centroid(self):
+        geometries = [
+            {"type": "MultiPolygon", "coordinates": [[square_ring(-74.0, 40.6, -73.8, 40.8)],
+                                                     [square_ring(-72.9, 40.3, -72.89, 40.31)]]},
+            {"type": "Polygon", "coordinates": [square_ring(0.0, 0.0, 2.0, 2.0),
+                                                square_ring(1.0, 0.2, 1.8, 1.8, clockwise=True)]},
+            {"type": "MultiPolygon", "coordinates": [[square_ring(0.0, 0.0, 1.0, 1.0)],
+                                                     [square_ring(2.0, 0.0, 3.0, 1.0), square_ring(2.4, 0.4, 2.6, 0.6)]]},
+            {"type": "Polygon", "coordinates": [[[1.0, 2.0]] * 4]},
+        ]
+        text = json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": {"region_id": f"r{i}", "level": "county"}, "geometry": geometry}
+            for i, geometry in enumerate(geometries)
+        ]})
+        table = parse_regions(io.StringIO(text)).records
+        assert len(table) == 4
+        assert list(region_centroids(table)) == [region_centroid(region) for region in table]
 
     def test_zero_area_falls_back_to_bbox_midpoint(self):
         point = ((1.0, 2.0), (1.0, 2.0), (1.0, 2.0), (1.0, 2.0))
