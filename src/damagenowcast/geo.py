@@ -354,10 +354,10 @@ class SpatialIndex:
         Points go through ``_assign_block`` ``_POINT_BLOCK`` at a time, which
         bounds the kernel's temporaries whatever the number of points.
         """
-        first = np.empty(len(lon), dtype=np.intp)
-        for i in range(0, len(lon), _POINT_BLOCK):
-            first[i : i + _POINT_BLOCK] = self._assign_block(lon[i : i + _POINT_BLOCK], lat[i : i + _POINT_BLOCK])
-        return first
+        blocks = range(0, len(lon), _POINT_BLOCK)
+        return np.concatenate([np.empty(0, dtype=np.intp)] + [
+            self._assign_block(lon[i : i + _POINT_BLOCK], lat[i : i + _POINT_BLOCK]) for i in blocks
+        ])
 
     def _assign_block(self, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
         edges = self._edges

@@ -244,8 +244,8 @@ class RegionTable(SequenceABC):
     def from_regions(cls, regions: Iterable[RegionBoundary]) -> RegionTable:
         columns = _RegionColumns()
         for r in regions:
-            columns.add(r.region_id, r.name, r.level, r.bbox, [[x for vertex in ring for x in vertex] for ring in r.rings],
-                        [k in r.holes for k in range(len(r.rings))])
+            rings = [[x for vertex in ring for x in vertex] for ring in r.rings]
+            columns.add(r.region_id, r.name, r.level, r.bbox, rings, [k in r.holes for k in range(len(rings))])
         return columns.table()
 
     def __len__(self) -> int:
@@ -260,9 +260,6 @@ class RegionTable(SequenceABC):
             region_id=self.region_id[i], name=self.name[i], level=self.level[i], rings=rings,
             bbox=tuple(self.bbox[i].tolist()), holes=frozenset(np.flatnonzero(self.hole[first:last]).tolist()),
         )
-
-    def __iter__(self) -> Iterator[RegionBoundary]:
-        return map(self.__getitem__, range(len(self)))
 
 
 class _RegionColumns:

@@ -257,8 +257,10 @@ class TestRegionCentroid:
                                                      [square_ring(-72.9, 40.3, -72.89, 40.31)]]},
             {"type": "Polygon", "coordinates": [square_ring(0.0, 0.0, 2.0, 2.0),
                                                 square_ring(1.0, 0.2, 1.8, 1.8, clockwise=True)]},
-            {"type": "MultiPolygon", "coordinates": [[square_ring(0.0, 0.0, 1.0, 1.0)],
-                                                     [square_ring(2.0, 0.0, 3.0, 1.0), square_ring(2.4, 0.4, 2.6, 0.6)]]},
+            {"type": "MultiPolygon", "coordinates": [
+                [square_ring(0.0, 0.0, 1.0, 1.0)],
+                [square_ring(2.0, 0.0, 3.0, 1.0), square_ring(2.4, 0.4, 2.6, 0.6)],
+            ]},
             {"type": "Polygon", "coordinates": [[[1.0, 2.0]] * 4]},
         ]
         text = json.dumps({"type": "FeatureCollection", "features": [
