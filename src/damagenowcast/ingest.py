@@ -12,7 +12,11 @@ converts columns a block at a time with numpy and accepts in bulk only the
 rows already in canonical form (the form ``write_messages_csv`` writes).
 Every other row goes through the per-row converter, which alone decides
 whether a row is malformed and why, so the table, the counts and the
-diagnostics are what converting each row on its own would give.
+diagnostics are what converting each row on its own would give. Repeated
+ids are found once the input is read, from one hash per row.
+
+``parse_regions`` returns a :class:`RegionTable`: every vertex in one float64
+array, indexed by ring and region offsets.
 """
 
 from __future__ import annotations
