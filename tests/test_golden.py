@@ -76,6 +76,15 @@ BUNDLE_GOLDEN = {
     "track.csv": "2f2973357e63b15324252bbf8eec8d76fb0f0e64f7a0c37447ead90c92c980a1",
     "ground_truth.csv": "a284047d339b49410f89b34e4d7c1780f98541e857769f86c0dc44f24831aa83",
 }
+# messages.csv of BUNDLE with a --keyword that csv must quote (a comma, a
+# quote) or pass through as it is (a leading space, a leading '#'); the other
+# files do not depend on the keyword
+KEYWORD_GOLDEN = {
+    "a,b": "4296229289688c0edadb3467e31c896723c84c27bbbd3bfa24245aabc1ee802d",
+    'x"y': "d875f5bc2aff59c5cf100e9272a476f8fe7c8d4fe14886946777c88fd343df72",
+    " storm": "084f97404b0218a115096551d6fad1116afeba139a88d5db5374ad1dc9e57025",
+    "#tag": "8532d0dce5bbc72703b89fb496db5c20490794e663989f8282c4348b372cd227",
+}
 # two keywords, a media burst, a non-default persistence, and populations so
 # small that 9 of the 30 regions draw no message
 SPARSE_CONFIG = SimConfig(
@@ -144,6 +153,16 @@ def test_bundle_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(list(BUNDLE)) == 0
     assert _digests(tmp_path / "bundle") == BUNDLE_GOLDEN
+
+
+@pytest.mark.parametrize("keyword", KEYWORD_GOLDEN)
+def test_keyword_bundle_digests(keyword, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([*BUNDLE, "--keyword", keyword]) == 0
+    assert _digests(tmp_path / "bundle") == {**BUNDLE_GOLDEN, "messages.csv": KEYWORD_GOLDEN[keyword]}
+    capsys.readouterr()
+    assert main(["validate", "--messages", "bundle/messages.csv"]) == 0
+    assert capsys.readouterr().out == "messages: 8810 records, 0 rejected\n"
 
 
 def test_sparse_bundle_digests(tmp_path):
