@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 from collections.abc import Sequence as SequenceABC
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from operator import itemgetter
@@ -129,32 +130,6 @@ class MessageTable(SequenceABC):
     tags: tuple[str, ...]
     tag_matrix: np.ndarray  # bool
 
-    @classmethod
-    def from_columns(cls, message_id: np.ndarray, user_id: np.ndarray, time_us: np.ndarray, lat: np.ndarray,
-                     lon: np.ndarray, keyword_set: np.ndarray, keyword_sets: Sequence[frozenset[str]],
-                     is_retweet: np.ndarray, retweeted_count: np.ndarray, sentiment: np.ndarray,
-                     nul_users: bool = False) -> MessageTable:
-        """The table of one array per field, in row order, each of the field's dtype.
-
-        ``user_id`` holds the ids themselves and ``keyword_set`` codes into
-        ``keyword_sets``; users are coded in sorted order and the sets are
-        renumbered to those some row uses. ``nul_users`` says that some user
-        id holds a NUL, which StringDType comparisons stop at.
-        """
-        user_ids, user = _unique_by_python(user_id) if nul_users else _unique(user_id)
-        used, keyword_set = np.unique(keyword_set, return_inverse=True)
-        keyword_sets = [keyword_sets[k] for k in used.tolist()]
-        tags = tuple(sorted(set().union(*keyword_sets)))
-        position = {tag: j for j, tag in enumerate(tags)}
-        tag_matrix = np.zeros((len(keyword_sets), len(tags)), dtype=bool)
-        for k, tag_set in enumerate(keyword_sets):
-            tag_matrix[k, [position[tag] for tag in tag_set]] = True
-        return cls(
-            message_id=message_id, user=user, user_ids=user_ids, time_us=time_us, lat=lat, lon=lon,
-            keyword_set=keyword_set.astype(np.int64), keyword_sets=keyword_sets, is_retweet=is_retweet,
-            retweeted_count=retweeted_count, sentiment=sentiment, tags=tags, tag_matrix=tag_matrix,
-        )
-
     def __len__(self) -> int:
         return len(self.message_id)
 
@@ -163,6 +138,16 @@ class MessageTable(SequenceABC):
 
     def __iter__(self) -> Iterator[MessageRecord]:
         return self._records(slice(None))
+
+    def blocks(self) -> Iterator[tuple]:
+        """The rows as :func:`write_messages_csv` takes them, ``_BLOCK_ROWS`` at a time."""
+        keyword_cells = [";".join(sorted(tags)) for tags in self.keyword_sets]
+        for start in range(0, len(self), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            keywords = list(map(keyword_cells.__getitem__, self.keyword_set[rows].tolist()))
+            yield (self.message_id[rows].tolist(), self.user_ids[self.user[rows]].tolist(), self.time_us[rows],
+                   self.lat[rows], self.lon[rows], keywords, self.is_retweet[rows], self.retweeted_count[rows],
+                   self.sentiment[rows])
 
     def _records(self, rows) -> Iterator[MessageRecord]:
         columns = (self.message_id, self.user_ids[self.user], self.time_us, self.lat, self.lon, self.keyword_set,
@@ -650,10 +635,19 @@ class _MessageColumns:
         if not keep.all():
             columns = [column[keep] for column in columns]
         message_id, user_id, stamp, lat, lon, keyword_set, retweet, count, sentiment = columns
-        return MessageTable.from_columns(
-            message_id=message_id, user_id=user_id, time_us=stamp, lat=lat, lon=lon, keyword_set=keyword_set,
-            keyword_sets=sets, is_retweet=retweet, retweeted_count=count, sentiment=sentiment,
-            nul_users=self.nul_users,
+        # users are coded in sorted order; StringDType comparisons stop at a NUL
+        user_ids, user = _unique_by_python(user_id) if self.nul_users else _unique(user_id)
+        used, keyword_set = np.unique(keyword_set, return_inverse=True)
+        keyword_sets = [sets[k] for k in used.tolist()]
+        tags = tuple(sorted(set().union(*keyword_sets)))
+        position = {tag: j for j, tag in enumerate(tags)}
+        tag_matrix = np.zeros((len(keyword_sets), len(tags)), dtype=bool)
+        for k, tag_set in enumerate(keyword_sets):
+            tag_matrix[k, [position[tag] for tag in tag_set]] = True
+        return MessageTable(
+            message_id=message_id, user=user, user_ids=user_ids, time_us=stamp, lat=lat, lon=lon,
+            keyword_set=keyword_set.astype(np.int64), keyword_sets=keyword_sets, is_retweet=retweet,
+            retweeted_count=count, sentiment=sentiment, tags=tags, tag_matrix=tag_matrix,
         )
 
     def _repeats(self, message_id: np.ndarray, hashes: np.ndarray, lines: np.ndarray,
@@ -840,41 +834,28 @@ def format_timestamp(stamp: datetime) -> str:
     return (text.rstrip("0") if utc.microsecond else text) + "Z"
 
 
-def write_messages_csv(table: MessageTable, sink: str | Path | TextIO) -> None:
-    """Write a table in the canonical ``messages.csv`` schema (round-trips
-    exactly), from its columns, ``_BLOCK_ROWS`` rows at a time."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as handle:
-            write_messages_csv(table, handle)
-        return
-    keyword_cells = [";".join(sorted(tags)) for tags in table.keyword_sets]
-    writer = csv.writer(sink, lineterminator="\n")
-    quoted = csv.writer(sink, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(MESSAGE_COLUMNS)
-    for start in range(0, len(table), _BLOCK_ROWS):
-        _write_block(writer, quoted, table, keyword_cells, slice(start, start + _BLOCK_ROWS))
+def write_messages_csv(blocks: Iterable[Sequence], sink: str | Path | TextIO) -> None:
+    """Write rows in the canonical ``messages.csv`` schema, which round-trips exactly.
 
-
-def _write_block(writer, quoted, table: MessageTable, keyword_cells: list[str], rows: slice) -> None:
-    """Write the table's ``rows`` with ``writer``, and through ``quoted`` a row
-    whose line would start with '#', which reads back as a comment."""
-    ids = table.message_id[rows].tolist()
-    cells = zip(
-        ids,
-        table.user_ids[table.user[rows]].tolist(),
-        _timestamp_texts(table.time_us[rows]),
-        _float_texts(table.lat[rows]),
-        _float_texts(table.lon[rows]),
-        list(map(keyword_cells.__getitem__, table.keyword_set[rows].tolist())),
-        np.where(table.is_retweet[rows], "1", "0").tolist(),
-        list(map(str, table.retweeted_count[rows].tolist())),
-        _float_texts(table.sentiment[rows]),
-    )
-    if "#" in "".join(ids):
-        for row in cells:
-            (quoted if row[0].lstrip()[:1] == "#" else writer).writerow(row)
-    else:
-        writer.writerows(cells)
+    Each block holds nine columns in ``MESSAGE_COLUMNS`` order: ids, users and
+    keyword cells as lists of str; ``time_us`` (µs since the Unix epoch); lat,
+    lon and sentiment as floats, NaN for an empty cell; is_retweet as bools and
+    retweeted_count as ints, each as an array. A row whose line would start
+    with '#', which reads back as a comment, is written quoted.
+    """
+    with open(sink, "w", encoding="utf-8", newline="") if isinstance(sink, (str, Path)) else nullcontext(sink) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(MESSAGE_COLUMNS)
+        for ids, users, time_us, lat, lon, keywords, is_retweet, retweeted_count, sentiment in blocks:
+            rows = zip(ids, users, _timestamp_texts(time_us), _float_texts(lat), _float_texts(lon), keywords,
+                       np.where(is_retweet, "1", "0").tolist(), list(map(str, retweeted_count.tolist())),
+                       _float_texts(sentiment))
+            if "#" in "".join(ids):
+                for row in rows:
+                    (quoted if row[0].lstrip()[:1] == "#" else writer).writerow(row)
+            else:
+                writer.writerows(rows)
 
 
 def _timestamp_texts(time_us: np.ndarray) -> list[str]:

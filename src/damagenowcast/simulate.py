@@ -15,8 +15,9 @@ canonically ordered by (region_id, timestamp).
 
 A region draws each (day, keyword) batch as arrays, joins its batches once
 and orders them with one stable sort on the timestamps, so messages posted in
-the same second keep their draw order. The messages go to the writer as one
-:class:`~damagenowcast.ingest.MessageTable`; no object is built per message.
+the same second keep their draw order. Each region's arrays go to
+:func:`~damagenowcast.ingest.write_messages_csv` as one block of columns; no
+object is built per message.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .geo import GeoPoint, point_to_track_km
-from .ingest import MICROSECOND, UNIX_EPOCH, MessageTable, format_timestamp, write_messages_csv
+from .ingest import MICROSECOND, UNIX_EPOCH, format_timestamp, write_messages_csv
 
 __all__ = [
     "KeywordProfile",
@@ -43,7 +44,6 @@ __all__ = [
 ]
 
 _UTC = timezone.utc
-_TEXT = np.dtypes.StringDType()
 _DAY_US = 86_400_000_000
 
 TRACK = ((33.0, -77.5), (39.5, -74.5), (44.0, -73.0))  # storm track (lat, lon), 6 h apart around landfall
@@ -281,33 +281,19 @@ def _simulate_region(config: SimConfig, spec: _RegionSpec, seed_seq: np.random.S
     )
 
 
-def _message_table(config: SimConfig, draws: list[_RegionDraw]) -> MessageTable:
-    """Every region's messages in one table; ids number each region's messages in order."""
-    counts = np.array([len(draw.time_us) for draw in draws], dtype=np.int64)
-    region = np.repeat(np.arange(len(draws)), counts)
-    index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-    def ids(suffix: str, numbers: np.ndarray, width: int) -> np.ndarray:
-        prefix = np.array([f"{draw.spec.region_id}-{suffix}" for draw in draws], dtype=_TEXT)
-        return np.strings.add(prefix[region], np.strings.zfill(numbers.astype(_TEXT), width))
-
-    def column(name: str) -> np.ndarray:
-        return np.concatenate([getattr(draw, name) for draw in draws])
-
-    sets: dict[frozenset[str], int] = {}
-    set_code = np.array([sets.setdefault(frozenset({keyword}), len(sets)) for keyword, _ in config.keywords],
-                        dtype=np.int64)
-    return MessageTable.from_columns(
-        message_id=ids("m", index, 6),
-        user_id=ids("u", column("user"), 5),
-        time_us=column("time_us"),
-        lat=column("lat"),
-        lon=column("lon"),
-        keyword_set=set_code[column("keyword")],
-        keyword_sets=list(sets),
-        is_retweet=column("is_retweet"),
-        retweeted_count=column("retweeted_count"),
-        sentiment=column("sentiment"),
+def _message_columns(draw: _RegionDraw, keywords: list[str]) -> tuple:
+    """A region's messages as one block for ``write_messages_csv``; ids number them in order."""
+    region_id = draw.spec.region_id
+    return (
+        [f"{region_id}-m{i:06d}" for i in range(len(draw.time_us))],
+        [f"{region_id}-u{u:05d}" for u in draw.user.tolist()],
+        draw.time_us,
+        draw.lat,
+        draw.lon,
+        list(map(keywords.__getitem__, draw.keyword.tolist())),
+        draw.is_retweet,
+        draw.retweeted_count,
+        draw.sentiment,
     )
 
 
@@ -337,62 +323,46 @@ def generate(config: SimConfig, out_dir: str | Path) -> SimBundle:
     seeds = np.random.SeedSequence(config.seed).spawn(len(specs))
 
     draws = [_simulate_region(config, spec, seq) for spec, seq in zip(specs, seeds)]
-    messages = _message_table(config, draws)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    messages_csv = out / "messages.csv"
-    write_messages_csv(messages, messages_csv)
+    keywords = [keyword for keyword, _ in config.keywords]
+    write_messages_csv((_message_columns(draw, keywords) for draw in draws), out / "messages.csv")
 
-    regions_geojson = out / "regions.geojson"
     collection = {
         "type": "FeatureCollection",
         "features": [_region_feature(draw.spec) for draw in draws],
     }
-    regions_geojson.write_text(json.dumps(collection, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8")
+    text = json.dumps(collection, sort_keys=True, separators=(",", ":")) + "\n"
+    (out / "regions.geojson").write_text(text, encoding="utf-8")
 
-    population_csv = out / "population.csv"
-    with open(population_csv, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["region_id", "population"])
-        for draw in draws:
-            writer.writerow([draw.spec.region_id, draw.population])
-
-    damage_csv = out / "damage.csv"
-    with open(damage_csv, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["region_id", "amount_usd", "source"])
-        for draw in draws:
-            writer.writerow([draw.spec.region_id, repr(draw.damage_usd), "insurance"])
-
-    track_csv = out / "track.csv"
     half = len(TRACK) // 2
-    with open(track_csv, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["timestamp", "lat", "lon"])
-        for i, (lat, lon) in enumerate(TRACK):
-            stamp = LANDFALL + timedelta(hours=6 * (i - half))
-            writer.writerow([format_timestamp(stamp), repr(lat), repr(lon)])
-
-    ground_truth_csv = out / "ground_truth.csv"
-    with open(ground_truth_csv, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["region_id", "latent_rate", "expected_damage_pc", "realized_damage_pc"])
-        for draw in draws:
-            expected_pc = config.damage.coupling * draw.window_count / draw.population
-            realized_pc = draw.damage_usd / draw.population
-            writer.writerow(
-                [draw.spec.region_id, repr(draw.latent_rate), repr(expected_pc), repr(realized_pc)]
-            )
+    coupling = config.damage.coupling
+    tables = (
+        ("population.csv", ["region_id", "population"], ([d.spec.region_id, d.population] for d in draws)),
+        ("damage.csv", ["region_id", "amount_usd", "source"],
+         ([d.spec.region_id, repr(d.damage_usd), "insurance"] for d in draws)),
+        ("track.csv", ["timestamp", "lat", "lon"],
+         ([format_timestamp(LANDFALL + timedelta(hours=6 * (i - half))), repr(lat), repr(lon)]
+          for i, (lat, lon) in enumerate(TRACK))),
+        ("ground_truth.csv", ["region_id", "latent_rate", "expected_damage_pc", "realized_damage_pc"],
+         ([d.spec.region_id, repr(d.latent_rate), repr(coupling * d.window_count / d.population),
+           repr(d.damage_usd / d.population)] for d in draws)),
+    )
+    for name, header, rows in tables:
+        with open(out / name, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
 
     return SimBundle(
         out_dir=out,
-        messages_csv=messages_csv,
-        regions_geojson=regions_geojson,
-        population_csv=population_csv,
-        damage_csv=damage_csv,
-        track_csv=track_csv,
-        ground_truth_csv=ground_truth_csv,
-        n_messages=len(messages),
+        messages_csv=out / "messages.csv",
+        regions_geojson=out / "regions.geojson",
+        population_csv=out / "population.csv",
+        damage_csv=out / "damage.csv",
+        track_csv=out / "track.csv",
+        ground_truth_csv=out / "ground_truth.csv",
+        n_messages=sum(len(draw.time_us) for draw in draws),
         n_regions=len(draws),
     )

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import damagenowcast
-from damagenowcast import metrics
+from damagenowcast import ingest, metrics
 from damagenowcast.cli import main
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "sandy_counties.csv"
@@ -476,6 +476,17 @@ def test_analysis_commands_build_no_summary_objects_or_id_dicts(sim_bundle, tmp_
     assert run("summarize", *inputs, tables[0], tables[1], "--window", "2012-10-29..2012-11-02", "--out", tmp_path) == 0
 
 
+def test_simulate_never_sorts_or_codes_user_ids(tmp_path, monkeypatch):
+    # the simulator writes each region's user ids as it formats them; only the parser codes users
+    def refuse(*args, **kwargs):
+        raise AssertionError("user ids sorted or coded on the simulate path")
+
+    monkeypatch.setattr(ingest, "_unique", refuse)
+    monkeypatch.setattr(ingest, "_unique_by_python", refuse)
+    assert run("simulate", "--seed", "5", "--regions", "6", "--base-rate", "0.002", "--out", tmp_path) == 0
+    assert (tmp_path / "messages.csv").stat().st_size > 1000
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is imported on the first p-value; join, nowcast and simulate never need it
     env = dict(os.environ, PYTHONPATH=str(Path(damagenowcast.__file__).parents[1]))
@@ -589,5 +600,5 @@ class TestReportRoundTrip:
 
         records = parse_messages(sim_bundle / "messages.csv").records
         out = tmp_path / "again.csv"
-        write_messages_csv(records, out)
+        write_messages_csv(records.blocks(), out)
         assert (sim_bundle / "messages.csv").read_text() == out.read_text()

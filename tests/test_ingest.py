@@ -151,14 +151,14 @@ class TestParseMessages:
         )
         records = parse_messages(stream).records
         path = tmp_path / "out.csv"
-        write_messages_csv(records, path)
+        write_messages_csv(records.blocks(), path)
         assert list(parse_messages(path).records) == list(records)
 
 
     def test_round_trip_before_year_1000(self):
         records = parse_messages(messages_csv("m1,u1,0999-01-02T03:04:05Z,,,sandy,0,0,")).records
         buffer = io.StringIO()
-        write_messages_csv(records, buffer)
+        write_messages_csv(records.blocks(), buffer)
         assert "0999-01-02T03:04:05Z" in buffer.getvalue()
         buffer.seek(0)
         result = parse_messages(buffer)
@@ -220,7 +220,7 @@ class TestMessageInvariants:
     def test_round_trip_is_identity(self, rows):
         records = parse_messages(messages_csv(*rows)).records
         buffer = io.StringIO()
-        write_messages_csv(records, buffer)
+        write_messages_csv(records.blocks(), buffer)
         buffer.seek(0)
         assert list(parse_messages(buffer).records) == list(records)
 
