@@ -38,6 +38,7 @@ from .ingest import (
     MessageTable,
     ParseResult,
     RegionTable,
+    load_feature_collection,
     parse_county_table,
     parse_keyed_table,
     parse_messages,
@@ -344,10 +345,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     else:
         window = _parse_window(args.window)
         messages = _records("messages", parse_messages(args.messages))
-        parsed = parse_regions(args.regions)
-        regions = _records("regions", parsed)
-        collection = parsed.document if args.overlay else None
-        del parsed  # without --overlay, the decoded document is not kept
+        regions = _records("regions", parse_regions(args.regions))
         population = _population(args.population)
         damage_by_source = _load_damage(args.damage)
         assignments = _assignments(messages, regions, args.cell_deg)
@@ -406,7 +404,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
     if args.overlay:
         damage = _ex_post_damage(damage_by_source)
-        _write_overlay(args.overlay, collection, scope_summaries[POOLED], damage, population)
+        _write_overlay(args.overlay, args.regions, scope_summaries[POOLED], damage, population)
 
     activity_cells = [c for c in report.cells if c.variable == "activity"]
     if activity_cells and all(c.result.degenerate for c in activity_cells):
@@ -417,12 +415,13 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 def _write_overlay(
     path: str,
-    collection: dict,
+    regions_path: str,
     pooled: GridColumn,
     damage: Mapping[str, float],
     population: Mapping[str, int],
 ) -> None:
-    """Re-emit the input region features annotated with the computed metrics.
+    """Re-emit the input region features, decoded again from ``regions_path``, annotated
+    with the computed metrics.
 
     Without ex-post damage rows, ``damage_pc`` and ``rank_discrepancy`` are null.
     """
@@ -441,6 +440,7 @@ def _write_overlay(
         damage_pc = dict(zip(regions, (amounts / people).tolist()))
     discrepancy = region_rank_discrepancy(activity_pc, damage_pc)
 
+    collection = load_feature_collection(regions_path)
     features = collection.get("features", [])
     for feature in features:
         if not isinstance(feature, dict):

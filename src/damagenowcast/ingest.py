@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Generic, Iterable, Iterator, Sequence, TextIO, TypeVar
+from typing import Callable, Generic, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "ParseResult",
     "parse_messages",
     "parse_regions",
+    "load_feature_collection",
     "parse_track",
     "parse_keyed_table",
     "parse_county_table",
@@ -336,7 +337,6 @@ class ParseResult(Generic[T]):
     rows_total: int = 0
     rows_rejected: int = 0
     rows_filtered: int = 0
-    document: Any = None  # the decoded input, for a parser that reads a whole document (parse_regions)
 
 
 class _LineFilter:
@@ -894,15 +894,9 @@ def _close_ring(coords: Sequence[Sequence[float]], region_id: str, diagnostics: 
     return ring
 
 
-def parse_regions(source: str | Path | TextIO) -> ParseResult[RegionBoundary]:
-    """Read a GeoJSON FeatureCollection of Polygon/MultiPolygon regions into a
-    :class:`RegionTable` (``result.records``).
-
-    Open rings are auto-closed with a diagnostic; a feature without a usable
-    region_id/name/level or geometry is dropped with a diagnostic. Two
-    features sharing a region_id at the same level raise :class:`IngestError`.
-    The decoded document is ``result.document``.
-    """
+def load_feature_collection(source: str | Path | TextIO) -> dict:
+    """Decode a GeoJSON FeatureCollection whose ``features``, when present, is a list;
+    any other input raises :class:`IngestError`."""
     stream, owned = _open_text(source)
     try:
         try:
@@ -912,17 +906,25 @@ def parse_regions(source: str | Path | TextIO) -> ParseResult[RegionBoundary]:
     finally:
         if owned:
             stream.close()
-
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise IngestError("regions: expected a GeoJSON FeatureCollection")
-
-    result: ParseResult[RegionBoundary] = ParseResult(records=[], document=doc)
-    seen: set[tuple[str, str]] = set()
-    features = doc.get("features", [])
-    if not isinstance(features, list):
+    if not isinstance(doc.get("features", []), list):
         raise IngestError("regions: features is not a list")
+    return doc
+
+
+def parse_regions(source: str | Path | TextIO) -> ParseResult[RegionBoundary]:
+    """Read a GeoJSON FeatureCollection of Polygon/MultiPolygon regions into a
+    :class:`RegionTable` (``result.records``).
+
+    Open rings are auto-closed with a diagnostic; a feature without a usable
+    region_id/name/level or geometry is dropped with a diagnostic. Two
+    features sharing a region_id at the same level raise :class:`IngestError`.
+    """
+    result: ParseResult[RegionBoundary] = ParseResult(records=[])
+    seen: set[tuple[str, str]] = set()
     columns = _RegionColumns()
-    for i, feature in enumerate(features):
+    for i, feature in enumerate(load_feature_collection(source).get("features", [])):
         result.rows_total += 1
         try:
             region = _region_from_feature(feature, result.diagnostics)

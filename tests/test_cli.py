@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import damagenowcast
-from damagenowcast import ingest, metrics
+from damagenowcast import cli, ingest, metrics
 from damagenowcast.cli import main
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "sandy_counties.csv"
@@ -145,6 +145,30 @@ class TestCorrelateCommand:
         values = [f["properties"]["rank_discrepancy"] for f in doc["features"]]
         present = [v for v in values if v is not None]
         assert present and max(present) <= 1.0
+
+    @pytest.mark.parametrize("replacement", ["{", '{"type": "Feature"}'])
+    def test_overlay_regions_changed_after_the_parse_is_an_input_error(
+        self, replacement, sim_bundle, tmp_path, monkeypatch, capsys
+    ):
+        # the overlay decodes the regions file again once correlations.csv is written
+        regions = tmp_path / "regions.geojson"
+        regions.write_bytes((sim_bundle / "regions.geojson").read_bytes())
+        parse_regions = cli.parse_regions
+
+        def parse_then_change(path):
+            result = parse_regions(path)
+            regions.write_text(replacement)
+            return result
+
+        monkeypatch.setattr(cli, "parse_regions", parse_then_change)
+        overlay = tmp_path / "overlay.geojson"
+        code = run("correlate", "--messages", sim_bundle / "messages.csv", "--regions", regions,
+                   "--population", sim_bundle / "population.csv", "--damage", sim_bundle / "damage.csv",
+                   "--out", tmp_path, "--overlay", overlay)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: regions: ")
+        assert (tmp_path / "correlations.csv").exists()
+        assert not overlay.exists()
 
     def test_county_table_with_overlay_is_a_usage_error(self, tmp_path, capsys):
         overlay = tmp_path / "overlay.geojson"

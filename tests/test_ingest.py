@@ -357,7 +357,6 @@ class TestParseMemory:
         try:
             before, _ = tracemalloc.get_traced_memory()
             result = parse_regions(text)
-            result.document = None
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
