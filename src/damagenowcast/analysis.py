@@ -368,7 +368,7 @@ def nowcast(
 
     entries = tuple(map(
         NowcastEntry, range(1, len(order) + 1), [regions[k] for k in order.tolist()], value[by_value].tolist(),
-        grid.n_original[rows[order], j].tolist(), population[order].astype(int).tolist(),
+        grid.n_original[rows[order], j].tolist(), list(map(int, population[order].tolist())),
         [rank or None for rank in damage_rank[order].tolist()],
     ))
     return NowcastReport(entries=entries, excluded=tuple(excluded))

@@ -81,7 +81,7 @@ MICROSECOND = timedelta(microseconds=1)
 _BLOCK_ROWS = 1 << 12  # CSV rows held and converted at once; bounds the Python row lists
 _SEGMENT_BLOCKS = 32  # blocks of accepted rows joined into one array while the parse runs
 _TEXT = np.dtypes.StringDType()  # variable-width strings stored in the array, not as Python objects
-_MAX_COUNT = 2**63 - 1  # retweeted_count must fit the table's int64 column
+_MAX_COUNT = 2**63 - 1  # a count or a population must fit an int64 column
 
 
 class IngestError(ValueError):
@@ -1036,6 +1036,8 @@ def _population_row(row: list[str], col: dict[str, int]) -> PopulationEntry:
         raise ValueError("missing region_id")
     if population <= 0:
         raise ValueError("population must be positive")
+    if population > _MAX_COUNT:
+        raise ValueError("population out of range")
     return PopulationEntry(region_id=region_id, population=population)
 
 
@@ -1103,7 +1105,7 @@ def _county_row(row: list[str], col: dict[str, int]) -> CountyStats:
         expost_damage_usd=float(row[col["expost_damage_musd"]]) * 1e6,
         hazus_damage_usd=float(row[col["hazus_damage_musd"]]) * 1e6,
     )
-    if stats.population <= 0 or stats.tweets < 0 or stats.users < 0:
+    if not (0 < stats.population <= _MAX_COUNT and 0 <= stats.tweets <= _MAX_COUNT and 0 <= stats.users <= _MAX_COUNT):
         raise ValueError("counts out of range")
     if not (0 <= stats.expost_damage_usd < math.inf and 0 <= stats.hazus_damage_usd < math.inf):
         raise ValueError("damage must be finite and non-negative")

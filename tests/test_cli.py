@@ -251,6 +251,19 @@ class TestNowcastCommand:
         expected = {region_id: str(i) for i, (_, region_id) in enumerate(by_damage, start=1)}
         assert {row["region_id"]: row["damage_rank"] for row in ranked} == expected
 
+    @pytest.mark.parametrize("population", ["100000000000000000000", "9223372036854775807"])
+    def test_huge_population_never_wraps(self, population, sim_bundle, tmp_path, capsys):
+        # beyond int64 the row is rejected; at the int64 maximum the float grid value is written, not wrapped
+        header, first, *rest = (sim_bundle / "population.csv").read_text(encoding="utf-8").splitlines()
+        people = tmp_path / "population.csv"
+        people.write_text("\n".join([header, f"{first.split(',')[0]},{population}", *rest]) + "\n")
+        inputs = ("--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson")
+        assert run("nowcast", *inputs, "--population", people, "--out", tmp_path) == 0
+        _, rows = read_report(tmp_path / "nowcast.csv")
+        assert all(int(row["population"]) > 0 for row in rows)
+        rejected = "population: 1 of 25 rows rejected" in capsys.readouterr().err
+        assert rejected == (int(population) > 2**63 - 1)
+
     def test_all_inactive_exits_2(self, sim_bundle, tmp_path):
         code = run(
             "nowcast",

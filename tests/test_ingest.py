@@ -397,6 +397,14 @@ class TestParseKeyedTable:
         assert [e.region_id for e in result.records] == ["r2"]
         assert result.rows_rejected == 1
 
+    @pytest.mark.parametrize("population", ["9223372036854775808", "100000000000000000000",
+                                            pytest.param("9" * 401, id="401-digits")])
+    def test_population_beyond_int64_rejected(self, population):
+        stream = io.StringIO(f"region_id,population\nr1,{population}\nr2,9223372036854775807\n")
+        result = parse_keyed_table(stream, "population")
+        assert [(e.region_id, e.population) for e in result.records] == [("r2", 2**63 - 1)]
+        assert result.diagnostics == ["population line 2: population out of range"]
+
     def test_unknown_damage_source_rejected(self):
         stream = io.StringIO("region_id,amount_usd,source\nr1,10,guess\n")
         result = parse_keyed_table(stream, "damage")
@@ -446,6 +454,18 @@ class TestCountyTable:
         assert result.diagnostics == [
             f"county table line {line}: damage must be finite and non-negative" for line in range(2, 7)
         ]
+
+
+    @pytest.mark.parametrize("column", ["population", "tweets", "users"])
+    def test_count_beyond_int64_rejected(self, column):
+        cells = dict.fromkeys(ingest._COUNTY_COLUMNS, "1")
+        rows = [{**cells, "county": "c1", column: "100000000000000000000"},
+                {**cells, "county": "c2", column: "9223372036854775808"},
+                {**cells, "county": "c3", column: "9223372036854775807"}]
+        text = "".join(",".join(row.values()) + "\n" for row in [dict(zip(cells, cells)), *rows])
+        result = parse_county_table(io.StringIO(text))
+        assert [getattr(s, column) for s in result.records] == [2**63 - 1]
+        assert result.diagnostics == [f"county table line {line}: counts out of range" for line in (2, 3)]
 
 
 # One case per CSV parser: (what, parse, header, good row, malformed row,
