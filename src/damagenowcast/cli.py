@@ -52,6 +52,7 @@ from .metrics import (
     RegionCodes,
     TimeWindow,
     bin_offsets,
+    bin_window,
     summarize_daily,
     summarize_regions,
 )
@@ -93,9 +94,24 @@ def _parse_window(text: str) -> TimeWindow:
         start_text, end_text = text.split("..", 1)
         start = _parse_date(start_text.strip())
         end = _parse_date(end_text.strip()) + timedelta(days=1)
-    except ValueError as exc:
-        raise IngestError(f"bad window {text!r} (expect YYYY-MM-DD..YYYY-MM-DD)") from exc
+    except (ValueError, OverflowError) as exc:  # the day after 9999-12-31 overflows
+        raise IngestError(f"bad window {text!r} (expect YYYY-MM-DD..YYYY-MM-DD, ending before 9999-12-31)") from exc
     return TimeWindow(start=start, end=end)
+
+
+def _series_bins(args: argparse.Namespace) -> tuple[datetime, timedelta, range]:
+    """The epoch, width and indices of the bins of ``series``; a ValueError when an edge of
+    one of them falls outside the datetime range."""
+    epoch = parse_timestamp(args.epoch)
+    span = _parse_window(args.span)
+    try:
+        width = timedelta(hours=args.bin_hours)
+        first = bin_offsets([span.start], epoch, width)[0]
+        last = bin_offsets([span.end - timedelta(microseconds=1)], epoch, width)[0]
+        bin_window(epoch, width, first), bin_window(epoch, width, last)
+    except OverflowError:
+        raise ValueError(f"--bin-hours {args.bin_hours} puts a bin edge outside the datetime range") from None
+    return epoch, width, range(first, last + 1)
 
 
 def _parse_keywords(text: str | None) -> tuple[str, ...]:
@@ -466,13 +482,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     if not damage:
         raise IngestError(f"damage: no ex-post rows (every source except {MODELED_SOURCE})")
 
-    epoch = parse_timestamp(args.epoch)
-    width = timedelta(hours=args.bin_hours)
-    span = _parse_window(args.span)
-    first = bin_offsets([span.start], epoch, width)[0]
-    last = bin_offsets([span.end - timedelta(microseconds=1)], epoch, width)[0]
-    bins = range(first, last + 1)
-
+    epoch, width, bins = _series_bins(args)
     assignments = _assignments(messages, regions, args.cell_deg)
     daily = summarize_daily(
         messages,
@@ -710,6 +720,19 @@ def _check_county_table(args: argparse.Namespace, parser: _Parser) -> None:
         args.keywords = DEFAULT_KEYWORD_POOL
 
 
+def _check_times(args: argparse.Namespace, parser: _Parser) -> None:
+    """Refuse a window, span, epoch or bin width that puts a time outside the datetime range,
+    before any input is read."""
+    try:
+        for name in ("window", "span"):
+            if getattr(args, name, None):
+                _parse_window(getattr(args, name))
+        if args.command == "series":
+            _series_bins(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _require(args: argparse.Namespace, parser: _Parser, names: Sequence[str]) -> None:
     if getattr(args, "county_table", None):
         return
@@ -741,6 +764,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error("--overlay needs region geometry, which a --county-table does not have")
         if args.command in ("correlate", "nowcast"):
             _check_county_table(args, parser)
+        _check_times(args, parser)
     except SystemExit as exc:
         # our error() raises 1; argparse raises 0 for --help/--version
         return int(exc.code or 0)

@@ -498,7 +498,10 @@ def parse_timestamp(text: str) -> datetime:
         raise ValueError(f"unparseable timestamp {text!r}")
     if stamp.tzinfo is None:
         raise ValueError(f"timestamp {text!r} lacks a UTC offset")
-    return stamp.astimezone(timezone.utc)
+    try:
+        return stamp.astimezone(timezone.utc)
+    except OverflowError:  # an offset that moves the instant past year 1 or 9999
+        raise ValueError(f"timestamp {text!r} out of range in UTC") from None
 
 
 def _parse_tags(text: str) -> frozenset[str]:

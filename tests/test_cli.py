@@ -581,6 +581,23 @@ class TestErrorHandling:
         assert "error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("series", "--span", "9999-12-30..9999-12-31"),
+        ("correlate", "--window", "9999-12-30..9999-12-31"),
+        ("series", "--bin-hours", "100000000"),
+        ("series", "--bin-hours", "99999999999999999999"),
+    ])
+    def test_time_outside_the_datetime_range_is_a_usage_error(self, command, option, value, tmp_path, capsys):
+        # each ended in an OverflowError traceback; refused before any input is read, so none need exist
+        missing = tmp_path / "missing.csv"
+        inputs = ("--messages", missing, "--regions", missing, "--population", missing, "--damage", missing)
+        assert run(command, *inputs, option, value, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "outside the datetime range" in err or "ending before 9999-12-31" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestRejectedRowsWarning:
     def test_one_line_per_input_with_rejected_rows(self, sim_bundle, tmp_path, capsys):
         messages = tmp_path / "messages.csv"

@@ -763,6 +763,15 @@ class TestBulkMatchesPerRowReference:
         assert records == [list(ingest.MESSAGE_COLUMNS)]
         assert len(result.records) == result.rows_total > 3 * 64
 
+    def test_timestamp_past_the_datetime_range_in_utc_rejected(self):
+        # the offset moves each instant past year 9999 or before year 1; that was an OverflowError traceback
+        result = parse_messages(messages_csv("m1,u1,9999-12-31T23:59:59-05:00,,,sandy,0,0,",
+                                             "m2,u1,2012-10-30T00:00:00Z,,,sandy,0,0,"))
+        assert [m.message_id for m in result.records] == ["m2"]
+        assert result.diagnostics == ["messages line 2: timestamp '9999-12-31T23:59:59-05:00' out of range in UTC"]
+        track = parse_track(io.StringIO("timestamp,lat,lon\n0001-01-01T00:00:00+05:00,30,-70\n"))
+        assert track.diagnostics == ["track line 2: timestamp '0001-01-01T00:00:00+05:00' out of range in UTC"]
+
     def test_retweeted_count_beyond_int64_rejected(self):
         result = parse_messages(messages_csv("m1,u1,2012-10-30T00:00:00Z,,,sandy,0,9223372036854775808,"))
         assert result.diagnostics == ["messages line 2: retweeted_count out of range"]
