@@ -264,6 +264,19 @@ class TestNowcastCommand:
         rejected = "population: 1 of 25 rows rejected" in capsys.readouterr().err
         assert rejected == (int(population) > 2**63 - 1)
 
+    def test_population_above_2_53_written_as_read(self, sim_bundle, tmp_path):
+        # the reports carry the integer that population.csv holds, not its nearest float64
+        header, _, *rest = (sim_bundle / "population.csv").read_text(encoding="utf-8").splitlines()
+        people = tmp_path / "population.csv"
+        people.write_text("\n".join([header, "r0000,9223372036854775807", *rest]) + "\n")
+        inputs = ("--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson",
+                  "--population", people)
+        assert run("nowcast", *inputs, "--out", tmp_path / "nowcast") == 0
+        assert run("summarize", *inputs, "--out", tmp_path / "summarize") == 0
+        for report in (tmp_path / "nowcast" / "nowcast.csv", tmp_path / "summarize" / "summaries.csv"):
+            _, rows = read_report(report)
+            assert [row["population"] for row in rows if row["region_id"] == "r0000"] == ["9223372036854775807"]
+
     def test_all_inactive_exits_2(self, sim_bundle, tmp_path):
         code = run(
             "nowcast",
