@@ -48,8 +48,8 @@ from .ingest import (
 )
 from .metrics import (
     ActivitySummary,
-    GridColumn,
     RegionCodes,
+    SummaryGrid,
     TimeWindow,
     bin_offsets,
     bin_window,
@@ -172,11 +172,12 @@ def _population(path: str) -> dict[str, int]:
     return {e.region_id: e.population for e in _records("population", parse_keyed_table(path, "population"))}
 
 
-def _county_summaries(stats: Sequence[CountyStats]) -> dict[str, ActivitySummary]:
-    """Whole-period summaries from a county counts table (all tweets counted original)."""
+def _county_summaries(stats: Sequence[CountyStats]) -> SummaryGrid:
+    """Whole-period summaries from a county counts table (all tweets counted original), as the
+    one :data:`POOLED` column of a grid."""
     out = {}
     for s in stats:
-        out[s.county] = ActivitySummary(
+        out[s.county, POOLED] = ActivitySummary(
             region_id=s.county,
             window=None,
             n_messages=s.tweets,
@@ -188,7 +189,7 @@ def _county_summaries(stats: Sequence[CountyStats]) -> dict[str, ActivitySummary
             mean_sentiment=None,
             population=s.population,
         )
-    return out
+    return SummaryGrid.from_mapping(out)
 
 
 def _load_damage(path: str) -> dict[str, dict[str, float]]:
@@ -260,23 +261,17 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     population = _population(args.population) if args.population else {}
     assignments = _assignments(messages, regions, args.cell_deg)
     window = _parse_window(args.window) if args.window else None
-    summaries = summarize_regions(
-        messages,
-        assignments,
-        window,
-        population=population or None,
-        region_ids=regions.region_id.tolist(),
-    )
-    grid, j = summaries.grid, summaries.column
-    present = np.flatnonzero(grid.present[:, j])
+    grid = summarize_regions(messages, assignments, window, population=population,
+                             region_ids=regions.region_id.tolist())
+    present = np.flatnonzero(grid.present[:, 0])
     counts = ("n_messages", "n_original", "n_retweets", "n_popular", "active_users_window", "active_users_period")
     rows = [
         [region_id, w.start.isoformat() if w else "", w.end.isoformat() if w else "", *values, _fmt(mean),
-         "" if math.isnan(people) else int(people)]
+         people or ""]
         for region_id, w, *values, mean, people in zip(
-            [grid.region_ids[k] for k in present.tolist()], grid.windows[present, j].tolist(),
-            *(getattr(grid, name)[present, j].tolist() for name in counts),
-            grid.mean_sentiment[present, j].tolist(), grid.population[present, j].tolist(),
+            [grid.region_ids[k] for k in present.tolist()], grid.windows[present, 0].tolist(),
+            *(getattr(grid, name)[present, 0].tolist() for name in counts),
+            grid.mean_sentiment[present, 0].tolist(), grid.population[present, 0].tolist(),
         )
     ]
     out = Path(args.out) / "summaries.csv"
@@ -314,11 +309,7 @@ def _cmd_rank_keywords(args: argparse.Namespace) -> int:
         if center.lon >= args.min_lon:
             distances[region_id] = point_to_track_km(center, track)
 
-    per_keyword = summarize_regions(
-        messages, assignments, window, scopes={tag: frozenset({tag}) for tag in messages.tags}
-    )
-    # every column is a view of one region x keyword grid; no tags, no grid
-    grid = next(iter(per_keyword.values())).grid if per_keyword else {}
+    grid = summarize_regions(messages, assignments, window, scopes={tag: frozenset({tag}) for tag in messages.tags})
     ranking = rank_keywords(grid, distances, city_subset=distances)
     rows = []
     for i, entry in enumerate(ranking.entries, start=1):
@@ -351,8 +342,7 @@ def _cmd_rank_keywords(args: argparse.Namespace) -> int:
 def _cmd_correlate(args: argparse.Namespace) -> int:
     if args.county_table:
         stats = _records("county table", parse_county_table(args.county_table))
-        scope_summaries = {POOLED: _county_summaries(stats)}
-        population = {s.county: s.population for s in stats}
+        grid = _county_summaries(stats)
         damage_by_source = {
             "ex_post": {s.county: s.expost_damage_usd for s in stats},
             "hazus": {s.county: s.hazus_damage_usd for s in stats},
@@ -368,18 +358,14 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         scopes = {POOLED: frozenset(args.keywords) or None}
         for keyword in args.keywords:
             scopes[keyword] = frozenset({keyword})
-        scope_summaries = summarize_regions(
+        grid = summarize_regions(
             messages, assignments, window, population=population,
             region_ids=regions.region_id.tolist(), scopes=scopes,
         )
         include_sentiment = True
 
     report = damage_correlation_report(
-        scope_summaries,
-        damage_by_source,
-        population,
-        original_only=args.original_only,
-        include_sentiment=include_sentiment,
+        grid, damage_by_source, original_only=args.original_only, include_sentiment=include_sentiment,
     )
 
     rows = []
@@ -420,7 +406,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
     if args.overlay:
         damage = _ex_post_damage(damage_by_source)
-        _write_overlay(args.overlay, args.regions, scope_summaries[POOLED], damage, population)
+        _write_overlay(args.overlay, args.regions, grid, damage)
 
     activity_cells = [c for c in report.cells if c.variable == "activity"]
     if activity_cells and all(c.result.degenerate for c in activity_cells):
@@ -429,26 +415,19 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_overlay(
-    path: str,
-    regions_path: str,
-    pooled: GridColumn,
-    damage: Mapping[str, float],
-    population: Mapping[str, int],
-) -> None:
+def _write_overlay(path: str, regions_path: str, grid: SummaryGrid, damage: Mapping[str, float]) -> None:
     """Re-emit the input region features, decoded again from ``regions_path``, annotated
-    with the computed metrics.
+    with the metrics of the grid's :data:`POOLED` column.
 
     Without ex-post damage rows, ``damage_pc`` and ``rank_discrepancy`` are null.
     """
     if not damage:
         print(f"correlate: no ex-post damage rows (every source except {MODELED_SOURCE}); "
               "overlay damage_pc and rank_discrepancy are null", file=sys.stderr)
-    grid, j = pooled.grid, pooled.column
-    known = np.array([region_id in population for region_id in grid.region_ids], dtype=bool)
-    rows = np.flatnonzero(grid.present[:, j] & known & (grid.n_messages[:, j] >= 1))
+    j = grid.positions[1][POOLED]
+    rows = np.flatnonzero(grid.present[:, j] & (grid.population[:, j] > 0) & (grid.n_messages[:, j] >= 1))
     regions = [grid.region_ids[k] for k in rows.tolist()]
-    people = np.array([population[region_id] for region_id in regions], dtype=float)
+    people = grid.population[rows, j]
     activity_pc = dict(zip(regions, (grid.n_messages[rows, j] / people).tolist()))
     damage_pc: dict[str, float] = {}
     if damage:
@@ -484,17 +463,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
     epoch, width, bins = _series_bins(args)
     assignments = _assignments(messages, regions, args.cell_deg)
-    daily = summarize_daily(
-        messages,
-        assignments,
-        epoch,
-        width,
-        bins,
-        population=population,
-    )
-    series = daily_correlation_series(
-        daily, damage, population, bins, normalization=args.normalization, epoch=epoch, width=width
-    )
+    daily = summarize_daily(messages, assignments, epoch, width, bins, population=population)
+    series = daily_correlation_series(daily, damage, bins, epoch, width, normalization=args.normalization)
 
     rows = []
     for entry in series.entries:
@@ -529,8 +499,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 def _cmd_nowcast(args: argparse.Namespace) -> int:
     if args.county_table:
-        stats = _records("county table", parse_county_table(args.county_table))
-        summaries = _county_summaries(stats)
+        grid = _county_summaries(_records("county table", parse_county_table(args.county_table)))
         damage = None
     else:
         window = _parse_window(args.window)
@@ -538,13 +507,8 @@ def _cmd_nowcast(args: argparse.Namespace) -> int:
         regions = _records("regions", parse_regions(args.regions))
         population = _population(args.population)
         assignments = _assignments(messages, regions, args.cell_deg)
-        summaries = summarize_regions(
-            messages,
-            assignments,
-            window,
-            population=population,
-            region_ids=regions.region_id.tolist(),
-        )
+        grid = summarize_regions(messages, assignments, window, population=population,
+                                 region_ids=regions.region_id.tolist())
         damage = None
         if args.damage:
             damage = _ex_post_damage(_load_damage(args.damage))
@@ -552,7 +516,7 @@ def _cmd_nowcast(args: argparse.Namespace) -> int:
                 print(f"nowcast: no ex-post damage rows (every source except {MODELED_SOURCE}); "
                       "damage_rank is empty", file=sys.stderr)
 
-    report = nowcast(summaries, original_only=args.original_only, damage_usd=damage or None)
+    report = nowcast(grid, original_only=args.original_only, damage_usd=damage or None)
 
     out = Path(args.out) / "nowcast.csv"
     columns = ["rank", "region_id", "per_capita_activity", "n_original", "population"]

@@ -9,7 +9,8 @@ Summaries are grouped counts over a :class:`MessageTable`: each message's
 (scope, region) or (region, bin) cell is one integer, ``np.bincount`` over
 those integers gives every count of every cell at once, and one sort of the
 (cell, user) pairs gives the distinct users. A message counts in every scope
-whose tags it carries, so one call serves the pool and each keyword.
+whose tags it carries, so one call serves the pool and each keyword. Both
+summaries return one :class:`SummaryGrid`, the only form the analyses read.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "ActivitySummary",
     "RegionCodes",
     "SummaryGrid",
-    "GridColumn",
     "bin_offsets",
     "bin_window",
     "summarize_regions",
@@ -167,10 +167,11 @@ class _Cells:
 
     @classmethod
     def stacked(cls, parts: Sequence[_Cells]) -> _Cells:
-        """The counts of ``parts``, their cells laid end to end."""
+        """The counts of ``parts``, their cells laid end to end; no cells for no parts."""
         cells = cls.__new__(cls)
         for name in ("mean_sentiment", "n_messages", "n_retweets", "n_popular", "users"):
-            setattr(cells, name, np.concatenate([getattr(part, name) for part in parts]))
+            empty = np.zeros(0, dtype=float if name == "mean_sentiment" else np.int64)
+            setattr(cells, name, np.concatenate([empty, *(getattr(part, name) for part in parts)]))
         return cells
 
     def grid(self, region_ids: Sequence[str], columns: Sequence, cells: np.ndarray, windows: np.ndarray,
@@ -202,24 +203,19 @@ def summarize_regions(
     population: Mapping[str, int] | None = None,
     region_ids: Iterable[str] | None = None,
     scopes: Mapping[str, frozenset[str] | None] | None = None,
-) -> GridColumn | dict[str, GridColumn]:
-    """One summary per region over ``window`` (all messages when None).
+) -> SummaryGrid:
+    """Summaries keyed by (region_id, scope name) over ``window`` (all messages
+    when None), held as region × scope arrays from one grouped count per scope.
 
-    A region has a summary when it is listed in ``region_ids`` or has a
-    message in the tag scope at any time; listed regions silent in the
-    corpus get all-zero summaries. The per-user denominator counts distinct
-    users of the region's in-scope messages over the whole input, not just
-    the window. Without ``scopes`` every message is in scope. Given
-    ``scopes`` (name -> tag set, None for every tag), the result is one such
-    mapping per scope name, all columns of one region × scope
-    :class:`SummaryGrid`, from one grouped count per scope.
+    ``scopes`` maps a name to a tag set, None for every tag; without it the
+    grid has one column, None, that holds every message. A region has a
+    summary in a scope when it is listed in ``region_ids`` or has a message
+    in the scope at any time; listed regions silent in the corpus get
+    all-zero summaries. The per-user denominator counts distinct users of the
+    region's in-scope messages over the whole input, not just the window.
     """
     if scopes is None:
-        return summarize_regions(
-            messages, assignments, window, population=population, region_ids=region_ids, scopes={None: None},
-        )[None]
-    if not scopes:
-        return {}
+        scopes = {None: None}
     table, codes = messages, _region_codes(messages, assignments)
     listed = set(region_ids or ())
     names = [*codes.region_ids, *sorted(listed.difference(codes.region_ids))]  # the rest hold no message
@@ -238,21 +234,21 @@ def summarize_regions(
             del stamp
             row, region = row[inside], region[inside]
         counts.append(_Cells(table, row, region, len(names)))
-    del located, row, region
-    present = np.concatenate(present).reshape(len(scopes), len(names))
-    period_users = np.concatenate(period_users)
+        del row, region
+    del located
+    present = np.array(present, dtype=bool).reshape(len(scopes), len(names))
+    period_users = np.array(period_users, dtype=np.int64).reshape(-1)
 
     by_name = np.array(sorted(range(len(names)), key=names.__getitem__), dtype=np.intp)
     sorted_names = [names[k] for k in by_name.tolist()]
     cells = by_name[:, None] + len(names) * np.arange(len(scopes))  # region x scope -> cell
     present |= np.array([region_id in listed for region_id in names], dtype=bool)
     population = population or {}
-    grid = _Cells.stacked(counts).grid(
+    return _Cells.stacked(counts).grid(
         sorted_names, scopes, cells, np.array(window, dtype=object), period_users[cells],
-        np.array([population.get(region_id, math.nan) for region_id in sorted_names], dtype=float),
+        np.array([population.get(region_id, 0) for region_id in sorted_names], dtype=np.int64),
         present.T[by_name],
     )
-    return {name: GridColumn(grid, j) for j, name in enumerate(scopes)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,12 +260,14 @@ class SummaryGrid(MappingABC):
     Row ``k`` of every array is ``region_ids[k]`` and column ``j`` is
     ``columns[j]``; the key ``(region_ids[k], columns[j])`` exists where
     ``present[k, j]``; the counts are 0 where it does not. ``mean_sentiment``
-    is NaN where no message carries a score and ``population`` is NaN where
-    it is unknown. An array that holds one value per region or per column,
-    or one value in all, is a broadcast view, not a copy.
+    is NaN where no message carries a score and ``population`` is 0 where it
+    is unknown (ingest accepts only positive populations). An array that holds
+    one value per region or per column, or one value in all, is a broadcast
+    view, not a copy.
 
     Indexing gives one :class:`ActivitySummary`, built on lookup, for callers
-    that want objects; the analyses work on the arrays.
+    that want objects; the analyses work on the arrays. :meth:`from_mapping`
+    is the one way to build a grid from summary objects.
     """
 
     region_ids: tuple[str, ...]
@@ -282,7 +280,7 @@ class SummaryGrid(MappingABC):
     active_users_window: np.ndarray  # int64
     active_users_period: np.ndarray  # int64
     mean_sentiment: np.ndarray  # float64
-    population: np.ndarray  # float64
+    population: np.ndarray  # int64
     present: np.ndarray  # bool
 
     @classmethod
@@ -290,8 +288,6 @@ class SummaryGrid(MappingABC):
                      columns: Sequence | None = None) -> SummaryGrid:
         """The arrays of a (region_id, column) -> summary mapping; regions in sorted
         order, columns in the given order or else sorted."""
-        if isinstance(summaries, SummaryGrid):
-            return summaries
         region_ids = tuple(sorted({region_id for region_id, _ in summaries}))
         columns = tuple(sorted({c for _, c in summaries}) if columns is None else columns)
         row = {region_id: k for k, region_id in enumerate(region_ids)}
@@ -315,7 +311,7 @@ class SummaryGrid(MappingABC):
                 "n_messages", "n_original", "n_retweets", "n_popular", "active_users_window",
                 "active_users_period",
             )),
-            grid("mean_sentiment", float, math.nan), grid("population", float, math.nan), present,
+            grid("mean_sentiment", float, math.nan), grid("population", np.int64, 0), present,
         )
 
     @cached_property
@@ -339,31 +335,13 @@ class SummaryGrid(MappingABC):
             raise KeyError(key) from None
         if not self.present[k, j]:
             raise KeyError(key)
-        mean, population = self.mean_sentiment[k, j].item(), self.population[k, j].item()
+        mean = self.mean_sentiment[k, j].item()
         return ActivitySummary(
             region_id, self.windows[k, j], self.n_messages[k, j].item(), self.n_original[k, j].item(),
             self.n_retweets[k, j].item(), self.n_popular[k, j].item(), self.active_users_window[k, j].item(),
             self.active_users_period[k, j].item(), None if math.isnan(mean) else mean,
-            None if math.isnan(population) else int(population),
+            self.population[k, j].item() or None,
         )
-
-
-class GridColumn(MappingABC):
-    """Read-only region_id -> summary view of column ``column`` of ``grid``:
-    the regions present there, in sorted order."""
-
-    # a plain class: building a dataclass adds about 1 ms to the package import
-    def __init__(self, grid: SummaryGrid, column: int):
-        self.grid, self.column = grid, column
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.grid.present[:, self.column]))
-
-    def __iter__(self) -> Iterator[str]:
-        return itertools.compress(self.grid.region_ids, self.grid.present[:, self.column].tolist())
-
-    def __getitem__(self, region_id: str) -> ActivitySummary:
-        return self.grid[region_id, self.grid.columns[self.column]]
 
 
 def summarize_daily(
@@ -411,5 +389,5 @@ def summarize_daily(
     population = population or {}
     return counts.grid(
         [names[k] for k in active.tolist()], requested, cells, windows, period_users[active][:, None],
-        np.array([population.get(names[k], math.nan) for k in active.tolist()], dtype=float), np.array(True),
+        np.array([population.get(names[k], 0) for k in active.tolist()], dtype=np.int64), np.array(True),
     )

@@ -40,7 +40,7 @@ from damagenowcast.analysis import (
 )
 from damagenowcast.geo import GeoPoint
 from damagenowcast.ingest import MessageRecord, parse_messages
-from damagenowcast.metrics import ActivitySummary, bin_window
+from damagenowcast.metrics import ActivitySummary, SummaryGrid, bin_window
 from damagenowcast.simulate import (
     LANDFALL,
     POPULARITY_RATE,
@@ -510,6 +510,22 @@ def daily_correlation_series_reference(daily_summaries, damage_usd, population, 
             sentiment_damage_kendall=_guarded(sentiment, sentiment_damage, "kendall"),
         ))
     return CorrelationSeries(entries=tuple(entries))
+
+
+def grid_of(per_column):
+    """The :class:`SummaryGrid` of {column: {region_id: summary}}, every column kept and in
+    sorted order: plain mappings as the analyses below read them, in the one form the
+    analyses of the package take."""
+    summaries = {(region_id, c): s for c, per in per_column.items() for region_id, s in per.items()}
+    return SummaryGrid.from_mapping(summaries, columns=sorted(per_column))
+
+
+def columns_of(grid):
+    """{column: {region_id: summary}} of a :class:`SummaryGrid`, regions in sorted order."""
+    out = {c: {} for c in grid.columns}
+    for region_id, c in grid:
+        out[c][region_id] = grid[region_id, c]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from damagenowcast.ingest import (
     parse_messages,
     parse_regions,
 )
-from damagenowcast.metrics import ActivitySummary, TimeWindow, summarize_daily, summarize_regions
+from damagenowcast.metrics import ActivitySummary, SummaryGrid, TimeWindow, summarize_daily, summarize_regions
 from damagenowcast.simulate import DamageModel, KeywordProfile, SimConfig, generate
 from damagenowcast.stats import correlate
 
@@ -224,20 +224,12 @@ def _pipeline_activity_damage(bundle_dir: Path, window: TimeWindow):
     located = [(m.message_id, GeoPoint(*m.location)) for m in messages if m.location]
     assignments = {m.message_id: None for m in messages}
     assignments.update(spatial_join(located, regions))
-    summaries = summarize_regions(
+    grid = summarize_regions(
         messages, assignments, window, population=population,
-        region_ids=[r.region_id for r in regions],
+        region_ids=[r.region_id for r in regions], scopes={POOLED: None},
     )
-    report = damage_correlation_report(
-        {POOLED: summaries},
-        {"insurance": damage},
-        population,
-        normalizations=("census_population",),
-        transforms=("raw",),
-        methods=("kendall",),
-        include_sentiment=False,
-    )
-    return report.cells[0].result
+    report = damage_correlation_report(grid, {"insurance": damage}, include_sentiment=False)
+    return report.cell("activity", POOLED, "insurance", "census_population", "kendall", "raw").result
 
 
 def _ground_truth_tau(bundle_dir: Path) -> float:
@@ -332,7 +324,7 @@ def test_criterion_5_landfall_dip_shape(tmp_path):
         assignments.update(spatial_join(located, regions))
         bins = range(-4, 5)
         daily = summarize_daily(messages, assignments, EPOCH, DAY, bins, population=population)
-        series = daily_correlation_series(daily, damage, population, bins)
+        series = daily_correlation_series(daily, damage, bins, EPOCH, DAY)
         taus = {e.bin_index: e.activity_damage_kendall.coefficient for e in series.entries}
         assert all(not math.isnan(taus[k]) for k in range(-3, 4))
         pre = sum(taus[k] for k in (-3, -2, -1)) / 3
@@ -371,7 +363,7 @@ def test_criterion_6_keyword_ranking():
     for i, city in enumerate(sorted(distances)):
         counts[(city, "decayed")] = 300 - 9 * i
         counts[(city, "flat")] = 50
-    ranking = rank_keywords(_keyword_city_summaries(counts), distances)
+    ranking = rank_keywords(SummaryGrid.from_mapping(_keyword_city_summaries(counts)), distances)
     assert ranking.keywords()[0] == "decayed"
     assert ranking.entries[0].kendall.coefficient == -1.0
 
@@ -385,7 +377,7 @@ def test_criterion_6_keyword_ranking():
             decayed_rate = 5.0 + 200.0 * max(0.0, 1.0 - distance / 1500.0)
             noisy[(city, "decayed")] = int(rng.poisson(decayed_rate))
             noisy[(city, "flat")] = int(rng.poisson(80.0))
-        result = rank_keywords(_keyword_city_summaries(noisy), distances)
+        result = rank_keywords(SummaryGrid.from_mapping(_keyword_city_summaries(noisy)), distances)
         top = result.entries[0]
         if result.keywords()[0] == "decayed" and top.kendall.p_value < 0.05:
             ordered += 1

@@ -12,7 +12,8 @@ from damagenowcast.analysis import (
     region_rank_discrepancy,
 )
 from damagenowcast.ingest import parse_county_table
-from damagenowcast.metrics import ActivitySummary
+from damagenowcast.metrics import ActivitySummary, SummaryGrid
+from oracles import grid_of
 
 EPOCH = datetime(2012, 10, 30, tzinfo=timezone.utc)
 DAY = timedelta(hours=24)
@@ -46,7 +47,7 @@ class TestRankKeywords:
         for i, c in enumerate(cities):
             summaries[(c, "decayed")] = summary(c, n_messages=80 - 10 * i, users=10)
             summaries[(c, "flat")] = summary(c, n_messages=40, users=10)
-        ranking = rank_keywords(summaries, distances)
+        ranking = rank_keywords(SummaryGrid.from_mapping(summaries), distances)
         assert ranking.keywords()[0] == "decayed"
         top = ranking.entries[0]
         assert top.kendall.coefficient == pytest.approx(-1.0, abs=1e-15)
@@ -63,7 +64,7 @@ class TestRankKeywords:
             ("a", "sparse"): summary("a", 5),
             ("b", "sparse"): summary("b", 0),
         }
-        ranking = rank_keywords(summaries, distances)
+        ranking = rank_keywords(SummaryGrid.from_mapping(summaries), distances)
         sparse = ranking.entries[-1]
         assert sparse.keyword == "sparse"
         assert sparse.degenerate
@@ -75,20 +76,20 @@ class TestRankKeywords:
         for i, c in enumerate(["a", "b", "c", "d"]):
             for kw in ("zeta", "alpha"):
                 summaries[(c, kw)] = summary(c, n_messages=40 - 10 * i)
-        ranking = rank_keywords(summaries, distances)
+        ranking = rank_keywords(SummaryGrid.from_mapping(summaries), distances)
         assert ranking.keywords() == ["alpha", "zeta"]
 
     def test_city_subset_restricts(self):
         distances = {"a": 10.0, "b": 20.0, "c": 30.0, "far": 9000.0}
         summaries = {(c, "kw"): summary(c, 10 * (4 - i)) for i, c in enumerate(["a", "b", "c", "far"])}
-        full = rank_keywords(summaries, distances)
-        subset = rank_keywords(summaries, distances, city_subset=["a", "b", "c"])
+        full = rank_keywords(SummaryGrid.from_mapping(summaries), distances)
+        subset = rank_keywords(SummaryGrid.from_mapping(summaries), distances, city_subset=["a", "b", "c"])
         assert full.entries[0].n_cities == 4
         assert subset.entries[0].n_cities == 3
 
     def test_missing_distance_is_error(self):
         with pytest.raises(ValueError):
-            rank_keywords({("a", "kw"): summary("a", 5)}, {}, city_subset=["a"])
+            rank_keywords(SummaryGrid.from_mapping({("a", "kw"): summary("a", 5)}), {}, city_subset=["a"])
 
     def test_ordering_invariant_under_input_permutation(self):
         rng = np.random.default_rng(0)
@@ -98,8 +99,8 @@ class TestRankKeywords:
         for c in cities:
             for kw in ("one", "two", "three"):
                 items.append(((c, kw), summary(c, int(rng.integers(1, 50)))))
-        a = rank_keywords(dict(items), distances)
-        b = rank_keywords(dict(reversed(items)), distances)
+        a = rank_keywords(SummaryGrid.from_mapping(dict(items)), distances)
+        b = rank_keywords(SummaryGrid.from_mapping(dict(reversed(items))), distances)
         assert a.keywords() == b.keywords()
 
 
@@ -138,14 +139,13 @@ class TestSeriesFromNoiselessCoupling:
         assignments.update(spatial_join(located, regions))
         bins = range(1, 8)
         daily = summarize_daily(messages, assignments, EPOCH, DAY, bins, population=population)
-        series = daily_correlation_series(daily, damage, population, bins)
+        series = daily_correlation_series(daily, damage, bins, EPOCH, DAY)
         for entry in series.entries:
             assert entry.activity_damage_kendall.coefficient > 0.8
 
 
 class TestDailyCorrelationSeries:
     def test_damage_equal_to_activity_gives_unit_coefficient(self):
-        population = {f"r{i}": 1000 for i in range(6)}
         damage = {}
         summaries = {}
         for b in (0, 1, 2):
@@ -155,45 +155,42 @@ class TestDailyCorrelationSeries:
                 summaries[(region, b)] = summary(region, count, population=1000)
         # damage proportional to the (identical across bins) regional ordering
         damage = {f"r{i}": float(i + 1) for i in range(6)}
-        series = daily_correlation_series(summaries, damage, population, bins=(0, 1, 2))
+        series = daily_correlation_series(SummaryGrid.from_mapping(summaries), damage, (0, 1, 2), EPOCH, DAY)
         for entry in series.entries:
             assert entry.activity_damage_kendall.coefficient == pytest.approx(1.0)
             assert entry.activity_damage_spearman.coefficient == pytest.approx(1.0)
             assert entry.active_regions == 6
 
     def test_silent_bin_recorded_as_degenerate(self):
-        population = {"r0": 100, "r1": 100, "r2": 100}
         summaries = {(f"r{i}", 0): summary(f"r{i}", i + 1, population=100) for i in range(3)}
-        series = daily_correlation_series(summaries, {"r0": 1.0}, population, bins=(0, 1))
+        series = daily_correlation_series(SummaryGrid.from_mapping(summaries), {"r0": 1.0}, (0, 1), EPOCH, DAY)
         silent = series.entries[1]
         assert silent.active_regions == 0
         assert silent.n_messages == 0
         assert silent.activity_damage_kendall.degenerate
 
     def test_under_three_active_regions_degenerate_but_continues(self):
-        population = {"r0": 100, "r1": 100}
         summaries = {(f"r{i}", 0): summary(f"r{i}", 5, population=100) for i in range(2)}
-        series = daily_correlation_series(summaries, {}, population, bins=(0,))
+        series = daily_correlation_series(SummaryGrid.from_mapping(summaries), {}, (0,), EPOCH, DAY)
         assert series.entries[0].activity_damage_kendall.degenerate
         assert series.entries[0].active_regions == 2
 
     def test_sentiment_pairs_use_scored_regions_only(self):
-        population = {"r0": 100, "r1": 100, "r2": 100, "r3": 100}
         summaries = {
             ("r0", 0): summary("r0", 3, population=100, sentiment=-0.5),
             ("r1", 0): summary("r1", 5, population=100, sentiment=0.1),
             ("r2", 0): summary("r2", 7, population=100, sentiment=0.4),
             ("r3", 0): summary("r3", 9, population=100),  # unscored
         }
-        series = daily_correlation_series(summaries, {"r0": 9.0, "r1": 5.0, "r2": 1.0}, population, bins=(0,))
+        series = daily_correlation_series(SummaryGrid.from_mapping(summaries), {"r0": 9.0, "r1": 5.0, "r2": 1.0},
+                                          (0,), EPOCH, DAY)
         entry = series.entries[0]
         assert entry.sentiment_damage_kendall.n == 3
         assert entry.sentiment_damage_kendall.coefficient == pytest.approx(-1.0)
 
     def test_bin_start_labels(self):
-        population = {"r0": 10}
         summaries = {("r0", -2): summary("r0", 1, population=10)}
-        series = daily_correlation_series(summaries, {}, population, bins=(-2,), epoch=EPOCH)
+        series = daily_correlation_series(SummaryGrid.from_mapping(summaries), {}, (-2,), EPOCH, DAY)
         assert series.entries[0].bin_start == EPOCH - 2 * DAY
 
 
@@ -203,31 +200,25 @@ def county_inputs(sandy_counties_path):
         s.county: summary(s.county, s.tweets, users=s.users, population=s.population)
         for s in stats
     }
-    population = {s.county: s.population for s in stats}
     damage = {
         "ex_post": {s.county: s.expost_damage_usd for s in stats},
         "hazus": {s.county: s.hazus_damage_usd for s in stats},
     }
-    return summaries, population, damage
+    return summaries, damage
 
 
 class TestDamageCorrelationReport:
     def test_identity_vectors_give_unit_cells(self):
         summaries = {POOLED: {f"r{i}": summary(f"r{i}", i + 1, population=100) for i in range(8)}}
         damage = {"insurance": {f"r{i}": float(i + 1) * 100.0 for i in range(8)}}
-        population = {f"r{i}": 100 for i in range(8)}
-        report = damage_correlation_report(
-            summaries, damage, population, include_sentiment=False, transforms=("raw",)
-        )
+        report = damage_correlation_report(grid_of(summaries), damage, include_sentiment=False)
         for cell in report.cells:
-            if cell.normalization == "census_population":
+            if cell.normalization == "census_population" and cell.result.transform == "raw":
                 assert cell.result.coefficient == pytest.approx(1.0)
 
     def test_fixture_reproduces_rank_cells(self, sandy_counties_path):
-        summaries, population, damage = county_inputs(sandy_counties_path)
-        report = damage_correlation_report(
-            {POOLED: summaries}, damage, population, include_sentiment=False
-        )
+        summaries, damage = county_inputs(sandy_counties_path)
+        report = damage_correlation_report(grid_of({POOLED: summaries}), damage, include_sentiment=False)
         tau = report.cell("activity", POOLED, "ex_post", "census_population", "kendall", "raw")
         rho = report.cell("activity", POOLED, "ex_post", "census_population", "spearman", "raw")
         assert tau.result.coefficient == pytest.approx(0.339031, abs=1e-6)
@@ -235,20 +226,20 @@ class TestDamageCorrelationReport:
         assert tau.active_regions == 27
 
     def test_scaling_damage_leaves_rank_cells_and_nowcast_unchanged(self, sandy_counties_path):
-        summaries, population, damage = county_inputs(sandy_counties_path)
+        summaries, damage = county_inputs(sandy_counties_path)
         scaled = {src: {r: v * 7.25 for r, v in d.items()} for src, d in damage.items()}
-        base = damage_correlation_report({POOLED: summaries}, damage, population, include_sentiment=False)
-        big = damage_correlation_report({POOLED: summaries}, scaled, population, include_sentiment=False)
+        base = damage_correlation_report(grid_of({POOLED: summaries}), damage, include_sentiment=False)
+        big = damage_correlation_report(grid_of({POOLED: summaries}), scaled, include_sentiment=False)
         for a, b in zip(base.cells, big.cells):
             if a.result.method in ("kendall", "spearman") and not a.result.degenerate:
                 assert a.result.coefficient == pytest.approx(b.result.coefficient, abs=1e-12)
                 assert a.result.p_value == pytest.approx(b.result.p_value, abs=1e-12)
-        before = nowcast(summaries)
-        after = nowcast(summaries, damage_usd=scaled["ex_post"])
+        before = nowcast(grid_of({None: summaries}))
+        after = nowcast(grid_of({None: summaries}), damage_usd=scaled["ex_post"])
         assert [e.region_id for e in before.entries] == [e.region_id for e in after.entries]
 
     def test_scaling_population_leaves_rank_cells_unchanged(self, sandy_counties_path):
-        summaries, population, damage = county_inputs(sandy_counties_path)
+        summaries, damage = county_inputs(sandy_counties_path)
         scaled_summaries = {
             region: summary(
                 s.region_id, s.n_messages, users=s.active_users_period,
@@ -256,11 +247,8 @@ class TestDamageCorrelationReport:
             )
             for region, s in summaries.items()
         }
-        scaled_population = {r: p * 3 for r, p in population.items()}
-        base = damage_correlation_report({POOLED: summaries}, damage, population, include_sentiment=False)
-        scaled = damage_correlation_report(
-            {POOLED: scaled_summaries}, damage, scaled_population, include_sentiment=False
-        )
+        base = damage_correlation_report(grid_of({POOLED: summaries}), damage, include_sentiment=False)
+        scaled = damage_correlation_report(grid_of({POOLED: scaled_summaries}), damage, include_sentiment=False)
         for a, b in zip(base.cells, scaled.cells):
             if a.result.method in ("kendall", "spearman") and not a.result.degenerate:
                 assert a.result.coefficient == pytest.approx(b.result.coefficient, abs=1e-12)
@@ -273,7 +261,7 @@ class TestDamageCorrelationReport:
             }
         }
         damage = {"insurance": {f"r{i}": float(i) for i in range(6)}}
-        report = damage_correlation_report(summaries, damage, {f"r{i}": 100 for i in range(6)})
+        report = damage_correlation_report(grid_of(summaries), damage)
         sentiment_cells = [c for c in report.cells if c.variable == "sentiment"]
         assert sentiment_cells
         assert all(c.result.transform == "raw" for c in sentiment_cells)
@@ -281,9 +269,7 @@ class TestDamageCorrelationReport:
     def test_log_transform_reports_exclusions(self):
         summaries = {POOLED: {f"r{i}": summary(f"r{i}", i + 1, population=100) for i in range(6)}}
         damage = {"insurance": {f"r{i}": float(i) * 10 for i in range(6)}}  # r0 damage 0
-        report = damage_correlation_report(
-            summaries, damage, {f"r{i}": 100 for i in range(6)}, include_sentiment=False
-        )
+        report = damage_correlation_report(grid_of(summaries), damage, include_sentiment=False)
         cell = report.cell("activity", POOLED, "insurance", "census_population", "pearson", "log10")
         assert cell.result.excluded == 1
         assert cell.result.n == 5
@@ -291,7 +277,7 @@ class TestDamageCorrelationReport:
     def test_empty_scope_degenerate_cells(self):
         summaries = {"ghost": {}}
         damage = {"insurance": {}}
-        report = damage_correlation_report(summaries, damage, {"r0": 10})
+        report = damage_correlation_report(grid_of(summaries), damage)
         assert all(c.result.degenerate for c in report.cells if c.variable == "activity")
 
 
@@ -302,7 +288,7 @@ class TestNowcast:
             "r2": summary("r2", 5, population=1000),
             "r3": summary("r3", 0, population=1000),
         }
-        report = nowcast(summaries)
+        report = nowcast(grid_of({None: summaries}))
         assert [e.region_id for e in report.entries] == ["r1", "r2"]
         assert report.excluded == (("r3", "inactive"),)
         assert report.entries[0].rank == 1
@@ -310,7 +296,7 @@ class TestNowcast:
 
     def test_missing_population_excluded(self):
         summaries = {"r1": summary("r1", 5, population=None)}
-        report = nowcast(summaries)
+        report = nowcast(grid_of({None: summaries}))
         assert report.entries == ()
         assert report.excluded == (("r1", "no population"),)
 
@@ -320,7 +306,7 @@ class TestNowcast:
             s.county: summary(s.county, s.tweets, users=s.users, population=s.population)
             for s in stats
         }
-        report = nowcast(summaries)
+        report = nowcast(grid_of({None: summaries}))
         assert report.entries[0].region_id == "New York"
         assert report.entries[0].per_capita_activity == pytest.approx(0.0314, abs=1e-4)
         assert len(report.entries) == 27
@@ -330,7 +316,7 @@ class TestNowcast:
             "zeta": summary("zeta", 10, population=1000),
             "alpha": summary("alpha", 10, population=1000),
         }
-        report = nowcast(summaries)
+        report = nowcast(grid_of({None: summaries}))
         assert [e.region_id for e in report.entries] == ["alpha", "zeta"]
 
     def test_damage_ranks_attached(self):
@@ -338,14 +324,14 @@ class TestNowcast:
             "r1": summary("r1", 20, population=100),
             "r2": summary("r2", 10, population=100),
         }
-        report = nowcast(summaries, damage_usd={"r1": 5.0, "r2": 50.0})
+        report = nowcast(grid_of({None: summaries}), damage_usd={"r1": 5.0, "r2": 50.0})
         by_region = {e.region_id: e for e in report.entries}
         assert by_region["r2"].damage_rank == 1
         assert by_region["r1"].damage_rank == 2
 
     def test_all_inactive_empty_ranking(self):
         summaries = {"r1": summary("r1", 0, population=10)}
-        report = nowcast(summaries)
+        report = nowcast(grid_of({None: summaries}))
         assert report.entries == ()
 
     def test_original_only_default(self):
@@ -353,7 +339,7 @@ class TestNowcast:
             "r1": summary("r1", 10, n_original=2, n_retweets=8, population=100),
             "r2": summary("r2", 5, n_original=5, population=100),
         }
-        report = nowcast(summaries)
+        report = nowcast(grid_of({None: summaries}))
         assert [e.region_id for e in report.entries] == ["r2", "r1"]
 
 

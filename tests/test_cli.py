@@ -253,7 +253,7 @@ class TestNowcastCommand:
 
     @pytest.mark.parametrize("population", ["100000000000000000000", "9223372036854775807"])
     def test_huge_population_never_wraps(self, population, sim_bundle, tmp_path, capsys):
-        # beyond int64 the row is rejected; at the int64 maximum the float grid value is written, not wrapped
+        # beyond int64 the row is rejected; at the int64 maximum the value is written as read, not wrapped
         header, first, *rest = (sim_bundle / "population.csv").read_text(encoding="utf-8").splitlines()
         people = tmp_path / "population.csv"
         people.write_text("\n".join([header, f"{first.split(',')[0]},{population}", *rest]) + "\n")
@@ -512,18 +512,21 @@ class TestValidateCommand:
 
 
 def test_analysis_commands_build_no_summary_objects_or_id_dicts(sim_bundle, tmp_path, monkeypatch):
-    # correlate, nowcast, rank-keywords and summarize read the join codes and the summary grid as arrays
+    # correlate, nowcast, rank-keywords, summarize and series read the join codes and the summary grid as
+    # arrays; only a --county-table is gathered into a grid from summary objects
     def refuse(*args, **kwargs):
         raise AssertionError("per-region summary or message_id lookup on a command path")
 
     monkeypatch.setattr(metrics, "ActivitySummary", refuse)
     monkeypatch.setattr(metrics.RegionCodes, "from_mapping", refuse)
+    monkeypatch.setattr(metrics.SummaryGrid, "from_mapping", refuse)
     inputs = ("--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson")
     tables = ("--population", sim_bundle / "population.csv", "--damage", sim_bundle / "damage.csv")
     assert run("correlate", *inputs, *tables, "--overlay", tmp_path / "overlay.geojson", "--out", tmp_path) == 0
     assert run("nowcast", *inputs, *tables, "--out", tmp_path) == 0
     assert run("rank-keywords", *inputs, "--track", sim_bundle / "track.csv", "--out", tmp_path) == 0
     assert run("summarize", *inputs, tables[0], tables[1], "--window", "2012-10-29..2012-11-02", "--out", tmp_path) == 0
+    assert run("series", *inputs, *tables, "--out", tmp_path) in (0, 2)
 
 
 def test_simulate_never_sorts_or_codes_user_ids(tmp_path, monkeypatch):

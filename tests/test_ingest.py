@@ -54,7 +54,7 @@ class TestParseMessages:
         )).records
         assert table.user_ids.tolist() == sorted(users)
         assert [table.user_ids[u] for u in table.user.tolist()] == users
-        summary = summarize_regions(table, dict.fromkeys(table.message_id.tolist(), "r1"), None)["r1"]
+        summary = summarize_regions(table, dict.fromkeys(table.message_id.tolist(), "r1"), None)["r1", None]
         assert summary.active_users_period == 5
 
     def test_latitude_out_of_range_dropped(self):

@@ -18,9 +18,11 @@ from damagenowcast.metrics import (
     summarize_regions,
 )
 from oracles import (
+    columns_of,
     compute_activity_summary_reference,
     daily_correlation_series_reference,
     damage_correlation_report_reference,
+    grid_of,
     message_table,
     normalized_activity,
     nowcast_reference,
@@ -52,7 +54,7 @@ def summary(messages, window=None, population=None, region_id="r1"):
     return summarize_regions(
         message_table(messages), {m.message_id: region_id for m in messages}, window,
         population={region_id: population} if population is not None else None, region_ids=[region_id],
-    )[region_id]
+    )[region_id, None]
 
 
 class TestBinOffsets:
@@ -226,25 +228,25 @@ class TestSummarizeHelpers:
         assignments = {"m0": "r1", "m1": "r1"}
         window = TimeWindow(EPOCH, EPOCH + DAY)
         out = summarize_regions(message_table(messages), assignments, window, population={"r1": 50})
-        assert out["r1"].n_messages == 1
-        assert out["r1"].active_users_period == 2
+        assert out["r1", None].n_messages == 1
+        assert out["r1", None].active_users_period == 2
 
     def test_silent_listed_regions_get_zero_summaries(self):
         out = summarize_regions(message_table([]), {}, None, region_ids=["r1", "r2"])
-        assert out["r1"].n_messages == 0
-        assert out["r2"].n_messages == 0
+        assert out["r1", None].n_messages == 0
+        assert out["r2", None].n_messages == 0
 
     def test_keyword_filter_applies(self):
         messages = [message(0, keywords=("sandy",)), message(1, keywords=("gas",))]
         assignments = {"m0": "r1", "m1": "r1"}
         out = summarize_regions(message_table(messages), assignments, None, scopes={"k": frozenset({"sandy"})})
-        assert out["k"]["r1"].n_messages == 1
+        assert out["r1", "k"].n_messages == 1
 
     def test_unassigned_messages_ignored(self):
         messages = [message(0), message(1)]
         assignments = {"m0": "r1", "m1": None}
         out = summarize_regions(message_table(messages), assignments, None)
-        assert out["r1"].n_messages == 1
+        assert out["r1", None].n_messages == 1
 
     def test_daily_summaries_cover_requested_bins(self):
         messages = [message(0, stamp=EPOCH), message(1, user="u2", stamp=EPOCH + DAY)]
@@ -264,7 +266,7 @@ class TestSummarizeHelpers:
         out = summarize_regions(message_table(messages), assignments, None, scopes={
             "pool": None, "sandy": frozenset({"sandy"}), "gas": frozenset({"gas"}), "none": frozenset({"mta"}),
         })
-        assert {name: {r: s.n_messages for r, s in per.items()} for name, per in out.items()} == {
+        assert {name: {r: s.n_messages for r, s in per.items()} for name, per in columns_of(out).items()} == {
             "pool": {"r1": 2, "r2": 1}, "sandy": {"r1": 2}, "gas": {"r1": 1, "r2": 1}, "none": {},
         }
 
@@ -319,8 +321,8 @@ class TestGroupedMatchesReference:
                                     region_ids=region_ids, scopes=dict(enumerate(scopes)))
         for s, keywords in enumerate(scopes):
             expected = summarize_regions_reference(messages, assignments, window, keywords, population, region_ids)
-            assert list(grouped[s]) == list(expected)
-            _same(grouped[s], expected)
+            assert list(columns_of(grouped)[s]) == list(expected)
+            _same(columns_of(grouped)[s], expected)
 
     @given(corpus(), st.sampled_from([1, 6, 24]), st.lists(st.integers(-6, 6), max_size=8))
     @settings(max_examples=40, deadline=None)
@@ -376,6 +378,11 @@ def series_args(draw):
     return population, damage, bins, draw(st.sampled_from(["per_capita", "per_period_user"]))
 
 
+def with_population(summaries, population):
+    """``summaries`` with each population taken from ``population``, its one home in a grid."""
+    return {key: dataclasses.replace(s, population=population.get(s.region_id)) for key, s in summaries.items()}
+
+
 def _bits(value):
     """``value`` with each float as its hex text, so NaN equals NaN and only equal bits compare equal."""
     if isinstance(value, tuple):
@@ -395,7 +402,7 @@ class TestSeriesMatchesReference:
         keywords = scopes[0] or None
         daily = summarize_daily(message_table(messages, keywords), assignments, EPOCH, width, bins, population)
         reference = summarize_daily_reference(messages, assignments, EPOCH, width, bins, keywords, population)
-        got = daily_correlation_series(daily, damage, population, series_bins, normalization, EPOCH, width)
+        got = daily_correlation_series(daily, damage, series_bins, EPOCH, width, normalization)
         expected = daily_correlation_series_reference(reference, damage, population, series_bins, normalization,
                                                       EPOCH, width)
         assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(expected))
@@ -404,9 +411,10 @@ class TestSeriesMatchesReference:
     @settings(max_examples=60, deadline=None)
     def test_plain_mapping(self, summaries, args):
         population, damage, bins, normalization = args
+        summaries = with_population(summaries, population)
         assert SummaryGrid.from_mapping(summaries) == summaries
-        got = daily_correlation_series(summaries, damage, population, bins, normalization)
-        expected = daily_correlation_series_reference(summaries, damage, population, bins, normalization)
+        got = daily_correlation_series(SummaryGrid.from_mapping(summaries), damage, bins, EPOCH, DAY, normalization)
+        expected = daily_correlation_series_reference(summaries, damage, population, bins, normalization, EPOCH, DAY)
         assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(expected))
 
 
@@ -447,51 +455,50 @@ class TestAnalysesMatchReference:
             for s, scope in enumerate(scopes)
         }
         expected = damage_correlation_report_reference(reference, damage, population, original_only=original_only)
-        self._same(damage_correlation_report(grid, damage, population, original_only=original_only), expected)
-        self._same(damage_correlation_report(reference, damage, population, original_only=original_only), expected)
+        self._same(damage_correlation_report(grid, damage, original_only=original_only), expected)
+        self._same(damage_correlation_report(grid_of(reference), damage, original_only=original_only), expected)
 
     @given(st.dictionaries(st.sampled_from(["pooled", "gas", "sandy"]), plain_regions(), max_size=3), region_args(),
            st.booleans(), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_report_on_plain_mapping(self, scopes, args, original_only, sentiment):
         population, damage, _ = args
-        got = damage_correlation_report(scopes, damage, population, original_only=original_only,
+        scopes = {name: with_population(per, population) for name, per in scopes.items()}
+        got = damage_correlation_report(grid_of(scopes), damage, original_only=original_only,
                                         include_sentiment=sentiment)
         expected = damage_correlation_report_reference(scopes, damage, population, original_only=original_only,
                                                        include_sentiment=sentiment)
         self._same(got, expected)
 
-    @given(corpus(), region_args(), st.one_of(st.none(), st.lists(st.sampled_from(REGIONS), unique=True)),
-           st.booleans())
+    @given(corpus(), region_args(), st.one_of(st.none(), st.lists(st.sampled_from(REGIONS), unique=True)))
     @settings(max_examples=40, deadline=None)
-    def test_rank_keywords_on_grid(self, case, args, subset, original_only):
+    def test_rank_keywords_on_grid(self, case, args, subset):
         messages, assignments, window, _, _ = case
-        per_keyword = summarize_regions(message_table(messages), assignments, window,
-                                        scopes={tag: frozenset({tag}) for tag in TAGS})
-        grid = per_keyword["sandy"].grid
+        grid = summarize_regions(message_table(messages), assignments, window,
+                                 scopes={tag: frozenset({tag}) for tag in TAGS})
         _, _, distances = args
-        expected = rank_keywords_reference(dict(grid.items()), distances, subset, original_only)
-        self._same(rank_keywords(grid, distances, subset, original_only), expected)
+        expected = rank_keywords_reference(dict(grid.items()), distances, subset)
+        self._same(rank_keywords(grid, distances, subset), expected)
 
     @given(st.dictionaries(st.tuples(st.sampled_from(REGIONS), st.sampled_from(TAGS)), st.none()), st.data(),
-           region_args(), st.one_of(st.none(), st.lists(st.sampled_from(REGIONS), unique=True)), st.booleans())
+           region_args(), st.one_of(st.none(), st.lists(st.sampled_from(REGIONS), unique=True)))
     @settings(max_examples=60, deadline=None)
-    def test_rank_keywords_on_plain_mapping(self, keys, data, args, subset, original_only):
+    def test_rank_keywords_on_plain_mapping(self, keys, data, args, subset):
         summaries = {key: data.draw(plain_summary(key[0])) for key in keys}
         _, _, distances = args
-        expected = rank_keywords_reference(summaries, distances, subset, original_only)
-        self._same(rank_keywords(summaries, distances, subset, original_only), expected)
+        expected = rank_keywords_reference(summaries, distances, subset)
+        self._same(rank_keywords(SummaryGrid.from_mapping(summaries), distances, subset), expected)
 
     @given(corpus(), region_args(), st.booleans(), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_nowcast_on_grid(self, case, args, original_only, with_damage):
         messages, assignments, window, scopes, region_ids = case
         population, damage, _ = args
-        summaries = summarize_regions(message_table(messages), assignments, window, population, region_ids,
-                                      scopes={"s": scopes[0]})["s"]
+        grid = summarize_regions(message_table(messages), assignments, window, population, region_ids,
+                                 scopes={"s": scopes[0]})
         damage_usd = damage["ex_post"] if with_damage and "ex_post" in damage else None
-        expected = nowcast_reference(summaries, original_only=original_only, damage_usd=damage_usd)
-        self._same(nowcast(summaries, original_only=original_only, damage_usd=damage_usd), expected)
+        expected = nowcast_reference(columns_of(grid)["s"], original_only=original_only, damage_usd=damage_usd)
+        self._same(nowcast(grid, original_only=original_only, damage_usd=damage_usd), expected)
 
     @given(plain_regions(), region_args(), st.booleans(), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -499,4 +506,4 @@ class TestAnalysesMatchReference:
         _, damage, _ = args
         damage_usd = next(iter(damage.values())) if with_damage else None
         expected = nowcast_reference(summaries, original_only=original_only, damage_usd=damage_usd)
-        self._same(nowcast(summaries, original_only=original_only, damage_usd=damage_usd), expected)
+        self._same(nowcast(grid_of({None: summaries}), original_only=original_only, damage_usd=damage_usd), expected)
