@@ -1,11 +1,12 @@
 """Property test: no damaged input crashes the CLI.
 
-Each example copies a small simulated bundle, damages one to three of its
-files the way exported data goes wrong (truncated rows, swapped columns,
-NaN/inf cells, a byte-order mark, CRLF line ends, duplicate ids, empty
-files, GeoJSON that is not an object, an over-long cell, an id that starts
-with ``#``), and runs ``join``, ``correlate --overlay``, ``series`` and
-``nowcast`` on it in-process. Every run must return exit code 0, 1 or 2;
+Each example copies a small simulated bundle and the bundled county table,
+damages one to three of their files the way exported data goes wrong
+(truncated rows, swapped columns, NaN/inf cells, integers beyond int64, a
+byte-order mark, CRLF line ends, duplicate ids, empty files, GeoJSON that is
+not an object, an over-long cell, an id that starts with ``#``), and runs
+``join``, ``correlate --overlay``, ``series`` and ``nowcast`` on the bundle
+and ``correlate`` and ``nowcast`` on the county table, in-process. Every run must return exit code 0, 1 or 2;
 an exception escaping ``main`` fails the test, and so does a numpy
 ``RuntimeWarning``, the only sign of an overflow or an invalid operation.
 """
@@ -24,9 +25,11 @@ from hypothesis import strategies as st
 
 from damagenowcast.cli import main
 
-CSV_FILES = ("messages.csv", "population.csv", "damage.csv")
+FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "sandy_counties.csv"
+CSV_FILES = ("messages.csv", "population.csv", "damage.csv", "counties.csv")
 LONG_CELL = "x" * 140_000  # over csv's default field limit of 131,072 characters
-CELLS = ("nan", "inf", "-inf", "1e999", "1e300", "", "-1", "0", "#x", "2012-13-45", LONG_CELL)
+CELLS = ("nan", "inf", "-inf", "1e999", "1e300", "", "-1", "0", "#x", "2012-13-45", LONG_CELL,
+         "9223372036854775808", "9" * 401)  # 2^63, the first integer beyond int64, and a 401-digit one
 DOCUMENTS = ("[]", "null", "3", '"x"', "{", "NaN", '{"type": "FeatureCollection", "features": 5}',
              '{"type": "FeatureCollection", "features": [1, null, "x", []]}')
 FEATURES = (None, 1, [], {"type": "Feature"}, {"type": "Feature", "properties": None, "geometry": None},
@@ -41,6 +44,7 @@ def bundle(tmp_path_factory):
     out = tmp_path_factory.mktemp("fuzz") / "bundle"
     assert main(["simulate", "--seed", "3", "--regions", "6", "--base-rate", "0.0002", "--amplitude", "0.004",
                  "--out", str(out)]) == 0
+    shutil.copyfile(FIXTURE, out / "counties.csv")
     return out
 
 
@@ -135,5 +139,7 @@ def test_damaged_bundle_never_crashes(bundle, damages):
             ["correlate", *files, *tables, "--overlay", root / "overlay.geojson", "--out", root / "correlate"],
             ["series", *files, *tables, "--out", root / "series"],
             ["nowcast", *files, *tables, "--out", root / "nowcast"],
+            ["correlate", "--county-table", inputs / "counties.csv", "--out", root / "county-correlate"],
+            ["nowcast", "--county-table", inputs / "counties.csv", "--out", root / "county-nowcast"],
         ):
             assert main([str(arg) for arg in argv]) in (0, 1, 2)
