@@ -464,6 +464,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
     epoch, width, bins = _series_bins(args)
     assignments = _assignments(messages, regions, args.cell_deg)
     daily = summarize_daily(messages, assignments, epoch, width, bins, population=population)
+    # the table is done with: held on, the statistics' allocations (scipy's import among them) stack on top of it
+    del messages, assignments
     series = daily_correlation_series(daily, damage, bins, epoch, width, normalization=args.normalization)
 
     rows = []
