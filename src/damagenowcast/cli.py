@@ -362,6 +362,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
             messages, assignments, window, population=population,
             region_ids=regions.region_id.tolist(), scopes=scopes,
         )
+        del messages, regions, assignments  # as in series, and before --overlay decodes the regions again
         include_sentiment = True
 
     report = damage_correlation_report(
