@@ -162,10 +162,9 @@ def daily_correlation_series(
         activity = damage_pc = mood = mood_damage = np.zeros(0)
         active = n_messages = 0
         if (j := column.get(b)) is not None:
-            population = daily.population[:, j]
-            on = np.flatnonzero((population > 0) & (daily.n_messages[:, j] >= 1))
+            on = np.flatnonzero((daily.population[:, j] > 0) & (daily.n_messages[:, j] >= 1))
             active, n_messages = len(on), int(daily.n_messages[on, j].sum())
-            population = population[on]
+            population = daily.population[on, j]
             denominator = population if normalization == "per_capita" else daily.active_users_period[on, j]
             valued = denominator > 0
             activity = daily.n_original[on, j][valued] / denominator[valued]
@@ -267,10 +266,9 @@ def damage_correlation_report(
                 valued = denominator > 0
                 activity = count[on, j][valued] / denominator[valued]
                 damage_pc = (damage[on] / census)[valued]
-                mood_denominator = census if per_capita else users
-                scored = ~np.isnan(mood) & (mood_denominator > 0)
+                scored = ~np.isnan(mood) & valued
                 sentiment = mood[scored]
-                sentiment_damage = damage[on][scored] / mood_denominator[scored]
+                sentiment_damage = damage[on][scored] / denominator[scored]
                 for transform in TRANSFORMS:
                     for method in METHODS:
                         cells.append(
