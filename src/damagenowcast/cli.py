@@ -174,7 +174,7 @@ def _population(path: str) -> dict[str, int]:
 
 def _county_summaries(stats: Sequence[CountyStats]) -> SummaryGrid:
     """Whole-period summaries from a county counts table (all tweets counted original), as the
-    one :data:`POOLED` column of a grid."""
+    one :data:`POOLED` column of a grid, kept when the table has no rows."""
     out = {}
     for s in stats:
         out[s.county, POOLED] = ActivitySummary(
@@ -189,7 +189,7 @@ def _county_summaries(stats: Sequence[CountyStats]) -> SummaryGrid:
             mean_sentiment=None,
             population=s.population,
         )
-    return SummaryGrid.from_mapping(out)
+    return SummaryGrid.from_mapping(out, columns=(POOLED,))
 
 
 def _load_damage(path: str) -> dict[str, dict[str, float]]:

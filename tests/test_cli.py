@@ -110,6 +110,17 @@ class TestCorrelateCommand:
         assert float(cell["coefficient"]) == pytest.approx(0.339031, abs=1e-5)
         assert cell["n"] == "27"
 
+    @pytest.mark.parametrize("command, report, data_rows", [("correlate", "correlations.csv", 24),
+                                                            ("nowcast", "nowcast.csv", 0)])
+    def test_county_table_without_rows(self, tmp_path, command, report, data_rows):
+        # a table whose rows are all rejected still has its one pooled column: every cell
+        # degenerate, no region ranked
+        (tmp_path / "empty.csv").write_text(FIXTURE.read_text().splitlines(keepends=True)[0])
+        assert run(command, "--county-table", tmp_path / "empty.csv", "--out", tmp_path / "out") == 2
+        _, rows = read_report(tmp_path / "out" / report)
+        assert len(rows) == data_rows
+        assert all(r["n"] == "0" and r["coefficient"] == "" for r in rows)
+
     @pytest.mark.parametrize("damage", ["inf", "-5"])
     def test_county_row_with_unusable_damage_is_dropped(self, tmp_path, capsys, damage):
         # an inf gave Pearson 1, p 0 for raw and log10; a negative amount was read silently
