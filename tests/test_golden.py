@@ -5,6 +5,8 @@ The commands run from a fixed working directory with relative paths, so the
 paths echoed in each report's ``#`` header are the same on every machine. A
 digest changes only when a report's bytes change; a change that is meant to
 alter a report updates its digest here and says why in CHANGES.md.
+``GOLDEN_ROWS`` pins the same reports with their ``#`` lines cut, so a change to
+a header alone leaves it as it is.
 """
 
 import csv
@@ -66,6 +68,23 @@ GOLDEN = {
     "series-per-user/series.csv": "88e594fa3f77bfc104f739ab873caa881e7dc0556622b2087f6c7464e7c8945c",
     "summarize/summaries.csv": "61f55affb8a2f68db796e7effccca3d2420437023f18788a3f90f0b5209e5b57",
     "summarize-keywords/summaries.csv": "27a9f4340ce668779e8f462c255ca6467deee43f9f26cebb59f3e878bbafede0",
+}
+
+# the same reports without their "#" lines: the data rows alone
+GOLDEN_ROWS = {
+    "correlate/correlations.csv": "5147ea536c3de6fc70b904851c435ad463ab56f9c1c14493c4e2438c6874e708",
+    "correlate-original/correlations.csv": "7da11052da43ccc45ae0a555f2fd7d1d8d0209ca0f23e3cacbf50049558fbbb4",
+    "correlate/overlay.geojson": "ad86bc60f66cdb0791b4cbe7107916bc3eca2036e63386413d11608a38a92ac1",
+    "join/join.csv": "be467fad33abb3baf2c61177c0c92622ba5d0090473f558434ca803dbafe067d",
+    "nowcast-all/nowcast.csv": "75f235324d7ee5af9a22cbc41a29ffa5377bd3bd29a4312eff019f849d784557",
+    "nowcast-all/nowcast_excluded.csv": "8e1a576015f56a9049695527ff7c62572744d288c160905e6bf05c262e2d04cd",
+    "nowcast/nowcast.csv": "2d526c591d5ebd6809173a57e5009329a8daa157f6adffad80f42c588da7d724",
+    "nowcast/nowcast_excluded.csv": "8e1a576015f56a9049695527ff7c62572744d288c160905e6bf05c262e2d04cd",
+    "rank-keywords/keywords.csv": "475e5345afec2c3fe16438645f5d0743535d9844f155963c22ec7e1cd670c64d",
+    "series/series.csv": "212f6d996d6a910f31719679ead5056377342468ea58c622a19b3fd62d0d1dee",
+    "series-per-user/series.csv": "cebc6c91838ba02d9f0c18f77c0ff2219c82be9e775fd788ea8758998100eeb5",
+    "summarize/summaries.csv": "fae843d021fa391735327de3b1718a6059f7171f00c7adf2f5d17aa9d52d80e7",
+    "summarize-keywords/summaries.csv": "7428f3ca08727e2cc184337980726ba98e410991484ac207074de067179c8054",
 }
 
 BUNDLE_GOLDEN = {
@@ -142,11 +161,23 @@ def test_commands_succeed(reports):
     assert codes == dict.fromkeys(COMMANDS, 0)
 
 
+def _written(root: Path) -> list[str]:
+    return sorted(p.relative_to(root).as_posix() for name in COMMANDS for p in (root / name).iterdir())
+
+
 def test_report_digests(reports):
     root, _ = reports
-    written = sorted(p.relative_to(root).as_posix() for name in COMMANDS for p in (root / name).iterdir())
-    digests = {path: hashlib.sha256((root / path).read_bytes()).hexdigest() for path in written}
+    digests = {path: hashlib.sha256((root / path).read_bytes()).hexdigest() for path in _written(root)}
     assert digests == GOLDEN
+
+
+def test_report_data_row_digests(reports):
+    root, _ = reports
+    digests = {}
+    for path in _written(root):
+        lines = (root / path).read_bytes().splitlines(keepends=True)
+        digests[path] = hashlib.sha256(b"".join(line for line in lines if not line.startswith(b"#"))).hexdigest()
+    assert digests == GOLDEN_ROWS
 
 
 def test_bundle_digests(tmp_path, monkeypatch):
