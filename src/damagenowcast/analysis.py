@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -80,22 +80,16 @@ def _relevance_sort_key(entry: KeywordRelevance):
 def rank_keywords(
     grid: SummaryGrid,
     distances_km: Mapping[str, float],
-    city_subset: Iterable[str] | None = None,
 ) -> KeywordRanking:
     """Rank keywords by the strength of their activity-vs-distance correlation.
 
-    ``grid`` holds whole-period summaries, one column per keyword. Cities
-    outside ``city_subset`` are ignored, and so is a keyword with no summary
-    in a subset city; a keyword active in fewer than three subset cities is
+    ``grid`` holds whole-period summaries, one column per keyword. Only the
+    cities of ``distances_km`` are ranked over, and a keyword with no summary
+    in one of them is ignored; a keyword active in fewer than three of them is
     flagged degenerate and ranked last.
     """
-    cities = sorted(set(city_subset) if city_subset is not None else grid.region_ids)
-    missing = [c for c in cities if c not in distances_km]
-    if missing:
-        raise ValueError(f"no track distance for city {missing[0]!r}")
-
     position = grid.positions[0]
-    rows = np.array([position[c] for c in cities if c in position], dtype=np.intp)
+    rows = np.array([position[c] for c in sorted(distances_km) if c in position], dtype=np.intp)
     distance = np.array([distances_km[grid.region_ids[k]] for k in rows.tolist()], dtype=float)
     count = grid.n_messages[rows]
     users = grid.active_users_period[rows]

@@ -32,6 +32,7 @@ from .analysis import (
 )
 from .geo import SpatialIndex, point_to_track_km, region_centroids, spatial_join
 from .ingest import (
+    _BLOCK_ROWS,
     MODELED_SOURCE,
     CountyStats,
     IngestError,
@@ -62,7 +63,19 @@ DEFAULT_EPOCH = datetime(2012, 10, 30, tzinfo=timezone.utc)
 DEFAULT_WINDOW = "2012-10-31..2012-11-12"
 DEFAULT_SPAN = "2012-10-22..2012-11-11"
 DEFAULT_MIN_LON = -90.0  # "east coast" city subset: centroids east of this longitude
+DEFAULT_CELL_DEG = 0.25
 DIAGNOSTICS_SHOWN = 5  # validate prints this many diagnostics per input
+
+# The input files each analysis command reads, True for those it needs. They are the command's input
+# options, and on correlate and nowcast a --county-table stands in for all of them.
+COMMAND_INPUTS = {
+    "join": {"messages": True, "regions": True},
+    "summarize": {"messages": True, "regions": True, "population": False},
+    "rank-keywords": {"messages": True, "regions": True, "track": True},
+    "correlate": {"messages": True, "regions": True, "population": True, "damage": True},
+    "series": {"messages": True, "regions": True, "population": True, "damage": True},
+    "nowcast": {"messages": True, "regions": True, "population": True, "damage": False},
+}
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -122,9 +135,7 @@ def _parse_keywords(text: str | None) -> tuple[str, ...]:
 
 def _echo_config(args: argparse.Namespace) -> dict[str, str]:
     echo = {"tool": f"damagenowcast {__version__}"}
-    for key in sorted(vars(args)):
-        if key in ("func",):
-            continue
+    for key in sorted(vars(args).keys() - {"func"}):
         value = getattr(args, key)
         if value is None:
             text = ""
@@ -151,13 +162,28 @@ def _write_report(
     return count
 
 
-def _assignments(messages: MessageTable, regions: RegionTable, cell_deg: float) -> RegionCodes:
-    """The region of every message: one code per row into the sorted region ids, -1 for none."""
-    index = SpatialIndex(regions, cell_deg=cell_deg)
+def _report(args: argparse.Namespace, name: str, columns: Sequence[str], rows: Iterable[Sequence],
+            note: str | None = "") -> None:
+    """Write report ``name`` into --out under the ``#`` header of the run's configuration, then print
+    where it went and its row count followed by ``note``; with a note of None, print nothing."""
+    path = Path(args.out) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    n = _write_report(path, _echo_config(args), columns, rows)
+    if note is not None:
+        print(f"wrote {path} ({n} rows{note})")
+
+
+def _load(args: argparse.Namespace, keywords: Iterable[str] | None = None,
+          ) -> tuple[MessageTable, RegionTable, RegionCodes]:
+    """The messages (with one of ``keywords``, if given), the regions, and the region of every message:
+    one code per row into the sorted region ids, -1 for none."""
+    messages = _records("messages", parse_messages(args.messages, keywords))
+    regions = _records("regions", parse_regions(args.regions))
+    index = SpatialIndex(regions, cell_deg=args.cell_deg)
     joined = spatial_join(messages, regions, index)  # codes of the located rows, in row order
     codes = np.full(len(messages), -1, dtype=np.int64)
     codes[~np.isnan(messages.lat)] = joined.codes
-    return RegionCodes(codes, index.region_ids)
+    return messages, regions, RegionCodes(codes, index.region_ids)
 
 
 def _records(name: str, result: ParseResult):
@@ -244,24 +270,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_join(args: argparse.Namespace) -> int:
-    messages = _records("messages", parse_messages(args.messages))
-    regions = _records("regions", parse_regions(args.regions))
-    assignments = _assignments(messages, regions, args.cell_deg)
-    out = Path(args.out) / "join.csv"
-    names = np.array([*assignments.region_ids, ""], dtype=object)  # code -1 picks the trailing ""
-    rows = zip(messages.message_id.tolist(), names[assignments.codes].tolist())
-    n = _write_report(out, _echo_config(args), ["message_id", "region_id"], rows)
-    print(f"wrote {out} ({n} rows)")
+    messages, _, codes = _load(args)
+    names = np.array([*codes.region_ids, ""], dtype=object)  # code -1 picks the trailing ""
+    rows = (row for start in range(0, len(messages), _BLOCK_ROWS)  # as Python strings a block at a time
+            for row in zip(messages.message_id[start:start + _BLOCK_ROWS].tolist(),
+                           names[codes.codes[start:start + _BLOCK_ROWS]].tolist()))
+    _report(args, "join.csv", ["message_id", "region_id"], rows)
     return EXIT_OK
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    messages = _records("messages", parse_messages(args.messages, args.keywords))
-    regions = _records("regions", parse_regions(args.regions))
+    messages, regions, codes = _load(args, args.keywords)
     population = _population(args.population) if args.population else {}
-    assignments = _assignments(messages, regions, args.cell_deg)
     window = _parse_window(args.window) if args.window else None
-    grid = summarize_regions(messages, assignments, window, population=population,
+    grid = summarize_regions(messages, codes, window, population=population,
                              region_ids=regions.region_id.tolist())
     present = np.flatnonzero(grid.present[:, 0])
     counts = ("n_messages", "n_original", "n_retweets", "n_popular", "active_users_window", "active_users_period")
@@ -274,10 +296,9 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
             grid.mean_sentiment[present, 0].tolist(), grid.population[present, 0].tolist(),
         )
     ]
-    out = Path(args.out) / "summaries.csv"
-    n = _write_report(
-        out,
-        _echo_config(args),
+    _report(
+        args,
+        "summaries.csv",
         [
             "region_id",
             "window_start",
@@ -293,15 +314,12 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         ],
         rows,
     )
-    print(f"wrote {out} ({n} rows)")
     return EXIT_OK
 
 
 def _cmd_rank_keywords(args: argparse.Namespace) -> int:
-    messages = _records("messages", parse_messages(args.messages))
-    regions = _records("regions", parse_regions(args.regions))
+    messages, regions, codes = _load(args)
     track = _records("track", parse_track(args.track))
-    assignments = _assignments(messages, regions, args.cell_deg)
     window = _parse_window(args.window) if args.window else None
 
     distances = {}
@@ -309,30 +327,19 @@ def _cmd_rank_keywords(args: argparse.Namespace) -> int:
         if center.lon >= args.min_lon:
             distances[region_id] = point_to_track_km(center, track)
 
-    grid = summarize_regions(messages, assignments, window, scopes={tag: frozenset({tag}) for tag in messages.tags})
-    ranking = rank_keywords(grid, distances, city_subset=distances)
-    rows = []
-    for i, entry in enumerate(ranking.entries, start=1):
-        rows.append(
-            [
-                i,
-                entry.keyword,
-                entry.n_cities,
-                _fmt(entry.kendall.coefficient),
-                _fmt(entry.kendall.p_value),
-                _fmt(entry.spearman.coefficient),
-                _fmt(entry.spearman.p_value),
-                int(entry.degenerate),
-            ]
-        )
-    out = Path(args.out) / "keywords.csv"
-    n = _write_report(
-        out,
-        _echo_config(args),
+    grid = summarize_regions(messages, codes, window, scopes={tag: frozenset({tag}) for tag in messages.tags})
+    ranking = rank_keywords(grid, distances)
+    rows = [
+        [i, entry.keyword, entry.n_cities, _fmt(entry.kendall.coefficient), _fmt(entry.kendall.p_value),
+         _fmt(entry.spearman.coefficient), _fmt(entry.spearman.p_value), int(entry.degenerate)]
+        for i, entry in enumerate(ranking.entries, start=1)
+    ]
+    _report(
+        args,
+        "keywords.csv",
         ["rank", "keyword", "n_cities", "kendall", "kendall_p", "spearman", "spearman_p", "degenerate"],
         rows,
     )
-    print(f"wrote {out} ({n} rows)")
     if all(entry.degenerate for entry in ranking.entries):
         print("rank-keywords: all keywords degenerate", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -347,26 +354,22 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
             "ex_post": {s.county: s.expost_damage_usd for s in stats},
             "hazus": {s.county: s.hazus_damage_usd for s in stats},
         }
-        include_sentiment = False
     else:
         window = _parse_window(args.window)
-        messages = _records("messages", parse_messages(args.messages))
-        regions = _records("regions", parse_regions(args.regions))
+        messages, regions, codes = _load(args)
         population = _population(args.population)
         damage_by_source = _load_damage(args.damage)
-        assignments = _assignments(messages, regions, args.cell_deg)
         scopes = {POOLED: frozenset(args.keywords) or None}
         for keyword in args.keywords:
             scopes[keyword] = frozenset({keyword})
         grid = summarize_regions(
-            messages, assignments, window, population=population,
+            messages, codes, window, population=population,
             region_ids=regions.region_id.tolist(), scopes=scopes,
         )
-        del messages, regions, assignments  # as in series, and before --overlay decodes the regions again
-        include_sentiment = True
+        del messages, regions, codes  # as in series, and before --overlay decodes the regions again
 
     report = damage_correlation_report(
-        grid, damage_by_source, original_only=args.original_only, include_sentiment=include_sentiment,
+        grid, damage_by_source, original_only=args.original_only, include_sentiment=not args.county_table,
     )
 
     rows = []
@@ -385,10 +388,9 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
                 cell.result.excluded,
             ]
         )
-    out = Path(args.out) / "correlations.csv"
-    n = _write_report(
-        out,
-        _echo_config(args),
+    _report(
+        args,
+        "correlations.csv",
         [
             "scope",
             "keyword",
@@ -403,7 +405,6 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         ],
         rows,
     )
-    print(f"wrote {out} ({n} rows)")
 
     if args.overlay:
         damage = _ex_post_damage(damage_by_source)
@@ -455,18 +456,16 @@ def _write_overlay(path: str, regions_path: str, grid: SummaryGrid, damage: Mapp
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    messages = _records("messages", parse_messages(args.messages, args.keywords))
-    regions = _records("regions", parse_regions(args.regions))
+    messages, _, codes = _load(args, args.keywords)
     population = _population(args.population)
     damage = _ex_post_damage(_load_damage(args.damage))
     if not damage:
         raise IngestError(f"damage: no ex-post rows (every source except {MODELED_SOURCE})")
 
     epoch, width, bins = _series_bins(args)
-    assignments = _assignments(messages, regions, args.cell_deg)
-    daily = summarize_daily(messages, assignments, epoch, width, bins, population=population)
+    daily = summarize_daily(messages, codes, epoch, width, bins, population=population)
     # the table is done with: held on, the statistics' allocations (scipy's import among them) stack on top of it
-    del messages, assignments
+    del messages, codes
     series = daily_correlation_series(daily, damage, bins, epoch, width, normalization=args.normalization)
 
     rows = []
@@ -486,14 +485,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
                     _fmt(result.p_value),
                 ]
             )
-    out = Path(args.out) / "series.csv"
-    n = _write_report(
-        out,
-        _echo_config(args),
-        ["bin_start", "active_regions", "messages", "method", "coefficient", "p_value"],
-        rows,
-    )
-    print(f"wrote {out} ({n} rows)")
+    _report(args, "series.csv", ["bin_start", "active_regions", "messages", "method", "coefficient", "p_value"], rows)
     if all(e.activity_damage_kendall.degenerate for e in series.entries):
         print("series: every bin degenerate", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -501,18 +493,15 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_nowcast(args: argparse.Namespace) -> int:
+    damage = None
     if args.county_table:
         grid = _county_summaries(_records("county table", parse_county_table(args.county_table)))
-        damage = None
     else:
         window = _parse_window(args.window)
-        messages = _records("messages", parse_messages(args.messages, args.keywords))
-        regions = _records("regions", parse_regions(args.regions))
+        messages, regions, codes = _load(args, args.keywords)
         population = _population(args.population)
-        assignments = _assignments(messages, regions, args.cell_deg)
-        grid = summarize_regions(messages, assignments, window, population=population,
+        grid = summarize_regions(messages, codes, window, population=population,
                                  region_ids=regions.region_id.tolist())
-        damage = None
         if args.damage:
             damage = _ex_post_damage(_load_damage(args.damage))
             if not damage:
@@ -521,7 +510,6 @@ def _cmd_nowcast(args: argparse.Namespace) -> int:
 
     report = nowcast(grid, original_only=args.original_only, damage_usd=damage or None)
 
-    out = Path(args.out) / "nowcast.csv"
     columns = ["rank", "region_id", "per_capita_activity", "n_original", "population"]
     rows = [
         [e.rank, e.region_id, _fmt(e.per_capita_activity), e.n_original, e.population]
@@ -531,12 +519,8 @@ def _cmd_nowcast(args: argparse.Namespace) -> int:
         columns.append("damage_rank")
         for row, e in zip(rows, report.entries):
             row.append(e.damage_rank)
-    n = _write_report(out, _echo_config(args), columns, rows)
-    excluded_path = Path(args.out) / "nowcast_excluded.csv"
-    _write_report(
-        excluded_path, _echo_config(args), ["region_id", "reason"], list(report.excluded)
-    )
-    print(f"wrote {out} ({n} rows; {len(report.excluded)} excluded)")
+    _report(args, "nowcast.csv", columns, rows, note=f"; {len(report.excluded)} excluded")
+    _report(args, "nowcast_excluded.csv", ["region_id", "reason"], report.excluded, note=None)
     if not report.entries:
         print("nowcast: no active regions", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -568,16 +552,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # parser wiring
 
 
-def _add_common_io(p: _Parser, *, track: bool = False, damage: bool = True) -> None:
-    p.add_argument("--messages", help="messages.csv path")
-    p.add_argument("--regions", help="regions.geojson path")
-    p.add_argument("--population", help="population.csv path")
-    if damage:
-        p.add_argument("--damage", help="damage.csv path")
-    if track:
-        p.add_argument("--track", help="track.csv path")
-    p.add_argument("--cell-deg", type=float, default=0.25, help="spatial index cell size, degrees")
+def _analysis_parser(sub, command: str, func, help: str, county_table: bool = False) -> _Parser:
+    """The subparser of an analysis command: an option for each of its :data:`COMMAND_INPUTS`, the
+    spatial index cell size (``None`` until :func:`_check_inputs`), the output directory and, where a
+    ``county_table`` can stand in for the inputs, that table and the options it refuses."""
+    p = sub.add_parser(command, help=help)
+    for name in COMMAND_INPUTS[command]:
+        p.add_argument(f"--{name}", help=f"{name}.{'geojson' if name == 'regions' else 'csv'} path")
+    p.add_argument("--cell-deg", type=float, help="spatial index cell size, degrees")
     p.add_argument("--out", default=".", help="output directory")
+    if county_table:
+        p.add_argument("--county-table", help="use a county counts table instead of raw inputs")
+        p.add_argument("--window", help=f"default {DEFAULT_WINDOW}; not with --county-table")
+        p.add_argument("--keywords", type=_parse_keywords, help="default: the keyword pool; not with --county-table")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> _Parser:
@@ -586,60 +575,39 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
     p = sub.add_parser("validate", help="parse inputs and report diagnostics")
-    p.add_argument("--messages")
-    p.add_argument("--regions")
-    p.add_argument("--population")
-    p.add_argument("--damage")
-    p.add_argument("--track")
-    p.add_argument("--county-table")
+    for name in ("messages", "regions", "population", "damage", "track", "county-table"):
+        p.add_argument(f"--{name}")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("join", help="assign messages to regions")
-    _add_common_io(p, damage=False)
-    p.set_defaults(func=_cmd_join)
+    _analysis_parser(sub, "join", _cmd_join, "assign messages to regions")
 
-    p = sub.add_parser("summarize", help="per-region activity summaries")
-    _add_common_io(p, damage=False)
+    p = _analysis_parser(sub, "summarize", _cmd_summarize, "per-region activity summaries")
     p.add_argument("--window", help="YYYY-MM-DD..YYYY-MM-DD (inclusive); default whole corpus")
     p.add_argument("--keywords", type=_parse_keywords, default=None,
                    help="comma-separated tag filter; default: no filter")
-    p.set_defaults(func=_cmd_summarize)
 
-    p = sub.add_parser("rank-keywords", help="rank keywords by activity-distance correlation")
-    _add_common_io(p, track=True, damage=False)
+    p = _analysis_parser(sub, "rank-keywords", _cmd_rank_keywords, "rank keywords by activity-distance correlation")
     p.add_argument("--window", help="restrict to a window (default whole corpus)")
     p.add_argument("--min-lon", type=float, default=DEFAULT_MIN_LON,
                    help="keep cities with centroid east of this longitude")
-    p.set_defaults(func=_cmd_rank_keywords)
 
-    p = sub.add_parser("correlate", help="activity-damage correlation report")
-    _add_common_io(p)
-    p.add_argument("--county-table", help="use a county counts table instead of raw inputs")
-    p.add_argument("--window", help=f"default {DEFAULT_WINDOW}; not with --county-table")
-    p.add_argument("--keywords", type=_parse_keywords, help="default: the keyword pool; not with --county-table")
+    p = _analysis_parser(sub, "correlate", _cmd_correlate, "activity-damage correlation report", county_table=True)
     p.add_argument("--original-only", action="store_true",
                    help="count original messages only on the activity side")
     p.add_argument("--overlay", help="also write a region overlay GeoJSON to this path")
-    p.set_defaults(func=_cmd_correlate)
 
-    p = sub.add_parser("series", help="daily correlation series")
-    _add_common_io(p)
+    p = _analysis_parser(sub, "series", _cmd_series, "daily correlation series")
     p.add_argument("--epoch", default=DEFAULT_EPOCH.isoformat())
     p.add_argument("--bin-hours", type=int, default=24)
     p.add_argument("--span", default=DEFAULT_SPAN)
     p.add_argument("--keywords", type=_parse_keywords, default=DEFAULT_KEYWORD_POOL)
     p.add_argument("--normalization", choices=("per_capita", "per_period_user"),
                    default="per_capita")
-    p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("nowcast", help="rank regions by post-event per-capita activity")
-    _add_common_io(p)
-    p.add_argument("--county-table", help="use a county counts table instead of raw inputs")
-    p.add_argument("--window", help=f"default {DEFAULT_WINDOW}; not with --county-table")
-    p.add_argument("--keywords", type=_parse_keywords, help="default: the keyword pool; not with --county-table")
+    p = _analysis_parser(sub, "nowcast", _cmd_nowcast, "rank regions by post-event per-capita activity",
+                         county_table=True)
     p.add_argument("--original-only", action=argparse.BooleanOptionalAction, default=True,
                    help="rank by original messages (default) or all messages")
-    p.set_defaults(func=_cmd_nowcast)
 
     p = sub.add_parser("simulate", help="generate a synthetic input bundle")
     p.add_argument("--seed", type=int, required=True)
@@ -671,20 +639,30 @@ def _check_simulate(args: argparse.Namespace, parser: _Parser) -> None:
             parser.error(f"--{name.replace('_', '-')} must be finite and non-negative, got {value!r}")
 
 
-def _check_county_table(args: argparse.Namespace, parser: _Parser) -> None:
-    """A county table holds no messages, so --window and --keywords cannot apply to it: given,
-    they are a usage error, and otherwise they are left out of the report header. Without a
-    county table, they take their defaults."""
-    if args.county_table:
-        given = [f"--{name}" for name in ("window", "keywords") if getattr(args, name) is not None]
+def _check_inputs(args: argparse.Namespace, parser: _Parser) -> None:
+    """Refuse an analysis run without each input its command needs, unless a --county-table stands in
+    for them all. A county table holds no messages, so with one the inputs, --cell-deg, --window and
+    --keywords cannot apply: given, they are a usage error, and otherwise they are left out of the
+    report header. Without a county table, --cell-deg, --window and --keywords take their defaults."""
+    inputs = COMMAND_INPUTS[args.command]
+    if getattr(args, "county_table", None):
+        message_side = [*inputs, "cell_deg", "window", "keywords"]
+        given = [f"--{name.replace('_', '-')}" for name in message_side if getattr(args, name) is not None]
         if given:
             parser.error(f"{' and '.join(given)} cannot apply to a --county-table, which holds no messages")
-        del args.window, args.keywords
+        for name in message_side:
+            delattr(args, name)
         return
-    if args.window is None:
-        args.window = DEFAULT_WINDOW
-    if args.keywords is None:
-        args.keywords = DEFAULT_KEYWORD_POOL
+    missing = [f"--{name}" for name, needed in inputs.items() if needed and not getattr(args, name)]
+    if missing:
+        parser.error(f"missing required option(s): {', '.join(missing)}")
+    if args.cell_deg is None:
+        args.cell_deg = DEFAULT_CELL_DEG
+    if "county_table" in args:  # correlate and nowcast
+        if args.window is None:
+            args.window = DEFAULT_WINDOW
+        if args.keywords is None:
+            args.keywords = DEFAULT_KEYWORD_POOL
 
 
 def _check_times(args: argparse.Namespace, parser: _Parser) -> None:
@@ -700,46 +678,25 @@ def _check_times(args: argparse.Namespace, parser: _Parser) -> None:
         parser.error(str(exc))
 
 
-def _require(args: argparse.Namespace, parser: _Parser, names: Sequence[str]) -> None:
-    if getattr(args, "county_table", None):
-        return
-    missing = [n for n in names if not getattr(args, n, None)]
-    if missing:
-        parser.error(f"missing required option(s): {', '.join('--' + m for m in missing)}")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    required = {
-        "join": ("messages", "regions"),
-        "summarize": ("messages", "regions"),
-        "rank-keywords": ("messages", "regions", "track"),
-        "correlate": ("messages", "regions", "population", "damage"),
-        "series": ("messages", "regions", "population", "damage"),
-        "nowcast": ("messages", "regions", "population"),
-    }
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return EXIT_INPUT_ERROR
-        if args.command in required:
-            _require(args, parser, required[args.command])
         if args.command == "simulate":
             _check_simulate(args, parser)
         if args.command == "correlate" and args.county_table and args.overlay:
             parser.error("--overlay needs region geometry, which a --county-table does not have")
-        if args.command in ("correlate", "nowcast"):
-            _check_county_table(args, parser)
+        if args.command in COMMAND_INPUTS:
+            _check_inputs(args, parser)
         _check_times(args, parser)
     except SystemExit as exc:
         # our error() raises 1; argparse raises 0 for --help/--version
         return int(exc.code or 0)
 
     try:
-        out_dir = getattr(args, "out", None)
-        if out_dir is not None and args.command != "simulate":
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except (ValueError, OSError) as exc:
         # IngestError is a ValueError; bad option values (epoch, window) land here too

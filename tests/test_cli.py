@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -191,15 +192,19 @@ class TestCorrelateCommand:
 
     @pytest.mark.parametrize("command", ["correlate", "nowcast"])
     def test_county_table_with_window_or_keywords_is_a_usage_error(self, command, tmp_path, capsys):
-        # both were echoed in the header of a report they did not change
-        for option, value in (("--window", "2099-01-01..2099-01-02"), ("--keywords", "gas")):
+        # each was echoed in the header of a report it did not change; none of the files need exist
+        missing = tmp_path / "missing.csv"
+        for option, value in (("--window", "2099-01-01..2099-01-02"), ("--keywords", "gas"), ("--messages", missing),
+                              ("--regions", missing), ("--population", missing), ("--damage", missing),
+                              ("--cell-deg", "7")):
             assert run(command, "--county-table", FIXTURE, option, value, "--out", tmp_path / option) == 1
-            assert option in capsys.readouterr().err
+            assert f"{option} cannot apply to a --county-table" in capsys.readouterr().err
             assert not (tmp_path / option).exists()
         assert run(command, "--county-table", FIXTURE, "--out", tmp_path / "plain") == 0
         report = tmp_path / "plain" / ("correlations.csv" if command == "correlate" else "nowcast.csv")
         config, _ = read_report(report)
-        assert "county-table" in config and "window" not in config and "keywords" not in config
+        assert "county-table" in config
+        assert not config.keys() & {"window", "keywords", "messages", "regions", "population", "damage", "cell-deg"}
 
     def test_degenerate_only_exits_2(self, sim_bundle, tmp_path):
         code = run(
@@ -574,6 +579,33 @@ class TestErrorHandling:
     def test_missing_required_inputs_exit_1(self, tmp_path):
         assert run("correlate", "--out", tmp_path) == 1
 
+    @pytest.mark.parametrize("command", ["join", "rank-keywords"])
+    def test_population_is_not_an_option_where_nothing_reads_it(self, command, sim_bundle, tmp_path, capsys):
+        # it was echoed as "# population = <path>" in a report it did not change
+        inputs = ("--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson",
+                  "--track", sim_bundle / "track.csv")[:6 if command == "rank-keywords" else 4]
+        assert run(command, *inputs, "--population", tmp_path / "missing.csv", "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "unrecognized arguments: --population" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, options", [
+        ("join", "messages regions cell-deg out"),
+        ("summarize", "messages regions population cell-deg out window keywords"),
+        ("rank-keywords", "messages regions track cell-deg out window min-lon"),
+        ("correlate", "messages regions population damage cell-deg out county-table window keywords original-only "
+                      "overlay"),
+        ("series", "messages regions population damage cell-deg out epoch bin-hours span keywords normalization"),
+        ("nowcast", "messages regions population damage cell-deg out county-table window keywords original-only "
+                    "no-original-only"),
+    ])
+    def test_each_analysis_command_takes_the_options_it_reads(self, command, options, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]  # argparse wraps between options, never inside one
+        accepted = set(re.findall(r"--[a-z][a-z-]*", usage))
+        assert accepted == {f"--{name}" for name in options.split()}
+
     def test_missing_file_exits_1(self, tmp_path):
         assert run(
             "correlate",
@@ -630,16 +662,17 @@ class TestRejectedRowsWarning:
         messages = tmp_path / "messages.csv"
         lines = (sim_bundle / "messages.csv").read_text().splitlines()
         messages.write_text("\n".join(lines + ["bad,row", "m-x,u,not-a-time,,,storm,0,0,"]) + "\n")
-        population = tmp_path / "population.csv"
-        population.write_text((sim_bundle / "population.csv").read_text() + "r-x,zero\n")
+        # the tables are parsed after the join, and the lines keep the order of the inputs
+        for name, bad in (("population", "r-x,zero"), ("damage", "r-x,ex_post,none"), ("track", "x,y,z")):
+            (tmp_path / f"{name}.csv").write_text((sim_bundle / f"{name}.csv").read_text() + bad + "\n")
         inputs = ("--messages", messages, "--regions", sim_bundle / "regions.geojson")
-        tables = ("--population", population, "--damage", sim_bundle / "damage.csv")
+        tables = ("--population", tmp_path / "population.csv", "--damage", tmp_path / "damage.csv")
         commands = {
             "join": ("join", *inputs),
             "correlate": ("correlate", *inputs, *tables),
             "series": ("series", *inputs, *tables),
             "nowcast": ("nowcast", *inputs, *tables),
-            "rank-keywords": ("rank-keywords", *inputs, "--track", sim_bundle / "track.csv"),
+            "rank-keywords": ("rank-keywords", *inputs, "--track", tmp_path / "track.csv"),
         }
         total = len(lines) + 1
         for name, argv in commands.items():
@@ -647,9 +680,9 @@ class TestRejectedRowsWarning:
             assert run(*argv, "--out", tmp_path / name) in (0, 2)
             warnings = [line for line in capsys.readouterr().err.splitlines() if "rejected" in line]
             expected = [f"messages: 2 of {total} rows rejected (run validate for details)"]
-            if name in ("correlate", "series", "nowcast"):
-                population_rows = len((sim_bundle / "population.csv").read_text().splitlines())
-                expected.append(f"population: 1 of {population_rows} rows rejected (run validate for details)")
+            for table in {"join": (), "rank-keywords": ("track",)}.get(name, ("population", "damage")):
+                rows = len((sim_bundle / f"{table}.csv").read_text().splitlines())
+                expected.append(f"{table}: 1 of {rows} rows rejected (run validate for details)")
             assert warnings == expected, name
 
     def test_clean_inputs_print_no_warning(self, sim_bundle, tmp_path, capsys):
