@@ -58,12 +58,12 @@ GOLDEN = {
     "correlate/correlations.csv": "65f4e44ef3691580a695e5d3557c9b68b0b833d5c8f78750031798e3a7027119",
     "correlate-original/correlations.csv": "1f6072ac72ff89aeb8deb425c4449ee0c818df9ea22916cfb4b07707a0364f9d",
     "correlate/overlay.geojson": "ad86bc60f66cdb0791b4cbe7107916bc3eca2036e63386413d11608a38a92ac1",
-    "join/join.csv": "65d55cb1e3f6d49505e827ef5e075048d103a526a04a749e1c3bbb6b8736475d",
+    "join/join.csv": "e11099aa583398bcaa5f544cc07dd407dbf1ce03f811036c09bc965a16e36e4e",  # no population
     "nowcast-all/nowcast.csv": "85a17b6ae13aa258fc1bcb4bef8af24f8511087ebdc47c96daaf299c896a2997",
     "nowcast-all/nowcast_excluded.csv": "1274d2decdd9f16ba5233dc59af276b38987d11c7dabd42963752d953b646272",
     "nowcast/nowcast.csv": "7b1d222171d1a1a620fcc7f56e256e618aba655a35012a28ee4a1d8c32c3868f",  # damage_rank column
     "nowcast/nowcast_excluded.csv": "db0d7ba7af12742c49e6f5ca53bb9eac989ff7114b9e14f63bb711c5c57cc125",
-    "rank-keywords/keywords.csv": "5cf1b3c22d8165b2004f139c2764261acadb8eea72e5e726791a6215bf8bbac5",
+    "rank-keywords/keywords.csv": "bdd3f208eb6082643d9f75ec06e86f02232ec4edab37546835dedb092cbb0c58",  # no population
     "series/series.csv": "683e9c6dea776424c47633b607c458d77773c033ce42ef305060a0c576ec1635",
     "series-per-user/series.csv": "88e594fa3f77bfc104f739ab873caa881e7dc0556622b2087f6c7464e7c8945c",
     "summarize/summaries.csv": "61f55affb8a2f68db796e7effccca3d2420437023f18788a3f90f0b5209e5b57",
