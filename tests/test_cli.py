@@ -582,8 +582,9 @@ class TestErrorHandling:
     @pytest.mark.parametrize("command", ["join", "rank-keywords"])
     def test_population_is_not_an_option_where_nothing_reads_it(self, command, sim_bundle, tmp_path, capsys):
         # it was echoed as "# population = <path>" in a report it did not change
-        inputs = ("--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson",
-                  "--track", sim_bundle / "track.csv")[:6 if command == "rank-keywords" else 4]
+        inputs = ["--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson"]
+        if command == "rank-keywords":
+            inputs += ["--track", sim_bundle / "track.csv"]
         assert run(command, *inputs, "--population", tmp_path / "missing.csv", "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "unrecognized arguments: --population" in err
