@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .metrics import SummaryGrid
-from .stats import CorrelationResult, correlate, rank_discrepancy
+from .stats import METHODS, TRANSFORMS, CorrelationResult, _degenerate, correlate, rank_discrepancy
 
 __all__ = [
     "DEFAULT_KEYWORD_POOL",
@@ -43,10 +43,8 @@ POOLED = "pooled"
 
 MIN_ACTIVE = 3  # paired samples below this produce a degenerate cell
 
-# the report's cells: every normalization, transform and method
+# the report's cells: every normalization, and every transform and method of stats
 NORMALIZATIONS = ("census_population", "twitter_users")
-TRANSFORMS = ("raw", "log10")
-METHODS = ("kendall", "spearman", "pearson")
 
 
 @dataclass(frozen=True)
@@ -182,14 +180,7 @@ def _guarded(
     x: Sequence[float], y: Sequence[float], method: str, transform: str = "raw"
 ) -> CorrelationResult:
     if len(x) < MIN_ACTIVE:
-        return CorrelationResult(
-            method=method,
-            coefficient=float("nan"),
-            p_value=float("nan"),
-            n=len(x),
-            transform=transform,
-            degenerate=True,
-        )
+        return _degenerate(method, transform, len(x), 0)
     return correlate(x, y, method, transform)
 
 

@@ -180,9 +180,9 @@ def _load(args: argparse.Namespace, keywords: Iterable[str] | None = None,
     messages = _records("messages", parse_messages(args.messages, keywords))
     regions = _records("regions", parse_regions(args.regions))
     index = SpatialIndex(regions, cell_deg=args.cell_deg)
-    joined = spatial_join(messages, regions, index)  # codes of the located rows, in row order
+    located = ~np.isnan(messages.lat)
     codes = np.full(len(messages), -1, dtype=np.int64)
-    codes[~np.isnan(messages.lat)] = joined.codes
+    codes[located] = spatial_join(messages.lat[located], messages.lon[located], index).codes
     return messages, regions, RegionCodes(codes, index.region_ids)
 
 
@@ -643,7 +643,8 @@ def _check_inputs(args: argparse.Namespace, parser: _Parser) -> None:
     """Refuse an analysis run without each input its command needs, unless a --county-table stands in
     for them all. A county table holds no messages, so with one the inputs, --cell-deg, --window and
     --keywords cannot apply: given, they are a usage error, and otherwise they are left out of the
-    report header. Without a county table, --cell-deg, --window and --keywords take their defaults."""
+    report header. Without a county table, --cell-deg, --window and --keywords take their defaults, and
+    --cell-deg must be > 0."""
     inputs = COMMAND_INPUTS[args.command]
     if getattr(args, "county_table", None):
         message_side = [*inputs, "cell_deg", "window", "keywords"]
@@ -658,6 +659,8 @@ def _check_inputs(args: argparse.Namespace, parser: _Parser) -> None:
         parser.error(f"missing required option(s): {', '.join(missing)}")
     if args.cell_deg is None:
         args.cell_deg = DEFAULT_CELL_DEG
+    if not args.cell_deg > 0:
+        parser.error(f"--cell-deg must be > 0, got {args.cell_deg!r}")
     if "county_table" in args:  # correlate and nowcast
         if args.window is None:
             args.window = DEFAULT_WINDOW
@@ -689,6 +692,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             _check_simulate(args, parser)
         if args.command == "correlate" and args.county_table and args.overlay:
             parser.error("--overlay needs region geometry, which a --county-table does not have")
+        if args.command == "rank-keywords" and math.isnan(args.min_lon):
+            parser.error("--min-lon must not be NaN")
         if args.command in COMMAND_INPUTS:
             _check_inputs(args, parser)
         _check_times(args, parser)

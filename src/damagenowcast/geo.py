@@ -22,20 +22,19 @@ The join is batched numpy work with no Python loop per point:
   y-extent reaches the point. A point goes to the smallest region_id that
   contains it.
 
-``region_centroid`` is the planar area-weighted centroid of a region's outer
-rings minus its holes; ``region_centroids`` gives it for every region of a
-table from the table's arrays.
+``region_centroids`` gives the planar area-weighted centroid of each region's
+outer rings minus its holes, read from the table's arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .ingest import MessageTable, RegionBoundary, RegionTable
+from .ingest import RegionTable
 
 __all__ = [
     "EARTH_RADIUS_KM",
@@ -44,7 +43,6 @@ __all__ = [
     "SpatialIndex",
     "haversine_km",
     "point_to_track_km",
-    "region_centroid",
     "region_centroids",
     "spatial_join",
 ]
@@ -247,65 +245,56 @@ class _EdgeTable:
         return on_edge | (crossings % 2 == 1)
 
 
-def region_centroid(region: RegionBoundary) -> GeoPoint:
-    """Area-weighted centroid of the outer rings minus the holes, in the lon/lat
-    plane; ring orientation does not matter. A region with no positive area
-    falls back to its bbox midpoint."""
-    return _centroid(region.rings, region.holes, region.bbox)
-
-
 def region_centroids(regions: RegionTable) -> Iterator[GeoPoint]:
-    """:func:`region_centroid` of each region of a table, in table order, read from its arrays."""
+    """Area-weighted centroid of each region's outer rings minus its holes, in table
+    order, in the lon/lat plane; ring orientation does not matter. A region with no
+    positive area falls back to its bbox midpoint."""
     ring_offsets, vertex_offsets = regions.ring_offsets.tolist(), regions.vertex_offsets.tolist()
     hole = regions.hole.tolist()
     for first, last, bbox in zip(ring_offsets, ring_offsets[1:], regions.bbox.tolist()):
-        rings = [regions.vertices[vertex_offsets[k] : vertex_offsets[k + 1]].tolist() for k in range(first, last)]
-        yield _centroid(rings, {k - first for k in range(first, last) if hole[k]}, bbox)
-
-
-def _centroid(rings: Sequence[Sequence[Sequence[float]]], holes: Container[int],
-              bbox: Sequence[float]) -> GeoPoint:
-    min_lon, min_lat, max_lon, max_lat = bbox
-    area = moment_x = moment_y = 0.0
-    for k, ring in enumerate(rings):
-        twice_area = ring_x = ring_y = 0.0
-        for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
-            # relative to the bbox corner, so the cross products do not cancel
-            ax, ay, bx, by = ax - min_lon, ay - min_lat, bx - min_lon, by - min_lat
-            cross = ax * by - bx * ay
-            twice_area += cross
-            ring_x += (ax + bx) * cross
-            ring_y += (ay + by) * cross
-        sign = math.copysign(1.0, twice_area) * (-1.0 if k in holes else 1.0)
-        area += sign * twice_area / 2.0
-        moment_x += sign * ring_x / 6.0
-        moment_y += sign * ring_y / 6.0
-    if not area > 0.0:
-        return GeoPoint(lat=(min_lat + max_lat) / 2.0, lon=(min_lon + max_lon) / 2.0)
-    return GeoPoint(lat=min_lat + moment_y / area, lon=min_lon + moment_x / area)
+        min_lon, min_lat, max_lon, max_lat = bbox
+        area = moment_x = moment_y = 0.0
+        for k in range(first, last):
+            ring = regions.vertices[vertex_offsets[k] : vertex_offsets[k + 1]].tolist()
+            twice_area = ring_x = ring_y = 0.0
+            for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
+                # relative to the bbox corner, so the cross products do not cancel
+                ax, ay, bx, by = ax - min_lon, ay - min_lat, bx - min_lon, by - min_lat
+                cross = ax * by - bx * ay
+                twice_area += cross
+                ring_x += (ax + bx) * cross
+                ring_y += (ay + by) * cross
+            sign = math.copysign(1.0, twice_area) * (-1.0 if hole[k] else 1.0)
+            area += sign * twice_area / 2.0
+            moment_x += sign * ring_x / 6.0
+            moment_y += sign * ring_y / 6.0
+        if not area > 0.0:
+            yield GeoPoint(lat=(min_lat + max_lat) / 2.0, lon=(min_lon + max_lon) / 2.0)
+        else:
+            yield GeoPoint(lat=min_lat + moment_y / area, lon=min_lon + moment_x / area)
 
 
 class SpatialIndex:
-    """Edge table and uniform lon/lat grid over a set of regions.
+    """Edge table and uniform lon/lat grid over the regions of a table.
 
-    Regions sharing a region_id keep the last one given. Each region is
-    registered in every grid cell its bbox, widened by the boundary
-    tolerance, overlaps, so the regions registered in a point's cell are
-    always a superset of those truly containing it. The registrations are
-    compressed rows: the occupied cells' keys, sorted, and per cell a run of
-    region numbers. A grid that would need more than ``_MAX_CELL_ENTRIES``
-    registrations raises ValueError before anything is allocated.
-    Immutable once built.
+    A region_id names one region: a repeated one raises ValueError, as in
+    ``parse_regions``. Each region is registered in every grid cell its bbox,
+    widened by the boundary tolerance, overlaps, so the regions registered in
+    a point's cell are always a superset of those truly containing it. The
+    registrations are compressed rows: the occupied cells' keys, sorted, and
+    per cell a run of region numbers. A grid that would need more than
+    ``_MAX_CELL_ENTRIES`` registrations raises ValueError before anything is
+    allocated. Immutable once built.
     """
 
-    def __init__(self, regions: RegionTable | Iterable[RegionBoundary], cell_deg: float = 0.25):
-        if cell_deg <= 0:
+    def __init__(self, regions: RegionTable, cell_deg: float = 0.25):
+        if not cell_deg > 0:  # NaN too
             raise ValueError("cell_deg must be positive")
         self.cell_deg = cell_deg
-        if not isinstance(regions, RegionTable):
-            regions = RegionTable.from_regions(regions)
-        last = {region_id: k for k, region_id in enumerate(regions.region_id.tolist())}
-        edges = self._edges = _EdgeTable(regions, [last[region_id] for region_id in sorted(last)])
+        position = {region_id: k for k, region_id in enumerate(regions.region_id.tolist())}
+        if len(position) < len(regions):
+            raise ValueError("spatial index: a region_id is repeated")
+        edges = self._edges = _EdgeTable(regions, [position[region_id] for region_id in sorted(position)])
         self.region_ids: list[str] = edges.region_ids
         first_x, last_x = np.floor(edges.x0 / cell_deg), np.floor(edges.x1 / cell_deg)
         first_y, last_y = np.floor(edges.y0 / cell_deg), np.floor(edges.y1 / cell_deg)
@@ -392,9 +381,8 @@ class SpatialIndex:
 
 
 class JoinedRows:
-    """The join of the located rows of a message table, in row order:
-    ``codes[i]`` is the position in ``region_ids`` of the region holding the
-    ``i``-th of them, or -1 for none."""
+    """The join of some points, in point order: ``codes[i]`` is the position in
+    ``region_ids`` of the region holding point ``i``, or -1 for none."""
 
     # a plain class: building a dataclass adds about 1 ms to the package import
     def __init__(self, codes: np.ndarray, region_ids: list[str]):
@@ -405,36 +393,13 @@ class JoinedRows:
         return np.array(self.region_ids + [None], dtype=object)[self.codes].tolist()
 
 
-def spatial_join(
-    points: Iterable[tuple[str, _HasLatLon]] | MessageTable,
-    regions: RegionTable | Sequence[RegionBoundary],
-    index: SpatialIndex | None = None,
-) -> dict[str, str | None] | JoinedRows:
-    """Assign each point to the region containing it (None when uncontained).
+def spatial_join(lat: np.ndarray, lon: np.ndarray, index: SpatialIndex) -> JoinedRows:
+    """The region of the index holding each point ``(lat[i], lon[i])``, if any.
 
-    ``points`` are (point_id, point) pairs, which give a dict, or a message
-    table, which gives the :class:`JoinedRows` of its located rows.
     Overlapping boundaries are tie-broken to the lexicographically smallest
     region_id, so the result is independent of point order, region order,
-    and index cell size. A given ``index`` must have been built over
-    ``regions``.
+    and index cell size.
     """
-    if index is None:
-        index = SpatialIndex(regions)
-    else:
-        region_ids = regions.region_id.tolist() if isinstance(regions, RegionTable) else [r.region_id for r in regions]
-        if sorted(set(region_ids)) != index.region_ids:
-            raise ValueError("spatial_join: index was built over other regions")
-    if isinstance(points, MessageTable):
-        located = ~np.isnan(points.lat)
-        lat, lon = points.lat[located], points.lon[located]
-    else:
-        pairs = list(points)
-        lat = np.array([p.lat for _, p in pairs], dtype=float)
-        lon = np.array([p.lon for _, p in pairs], dtype=float)
     if not (np.isfinite(lat).all() and np.isfinite(lon).all()):
         raise ValueError("spatial_join: point coordinates must be finite")
-    joined = JoinedRows(index._assign(lon, lat), index.region_ids)
-    if isinstance(points, MessageTable):
-        return joined
-    return dict(zip([point_id for point_id, _ in pairs], joined.values()))
+    return JoinedRows(index._assign(lon, lat), index.region_ids)

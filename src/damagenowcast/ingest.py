@@ -230,14 +230,6 @@ class RegionTable(SequenceABC):
     vertex_offsets: np.ndarray  # int64, one more than the rings
     vertices: np.ndarray  # float64, one (lon, lat) row per vertex
 
-    @classmethod
-    def from_regions(cls, regions: Iterable[RegionBoundary]) -> RegionTable:
-        columns = _RegionColumns()
-        for r in regions:
-            rings = [[x for vertex in ring for x in vertex] for ring in r.rings]
-            columns.add(r.region_id, r.name, r.level, r.bbox, rings, [k in r.holes for k in range(len(rings))])
-        return columns.table()
-
     def __len__(self) -> int:
         return len(self.region_id)
 
@@ -922,10 +914,11 @@ def parse_regions(source: str | Path | TextIO) -> ParseResult[RegionBoundary]:
 
     Open rings are auto-closed with a diagnostic; a feature without a usable
     region_id/name/level or geometry is dropped with a diagnostic. Two
-    features sharing a region_id at the same level raise :class:`IngestError`.
+    features sharing a region_id raise :class:`IngestError`, whatever their
+    levels: the population and damage tables are keyed by region_id alone.
     """
     result: ParseResult[RegionBoundary] = ParseResult(records=[])
-    seen: set[tuple[str, str]] = set()
+    levels: dict[str, str] = {}
     columns = _RegionColumns()
     for i, feature in enumerate(load_feature_collection(source).get("features", [])):
         result.rows_total += 1
@@ -936,9 +929,11 @@ def parse_regions(source: str | Path | TextIO) -> ParseResult[RegionBoundary]:
             result.diagnostics.append(f"regions feature {i}: {exc}")
             continue
         region_id, _, level, *_ = region
-        if (level, region_id) in seen:
-            raise IngestError(f"regions: duplicate region_id {region_id!r} at level {level!r}")
-        seen.add((level, region_id))
+        if region_id in levels:
+            first = levels[region_id]
+            where = f"level {level!r}" if first == level else f"levels {first!r} and {level!r}"
+            raise IngestError(f"regions: duplicate region_id {region_id!r} at {where}")
+        levels[region_id] = level
         columns.add(*region)
     result.records = columns.table()
     return result

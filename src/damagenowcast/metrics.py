@@ -15,7 +15,6 @@ summaries return one :class:`SummaryGrid`, the only form the analyses read.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
@@ -95,21 +94,6 @@ class RegionCodes:
 
     codes: np.ndarray
     region_ids: Sequence[str]
-
-    @classmethod
-    def from_mapping(cls, table: MessageTable, assignments: Mapping[str, str | None]) -> "RegionCodes":
-        """Codes from a message_id -> region_id (or None) mapping; absent ids lie in no region."""
-        region_ids = sorted({r for r in assignments.values() if r is not None})
-        position = {region_id: k for k, region_id in enumerate(region_ids)}
-        regions = map(assignments.get, table.message_id.tolist())
-        codes = np.fromiter(map(position.get, regions, itertools.repeat(-1)), np.int64, len(table))
-        return cls(codes, region_ids)
-
-
-def _region_codes(table: MessageTable, assignments: RegionCodes | Mapping[str, str | None]) -> RegionCodes:
-    if isinstance(assignments, RegionCodes):
-        return assignments
-    return RegionCodes.from_mapping(table, assignments)
 
 
 def _to_us(stamp: datetime) -> int:
@@ -198,7 +182,7 @@ class _Cells:
 
 def summarize_regions(
     messages: MessageTable,
-    assignments: RegionCodes | Mapping[str, str | None],
+    codes: RegionCodes,
     window: TimeWindow | None,
     population: Mapping[str, int] | None = None,
     region_ids: Iterable[str] | None = None,
@@ -206,6 +190,7 @@ def summarize_regions(
 ) -> SummaryGrid:
     """Summaries keyed by (region_id, scope name) over ``window`` (all messages
     when None), held as region × scope arrays from one grouped count per scope.
+    ``codes`` holds the region of each message.
 
     ``scopes`` maps a name to a tag set, None for every tag; without it the
     grid has one column, None, that holds every message. A region has a
@@ -216,24 +201,23 @@ def summarize_regions(
     """
     if scopes is None:
         scopes = {None: None}
-    table, codes = messages, _region_codes(messages, assignments)
     listed = set(region_ids or ())
     names = [*codes.region_ids, *sorted(listed.difference(codes.region_ids))]  # the rest hold no message
     located = np.flatnonzero(codes.codes >= 0)
     present, period_users, counts = [], [], []
     # one scope at a time, so each temporary has one entry per message, not one per (message, scope)
-    for member in _scope_members(table, list(scopes.values())).T:
-        row = located[member[table.keyword_set[located]]]
+    for member in _scope_members(messages, list(scopes.values())).T:
+        row = located[member[messages.keyword_set[located]]]
         region = codes.codes[row]
         # presence in a scope and the per-user denominator ignore the window
         present.append(np.bincount(region, minlength=len(names)) > 0)
-        period_users.append(_distinct(region, table.user[row], len(table.user_ids), len(names)))
+        period_users.append(_distinct(region, messages.user[row], len(messages.user_ids), len(names)))
         if window is not None:
-            stamp = table.time_us[row]
+            stamp = messages.time_us[row]
             inside = (_to_us(window.start) <= stamp) & (stamp < _to_us(window.end))
             del stamp
             row, region = row[inside], region[inside]
-        counts.append(_Cells(table, row, region, len(names)))
+        counts.append(_Cells(messages, row, region, len(names)))
         del row, region
     del located
     present = np.array(present, dtype=bool).reshape(len(scopes), len(names))
@@ -346,26 +330,26 @@ class SummaryGrid(MappingABC):
 
 def summarize_daily(
     messages: MessageTable,
-    assignments: RegionCodes | Mapping[str, str | None],
+    codes: RegionCodes,
     epoch: datetime,
     width: timedelta,
     bins: Sequence[int],
     population: Mapping[str, int] | None = None,
 ) -> SummaryGrid:
     """Summaries keyed by (region_id, bin index) for each requested bin, for
-    every region with a message, held as region × bin arrays."""
+    every region with a message (``codes`` holds each message's region), held
+    as region × bin arrays."""
     if width <= timedelta(0):
         raise ValueError("bin width must be positive")
-    table, codes = messages, _region_codes(messages, assignments)
     names = list(codes.region_ids)
     row = np.flatnonzero(codes.codes >= 0)
     region = codes.codes[row]
     has_message = np.bincount(region, minlength=len(names)) > 0
-    period_users = _distinct(region, table.user[row], len(table.user_ids), len(names))
+    period_users = _distinct(region, messages.user[row], len(messages.user_ids), len(names))
 
     # in place, and each temporary dropped once used: at ZCTA scale each is as large as a table column
     wanted = np.array(sorted(set(bins)), dtype=np.int64)
-    index = table.time_us[row]
+    index = messages.time_us[row]
     index -= _to_us(epoch)
     index //= width // MICROSECOND
     slot = np.searchsorted(wanted, index)
@@ -378,7 +362,7 @@ def summarize_daily(
     cell *= n_bins
     cell += slot[inside]
     del slot, inside
-    counts = _Cells(table, row, cell, len(names) * n_bins)
+    counts = _Cells(messages, row, cell, len(names) * n_bins)
     del row, cell
 
     requested = list(dict.fromkeys(bins))

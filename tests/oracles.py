@@ -8,7 +8,9 @@ and report types, the analyses' guarded correlation calls and keyword sort
 key and, for the simulator reference, its config types and constants, region
 grid and GeoJSON feature. ``message_table`` reads records written the
 reference way back through the package's parser, for tests that need a
-message table.
+message table; ``region_table``, ``join_points`` and ``codes_of`` bring region
+objects, (id, point) pairs and message_id -> region_id mappings to the one
+form the package's join and summaries take.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from damagenowcast.analysis import (
     _guarded,
     _relevance_sort_key,
 )
-from damagenowcast.geo import GeoPoint
-from damagenowcast.ingest import MessageRecord, parse_messages
-from damagenowcast.metrics import ActivitySummary, SummaryGrid, bin_window
+from damagenowcast.geo import GeoPoint, SpatialIndex, spatial_join
+from damagenowcast.ingest import MessageRecord, RegionTable, _RegionColumns, parse_messages
+from damagenowcast.metrics import ActivitySummary, RegionCodes, SummaryGrid, bin_window
 from damagenowcast.simulate import (
     LANDFALL,
     POPULARITY_RATE,
@@ -272,6 +274,35 @@ def brute_force_join(points, regions) -> dict[str, str | None]:
                 break
         out[point_id] = assigned
     return out
+
+
+def region_table(regions) -> RegionTable:
+    """The :class:`RegionTable` of RegionBoundary objects, in the given order."""
+    columns = _RegionColumns()
+    for r in regions:
+        rings = [[x for vertex in ring for x in vertex] for ring in r.rings]
+        columns.add(r.region_id, r.name, r.level, r.bbox, rings, [k in r.holes for k in range(len(rings))])
+    return columns.table()
+
+
+def join_points(points, regions, cell_deg=0.25) -> dict[str, str | None]:
+    """The package's join of (point_id, point) pairs over ``regions`` (RegionBoundary objects
+    or a table), with an index of ``cell_deg`` cells: {point_id: region_id, None when uncontained}."""
+    pairs = list(points)
+    lat = np.array([p.lat for _, p in pairs], dtype=float)
+    lon = np.array([p.lon for _, p in pairs], dtype=float)
+    joined = spatial_join(lat, lon, SpatialIndex(region_table(regions), cell_deg=cell_deg))
+    return dict(zip([point_id for point_id, _ in pairs], joined.values()))
+
+
+def codes_of(table, assignments) -> RegionCodes:
+    """The region codes of a message table from a message_id -> region_id (or None) mapping;
+    an absent message_id lies in no region."""
+    region_ids = sorted({r for r in assignments.values() if r is not None})
+    position = {region_id: k for k, region_id in enumerate(region_ids)}
+    regions = map(assignments.get, table.message_id.tolist())
+    codes = np.fromiter(map(position.get, regions, itertools.repeat(-1)), np.int64, len(table))
+    return RegionCodes(codes, region_ids)
 
 
 # ---------------------------------------------------------------------------

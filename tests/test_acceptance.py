@@ -14,7 +14,7 @@ import pytest
 
 from damagenowcast.analysis import POOLED, daily_correlation_series, damage_correlation_report, rank_keywords
 from damagenowcast.cli import main as cli_main
-from damagenowcast.geo import EARTH_RADIUS_KM, GeoPoint, SpatialIndex, haversine_km, spatial_join
+from damagenowcast.geo import EARTH_RADIUS_KM, GeoPoint, haversine_km
 from damagenowcast.ingest import (
     parse_county_table,
     parse_keyed_table,
@@ -27,6 +27,8 @@ from damagenowcast.stats import correlate
 
 from oracles import (
     brute_force_join,
+    codes_of,
+    join_points,
     kendall_exact_p_enumerated,
     kendall_exact_p_loop,
     pearson_brute,
@@ -199,7 +201,7 @@ def test_criterion_3_geometry_oracles():
     expected = brute_force_join(points, regions)
     assert sum(1 for v in expected.values() if v is not None) > 1000
     for cell_deg in (0.1, 0.25, 1.0):
-        result = spatial_join(points, regions, SpatialIndex(regions, cell_deg=cell_deg))
+        result = join_points(points, regions, cell_deg=cell_deg)
         assert result == expected
 
     elapsed = time.perf_counter() - started
@@ -223,9 +225,9 @@ def _pipeline_activity_damage(bundle_dir: Path, window: TimeWindow):
         damage[record.region_id] = damage.get(record.region_id, 0.0) + record.amount_usd
     located = [(m.message_id, GeoPoint(*m.location)) for m in messages if m.location]
     assignments = {m.message_id: None for m in messages}
-    assignments.update(spatial_join(located, regions))
+    assignments.update(join_points(located, regions))
     grid = summarize_regions(
-        messages, assignments, window, population=population,
+        messages, codes_of(messages, assignments), window, population=population,
         region_ids=[r.region_id for r in regions], scopes={POOLED: None},
     )
     report = damage_correlation_report(grid, {"insurance": damage}, include_sentiment=False)
@@ -321,9 +323,9 @@ def test_criterion_5_landfall_dip_shape(tmp_path):
             damage[record.region_id] = damage.get(record.region_id, 0.0) + record.amount_usd
         located = [(m.message_id, GeoPoint(*m.location)) for m in messages if m.location]
         assignments = {m.message_id: None for m in messages}
-        assignments.update(spatial_join(located, regions))
+        assignments.update(join_points(located, regions))
         bins = range(-4, 5)
-        daily = summarize_daily(messages, assignments, EPOCH, DAY, bins, population=population)
+        daily = summarize_daily(messages, codes_of(messages, assignments), EPOCH, DAY, bins, population=population)
         series = daily_correlation_series(daily, damage, bins, EPOCH, DAY)
         taus = {e.bin_index: e.activity_damage_kendall.coefficient for e in series.entries}
         assert all(not math.isnan(taus[k]) for k in range(-3, 4))

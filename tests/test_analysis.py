@@ -13,7 +13,7 @@ from damagenowcast.analysis import (
 )
 from damagenowcast.ingest import parse_county_table
 from damagenowcast.metrics import ActivitySummary, SummaryGrid
-from oracles import grid_of
+from oracles import codes_of, grid_of, join_points
 
 EPOCH = datetime(2012, 10, 30, tzinfo=timezone.utc)
 DAY = timedelta(hours=24)
@@ -104,7 +104,7 @@ class TestRankKeywords:
 class TestSeriesFromNoiselessCoupling:
     def test_post_landfall_tau_above_point_eight_each_day(self, tmp_path):
         """Damage coupled 1:1 to window activity keeps every post-event day strongly correlated."""
-        from damagenowcast.geo import GeoPoint, spatial_join
+        from damagenowcast.geo import GeoPoint
         from damagenowcast.ingest import parse_keyed_table, parse_messages, parse_regions
         from damagenowcast.metrics import summarize_daily
         from damagenowcast.simulate import DamageModel, KeywordProfile, SimConfig, generate
@@ -133,9 +133,9 @@ class TestSeriesFromNoiselessCoupling:
             damage[record.region_id] = damage.get(record.region_id, 0.0) + record.amount_usd
         located = [(m.message_id, GeoPoint(*m.location)) for m in messages if m.location]
         assignments = {m.message_id: None for m in messages}
-        assignments.update(spatial_join(located, regions))
+        assignments.update(join_points(located, regions))
         bins = range(1, 8)
-        daily = summarize_daily(messages, assignments, EPOCH, DAY, bins, population=population)
+        daily = summarize_daily(messages, codes_of(messages, assignments), EPOCH, DAY, bins, population=population)
         series = daily_correlation_series(daily, damage, bins, EPOCH, DAY)
         for entry in series.entries:
             assert entry.activity_damage_kendall.coefficient > 0.8

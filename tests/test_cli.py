@@ -534,7 +534,6 @@ def test_analysis_commands_build_no_summary_objects_or_id_dicts(sim_bundle, tmp_
         raise AssertionError("per-region summary or message_id lookup on a command path")
 
     monkeypatch.setattr(metrics, "ActivitySummary", refuse)
-    monkeypatch.setattr(metrics.RegionCodes, "from_mapping", refuse)
     monkeypatch.setattr(metrics.SummaryGrid, "from_mapping", refuse)
     inputs = ("--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson")
     tables = ("--population", sim_bundle / "population.csv", "--damage", sim_bundle / "damage.csv")
@@ -657,6 +656,25 @@ class TestErrorHandling:
         assert "outside the datetime range" in err or "ending before 9999-12-31" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_cell_size_not_above_zero_is_a_usage_error(self, value, tmp_path, capsys):
+        # nan got past the index's "<= 0" check and was refused as needing "a larger cell size"
+        missing = tmp_path / "missing.csv"
+        assert run("join", "--messages", missing, "--regions", missing, "--cell-deg", value,
+                   "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--cell-deg must be > 0" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_min_lon_nan_is_a_usage_error(self, tmp_path, capsys):
+        # NaN kept no city: an empty keywords.csv and exit 2
+        missing = tmp_path / "missing.csv"
+        assert run("rank-keywords", "--messages", missing, "--regions", missing, "--track", missing,
+                   "--min-lon", "nan", "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--min-lon must not be NaN" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRejectedRowsWarning:
     def test_one_line_per_input_with_rejected_rows(self, sim_bundle, tmp_path, capsys):
@@ -707,6 +725,31 @@ class TestIndexBound:
                    "--cell-deg", "1e-6", "--out", tmp_path)
         assert code == 1
         assert "larger cell size" in capsys.readouterr().err
+
+    def test_infinite_cell_size_joins_with_one_cell(self, sim_bundle, tmp_path):
+        inputs = ("--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson")
+        assert run("join", *inputs, "--out", tmp_path / "default") == 0
+        assert run("join", *inputs, "--cell-deg", "inf", "--out", tmp_path / "inf") == 0
+        assert read_report(tmp_path / "inf" / "join.csv")[1] == read_report(tmp_path / "default" / "join.csv")[1]
+
+
+class TestRepeatedRegionId:
+    def test_region_id_at_another_level_is_an_input_error(self, tmp_path, capsys):
+        # the copy's square holds no message, yet the join used to keep only it and assign r0000 none
+        bundle = tmp_path / "sim"
+        assert run("simulate", "--seed", 3, "--regions", 12, "--out", bundle) == 0
+        path = bundle / "regions.geojson"
+        collection = json.loads(path.read_text())
+        (feature,) = [f for f in collection["features"] if f["properties"]["region_id"] == "r0000"]
+        square = [[10.0, 10.0], [11.0, 10.0], [11.0, 11.0], [10.0, 11.0], [10.0, 10.0]]
+        collection["features"].append({"type": "Feature", "properties": {**feature["properties"], "level": "county"},
+                                       "geometry": {"type": "Polygon", "coordinates": [square]}})
+        path.write_text(json.dumps(collection))
+        capsys.readouterr()
+        assert run("validate", "--regions", path) == 1
+        assert run("join", "--messages", bundle / "messages.csv", "--regions", path, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: regions: duplicate region_id 'r0000' at levels 'zcta' and 'county'"] * 2
 
 
 class TestReportRoundTrip:

@@ -16,7 +16,6 @@ from damagenowcast.geo import (
     SpatialIndex,
     haversine_km,
     point_to_track_km,
-    region_centroid,
     region_centroids,
     spatial_join,
 )
@@ -25,9 +24,11 @@ from damagenowcast.ingest import MessageRecord, RegionBoundary, TrackPoint, pars
 from oracles import (
     brute_force_join,
     haversine_law_of_cosines,
+    join_points,
     message_table,
     point_in_polygon_winding,
     point_in_region_scalar,
+    region_table,
 )
 
 coords = st.tuples(st.floats(-80, 80), st.floats(-170, 170))
@@ -56,7 +57,12 @@ UNIT = rect_region("unit", 0.0, 0.0, 1.0, 1.0)
 
 def inside(p, region) -> bool:
     """Containment of one point in one region, through a one-region join."""
-    return spatial_join([("p", p)], [region])["p"] is not None
+    return join_points([("p", p)], [region])["p"] is not None
+
+
+def region_centroid(region):
+    """The centroid of one region, through a one-region table."""
+    return next(region_centroids(region_table([region])))
 
 
 def _segment_gap(px, py, a, b):
@@ -294,21 +300,21 @@ def random_disjoint_rects(rng, count, span=40.0):
 
 class TestSpatialJoin:
     def test_single_point_in_single_region(self):
-        assert spatial_join([("p", GeoPoint(0.5, 0.5))], [UNIT]) == {"p": "unit"}
+        assert join_points([("p", GeoPoint(0.5, 0.5))], [UNIT]) == {"p": "unit"}
 
     def test_point_in_no_region(self):
-        assert spatial_join([("p", GeoPoint(5.0, 5.0))], [UNIT]) == {"p": None}
+        assert join_points([("p", GeoPoint(5.0, 5.0))], [UNIT]) == {"p": None}
 
     def test_overlap_tie_breaks_to_smallest_id(self):
         a = rect_region("b-region", 0.0, 0.0, 1.0, 1.0)
         b = rect_region("a-region", 0.5, 0.5, 1.5, 1.5)
-        result = spatial_join([("p", GeoPoint(0.75, 0.75))], [a, b])
+        result = join_points([("p", GeoPoint(0.75, 0.75))], [a, b])
         assert result == {"p": "a-region"}
 
     def test_shared_edge_is_deterministic(self):
         left = rect_region("left", 0.0, 0.0, 1.0, 1.0)
         right = rect_region("right", 1.0, 0.0, 2.0, 1.0)
-        result = spatial_join([("p", GeoPoint(0.5, 1.0))], [left, right])
+        result = join_points([("p", GeoPoint(0.5, 1.0))], [left, right])
         assert result == {"p": "left"}
 
     def test_tolerance_band_across_a_cell_line(self):
@@ -317,16 +323,11 @@ class TestSpatialJoin:
         a = rect_region("a", 0.1, 0.1, 0.25 - 5e-10, 0.2)
         p = GeoPoint(0.15, 0.25)
         for cell in (0.1, 0.25, 1.0):
-            assert spatial_join([("p", p)], [a], SpatialIndex([a], cell_deg=cell)) == {"p": "a"}
-
-    def test_index_built_over_other_regions_rejected(self):
-        other = rect_region("other", 0.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="other regions"):
-            spatial_join([("p", GeoPoint(0.5, 0.5))], [UNIT], SpatialIndex([other]))
+            assert join_points([("p", p)], [a], cell_deg=cell) == {"p": "a"}
 
     def test_non_finite_point_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            spatial_join([("p", GeoPoint(float("nan"), 0.5))], [UNIT])
+            join_points([("p", GeoPoint(float("nan"), 0.5))], [UNIT])
 
     def test_matches_brute_force_at_scale(self):
         rng = np.random.default_rng(42)
@@ -339,8 +340,7 @@ class TestSpatialJoin:
         ]
         expected = brute_force_join(points, regions)
         for cell in (0.1, 0.25, 1.0):
-            index = SpatialIndex(regions, cell_deg=cell)
-            assert spatial_join(points, regions, index) == expected
+            assert join_points(points, regions, cell_deg=cell) == expected
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.07, 0.25, 0.9, 3.0]))
     @settings(max_examples=25, deadline=None)
@@ -353,8 +353,7 @@ class TestSpatialJoin:
                 zip(rng.uniform(-22, 22, 60), rng.uniform(-22, 22, 60))
             )
         ]
-        index = SpatialIndex(regions, cell_deg=cell)
-        assert spatial_join(points, regions, index) == brute_force_join(points, regions)
+        assert join_points(points, regions, cell_deg=cell) == brute_force_join(points, regions)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.25, 3.0]))
     @settings(max_examples=25, deadline=None)
@@ -372,7 +371,9 @@ class TestSpatialJoin:
             [(f"m{i}", GeoPoint(float(y), float(x))) for i, (y, x) in enumerate(zip(lat, lon)) if not math.isnan(y)],
             regions,
         )
-        joined = spatial_join(table, regions, SpatialIndex(regions, cell_deg=cell))
+        located = ~np.isnan(table.lat)
+        index = SpatialIndex(region_table(regions), cell_deg=cell)
+        joined = spatial_join(table.lat[located], table.lon[located], index)
         assert isinstance(joined, JoinedRows)
         assert table.message_id[~np.isnan(table.lat)].tolist() == list(expected)  # the located rows, in row order
         assert joined.values() == list(expected.values())  # None where uncontained
@@ -385,8 +386,8 @@ class TestSpatialJoin:
             (f"p{i}", GeoPoint(float(lat), float(lon)))
             for i, (lat, lon) in enumerate(zip(rng.uniform(-22, 22, 50), rng.uniform(-22, 22, 50)))
         ]
-        forward = spatial_join(points, regions)
-        backward = spatial_join(list(reversed(points)), regions)
+        forward = join_points(points, regions)
+        backward = join_points(list(reversed(points)), regions)
         assert forward == backward
 
     def test_partitioned_join_merges_to_same_result(self):
@@ -397,28 +398,37 @@ class TestSpatialJoin:
             (f"p{i}", GeoPoint(float(lat), float(lon)))
             for i, (lat, lon) in enumerate(zip(rng.uniform(-22, 22, 90), rng.uniform(-22, 22, 90)))
         ]
-        index = SpatialIndex(regions)
-        whole = spatial_join(points, regions, index)
+        whole = join_points(points, regions)
         for parts in (2, 3, 7):
             merged: dict[str, str | None] = {}
             for chunk in range(parts):
-                merged.update(spatial_join(points[chunk::parts], regions, index))
+                merged.update(join_points(points[chunk::parts], regions))
             assert merged == whole
 
     def test_index_entry_bound_checked_before_allocating(self):
         big = rect_region("big", -60.0, -60.0, 60.0, 60.0)
         with pytest.raises(ValueError, match="larger cell size"):
-            SpatialIndex([big], cell_deg=0.01)  # 12,000 x 12,000 cells
+            SpatialIndex(region_table([big]), cell_deg=0.01)  # 12,000 x 12,000 cells
         with pytest.raises(ValueError, match="larger cell size"):
-            SpatialIndex([big], cell_deg=1e-300)  # the cell count overflows to inf
+            SpatialIndex(region_table([big]), cell_deg=1e-300)  # the cell count overflows to inf
         p = GeoPoint(0.05, 0.05)
-        assert spatial_join([("p", p)], [big], SpatialIndex([big], cell_deg=0.1)) == {"p": "big"}
+        assert join_points([("p", p)], [big], cell_deg=0.1) == {"p": "big"}
+
+    @pytest.mark.parametrize("cell_deg", [0.0, -1.0, float("nan")])
+    def test_cell_size_must_be_positive(self, cell_deg):
+        with pytest.raises(ValueError, match="cell_deg must be positive"):
+            SpatialIndex(region_table([UNIT]), cell_deg=cell_deg)
+
+    def test_repeated_region_id_rejected(self):
+        # a second geometry under one id would be dropped, and its messages with it
+        with pytest.raises(ValueError, match="region_id is repeated"):
+            SpatialIndex(region_table([UNIT, rect_region("unit", 10.0, 10.0, 11.0, 11.0)]))
 
     def test_index_candidates_match_bbox_scan(self):
         rng = np.random.default_rng(5)
         regions = random_disjoint_rects(rng, 9) + [rect_region("wide", -25.0, -3.0, 25.0, 3.0)]
         for cell in (0.3, 1.0, 7.0):
-            index = SpatialIndex(regions, cell_deg=cell)
+            index = SpatialIndex(region_table(regions), cell_deg=cell)
             lat, lon = rng.uniform(-30, 30, 300), rng.uniform(-30, 30, 300)
             cell_x, cell_y = np.floor(lon / cell).astype(np.int64), np.floor(lat / cell).astype(np.int64)
             query, registered = index._registered(cell_x, cell_y)
@@ -433,14 +443,14 @@ class TestSpatialJoin:
     def test_index_candidates_cover_containing_regions(self):
         rng = np.random.default_rng(11)
         regions = random_disjoint_rects(rng, 16)
-        index = SpatialIndex(regions, cell_deg=0.3)
+        index = SpatialIndex(region_table(regions), cell_deg=0.3)
         lat, lon = rng.uniform(-22, 22, 200), rng.uniform(-22, 22, 200)
         cell_x, cell_y = np.floor(lon / 0.3).astype(np.int64), np.floor(lat / 0.3).astype(np.int64)
         query, registered = index._registered(cell_x, cell_y)
         candidates = {(q, index.region_ids[k]) for q, k in zip(query.tolist(), registered.tolist())}
         points = [(q, GeoPoint(float(y), float(x))) for q, (y, x) in enumerate(zip(lat, lon))]
         for r in regions:
-            truly_containing = {(q, r.region_id) for q, found in spatial_join(points, [r]).items() if found}
+            truly_containing = {(q, r.region_id) for q, found in join_points(points, [r]).items() if found}
             assert truly_containing <= candidates
 
 
@@ -503,10 +513,10 @@ class TestKernelMatchesScalarReference:
         expected = brute_force_join(points, regions)
         assert {"a-right", "dot"} <= set(expected.values())
         for cell in (0.1, 0.25, 1.0):
-            assert spatial_join(points, regions, SpatialIndex(regions, cell_deg=cell)) == expected
+            assert join_points(points, regions, cell_deg=cell) == expected
         sample = points[:: max(1, len(points) // 15)]
         for region in regions:
-            found = spatial_join(sample, [region])
+            found = join_points(sample, [region])
             assert [found[i] is not None for i, _ in sample] == [point_in_region_scalar(p, region) for _, p in sample]
 
     def test_point_at_the_far_end_of_the_tolerance_band(self):
@@ -515,7 +525,7 @@ class TestKernelMatchesScalarReference:
         end = 1.0 + 1e-9
         p = GeoPoint(end, end)
         assert point_in_region_scalar(p, triangle)
-        assert spatial_join([("p", p)], [triangle]) == {"p": "t"}
+        assert join_points([("p", p)], [triangle]) == {"p": "t"}
 
     def test_join_memory_stays_within_budget(self):
         """50,000 points in one region of 2,000 edges: the kernel's temporaries are batched."""
@@ -540,7 +550,7 @@ class TestKernelMatchesScalarReference:
 
         tracemalloc.start()
         try:
-            result = spatial_join(points, [comb])
+            result = join_points(points, [comb])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

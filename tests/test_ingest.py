@@ -25,7 +25,7 @@ from damagenowcast.ingest import (
 )
 from damagenowcast.metrics import summarize_regions
 from damagenowcast.simulate import KeywordProfile, SimConfig, generate
-from oracles import parse_messages_reference
+from oracles import codes_of, parse_messages_reference
 
 HEADER = "message_id,user_id,timestamp,lat,lon,keywords,is_retweet,retweeted_count,sentiment\n"
 
@@ -54,7 +54,8 @@ class TestParseMessages:
         )).records
         assert table.user_ids.tolist() == sorted(users)
         assert [table.user_ids[u] for u in table.user.tolist()] == users
-        summary = summarize_regions(table, dict.fromkeys(table.message_id.tolist(), "r1"), None)["r1", None]
+        codes = codes_of(table, dict.fromkeys(table.message_id.tolist(), "r1"))
+        summary = summarize_regions(table, codes, None)["r1", None]
         assert summary.active_users_period == 5
 
     def test_latitude_out_of_range_dropped(self):
@@ -274,6 +275,13 @@ class TestParseRegions:
             parse_regions(
                 collection(region_feature("r1", [UNIT_SQUARE]), region_feature("r1", [UNIT_SQUARE]))
             )
+
+    def test_duplicate_id_at_another_level_fatal(self):
+        # population and damage rows are keyed by region_id alone, so the two could not be told apart
+        with pytest.raises(IngestError, match="duplicate region_id 'r1' at levels 'zcta' and 'county'"):
+            parse_regions(collection(
+                region_feature("r1", [UNIT_SQUARE], level="zcta"), region_feature("r1", [UNIT_SQUARE], level="county")
+            ))
 
     def test_bad_level_rejected(self):
         result = parse_regions(collection(region_feature("r1", [UNIT_SQUARE], level="tract")))

@@ -9,7 +9,6 @@ from damagenowcast.analysis import daily_correlation_series, damage_correlation_
 from damagenowcast.ingest import MessageRecord
 from damagenowcast.metrics import (
     ActivitySummary,
-    RegionCodes,
     SummaryGrid,
     TimeWindow,
     bin_offsets,
@@ -18,6 +17,7 @@ from damagenowcast.metrics import (
     summarize_regions,
 )
 from oracles import (
+    codes_of,
     columns_of,
     compute_activity_summary_reference,
     daily_correlation_series_reference,
@@ -51,8 +51,9 @@ def message(i, user="u1", stamp=EPOCH, retweet=False, rebroadcasts=0, sentiment=
 
 def summary(messages, window=None, population=None, region_id="r1"):
     """The grouped summary of one region that holds every message."""
+    table = message_table(messages)
     return summarize_regions(
-        message_table(messages), {m.message_id: region_id for m in messages}, window,
+        table, codes_of(table, {m.message_id: region_id for m in messages}), window,
         population={region_id: population} if population is not None else None, region_ids=[region_id],
     )[region_id, None]
 
@@ -205,7 +206,8 @@ class TestSummaryProperties:
     @settings(max_examples=50, deadline=None)
     def test_binning_partitions_messages(self, messages):
         ks = sorted(set(bin_offsets([m.timestamp for m in messages], EPOCH, DAY)))
-        daily = summarize_daily(message_table(messages), {m.message_id: "r" for m in messages}, EPOCH, DAY, ks)
+        table = message_table(messages)
+        daily = summarize_daily(table, codes_of(table, {m.message_id: "r" for m in messages}), EPOCH, DAY, ks)
         assert sum(daily[("r", k)].n_messages for k in ks) == len(messages)
 
     @given(region_messages(), st.randoms())
@@ -227,31 +229,36 @@ class TestSummarizeHelpers:
         ]
         assignments = {"m0": "r1", "m1": "r1"}
         window = TimeWindow(EPOCH, EPOCH + DAY)
-        out = summarize_regions(message_table(messages), assignments, window, population={"r1": 50})
+        table = message_table(messages)
+        out = summarize_regions(table, codes_of(table, assignments), window, population={"r1": 50})
         assert out["r1", None].n_messages == 1
         assert out["r1", None].active_users_period == 2
 
     def test_silent_listed_regions_get_zero_summaries(self):
-        out = summarize_regions(message_table([]), {}, None, region_ids=["r1", "r2"])
+        table = message_table([])
+        out = summarize_regions(table, codes_of(table, {}), None, region_ids=["r1", "r2"])
         assert out["r1", None].n_messages == 0
         assert out["r2", None].n_messages == 0
 
     def test_keyword_filter_applies(self):
         messages = [message(0, keywords=("sandy",)), message(1, keywords=("gas",))]
         assignments = {"m0": "r1", "m1": "r1"}
-        out = summarize_regions(message_table(messages), assignments, None, scopes={"k": frozenset({"sandy"})})
+        table = message_table(messages)
+        out = summarize_regions(table, codes_of(table, assignments), None, scopes={"k": frozenset({"sandy"})})
         assert out["r1", "k"].n_messages == 1
 
     def test_unassigned_messages_ignored(self):
         messages = [message(0), message(1)]
         assignments = {"m0": "r1", "m1": None}
-        out = summarize_regions(message_table(messages), assignments, None)
+        table = message_table(messages)
+        out = summarize_regions(table, codes_of(table, assignments), None)
         assert out["r1", None].n_messages == 1
 
     def test_daily_summaries_cover_requested_bins(self):
         messages = [message(0, stamp=EPOCH), message(1, user="u2", stamp=EPOCH + DAY)]
         assignments = {"m0": "r1", "m1": "r1"}
-        out = summarize_daily(message_table(messages), assignments, EPOCH, DAY, bins=range(-1, 3))
+        table = message_table(messages)
+        out = summarize_daily(table, codes_of(table, assignments), EPOCH, DAY, bins=range(-1, 3))
         assert out[("r1", 0)].n_messages == 1
         assert out[("r1", 1)].n_messages == 1
         assert out[("r1", -1)].n_messages == 0
@@ -263,7 +270,8 @@ class TestSummarizeHelpers:
             message(0, keywords=("sandy",)), message(1, keywords=("gas", "sandy")), message(2, keywords=("gas",))
         ]
         assignments = {"m0": "r1", "m1": "r1", "m2": "r2"}
-        out = summarize_regions(message_table(messages), assignments, None, scopes={
+        table = message_table(messages)
+        out = summarize_regions(table, codes_of(table, assignments), None, scopes={
             "pool": None, "sandy": frozenset({"sandy"}), "gas": frozenset({"gas"}), "none": frozenset({"mta"}),
         })
         assert {name: {r: s.n_messages for r, s in per.items()} for name, per in columns_of(out).items()} == {
@@ -272,7 +280,7 @@ class TestSummarizeHelpers:
 
     def test_region_codes_match_mapping(self):
         messages = [message(0), message(1), message(2)]
-        codes = RegionCodes.from_mapping(message_table(messages), {"m0": "r2", "m2": "r1"})
+        codes = codes_of(message_table(messages), {"m0": "r2", "m2": "r1"})
         assert codes.codes.tolist() == [1, -1, 0]
         assert codes.region_ids == ["r1", "r2"]
 
@@ -317,7 +325,8 @@ class TestGroupedMatchesReference:
     @settings(max_examples=40, deadline=None)
     def test_summarize_regions(self, case, population):
         messages, assignments, window, scopes, region_ids = case
-        grouped = summarize_regions(message_table(messages), assignments, window, population=population,
+        table = message_table(messages)
+        grouped = summarize_regions(table, codes_of(table, assignments), window, population=population,
                                     region_ids=region_ids, scopes=dict(enumerate(scopes)))
         for s, keywords in enumerate(scopes):
             expected = summarize_regions_reference(messages, assignments, window, keywords, population, region_ids)
@@ -330,7 +339,8 @@ class TestGroupedMatchesReference:
         messages, assignments, _, scopes, _ = case
         width = timedelta(hours=hours)
         keywords = scopes[0] or None  # the CLI's composition: an empty --keywords filters nothing
-        grouped = summarize_daily(message_table(messages, keywords), assignments, EPOCH, width, bins,
+        table = message_table(messages, keywords)
+        grouped = summarize_daily(table, codes_of(table, assignments), EPOCH, width, bins,
                                   population={"r1": 10})
         expected = summarize_daily_reference(messages, assignments, EPOCH, width, bins, keywords, {"r1": 10})
         assert list(grouped) == list(expected)
@@ -400,7 +410,8 @@ class TestSeriesMatchesReference:
         population, damage, series_bins, normalization = args
         width = timedelta(hours=hours)
         keywords = scopes[0] or None
-        daily = summarize_daily(message_table(messages, keywords), assignments, EPOCH, width, bins, population)
+        table = message_table(messages, keywords)
+        daily = summarize_daily(table, codes_of(table, assignments), EPOCH, width, bins, population)
         reference = summarize_daily_reference(messages, assignments, EPOCH, width, bins, keywords, population)
         got = daily_correlation_series(daily, damage, series_bins, EPOCH, width, normalization)
         expected = daily_correlation_series_reference(reference, damage, population, series_bins, normalization,
@@ -456,7 +467,8 @@ class TestAnalysesMatchReference:
     def test_report_on_grid(self, case, args, original_only):
         messages, assignments, window, scopes, region_ids = case
         population, damage, _ = args
-        grid = summarize_regions(message_table(messages), assignments, window, population=population,
+        table = message_table(messages)
+        grid = summarize_regions(table, codes_of(table, assignments), window, population=population,
                                  region_ids=region_ids, scopes={f"s{s}": scope for s, scope in enumerate(scopes)})
         reference = {
             f"s{s}": summarize_regions_reference(messages, assignments, window, scope, population, region_ids)
@@ -482,7 +494,8 @@ class TestAnalysesMatchReference:
     @settings(max_examples=40, deadline=None)
     def test_rank_keywords_on_grid(self, case, args, subset):
         messages, assignments, window, _, _ = case
-        grid = summarize_regions(message_table(messages), assignments, window,
+        table = message_table(messages)
+        grid = summarize_regions(table, codes_of(table, assignments), window,
                                  scopes={tag: frozenset({tag}) for tag in TAGS})
         _, _, distances = args
         expected = rank_keywords_reference(dict(grid.items()), distances, subset)
@@ -502,7 +515,8 @@ class TestAnalysesMatchReference:
     def test_nowcast_on_grid(self, case, args, original_only, with_damage):
         messages, assignments, window, scopes, region_ids = case
         population, damage, _ = args
-        grid = summarize_regions(message_table(messages), assignments, window, population, region_ids,
+        table = message_table(messages)
+        grid = summarize_regions(table, codes_of(table, assignments), window, population, region_ids,
                                  scopes={"s": scopes[0]})
         damage_usd = damage["ex_post"] if with_damage and "ex_post" in damage else None
         expected = nowcast_reference(columns_of(grid)["s"], original_only=original_only, damage_usd=damage_usd)

@@ -19,7 +19,7 @@ from damagenowcast.simulate import (
     generate,
 )
 
-from oracles import simulate_reference, tau_b_brute
+from oracles import join_points, simulate_reference, tau_b_brute
 
 BUNDLE_FILES = (
     "messages.csv",
@@ -88,13 +88,12 @@ class TestBundleWellFormed:
     def test_every_message_falls_inside_its_region(self, tmp_path):
         bundle = generate(small_config(5), tmp_path / "sim")
         regions = {r.region_id: r for r in parse_regions(bundle.regions_geojson).records}
-        from damagenowcast.geo import spatial_join
 
         points = {}
         for m in parse_messages(bundle.messages_csv).records:
             points.setdefault(m.message_id.rsplit("-", 1)[0], []).append((m.message_id, GeoPoint(*m.location)))
         for region_id, located in points.items():
-            assert None not in spatial_join(located, [regions[region_id]]).values()
+            assert None not in join_points(located, [regions[region_id]]).values()
 
     def test_canonical_ordering(self, tmp_path):
         bundle = generate(small_config(9), tmp_path / "sim")
