@@ -181,8 +181,10 @@ def _load(args: argparse.Namespace, keywords: Iterable[str] | None = None,
     regions = _records("regions", parse_regions(args.regions))
     index = SpatialIndex(regions, cell_deg=args.cell_deg)
     located = ~np.isnan(messages.lat)
+    # the codes are made after the join, so they do not add to the peak of its temporaries
+    joined = spatial_join(messages.lat[located], messages.lon[located], index)
     codes = np.full(len(messages), -1, dtype=np.int64)
-    codes[located] = spatial_join(messages.lat[located], messages.lon[located], index).codes
+    codes[located] = joined.codes
     return messages, regions, RegionCodes(codes, index.region_ids)
 
 
