@@ -510,6 +510,15 @@ class TestValidateCommand:
             "--county-table", FIXTURE,
         ) == 0
 
+    def test_validate_counts_one_record_per_table_key(self, tmp_path, capsys):
+        population = tmp_path / "population.csv"
+        population.write_text("region_id,population\nr1,100\nr2,200\nr3,300\n")
+        damage = tmp_path / "damage.csv"
+        # the two r1 fema_ia rows sum into one record
+        damage.write_text("region_id,amount_usd,source\nr1,10,fema_ia\nr2,5,hazus\nr1,20,fema_ia\n")
+        assert run("validate", "--population", population, "--damage", damage) == 0
+        assert capsys.readouterr().out == "population: 3 records, 0 rejected\ndamage: 2 records, 0 rejected\n"
+
     def test_validate_without_inputs_errors(self):
         assert run("validate") == 1
 
