@@ -23,11 +23,8 @@ __all__ = [
     "DEFAULT_KEYWORD_POOL",
     "POOLED",
     "KeywordRelevance",
-    "KeywordRanking",
     "SeriesEntry",
-    "CorrelationSeries",
     "ReportCell",
-    "DamageCorrelationReport",
     "NowcastEntry",
     "NowcastReport",
     "rank_keywords",
@@ -53,21 +50,10 @@ class KeywordRelevance:
     kendall: CorrelationResult
     spearman: CorrelationResult
     n_cities: int
-    degenerate: bool
-
-
-@dataclass(frozen=True)
-class KeywordRanking:
-    """Keywords ordered most-relevant first (strongest negative distance coupling)."""
-
-    entries: tuple[KeywordRelevance, ...]
-
-    def keywords(self) -> list[str]:
-        return [e.keyword for e in self.entries]
 
 
 def _relevance_sort_key(entry: KeywordRelevance):
-    if entry.degenerate:
+    if entry.kendall.degenerate:
         return (1, 0.0, 0, entry.keyword)
     tau = entry.kendall.coefficient
     # Strong magnitude first; at equal magnitude the negative (distance-decaying)
@@ -78,13 +64,13 @@ def _relevance_sort_key(entry: KeywordRelevance):
 def rank_keywords(
     grid: SummaryGrid,
     distances_km: Mapping[str, float],
-) -> KeywordRanking:
-    """Rank keywords by the strength of their activity-vs-distance correlation.
+) -> tuple[KeywordRelevance, ...]:
+    """Keywords most-relevant first, by the strength of their activity-vs-distance correlation.
 
     ``grid`` holds whole-period summaries, one column per keyword. Only the
     cities of ``distances_km`` are ranked over, and a keyword with no summary
-    in one of them is ignored; a keyword active in fewer than three of them is
-    flagged degenerate and ranked last.
+    in one of them is ignored; a keyword active in fewer than three of them has
+    a degenerate Kendall result and ranks last.
     """
     position = grid.positions[0]
     rows = np.array([position[c] for c in sorted(distances_km) if c in position], dtype=np.intp)
@@ -97,18 +83,16 @@ def rank_keywords(
     for j in np.flatnonzero(present.any(axis=0)).tolist():
         on = valued[:, j]
         activity = count[on, j] / users[on, j]
-        kendall = _guarded(activity, distance[on], "kendall")
         entries.append(
             KeywordRelevance(
                 keyword=grid.columns[j],
-                kendall=kendall,
+                kendall=_guarded(activity, distance[on], "kendall"),
                 spearman=_guarded(activity, distance[on], "spearman"),
                 n_cities=len(activity),
-                degenerate=kendall.degenerate,
             )
         )
     entries.sort(key=_relevance_sort_key)
-    return KeywordRanking(entries=tuple(entries))
+    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -122,11 +106,6 @@ class SeriesEntry:
     sentiment_damage_kendall: CorrelationResult
 
 
-@dataclass(frozen=True)
-class CorrelationSeries:
-    entries: tuple[SeriesEntry, ...]
-
-
 def daily_correlation_series(
     daily: SummaryGrid,
     damage_usd: Mapping[str, float],
@@ -134,7 +113,7 @@ def daily_correlation_series(
     epoch: datetime,
     width: timedelta,
     normalization: str = "per_capita",
-) -> CorrelationSeries:
+) -> tuple[SeriesEntry, ...]:
     """Per-bin correlation of regional activity (and sentiment) against damage.
 
     ``daily`` holds one column per bin index. Damage is a fixed snapshot:
@@ -173,7 +152,7 @@ def daily_correlation_series(
             activity_damage_spearman=_guarded(activity, damage_pc, "spearman"),
             sentiment_damage_kendall=_guarded(mood, mood_damage, "kendall"),
         ))
-    return CorrelationSeries(entries=tuple(entries))
+    return tuple(entries)
 
 
 def _guarded(
@@ -194,27 +173,6 @@ class ReportCell:
     active_regions: int
 
 
-@dataclass(frozen=True)
-class DamageCorrelationReport:
-    cells: tuple[ReportCell, ...]
-
-    def cell(
-        self, variable: str, keyword: str, damage_source: str, normalization: str,
-        method: str, transform: str,
-    ) -> ReportCell | None:
-        for c in self.cells:
-            if (
-                c.variable == variable
-                and c.keyword == keyword
-                and c.damage_source == damage_source
-                and c.normalization == normalization
-                and c.result.method == method
-                and c.result.transform == transform
-            ):
-                return c
-        return None
-
-
 def _by_region(values: Mapping[str, float], region_ids: Sequence[str]) -> np.ndarray:
     return np.array([values.get(region, 0.0) for region in region_ids], dtype=float)
 
@@ -224,7 +182,7 @@ def damage_correlation_report(
     damage_by_source: Mapping[str, Mapping[str, float]],
     original_only: bool = False,
     include_sentiment: bool = True,
-) -> DamageCorrelationReport:
+) -> tuple[ReportCell, ...]:
     """Every correlation cell for the scope x source x normalization x transform x method grid.
 
     Each column of ``grid`` is a scope (a keyword, or :data:`POOLED`) of
@@ -278,7 +236,7 @@ def damage_correlation_report(
                                 active_regions=active,
                             )
                         )
-    return DamageCorrelationReport(cells=tuple(cells))
+    return tuple(cells)
 
 
 @dataclass(frozen=True)

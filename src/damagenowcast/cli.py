@@ -197,7 +197,7 @@ def _records(name: str, result: ParseResult):
 
 
 def _population(path: str) -> dict[str, int]:
-    return {e.region_id: e.population for e in _records("population", parse_keyed_table(path, "population"))}
+    return _records("population", parse_keyed_table(path, "population"))
 
 
 def _county_summaries(stats: Sequence[CountyStats]) -> SummaryGrid:
@@ -223,8 +223,8 @@ def _county_summaries(stats: Sequence[CountyStats]) -> SummaryGrid:
 def _load_damage(path: str) -> dict[str, dict[str, float]]:
     """Source -> region -> amount; the parser has already summed each (region, source)."""
     by_source: dict[str, dict[str, float]] = {}
-    for record in _records("damage", parse_keyed_table(path, "damage")):
-        by_source.setdefault(record.source, {})[record.region_id] = record.amount_usd
+    for (region_id, source), amount in _records("damage", parse_keyed_table(path, "damage")).items():
+        by_source.setdefault(source, {})[region_id] = amount
     return by_source
 
 
@@ -333,8 +333,8 @@ def _cmd_rank_keywords(args: argparse.Namespace) -> int:
     ranking = rank_keywords(grid, distances)
     rows = [
         [i, entry.keyword, entry.n_cities, _fmt(entry.kendall.coefficient), _fmt(entry.kendall.p_value),
-         _fmt(entry.spearman.coefficient), _fmt(entry.spearman.p_value), int(entry.degenerate)]
-        for i, entry in enumerate(ranking.entries, start=1)
+         _fmt(entry.spearman.coefficient), _fmt(entry.spearman.p_value), int(entry.kendall.degenerate)]
+        for i, entry in enumerate(ranking, start=1)
     ]
     _report(
         args,
@@ -342,7 +342,7 @@ def _cmd_rank_keywords(args: argparse.Namespace) -> int:
         ["rank", "keyword", "n_cities", "kendall", "kendall_p", "spearman", "spearman_p", "degenerate"],
         rows,
     )
-    if all(entry.degenerate for entry in ranking.entries):
+    if all(entry.kendall.degenerate for entry in ranking):
         print("rank-keywords: all keywords degenerate", file=sys.stderr)
         return EXIT_DEGENERATE
     return EXIT_OK
@@ -370,12 +370,12 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         )
         del messages, regions, codes  # as in series, and before --overlay decodes the regions again
 
-    report = damage_correlation_report(
+    cells = damage_correlation_report(
         grid, damage_by_source, original_only=args.original_only, include_sentiment=not args.county_table,
     )
 
     rows = []
-    for cell in report.cells:
+    for cell in cells:
         rows.append(
             [
                 cell.variable,
@@ -412,7 +412,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         damage = _ex_post_damage(damage_by_source)
         _write_overlay(args.overlay, args.regions, grid, damage)
 
-    activity_cells = [c for c in report.cells if c.variable == "activity"]
+    activity_cells = [c for c in cells if c.variable == "activity"]
     if activity_cells and all(c.result.degenerate for c in activity_cells):
         print("correlate: all activity cells degenerate", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -471,7 +471,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     series = daily_correlation_series(daily, damage, bins, epoch, width, normalization=args.normalization)
 
     rows = []
-    for entry in series.entries:
+    for entry in series:
         for label, result in (
             ("kendall", entry.activity_damage_kendall),
             ("spearman", entry.activity_damage_spearman),
@@ -488,7 +488,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
                 ]
             )
     _report(args, "series.csv", ["bin_start", "active_regions", "messages", "method", "coefficient", "p_value"], rows)
-    if all(e.activity_damage_kendall.degenerate for e in series.entries):
+    if all(e.activity_damage_kendall.degenerate for e in series):
         print("series: every bin degenerate", file=sys.stderr)
         return EXIT_DEGENERATE
     return EXIT_OK

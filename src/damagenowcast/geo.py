@@ -35,11 +35,11 @@ from typing import Iterator, Protocol, Sequence
 import numpy as np
 
 from .ingest import RegionTable
+from .metrics import RegionCodes
 
 __all__ = [
     "EARTH_RADIUS_KM",
     "GeoPoint",
-    "JoinedRows",
     "SpatialIndex",
     "haversine_km",
     "point_to_track_km",
@@ -380,21 +380,8 @@ class SpatialIndex:
         return first
 
 
-class JoinedRows:
-    """The join of some points, in point order: ``codes[i]`` is the position in
-    ``region_ids`` of the region holding point ``i``, or -1 for none."""
-
-    # a plain class: building a dataclass adds about 1 ms to the package import
-    def __init__(self, codes: np.ndarray, region_ids: list[str]):
-        self.codes, self.region_ids = codes, region_ids
-
-    def values(self) -> list[str | None]:
-        # position -1 picks the trailing None: contained by no region
-        return np.array(self.region_ids + [None], dtype=object)[self.codes].tolist()
-
-
-def spatial_join(lat: np.ndarray, lon: np.ndarray, index: SpatialIndex) -> JoinedRows:
-    """The region of the index holding each point ``(lat[i], lon[i])``, if any.
+def spatial_join(lat: np.ndarray, lon: np.ndarray, index: SpatialIndex) -> RegionCodes:
+    """The code of the index's region holding each point ``(lat[i], lon[i])``, -1 for none.
 
     Overlapping boundaries are tie-broken to the lexicographically smallest
     region_id, so the result is independent of point order, region order,
@@ -402,4 +389,4 @@ def spatial_join(lat: np.ndarray, lon: np.ndarray, index: SpatialIndex) -> Joine
     """
     if not (np.isfinite(lat).all() and np.isfinite(lon).all()):
         raise ValueError("spatial_join: point coordinates must be finite")
-    return JoinedRows(index._assign(lon, lat), index.region_ids)
+    return RegionCodes(index._assign(lon, lat), index.region_ids)

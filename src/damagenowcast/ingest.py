@@ -41,8 +41,6 @@ __all__ = [
     "MessageTable",
     "RegionBoundary",
     "RegionTable",
-    "PopulationEntry",
-    "DamageRecord",
     "TrackPoint",
     "CountyStats",
     "ParseResult",
@@ -281,21 +279,6 @@ class _RegionColumns:
 
 
 @dataclass(frozen=True)
-class PopulationEntry:
-    region_id: str
-    population: int
-
-
-@dataclass(frozen=True)
-class DamageRecord:
-    """Damage total for one region and source; parser sums duplicates per source."""
-
-    region_id: str
-    amount_usd: float
-    source: str
-
-
-@dataclass(frozen=True)
 class TrackPoint:
     timestamp: datetime
     lat: float
@@ -316,15 +299,17 @@ class CountyStats:
 
 @dataclass
 class ParseResult(Generic[T]):
-    """Parsed records plus an audit trail.
+    """A parser's records, in the form the parser names, plus an audit trail.
 
     ``rows_total`` counts data rows seen (comments/blank lines excluded);
     ``rows_rejected`` counts malformed rows dropped with a diagnostic;
     ``rows_filtered`` counts well-formed rows excluded by a caller-supplied
-    filter. Always: ``len(records) + rows_rejected + rows_filtered == rows_total``.
+    filter. Each kept row is one record, so ``len(records) + rows_rejected +
+    rows_filtered == rows_total``, except in a damage table, whose rows of
+    one (region_id, source) sum into one record.
     """
 
-    records: list[T]
+    records: T
     diagnostics: list[str] = field(default_factory=list)
     rows_total: int = 0
     rows_rejected: int = 0
@@ -503,7 +488,7 @@ def _parse_tags(text: str) -> frozenset[str]:
 def parse_messages(
     source: str | Path | TextIO,
     keyword_filter: Iterable[str] | None = None,
-) -> ParseResult[MessageRecord]:
+) -> ParseResult[MessageTable]:
     """Read ``messages.csv`` into a :class:`MessageTable` (``result.records``);
     keep the rows whose tags intersect ``keyword_filter``.
 
@@ -514,7 +499,7 @@ def parse_messages(
     malformed.
     """
     wanted = frozenset(t.strip().lower() for t in keyword_filter or () if t.strip())
-    result: ParseResult[MessageRecord] = ParseResult(records=[])
+    result: ParseResult[MessageTable] = ParseResult(records=None)  # the table once read
     columns = _MessageColumns()
     for col, cells, ragged, linenos in _read_blocks(source, "messages", MESSAGE_COLUMNS, result):
         columns.add(cells, col, ragged, linenos, result)
@@ -908,7 +893,7 @@ def load_feature_collection(source: str | Path | TextIO) -> dict:
     return doc
 
 
-def parse_regions(source: str | Path | TextIO) -> ParseResult[RegionBoundary]:
+def parse_regions(source: str | Path | TextIO) -> ParseResult[RegionTable]:
     """Read a GeoJSON FeatureCollection of Polygon/MultiPolygon regions into a
     :class:`RegionTable` (``result.records``).
 
@@ -917,7 +902,7 @@ def parse_regions(source: str | Path | TextIO) -> ParseResult[RegionBoundary]:
     features sharing a region_id raise :class:`IngestError`, whatever their
     levels: the population and damage tables are keyed by region_id alone.
     """
-    result: ParseResult[RegionBoundary] = ParseResult(records=[])
+    result: ParseResult[RegionTable] = ParseResult(records=None)  # the table once read
     levels: dict[str, str] = {}
     columns = _RegionColumns()
     for i, feature in enumerate(load_feature_collection(source).get("features", [])):
@@ -980,9 +965,9 @@ def _region_from_feature(feature: dict, diagnostics: list[str]) -> tuple:
     return region_id, name, level, bbox, rings, [k > 0 for polygon in polygons for k in range(len(polygon))]
 
 
-def parse_track(source: str | Path | TextIO) -> ParseResult[TrackPoint]:
-    """Read ``track.csv`` (timestamp,lat,lon); timestamps must strictly increase."""
-    result: ParseResult[TrackPoint] = ParseResult(records=[])
+def parse_track(source: str | Path | TextIO) -> ParseResult[list[TrackPoint]]:
+    """Read ``track.csv`` (timestamp,lat,lon) into a list of :class:`TrackPoint`; times must strictly increase."""
+    result: ParseResult[list[TrackPoint]] = ParseResult(records=[])
     result.records.extend(_read_table(source, "track", ("timestamp", "lat", "lon"), _track_row, result))
     for prev, cur in zip(result.records, result.records[1:]):
         if cur.timestamp <= prev.timestamp:
@@ -1001,12 +986,12 @@ def _track_row(row: list[str], col: dict[str, int]) -> TrackPoint:
 
 def parse_keyed_table(
     source: str | Path | TextIO, kind: str
-) -> ParseResult[PopulationEntry] | ParseResult[DamageRecord]:
-    """Read ``population.csv`` or ``damage.csv`` depending on ``kind``.
+) -> ParseResult[dict[str, int]] | ParseResult[dict[tuple[str, str], float]]:
+    """Read ``population.csv`` or ``damage.csv``, depending on ``kind``, into a dict in first-seen order.
 
-    Duplicate region_id in a population table is fatal; duplicate
-    (region_id, source) damage rows are summed. A damage row is rejected
-    when adding it overflows its (region_id, source) total or, for an
+    Population records are ``{region_id: population}``; a duplicate region_id
+    is fatal. Damage records are ``{(region_id, source): amount_usd}``, duplicate
+    rows summed; a row is rejected when adding it overflows its total or, for an
     ex-post source, its region's total over the ex-post sources.
     """
     if kind == "population":
@@ -1016,18 +1001,17 @@ def parse_keyed_table(
     raise ValueError(f"kind must be 'population' or 'damage', got {kind!r}")
 
 
-def _parse_population(source: str | Path | TextIO) -> ParseResult[PopulationEntry]:
-    result: ParseResult[PopulationEntry] = ParseResult(records=[])
-    seen: set[str] = set()
-    for entry in _read_table(source, "population", ("region_id", "population"), _population_row, result):
-        if entry.region_id in seen:
-            raise IngestError(f"population: duplicate region_id {entry.region_id!r}")
-        seen.add(entry.region_id)
-        result.records.append(entry)
+def _parse_population(source: str | Path | TextIO) -> ParseResult[dict[str, int]]:
+    result: ParseResult[dict[str, int]] = ParseResult(records={})
+    rows = _read_table(source, "population", ("region_id", "population"), _population_row, result)
+    for region_id, population in rows:
+        if region_id in result.records:
+            raise IngestError(f"population: duplicate region_id {region_id!r}")
+        result.records[region_id] = population
     return result
 
 
-def _population_row(row: list[str], col: dict[str, int]) -> PopulationEntry:
+def _population_row(row: list[str], col: dict[str, int]) -> tuple[str, int]:
     region_id = row[col["region_id"]].strip()
     population = int(row[col["population"]])
     if not region_id:
@@ -1036,34 +1020,30 @@ def _population_row(row: list[str], col: dict[str, int]) -> PopulationEntry:
         raise ValueError("population must be positive")
     if population > _MAX_COUNT:
         raise ValueError("population out of range")
-    return PopulationEntry(region_id=region_id, population=population)
+    return region_id, population
 
 
-def _parse_damage(source: str | Path | TextIO) -> ParseResult[DamageRecord]:
-    result: ParseResult[DamageRecord] = ParseResult(records=[])
-    totals: dict[tuple[str, str], float] = {}  # insertion order is first-seen order
+def _parse_damage(source: str | Path | TextIO) -> ParseResult[dict[tuple[str, str], float]]:
+    result: ParseResult[dict[tuple[str, str], float]] = ParseResult(records={})
+    totals = result.records
 
     def add(row: list[str], col: dict[str, int]) -> None:
-        entry = _damage_row(row, col)
-        key = (entry.region_id, entry.source)
-        total = totals.get(key, 0.0) + entry.amount_usd
+        region_id, damage_source, amount = _damage_row(row, col)
+        total = totals.get((region_id, damage_source), 0.0) + amount
         if total == math.inf:
-            raise ValueError(f"amount_usd overflows the {entry.source} total of {entry.region_id!r}")
-        if entry.source != MODELED_SOURCE:
-            others = DAMAGE_SOURCES - {MODELED_SOURCE, entry.source}
-            if total + sum(totals.get((entry.region_id, s), 0.0) for s in sorted(others)) == math.inf:
-                raise ValueError(f"amount_usd overflows the ex-post total of {entry.region_id!r}")
-        totals[key] = total
+            raise ValueError(f"amount_usd overflows the {damage_source} total of {region_id!r}")
+        if damage_source != MODELED_SOURCE:
+            others = DAMAGE_SOURCES - {MODELED_SOURCE, damage_source}
+            if total + sum(totals.get((region_id, s), 0.0) for s in sorted(others)) == math.inf:
+                raise ValueError(f"amount_usd overflows the ex-post total of {region_id!r}")
+        totals[region_id, damage_source] = total
 
     for _ in _read_table(source, "damage", ("region_id", "amount_usd", "source"), add, result):
         pass
-    result.records = [
-        DamageRecord(region_id=rid, amount_usd=amount, source=src) for (rid, src), amount in totals.items()
-    ]
     return result
 
 
-def _damage_row(row: list[str], col: dict[str, int]) -> DamageRecord:
+def _damage_row(row: list[str], col: dict[str, int]) -> tuple[str, str, float]:
     region_id = row[col["region_id"]].strip()
     amount = float(row[col["amount_usd"]])
     damage_source = row[col["source"]].strip().lower()
@@ -1073,15 +1053,15 @@ def _damage_row(row: list[str], col: dict[str, int]) -> DamageRecord:
         raise ValueError("amount_usd must be finite and non-negative")
     if damage_source not in DAMAGE_SOURCES:
         raise ValueError(f"source must be one of {sorted(DAMAGE_SOURCES)}")
-    return DamageRecord(region_id=region_id, amount_usd=amount, source=damage_source)
+    return region_id, damage_source, amount
 
 
 _COUNTY_COLUMNS = ("county", "population", "tweets", "users", "expost_damage_musd", "hazus_damage_musd")
 
 
-def parse_county_table(source: str | Path | TextIO) -> ParseResult[CountyStats]:
-    """Read a county statistics table (the shipped ``fixtures/sandy_counties.csv`` schema)."""
-    result: ParseResult[CountyStats] = ParseResult(records=[])
+def parse_county_table(source: str | Path | TextIO) -> ParseResult[list[CountyStats]]:
+    """Read a county statistics table (the ``fixtures/sandy_counties.csv`` schema) into :class:`CountyStats` rows."""
+    result: ParseResult[list[CountyStats]] = ParseResult(records=[])
     seen: set[str] = set()
     for stats in _read_table(source, "county table", _COUNTY_COLUMNS, _county_row, result):
         if stats.county in seen:

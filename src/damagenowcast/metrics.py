@@ -89,11 +89,16 @@ def bin_window(epoch: datetime, width: timedelta, index: int) -> TimeWindow:
 
 @dataclass(frozen=True)
 class RegionCodes:
-    """The region of each row of a :class:`MessageTable`: row ``i`` lies in
-    ``region_ids[codes[i]]``, or in no region when ``codes[i]`` is -1."""
+    """The region of each row of a :class:`MessageTable`, or of each point of a
+    join: row ``i`` lies in ``region_ids[codes[i]]``, or in no region when
+    ``codes[i]`` is -1."""
 
     codes: np.ndarray
     region_ids: Sequence[str]
+
+    def values(self) -> list[str | None]:
+        # the region id of each row; code -1 picks the trailing None
+        return np.array([*self.region_ids, None], dtype=object)[self.codes].tolist()
 
 
 def _to_us(stamp: datetime) -> int:

@@ -10,7 +10,8 @@ grid and GeoJSON feature. ``message_table`` reads records written the
 reference way back through the package's parser, for tests that need a
 message table; ``region_table``, ``join_points`` and ``codes_of`` bring region
 objects, (id, point) pairs and message_id -> region_id mappings to the one
-form the package's join and summaries take.
+form the package's join and summaries take; ``report_cell`` finds one cell of
+a correlation report by its keys.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from damagenowcast.analysis import (
-    CorrelationSeries,
-    DamageCorrelationReport,
-    KeywordRanking,
     KeywordRelevance,
     NowcastEntry,
     NowcastReport,
@@ -540,7 +538,7 @@ def daily_correlation_series_reference(daily_summaries, damage_usd, population, 
             activity_damage_spearman=_guarded(activity, damage, "spearman"),
             sentiment_damage_kendall=_guarded(sentiment, sentiment_damage, "kendall"),
         ))
-    return CorrelationSeries(entries=tuple(entries))
+    return tuple(entries)
 
 
 def grid_of(per_column):
@@ -582,11 +580,10 @@ def rank_keywords_reference(city_summaries, distances_km, city_subset=None, orig
                 continue
             activity.append(value)
             distance.append(distances_km[city])
-        kendall = _guarded(activity, distance, "kendall")
-        entries.append(KeywordRelevance(keyword, kendall, _guarded(activity, distance, "spearman"), len(activity),
-                                        kendall.degenerate))
+        entries.append(KeywordRelevance(keyword, _guarded(activity, distance, "kendall"),
+                                        _guarded(activity, distance, "spearman"), len(activity)))
     entries.sort(key=_relevance_sort_key)
-    return KeywordRanking(entries=tuple(entries))
+    return tuple(entries)
 
 
 def damage_correlation_report_reference(scope_summaries, damage_by_source, population,
@@ -625,7 +622,22 @@ def damage_correlation_report_reference(scope_summaries, damage_by_source, popul
                     for method in methods:
                         cells.append(ReportCell("sentiment", scope, source, norm,
                                                 _guarded(sentiment, sentiment_damage, method), active))
-    return DamageCorrelationReport(cells=tuple(cells))
+    return tuple(cells)
+
+
+def report_cell(cells, variable, keyword, damage_source, normalization, method, transform):
+    """The report cell with these keys, or None."""
+    for c in cells:
+        if (
+            c.variable == variable
+            and c.keyword == keyword
+            and c.damage_source == damage_source
+            and c.normalization == normalization
+            and c.result.method == method
+            and c.result.transform == transform
+        ):
+            return c
+    return None
 
 
 def nowcast_reference(summaries, original_only=True, damage_usd=None):

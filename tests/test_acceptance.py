@@ -32,6 +32,7 @@ from oracles import (
     kendall_exact_p_enumerated,
     kendall_exact_p_loop,
     pearson_brute,
+    report_cell,
     spearman_brute,
     tau_b_brute,
 )
@@ -216,13 +217,10 @@ def test_criterion_3_geometry_oracles():
 def _pipeline_activity_damage(bundle_dir: Path, window: TimeWindow):
     messages = parse_messages(bundle_dir / "messages.csv").records
     regions = parse_regions(bundle_dir / "regions.geojson").records
-    population = {
-        e.region_id: e.population
-        for e in parse_keyed_table(bundle_dir / "population.csv", "population").records
-    }
+    population = parse_keyed_table(bundle_dir / "population.csv", "population").records
     damage: dict[str, float] = {}
-    for record in parse_keyed_table(bundle_dir / "damage.csv", "damage").records:
-        damage[record.region_id] = damage.get(record.region_id, 0.0) + record.amount_usd
+    for (region_id, _), amount in parse_keyed_table(bundle_dir / "damage.csv", "damage").records.items():
+        damage[region_id] = damage.get(region_id, 0.0) + amount
     located = [(m.message_id, GeoPoint(*m.location)) for m in messages if m.location]
     assignments = {m.message_id: None for m in messages}
     assignments.update(join_points(located, regions))
@@ -230,8 +228,8 @@ def _pipeline_activity_damage(bundle_dir: Path, window: TimeWindow):
         messages, codes_of(messages, assignments), window, population=population,
         region_ids=[r.region_id for r in regions], scopes={POOLED: None},
     )
-    report = damage_correlation_report(grid, {"insurance": damage}, include_sentiment=False)
-    return report.cell("activity", POOLED, "insurance", "census_population", "kendall", "raw").result
+    cells = damage_correlation_report(grid, {"insurance": damage}, include_sentiment=False)
+    return report_cell(cells, "activity", POOLED, "insurance", "census_population", "kendall", "raw").result
 
 
 def _ground_truth_tau(bundle_dir: Path) -> float:
@@ -314,20 +312,17 @@ def test_criterion_5_landfall_dip_shape(tmp_path):
 
         messages = parse_messages(out / "messages.csv").records
         regions = parse_regions(out / "regions.geojson").records
-        population = {
-            e.region_id: e.population
-            for e in parse_keyed_table(out / "population.csv", "population").records
-        }
+        population = parse_keyed_table(out / "population.csv", "population").records
         damage: dict[str, float] = {}
-        for record in parse_keyed_table(out / "damage.csv", "damage").records:
-            damage[record.region_id] = damage.get(record.region_id, 0.0) + record.amount_usd
+        for (region_id, _), amount in parse_keyed_table(out / "damage.csv", "damage").records.items():
+            damage[region_id] = damage.get(region_id, 0.0) + amount
         located = [(m.message_id, GeoPoint(*m.location)) for m in messages if m.location]
         assignments = {m.message_id: None for m in messages}
         assignments.update(join_points(located, regions))
         bins = range(-4, 5)
         daily = summarize_daily(messages, codes_of(messages, assignments), EPOCH, DAY, bins, population=population)
         series = daily_correlation_series(daily, damage, bins, EPOCH, DAY)
-        taus = {e.bin_index: e.activity_damage_kendall.coefficient for e in series.entries}
+        taus = {e.bin_index: e.activity_damage_kendall.coefficient for e in series}
         assert all(not math.isnan(taus[k]) for k in range(-3, 4))
         pre = sum(taus[k] for k in (-3, -2, -1)) / 3
         post = sum(taus[k] for k in (1, 2, 3)) / 3
@@ -366,8 +361,8 @@ def test_criterion_6_keyword_ranking():
         counts[(city, "decayed")] = 300 - 9 * i
         counts[(city, "flat")] = 50
     ranking = rank_keywords(SummaryGrid.from_mapping(_keyword_city_summaries(counts)), distances)
-    assert ranking.keywords()[0] == "decayed"
-    assert ranking.entries[0].kendall.coefficient == -1.0
+    assert ranking[0].keyword == "decayed"
+    assert ranking[0].kendall.coefficient == -1.0
 
     # Poisson noise at 30 cities: ordering holds 20/20 and the decayed
     # keyword is significant at 5%
@@ -380,8 +375,8 @@ def test_criterion_6_keyword_ranking():
             noisy[(city, "decayed")] = int(rng.poisson(decayed_rate))
             noisy[(city, "flat")] = int(rng.poisson(80.0))
         result = rank_keywords(SummaryGrid.from_mapping(_keyword_city_summaries(noisy)), distances)
-        top = result.entries[0]
-        if result.keywords()[0] == "decayed" and top.kendall.p_value < 0.05:
+        top = result[0]
+        if top.keyword == "decayed" and top.kendall.p_value < 0.05:
             ordered += 1
     elapsed = time.perf_counter() - started
     assert ordered == 20

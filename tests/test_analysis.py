@@ -13,7 +13,7 @@ from damagenowcast.analysis import (
 )
 from damagenowcast.ingest import parse_county_table
 from damagenowcast.metrics import ActivitySummary, SummaryGrid
-from oracles import codes_of, grid_of, join_points
+from oracles import codes_of, grid_of, join_points, report_cell
 
 EPOCH = datetime(2012, 10, 30, tzinfo=timezone.utc)
 DAY = timedelta(hours=24)
@@ -48,12 +48,12 @@ class TestRankKeywords:
             summaries[(c, "decayed")] = summary(c, n_messages=80 - 10 * i, users=10)
             summaries[(c, "flat")] = summary(c, n_messages=40, users=10)
         ranking = rank_keywords(SummaryGrid.from_mapping(summaries), distances)
-        assert ranking.keywords()[0] == "decayed"
-        top = ranking.entries[0]
+        assert ranking[0].keyword == "decayed"
+        top = ranking[0]
         assert top.kendall.coefficient == pytest.approx(-1.0, abs=1e-15)
         # a constant keyword has no defined rank correlation
-        assert ranking.entries[-1].keyword == "flat"
-        assert ranking.entries[-1].degenerate
+        assert ranking[-1].keyword == "flat"
+        assert ranking[-1].kendall.degenerate
 
     def test_under_three_active_cities_ranked_last_degenerate(self):
         distances = {"a": 10.0, "b": 20.0, "c": 30.0}
@@ -65,9 +65,9 @@ class TestRankKeywords:
             ("b", "sparse"): summary("b", 0),
         }
         ranking = rank_keywords(SummaryGrid.from_mapping(summaries), distances)
-        sparse = ranking.entries[-1]
+        sparse = ranking[-1]
         assert sparse.keyword == "sparse"
-        assert sparse.degenerate
+        assert sparse.kendall.degenerate
         assert sparse.n_cities == 1
 
     def test_equal_coefficients_tie_break_alphabetical(self):
@@ -77,7 +77,7 @@ class TestRankKeywords:
             for kw in ("zeta", "alpha"):
                 summaries[(c, kw)] = summary(c, n_messages=40 - 10 * i)
         ranking = rank_keywords(SummaryGrid.from_mapping(summaries), distances)
-        assert ranking.keywords() == ["alpha", "zeta"]
+        assert [e.keyword for e in ranking] == ["alpha", "zeta"]
 
     def test_city_subset_restricts(self):
         # a city without a track distance is left out of the ranking
@@ -85,8 +85,8 @@ class TestRankKeywords:
         summaries = {(c, "kw"): summary(c, 10 * (4 - i)) for i, c in enumerate(["a", "b", "c", "far"])}
         full = rank_keywords(SummaryGrid.from_mapping(summaries), distances)
         subset = rank_keywords(SummaryGrid.from_mapping(summaries), {c: distances[c] for c in ("a", "b", "c")})
-        assert full.entries[0].n_cities == 4
-        assert subset.entries[0].n_cities == 3
+        assert full[0].n_cities == 4
+        assert subset[0].n_cities == 3
 
     def test_ordering_invariant_under_input_permutation(self):
         rng = np.random.default_rng(0)
@@ -98,7 +98,7 @@ class TestRankKeywords:
                 items.append(((c, kw), summary(c, int(rng.integers(1, 50)))))
         a = rank_keywords(SummaryGrid.from_mapping(dict(items)), distances)
         b = rank_keywords(SummaryGrid.from_mapping(dict(reversed(items))), distances)
-        assert a.keywords() == b.keywords()
+        assert [e.keyword for e in a] == [e.keyword for e in b]
 
 
 class TestSeriesFromNoiselessCoupling:
@@ -124,20 +124,17 @@ class TestSeriesFromNoiselessCoupling:
         generate(config, tmp_path)
         messages = parse_messages(tmp_path / "messages.csv").records
         regions = parse_regions(tmp_path / "regions.geojson").records
-        population = {
-            e.region_id: e.population
-            for e in parse_keyed_table(tmp_path / "population.csv", "population").records
-        }
+        population = parse_keyed_table(tmp_path / "population.csv", "population").records
         damage = {}
-        for record in parse_keyed_table(tmp_path / "damage.csv", "damage").records:
-            damage[record.region_id] = damage.get(record.region_id, 0.0) + record.amount_usd
+        for (region_id, _), amount in parse_keyed_table(tmp_path / "damage.csv", "damage").records.items():
+            damage[region_id] = damage.get(region_id, 0.0) + amount
         located = [(m.message_id, GeoPoint(*m.location)) for m in messages if m.location]
         assignments = {m.message_id: None for m in messages}
         assignments.update(join_points(located, regions))
         bins = range(1, 8)
         daily = summarize_daily(messages, codes_of(messages, assignments), EPOCH, DAY, bins, population=population)
         series = daily_correlation_series(daily, damage, bins, EPOCH, DAY)
-        for entry in series.entries:
+        for entry in series:
             assert entry.activity_damage_kendall.coefficient > 0.8
 
 
@@ -153,7 +150,7 @@ class TestDailyCorrelationSeries:
         # damage proportional to the (identical across bins) regional ordering
         damage = {f"r{i}": float(i + 1) for i in range(6)}
         series = daily_correlation_series(SummaryGrid.from_mapping(summaries), damage, (0, 1, 2), EPOCH, DAY)
-        for entry in series.entries:
+        for entry in series:
             assert entry.activity_damage_kendall.coefficient == pytest.approx(1.0)
             assert entry.activity_damage_spearman.coefficient == pytest.approx(1.0)
             assert entry.active_regions == 6
@@ -161,7 +158,7 @@ class TestDailyCorrelationSeries:
     def test_silent_bin_recorded_as_degenerate(self):
         summaries = {(f"r{i}", 0): summary(f"r{i}", i + 1, population=100) for i in range(3)}
         series = daily_correlation_series(SummaryGrid.from_mapping(summaries), {"r0": 1.0}, (0, 1), EPOCH, DAY)
-        silent = series.entries[1]
+        silent = series[1]
         assert silent.active_regions == 0
         assert silent.n_messages == 0
         assert silent.activity_damage_kendall.degenerate
@@ -169,8 +166,8 @@ class TestDailyCorrelationSeries:
     def test_under_three_active_regions_degenerate_but_continues(self):
         summaries = {(f"r{i}", 0): summary(f"r{i}", 5, population=100) for i in range(2)}
         series = daily_correlation_series(SummaryGrid.from_mapping(summaries), {}, (0,), EPOCH, DAY)
-        assert series.entries[0].activity_damage_kendall.degenerate
-        assert series.entries[0].active_regions == 2
+        assert series[0].activity_damage_kendall.degenerate
+        assert series[0].active_regions == 2
 
     def test_sentiment_pairs_use_scored_regions_only(self):
         summaries = {
@@ -181,14 +178,14 @@ class TestDailyCorrelationSeries:
         }
         series = daily_correlation_series(SummaryGrid.from_mapping(summaries), {"r0": 9.0, "r1": 5.0, "r2": 1.0},
                                           (0,), EPOCH, DAY)
-        entry = series.entries[0]
+        entry = series[0]
         assert entry.sentiment_damage_kendall.n == 3
         assert entry.sentiment_damage_kendall.coefficient == pytest.approx(-1.0)
 
     def test_bin_start_labels(self):
         summaries = {("r0", -2): summary("r0", 1, population=10)}
         series = daily_correlation_series(SummaryGrid.from_mapping(summaries), {}, (-2,), EPOCH, DAY)
-        assert series.entries[0].bin_start == EPOCH - 2 * DAY
+        assert series[0].bin_start == EPOCH - 2 * DAY
 
 
 def county_inputs(sandy_counties_path):
@@ -209,15 +206,15 @@ class TestDamageCorrelationReport:
         summaries = {POOLED: {f"r{i}": summary(f"r{i}", i + 1, population=100) for i in range(8)}}
         damage = {"insurance": {f"r{i}": float(i + 1) * 100.0 for i in range(8)}}
         report = damage_correlation_report(grid_of(summaries), damage, include_sentiment=False)
-        for cell in report.cells:
+        for cell in report:
             if cell.normalization == "census_population" and cell.result.transform == "raw":
                 assert cell.result.coefficient == pytest.approx(1.0)
 
     def test_fixture_reproduces_rank_cells(self, sandy_counties_path):
         summaries, damage = county_inputs(sandy_counties_path)
         report = damage_correlation_report(grid_of({POOLED: summaries}), damage, include_sentiment=False)
-        tau = report.cell("activity", POOLED, "ex_post", "census_population", "kendall", "raw")
-        rho = report.cell("activity", POOLED, "ex_post", "census_population", "spearman", "raw")
+        tau = report_cell(report, "activity", POOLED, "ex_post", "census_population", "kendall", "raw")
+        rho = report_cell(report, "activity", POOLED, "ex_post", "census_population", "spearman", "raw")
         assert tau.result.coefficient == pytest.approx(0.339031, abs=1e-6)
         assert rho.result.coefficient == pytest.approx(0.504884, abs=1e-6)
         assert tau.active_regions == 27
@@ -227,7 +224,7 @@ class TestDamageCorrelationReport:
         scaled = {src: {r: v * 7.25 for r, v in d.items()} for src, d in damage.items()}
         base = damage_correlation_report(grid_of({POOLED: summaries}), damage, include_sentiment=False)
         big = damage_correlation_report(grid_of({POOLED: summaries}), scaled, include_sentiment=False)
-        for a, b in zip(base.cells, big.cells):
+        for a, b in zip(base, big):
             if a.result.method in ("kendall", "spearman") and not a.result.degenerate:
                 assert a.result.coefficient == pytest.approx(b.result.coefficient, abs=1e-12)
                 assert a.result.p_value == pytest.approx(b.result.p_value, abs=1e-12)
@@ -246,7 +243,7 @@ class TestDamageCorrelationReport:
         }
         base = damage_correlation_report(grid_of({POOLED: summaries}), damage, include_sentiment=False)
         scaled = damage_correlation_report(grid_of({POOLED: scaled_summaries}), damage, include_sentiment=False)
-        for a, b in zip(base.cells, scaled.cells):
+        for a, b in zip(base, scaled):
             if a.result.method in ("kendall", "spearman") and not a.result.degenerate:
                 assert a.result.coefficient == pytest.approx(b.result.coefficient, abs=1e-12)
 
@@ -259,7 +256,7 @@ class TestDamageCorrelationReport:
         }
         damage = {"insurance": {f"r{i}": float(i) for i in range(6)}}
         report = damage_correlation_report(grid_of(summaries), damage)
-        sentiment_cells = [c for c in report.cells if c.variable == "sentiment"]
+        sentiment_cells = [c for c in report if c.variable == "sentiment"]
         assert sentiment_cells
         assert all(c.result.transform == "raw" for c in sentiment_cells)
 
@@ -267,7 +264,7 @@ class TestDamageCorrelationReport:
         summaries = {POOLED: {f"r{i}": summary(f"r{i}", i + 1, population=100) for i in range(6)}}
         damage = {"insurance": {f"r{i}": float(i) * 10 for i in range(6)}}  # r0 damage 0
         report = damage_correlation_report(grid_of(summaries), damage, include_sentiment=False)
-        cell = report.cell("activity", POOLED, "insurance", "census_population", "pearson", "log10")
+        cell = report_cell(report, "activity", POOLED, "insurance", "census_population", "pearson", "log10")
         assert cell.result.excluded == 1
         assert cell.result.n == 5
 
@@ -275,7 +272,7 @@ class TestDamageCorrelationReport:
         summaries = {"ghost": {}}
         damage = {"insurance": {}}
         report = damage_correlation_report(grid_of(summaries), damage)
-        assert all(c.result.degenerate for c in report.cells if c.variable == "activity")
+        assert all(c.result.degenerate for c in report if c.variable == "activity")
 
 
 class TestNowcast:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from damagenowcast.geo import (
     EARTH_RADIUS_KM,
     GeoPoint,
-    JoinedRows,
     SpatialIndex,
     haversine_km,
     point_to_track_km,
@@ -20,6 +19,7 @@ from damagenowcast.geo import (
     spatial_join,
 )
 from damagenowcast.ingest import MessageRecord, RegionBoundary, TrackPoint, parse_regions
+from damagenowcast.metrics import RegionCodes
 
 from oracles import (
     brute_force_join,
@@ -374,7 +374,7 @@ class TestSpatialJoin:
         located = ~np.isnan(table.lat)
         index = SpatialIndex(region_table(regions), cell_deg=cell)
         joined = spatial_join(table.lat[located], table.lon[located], index)
-        assert isinstance(joined, JoinedRows)
+        assert isinstance(joined, RegionCodes)
         assert table.message_id[~np.isnan(table.lat)].tolist() == list(expected)  # the located rows, in row order
         assert joined.values() == list(expected.values())  # None where uncontained
         assert [joined.region_ids[c] if c >= 0 else None for c in joined.codes.tolist()] == list(expected.values())

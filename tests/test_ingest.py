@@ -389,8 +389,7 @@ class TestParseTrack:
 class TestParseKeyedTable:
     def test_damage_summed_per_source(self):
         stream = io.StringIO("region_id,amount_usd,source\nr1,10,fema_ia\nr1,5,fema_ia\nr1,7,insurance\n")
-        records = parse_keyed_table(stream, "damage").records
-        totals = {(r.region_id, r.source): r.amount_usd for r in records}
+        totals = parse_keyed_table(stream, "damage").records
         assert totals[("r1", "fema_ia")] == 15
         assert totals[("r1", "insurance")] == 7
 
@@ -402,7 +401,7 @@ class TestParseKeyedTable:
     def test_nonpositive_population_rejected(self):
         stream = io.StringIO("region_id,population\nr1,0\nr2,10\n")
         result = parse_keyed_table(stream, "population")
-        assert [e.region_id for e in result.records] == ["r2"]
+        assert list(result.records) == ["r2"]
         assert result.rows_rejected == 1
 
     @pytest.mark.parametrize("population", ["9223372036854775808", "100000000000000000000",
@@ -410,20 +409,20 @@ class TestParseKeyedTable:
     def test_population_beyond_int64_rejected(self, population):
         stream = io.StringIO(f"region_id,population\nr1,{population}\nr2,9223372036854775807\n")
         result = parse_keyed_table(stream, "population")
-        assert [(e.region_id, e.population) for e in result.records] == [("r2", 2**63 - 1)]
+        assert list(result.records.items()) == [("r2", 2**63 - 1)]
         assert result.diagnostics == ["population line 2: population out of range"]
 
     def test_unknown_damage_source_rejected(self):
         stream = io.StringIO("region_id,amount_usd,source\nr1,10,guess\n")
         result = parse_keyed_table(stream, "damage")
-        assert result.records == []
+        assert result.records == {}
         assert result.rows_rejected == 1
 
     def test_non_finite_or_negative_damage_rejected(self):
         amounts = ["inf", "-inf", "nan", "1e999", "-5", "0", "1e300"]
         rows = "".join(f"r{i},{amount},fema_ia\n" for i, amount in enumerate(amounts))
         result = parse_keyed_table(io.StringIO("region_id,amount_usd,source\n" + rows), "damage")
-        assert [(r.region_id, r.amount_usd) for r in result.records] == [("r5", 0.0), ("r6", 1e300)]
+        assert list(result.records.items()) == [(("r5", "fema_ia"), 0.0), (("r6", "fema_ia"), 1e300)]
         assert result.diagnostics == [
             f"damage line {line}: amount_usd must be finite and non-negative" for line in range(2, 7)
         ]
@@ -432,7 +431,7 @@ class TestParseKeyedTable:
         stream = io.StringIO("region_id,amount_usd,source\nr1,1e308,fema_ia\nr1,1e308,fema_ia\nr1,1e308,insurance\n"
                              "r1,1e308,hazus\nr2,1e308,insurance\n")
         result = parse_keyed_table(stream, "damage")
-        assert [(r.region_id, r.source, r.amount_usd) for r in result.records] == [
+        assert [(*key, amount) for key, amount in result.records.items()] == [
             ("r1", "fema_ia", 1e308), ("r1", "hazus", 1e308), ("r2", "insurance", 1e308)]
         # line 4 overflows the ex-post (fema_ia + insurance) total; hazus is not ex-post
         assert result.diagnostics == [

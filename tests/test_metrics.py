@@ -394,7 +394,10 @@ def with_population(summaries, population):
 
 
 def _bits(value):
-    """``value`` with each float as its hex text, so NaN equals NaN and only equal bits compare equal."""
+    """``value`` with each float as its hex text, so NaN equals NaN and only equal bits compare equal;
+    a dataclass compares as the tuple of its fields."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
     if isinstance(value, tuple):
         return tuple(map(_bits, value))
     return value.hex() if isinstance(value, float) else value
@@ -416,7 +419,7 @@ class TestSeriesMatchesReference:
         got = daily_correlation_series(daily, damage, series_bins, EPOCH, width, normalization)
         expected = daily_correlation_series_reference(reference, damage, population, series_bins, normalization,
                                                       EPOCH, width)
-        assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(expected))
+        assert _bits(got) == _bits(expected)
 
     @given(plain_daily(), series_args())
     @settings(max_examples=60, deadline=None)
@@ -429,7 +432,7 @@ class TestSeriesMatchesReference:
         summaries = with_population(summaries, population)
         got = daily_correlation_series(SummaryGrid.from_mapping(summaries), damage, bins, EPOCH, DAY, normalization)
         expected = daily_correlation_series_reference(summaries, damage, population, bins, normalization, EPOCH, DAY)
-        assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(expected))
+        assert _bits(got) == _bits(expected)
 
 
 @st.composite
@@ -460,7 +463,7 @@ class TestAnalysesMatchReference:
 
     @staticmethod
     def _same(got, expected):
-        assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(expected))
+        assert _bits(got) == _bits(expected)
 
     @given(corpus(), region_args(), st.booleans())
     @settings(max_examples=40, deadline=None)
