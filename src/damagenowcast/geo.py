@@ -178,26 +178,26 @@ def _batches(count: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 class _EdgeTable:
-    """Every edge of every ring of some regions of a table, as flat float64 arrays.
+    """Every edge of every ring of a table's regions, as flat float64 arrays.
 
-    The regions ``chosen`` are numbered in that order, and region ``k`` owns
-    the edges where ``region == k``, in ring order. Region bboxes and edge
+    The regions are numbered in ``order``, a permutation of the table's, and region
+    ``k`` owns the edges where ``region == k``, in ring order. Region bboxes and edge
     extents are stored widened by ``_ON_EDGE_EPS``, the band within which a
     point still counts as on the boundary.
     """
 
-    def __init__(self, regions: RegionTable, chosen: Sequence[int]):
-        chosen = np.asarray(chosen, dtype=np.intp)
-        self.region_ids = regions.region_id[chosen].tolist()
-        bbox = regions.bbox[chosen]
+    def __init__(self, regions: RegionTable, order: Sequence[int]):
+        order = np.asarray(order, dtype=np.intp)
+        self.region_ids = regions.region_id[order].tolist()
+        bbox = regions.bbox[order]
         self.x0, self.y0 = bbox[:, 0] - _ON_EDGE_EPS, bbox[:, 1] - _ON_EDGE_EPS
         self.x1, self.y1 = bbox[:, 2] + _ON_EDGE_EPS, bbox[:, 3] + _ON_EDGE_EPS
 
-        number = np.full(len(regions), -1, dtype=np.intp)
-        number[chosen] = np.arange(len(chosen))
+        number = np.empty(len(regions), dtype=np.intp)
+        number[order] = np.arange(len(order))
         ring_number = np.repeat(number, np.diff(regions.ring_offsets))
         vertex_number = np.repeat(ring_number, np.diff(regions.vertex_offsets))
-        opens_edge = vertex_number >= 0
+        opens_edge = np.ones(len(vertex_number), dtype=bool)
         opens_edge[regions.vertex_offsets[1:] - 1] = False
         a = np.flatnonzero(opens_edge)
         a = a[np.argsort(vertex_number[a], kind="stable")]
