@@ -342,6 +342,9 @@ def _cmd_rank_keywords(args: argparse.Namespace) -> int:
         ["rank", "keyword", "n_cities", "kendall", "kendall_p", "spearman", "spearman_p", "degenerate"],
         rows,
     )
+    if not distances:
+        print(f"rank-keywords: no region centroid at or east of --min-lon {args.min_lon}", file=sys.stderr)
+        return EXIT_DEGENERATE
     if all(entry.kendall.degenerate for entry in ranking):
         print("rank-keywords: all keywords degenerate", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -497,6 +497,19 @@ class TestRankKeywordsCommand:
         assert rows[0]["keyword"] == "storm"
         assert float(rows[0]["kendall"]) < 0  # activity decays with distance
 
+    def test_no_centroid_east_of_min_lon_names_that_cause(self, sim_bundle, tmp_path, capsys):
+        assert run(
+            "rank-keywords",
+            "--messages", sim_bundle / "messages.csv",
+            "--regions", sim_bundle / "regions.geojson",
+            "--track", sim_bundle / "track.csv",
+            "--min-lon", "inf",
+            "--out", tmp_path,
+        ) == 2
+        assert capsys.readouterr().err == "rank-keywords: no region centroid at or east of --min-lon inf\n"
+        _, rows = read_report(tmp_path / "keywords.csv")
+        assert rows == []
+
 
 class TestValidateCommand:
     def test_validate_bundle(self, sim_bundle):
