@@ -82,8 +82,29 @@ EXIT_INPUT_ERROR = 1
 EXIT_DEGENERATE = 2
 
 
+class _NegativeFloat:
+    """Matches an argument that starts with '-' and is a float literal, such as -inf or -1e3.
+
+    argparse reads an argument that starts with '-' as an option unless this matcher takes it for a
+    negative number. Its default pattern matches -5 and -.5 alone, which left ``--min-lon -inf``
+    without a value."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return text.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad usage; the contract here is exit 1."""
+    """argparse exits with 2 on bad usage; the contract here is exit 1. An option's value may be any
+    negative float literal, as after an '='."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeFloat
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -127,10 +148,12 @@ def _series_bins(args: argparse.Namespace) -> tuple[datetime, timedelta, range]:
     return epoch, width, range(first, last + 1)
 
 
-def _parse_keywords(text: str | None) -> tuple[str, ...]:
-    if not text:
-        return DEFAULT_KEYWORD_POOL
-    return tuple(sorted({t.strip().lower() for t in text.split(",") if t.strip()}))
+def _parse_keywords(text: str) -> tuple[str, ...]:
+    """The sorted distinct tags of a comma-separated list; one that names no tag is a usage error."""
+    tags = {t.strip().lower() for t in text.split(",") if t.strip()}
+    if not tags:
+        raise argparse.ArgumentTypeError(f"{text!r} names no tag")
+    return tuple(sorted(tags))
 
 
 def _echo_config(args: argparse.Namespace) -> dict[str, str]:
@@ -469,7 +492,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
     epoch, width, bins = _series_bins(args)
     daily = summarize_daily(messages, codes, epoch, width, bins, population=population)
-    # the table is done with: held on, the statistics' allocations (scipy's import among them) stack on top of it
+    # the table is done with: held on, the statistics' allocations stack on top of it
     del messages, codes
     series = daily_correlation_series(daily, damage, bins, epoch, width, normalization=args.normalization)
 

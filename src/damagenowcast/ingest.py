@@ -821,21 +821,32 @@ def write_messages_csv(blocks: Iterable[Sequence], sink: str | Path | TextIO) ->
     keyword cells as lists of str; ``time_us`` (µs since the Unix epoch); lat,
     lon and sentiment as floats, NaN for an empty cell; is_retweet as bools and
     retweeted_count as ints, each as an array. A row whose line would start
-    with '#', which reads back as a comment, is written quoted.
+    with '#', which reads back as a comment, is written quoted, and so is a
+    row with a '\r' in a text cell, which ``csv.writer`` leaves unquoted when
+    lines end in '\n' alone, so that the reader splits the row there. A block
+    whose text cells need no quotes is written as joined lines.
     """
     with open(sink, "w", encoding="utf-8", newline="") if isinstance(sink, (str, Path)) else nullcontext(sink) as out:
         writer = csv.writer(out, lineterminator="\n")
         quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(MESSAGE_COLUMNS)
         for ids, users, time_us, lat, lon, keywords, is_retweet, retweeted_count, sentiment in blocks:
-            rows = zip(ids, users, _timestamp_texts(time_us), _float_texts(lat), _float_texts(lon), keywords,
+            columns = (ids, users, _timestamp_texts(time_us), _float_texts(lat), _float_texts(lon), keywords,
                        np.where(is_retweet, "1", "0").tolist(), list(map(str, retweeted_count.tolist())),
                        _float_texts(sentiment))
-            if "#" in "".join(ids):
-                for row in rows:
-                    (quoted if row[0].lstrip()[:1] == "#" else writer).writerow(row)
+            id_text = "".join(ids)
+            text = id_text + "".join(users) + "".join(keywords)
+            if "#" in id_text or "\r" in text:
+                for row in zip(*columns):
+                    needs_quotes = row[0].lstrip()[:1] == "#" or "\r" in row[0] + row[1] + row[5]
+                    (quoted if needs_quotes else writer).writerow(row)
+            elif "," in text or '"' in text or "\n" in text:
+                writer.writerows(zip(*columns))
             else:
-                writer.writerows(rows)
+                out.write("".join(map(_CANONICAL_ROW.format, *columns)))
+
+
+_CANONICAL_ROW = ",".join(["{}"] * len(MESSAGE_COLUMNS)) + "\n"
 
 
 def _timestamp_texts(time_us: np.ndarray) -> list[str]:

@@ -510,6 +510,25 @@ class TestRankKeywordsCommand:
         _, rows = read_report(tmp_path / "keywords.csv")
         assert rows == []
 
+    @pytest.mark.parametrize("value", ["-inf", "-1e3"])
+    def test_negative_float_literal_after_min_lon_is_its_value(self, value, sim_bundle, tmp_path):
+        # argparse took "-inf" and "-1e3" for options: "expected one argument", exit 1; "--min-lon=-inf" worked
+        inputs = ("--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson",
+                  "--track", sim_bundle / "track.csv")
+        assert run("rank-keywords", *inputs, "--min-lon", value, "--out", tmp_path / "spaced") == 0
+        assert run("rank-keywords", *inputs, f"--min-lon={value}", "--out", tmp_path / "joined") == 0
+        spaced, joined = (read_report(tmp_path / out / "keywords.csv") for out in ("spaced", "joined"))
+        assert spaced[0]["min-lon"] == joined[0]["min-lon"] == str(float(value))
+        assert spaced[1] == joined[1] and len(spaced[1]) > 0
+
+    def test_option_after_min_lon_stays_a_usage_error(self, sim_bundle, tmp_path, capsys):
+        assert run("rank-keywords", "--messages", sim_bundle / "messages.csv", "--regions",
+                   sim_bundle / "regions.geojson", "--track", sim_bundle / "track.csv", "--min-lon", "-foo",
+                   "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "argument --min-lon: expected one argument" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestValidateCommand:
     def test_validate_bundle(self, sim_bundle):
@@ -577,13 +596,48 @@ def test_simulate_never_sorts_or_codes_user_ids(tmp_path, monkeypatch):
     assert (tmp_path / "messages.csv").stat().st_size > 1000
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported on the first p-value; join, nowcast and simulate never need it
+_REFUSE_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+from damagenowcast.cli import main
+raise SystemExit(main())
+"""
+
+
+def test_cli_import_leaves_scipy_unloaded(sim_bundle, tmp_path):
+    # scipy is only the tests' reference: the p-values' t tail is computed in-house
     env = dict(os.environ, PYTHONPATH=str(Path(damagenowcast.__file__).parents[1]))
     probe = "import sys, damagenowcast.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           check=True, timeout=60)
     assert done.stdout.strip() == "False"
+
+    # with every scipy import refused, the commands that compute p-values write the same bytes
+    inputs = ("--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson")
+    tables = ("--population", sim_bundle / "population.csv", "--damage", sim_bundle / "damage.csv",
+              "--keywords", "storm")
+    reports = {
+        "correlations.csv": ("correlate", *inputs, *tables),
+        "series.csv": ("series", *inputs, *tables),
+        "keywords.csv": ("rank-keywords", *inputs, "--track", sim_bundle / "track.csv"),
+    }
+    for report, argv in reports.items():
+        written = []
+        for launcher in (["-m", "damagenowcast"], ["-c", _REFUSE_SCIPY]):
+            cwd = tmp_path / f"{report}-{len(written)}"  # the report header echoes --out, so both write to "out"
+            cwd.mkdir()
+            done = subprocess.run([sys.executable, *launcher, *map(str, argv), "--out", "out"], cwd=cwd, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, (report, launcher[0], done.stderr)
+            written.append((cwd / "out" / report).read_bytes())
+        assert written[0] == written[1], report
+        assert len([line for line in written[0].splitlines() if not line.startswith(b"#")]) > 1, report
 
 
 class TestErrorHandling:
@@ -686,6 +740,18 @@ class TestErrorHandling:
                    "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "--cell-deg must be > 0" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [",,", "", " , "])
+    @pytest.mark.parametrize("command", ["summarize", "correlate", "series", "nowcast"])
+    def test_keywords_naming_no_tag_is_a_usage_error(self, command, value, sim_bundle, tmp_path, capsys):
+        # correlate pooled every message for ",," and the five default tags for "", echoing "# keywords = "
+        inputs = [(f"--{name}", sim_bundle / f"{name}.{'geojson' if name == 'regions' else 'csv'}")
+                  for name in cli.COMMAND_INPUTS[command]]
+        assert run(command, *(part for pair in inputs for part in pair), "--keywords", value,
+                   "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"argument --keywords: {value!r} names no tag" in err
         assert not (tmp_path / "out").exists()
 
     def test_min_lon_nan_is_a_usage_error(self, tmp_path, capsys):

@@ -155,6 +155,19 @@ class TestParseMessages:
         write_messages_csv(records.blocks(), path)
         assert list(parse_messages(path).records) == list(records)
 
+    @pytest.mark.parametrize("cells", [("m1", '"u\rx"'), ('"m\r1"', "u1"), ('"m\r1"', '"u\r"')])
+    def test_round_trip_of_a_lone_carriage_return(self, cells):
+        # csv.writer left such a cell unquoted, and the reader split the row at the CR: 1 message, 2 rejected
+        stream = messages_csv(f"{cells[0]},{cells[1]},2012-10-30T00:00:00Z,40.71,-74.01,sandy,0,3,-0.2",
+                              "m2,u2,2012-10-29T23:59:59Z,,,gas,1,0,")
+        records = parse_messages(stream).records
+        assert len(records) == 2
+        buffer = io.StringIO()
+        write_messages_csv(records.blocks(), buffer)
+        buffer.seek(0)
+        result = parse_messages(buffer)
+        assert (result.rows_rejected, result.diagnostics) == (0, [])
+        assert list(result.records) == list(records)
 
     def test_round_trip_before_year_1000(self):
         records = parse_messages(messages_csv("m1,u1,0999-01-02T03:04:05Z,,,sandy,0,0,")).records

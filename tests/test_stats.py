@@ -13,7 +13,7 @@ from damagenowcast.stats import (
     midranks,
     rank_discrepancy,
 )
-from damagenowcast.stats import _kendall_s
+from damagenowcast.stats import _kendall_s, _t_sf
 
 from oracles import (
     average_ranks,
@@ -198,6 +198,27 @@ class TestExactPValues:
         y = [2.0, 1.0, 3.0, 5.0, 4.0]
         result = correlate(x, y, "kendall")
         assert 0.0 < result.p_value <= 1.0
+
+
+class TestStudentTail:
+    """The t tail behind the Pearson and Spearman p-values, against ``scipy.special.stdtr``."""
+
+    T = [0.0, 1e-6, *np.geomspace(1e-5, 1e300, 2000).tolist()]
+
+    @pytest.mark.parametrize("dof", [*range(1, 41), 50, 100, 238, 1000, 2498, 10000, 33000])
+    def test_matches_stdtr_to_1e_12_and_underflows_where_it_does(self, dof):
+        from scipy.special import stdtr
+
+        expected = stdtr(dof, -np.array(self.T))
+        if dof == 1:
+            # stdtr's own Cauchy tail is off by up to 2.8e-11 below t = 2e-4; this closed form is not
+            cauchy = [0.5 - math.atan(t) / math.pi if t < 1.0 else math.atan(1.0 / t) / math.pi for t in self.T]
+            expected = np.where(expected > 0.0, cauchy, 0.0)
+        got = np.array([_t_sf(t, dof) for t in self.T])
+        zero = expected == 0.0
+        assert zero.any() and got[0] == 0.5
+        assert (got[zero] == 0.0).all()
+        assert np.max(np.abs(got[~zero] - expected[~zero]) / expected[~zero]) <= 1e-12
 
 
 class TestSortBasedKernels:
