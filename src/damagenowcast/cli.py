@@ -387,7 +387,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         messages, regions, codes = _load(args)
         population = _population(args.population)
         damage_by_source = _load_damage(args.damage)
-        scopes = {POOLED: frozenset(args.keywords) or None}
+        scopes = {POOLED: frozenset(args.keywords)}
         for keyword in args.keywords:
             scopes[keyword] = frozenset({keyword})
         grid = summarize_regions(

@@ -814,6 +814,9 @@ def format_timestamp(stamp: datetime) -> str:
     return (text.rstrip("0") if utc.microsecond else text) + "Z"
 
 
+_CANONICAL_ROW = ",".join(["{}"] * len(MESSAGE_COLUMNS)) + "\n"
+
+
 def write_messages_csv(blocks: Iterable[Sequence], sink: str | Path | TextIO) -> None:
     """Write rows in the canonical ``messages.csv`` schema, which round-trips exactly.
 
@@ -844,9 +847,6 @@ def write_messages_csv(blocks: Iterable[Sequence], sink: str | Path | TextIO) ->
                 writer.writerows(zip(*columns))
             else:
                 out.write("".join(map(_CANONICAL_ROW.format, *columns)))
-
-
-_CANONICAL_ROW = ",".join(["{}"] * len(MESSAGE_COLUMNS)) + "\n"
 
 
 def _timestamp_texts(time_us: np.ndarray) -> list[str]:

@@ -143,7 +143,9 @@ def _beta_fraction(a: float, b: float, x: float, y: float, lam: float) -> float:
 
     The continued fraction BFRAC of DiDonato & Morris (1992, *ACM TOMS*
     18:360). It reads y and lam as given, so near x = 1, where a fraction in x
-    alone cancels, it keeps full precision; it converges in a few terms.
+    alone cancels, it keeps full precision. For the t tail it takes 20 to
+    140 terms at t near 1, where x nears the mean a / (a + b) of the beta
+    distribution, and at most 25 from t = 3 on.
     """
     c = lam + 1.0
     c0 = b / a
