@@ -11,6 +11,7 @@ a header alone leaves it as it is.
 
 import csv
 import hashlib
+import shutil
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ BUNDLE = ("simulate", "--seed", "7", "--regions", "40", "--sigma", "0.5",
           "--base-rate", "0.002", "--out", "bundle")
 INPUTS = ("--messages", "bundle/messages.csv", "--regions", "bundle/regions.geojson")
 TABLES = ("--population", "bundle/population.csv", "--damage", "bundle/damage.csv")
+COUNTY_TABLE = ("--county-table", "fixtures/sandy_counties.csv")  # a copy of the repository's fixture
 COMMANDS = {
     "join": ("join", *INPUTS, "--out", "join"),
     "summarize": ("summarize", *INPUTS, "--population", "bundle/population.csv",
@@ -31,12 +33,14 @@ COMMANDS = {
                            "--out", "summarize-keywords"),
     "correlate": ("correlate", *INPUTS, *TABLES, "--overlay", "correlate/overlay.geojson",
                   "--out", "correlate"),
+    "correlate-county": ("correlate", *COUNTY_TABLE, "--out", "correlate-county"),
     "correlate-original": ("correlate", *INPUTS, *TABLES, "--original-only", "--keywords", "power,sandy",
                            "--out", "correlate-original"),
     "series": ("series", *INPUTS, *TABLES, "--out", "series"),
     "series-per-user": ("series", *INPUTS, *TABLES, "--normalization", "per_period_user", "--bin-hours", "6",
                         "--span", "2012-10-28..2012-11-03", "--out", "series-per-user"),
     "nowcast": ("nowcast", *INPUTS, *TABLES, "--out", "nowcast"),
+    "nowcast-county": ("nowcast", *COUNTY_TABLE, "--out", "nowcast-county"),
     "nowcast-all": ("nowcast", *INPUTS, *TABLES, "--no-original-only", "--out", "nowcast-all"),
     "rank-keywords": ("rank-keywords", *INPUTS, "--track", "bundle/track.csv",
                       "--window", "2012-10-25..2012-11-08", "--out", "rank-keywords"),
@@ -56,11 +60,14 @@ EXTRA_ROWS = (
 
 GOLDEN = {
     "correlate/correlations.csv": "65f4e44ef3691580a695e5d3557c9b68b0b833d5c8f78750031798e3a7027119",
+    "correlate-county/correlations.csv": "a2576ae303d0766a28c52a066724400ff9e582f5adca7adb26f6b28a03f1075e",
     "correlate-original/correlations.csv": "1f6072ac72ff89aeb8deb425c4449ee0c818df9ea22916cfb4b07707a0364f9d",
     "correlate/overlay.geojson": "ad86bc60f66cdb0791b4cbe7107916bc3eca2036e63386413d11608a38a92ac1",
     "join/join.csv": "e11099aa583398bcaa5f544cc07dd407dbf1ce03f811036c09bc965a16e36e4e",  # no population
     "nowcast-all/nowcast.csv": "85a17b6ae13aa258fc1bcb4bef8af24f8511087ebdc47c96daaf299c896a2997",
     "nowcast-all/nowcast_excluded.csv": "1274d2decdd9f16ba5233dc59af276b38987d11c7dabd42963752d953b646272",
+    "nowcast-county/nowcast.csv": "de1626d88935a451d05748c6ffad3521d7cec27a275e1e9ac115fcaa03938f7b",
+    "nowcast-county/nowcast_excluded.csv": "004293475e530f931da291b3d3ee80cea1f591f45daa68bb42cfcb6770e69b9d",
     "nowcast/nowcast.csv": "7b1d222171d1a1a620fcc7f56e256e618aba655a35012a28ee4a1d8c32c3868f",  # damage_rank column
     "nowcast/nowcast_excluded.csv": "db0d7ba7af12742c49e6f5ca53bb9eac989ff7114b9e14f63bb711c5c57cc125",
     "rank-keywords/keywords.csv": "bdd3f208eb6082643d9f75ec06e86f02232ec4edab37546835dedb092cbb0c58",  # no population
@@ -73,11 +80,14 @@ GOLDEN = {
 # the same reports without their "#" lines: the data rows alone
 GOLDEN_ROWS = {
     "correlate/correlations.csv": "5147ea536c3de6fc70b904851c435ad463ab56f9c1c14493c4e2438c6874e708",
+    "correlate-county/correlations.csv": "6aff9077cc7b8a3e06c06ff71414774b043cc12f471f42275f97818147ad1763",
     "correlate-original/correlations.csv": "7da11052da43ccc45ae0a555f2fd7d1d8d0209ca0f23e3cacbf50049558fbbb4",
     "correlate/overlay.geojson": "ad86bc60f66cdb0791b4cbe7107916bc3eca2036e63386413d11608a38a92ac1",
     "join/join.csv": "be467fad33abb3baf2c61177c0c92622ba5d0090473f558434ca803dbafe067d",
     "nowcast-all/nowcast.csv": "75f235324d7ee5af9a22cbc41a29ffa5377bd3bd29a4312eff019f849d784557",
     "nowcast-all/nowcast_excluded.csv": "8e1a576015f56a9049695527ff7c62572744d288c160905e6bf05c262e2d04cd",
+    "nowcast-county/nowcast.csv": "b537728297e2c538944121599b64babcb9d35a68e4001f9db1e94240e713faa2",
+    "nowcast-county/nowcast_excluded.csv": "8e1a576015f56a9049695527ff7c62572744d288c160905e6bf05c262e2d04cd",
     "nowcast/nowcast.csv": "2d526c591d5ebd6809173a57e5009329a8daa157f6adffad80f42c588da7d724",
     "nowcast/nowcast_excluded.csv": "8e1a576015f56a9049695527ff7c62572744d288c160905e6bf05c262e2d04cd",
     "rank-keywords/keywords.csv": "475e5345afec2c3fe16438645f5d0743535d9844f155963c22ec7e1cd670c64d",
@@ -150,6 +160,8 @@ def reports(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(root)
+        (root / "fixtures").mkdir()
+        shutil.copy(Path(__file__).resolve().parent.parent / COUNTY_TABLE[1], root / "fixtures")
         assert main(list(BUNDLE)) == 0
         _retag(root / "bundle" / "messages.csv")
         codes = {name: main(list(argv)) for name, argv in COMMANDS.items()}
