@@ -48,7 +48,6 @@ from .ingest import (
     parse_track,
 )
 from .metrics import (
-    ActivitySummary,
     RegionCodes,
     SummaryGrid,
     TimeWindow,
@@ -225,22 +224,19 @@ def _population(path: str) -> dict[str, int]:
 
 def _county_summaries(stats: Sequence[CountyStats]) -> SummaryGrid:
     """Whole-period summaries from a county counts table (all tweets counted original), as the
-    one :data:`POOLED` column of a grid, kept when the table has no rows."""
-    out = {}
-    for s in stats:
-        out[s.county, POOLED] = ActivitySummary(
-            region_id=s.county,
-            window=None,
-            n_messages=s.tweets,
-            n_original=s.tweets,
-            n_retweets=0,
-            n_popular=0,
-            active_users_window=s.users,
-            active_users_period=s.users,
-            mean_sentiment=None,
-            population=s.population,
-        )
-    return SummaryGrid.from_mapping(out, columns=(POOLED,))
+    one :data:`POOLED` column of a grid with the counties in sorted order, kept when the table
+    has no rows."""
+    stats = sorted(stats, key=lambda s: s.county)
+    shape = (len(stats), 1)
+
+    def column(name: str) -> np.ndarray:
+        return np.array([getattr(s, name) for s in stats], dtype=np.int64).reshape(shape)
+
+    tweets, users, zero = column("tweets"), column("users"), np.zeros(shape, dtype=np.int64)
+    return SummaryGrid(
+        tuple(s.county for s in stats), (POOLED,), np.full(shape, None, dtype=object), tweets, tweets, zero, zero,
+        users, users, np.full(shape, math.nan), column("population"), np.ones(shape, dtype=bool),
+    )
 
 
 def _load_damage(path: str) -> dict[str, dict[str, float]]:

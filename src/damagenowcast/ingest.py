@@ -25,7 +25,6 @@ import csv
 import itertools
 import json
 import math
-from collections.abc import Sequence as SequenceABC
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -37,9 +36,7 @@ import numpy as np
 
 __all__ = [
     "IngestError",
-    "MessageRecord",
     "MessageTable",
-    "RegionBoundary",
     "RegionTable",
     "TrackPoint",
     "CountyStats",
@@ -86,22 +83,8 @@ class IngestError(ValueError):
     """Unrecoverable input problem: bad structure, banned duplicate, bad order."""
 
 
-@dataclass(frozen=True)
-class MessageRecord:
-    """One geotagged message. ``location`` is (lat, lon) or None when ungeocoded."""
-
-    message_id: str
-    user_id: str
-    timestamp: datetime
-    location: tuple[float, float] | None
-    keywords: frozenset[str]
-    is_retweet: bool
-    retweeted_count: int
-    sentiment: float | None = None
-
-
 @dataclass(frozen=True, eq=False)
-class MessageTable(SequenceABC):
+class MessageTable:
     """Messages as one array per field, rows in file order.
 
     ``user`` and ``keyword_set`` are codes: row ``i`` was posted by
@@ -110,9 +93,6 @@ class MessageTable(SequenceABC):
     says whether set ``k`` holds ``tags[j]``. ``time_us`` counts microseconds
     since the Unix epoch (UTC); ``lat``/``lon`` are NaN for an unlocated
     message and ``sentiment`` is NaN when absent.
-
-    Indexing or iterating gives one :class:`MessageRecord` per row, a view
-    for callers that want objects; the analysis works on the arrays.
     """
 
     message_id: np.ndarray  # StringDType
@@ -131,39 +111,6 @@ class MessageTable(SequenceABC):
 
     def __len__(self) -> int:
         return len(self.message_id)
-
-    def __getitem__(self, i: int) -> MessageRecord:
-        return next(self._records([range(len(self))[i]]))
-
-    def __iter__(self) -> Iterator[MessageRecord]:
-        return self._records(slice(None))
-
-    def blocks(self) -> Iterator[tuple]:
-        """The rows as :func:`write_messages_csv` takes them, ``_BLOCK_ROWS`` at a time."""
-        keyword_cells = [";".join(sorted(tags)) for tags in self.keyword_sets]
-        for start in range(0, len(self), _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            keywords = list(map(keyword_cells.__getitem__, self.keyword_set[rows].tolist()))
-            yield (self.message_id[rows].tolist(), self.user_ids[self.user[rows]].tolist(), self.time_us[rows],
-                   self.lat[rows], self.lon[rows], keywords, self.is_retweet[rows], self.retweeted_count[rows],
-                   self.sentiment[rows])
-
-    def _records(self, rows) -> Iterator[MessageRecord]:
-        columns = (self.message_id, self.user_ids[self.user], self.time_us, self.lat, self.lon, self.keyword_set,
-                   self.is_retweet, self.retweeted_count, self.sentiment)
-        for message_id, user_id, stamp, lat, lon, tags, retweet, count, sentiment in zip(
-            *(column[rows].tolist() for column in columns)
-        ):
-            yield MessageRecord(
-                message_id=message_id,
-                user_id=user_id,
-                timestamp=UNIX_EPOCH + stamp * MICROSECOND,
-                location=None if math.isnan(lat) else (lat, lon),
-                keywords=self.keyword_sets[tags],
-                is_retweet=retweet,
-                retweeted_count=count,
-                sentiment=None if math.isnan(sentiment) else sentiment,
-            )
 
 
 def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,27 +133,8 @@ def _unique_by_python(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(distinct, dtype=values.dtype), np.fromiter(map(code.__getitem__, texts), np.int64, len(texts))
 
 
-@dataclass(frozen=True)
-class RegionBoundary:
-    """Administrative area as a flat list of closed lon/lat rings plus a cached bbox.
-
-    MultiPolygon inputs are flattened, so ``rings`` may contain several outer
-    rings; containment tests use even-odd parity over all rings, which makes
-    the outer/hole distinction immaterial to them. ``holes`` lists the indices
-    of the rings that were holes (every ring after a polygon's first), which
-    the area-weighted centroid needs.
-    """
-
-    region_id: str
-    name: str
-    level: str
-    rings: tuple[tuple[tuple[float, float], ...], ...]
-    bbox: tuple[float, float, float, float]  # min_lon, min_lat, max_lon, max_lat
-    holes: frozenset[int] = frozenset()
-
-
 @dataclass(frozen=True, eq=False)
-class RegionTable(SequenceABC):
+class RegionTable:
     """Regions as flat arrays, in input order, with compressed-row offsets.
 
     Region ``i`` holds rings ``ring_offsets[i]`` to ``ring_offsets[i + 1]``
@@ -214,9 +142,6 @@ class RegionTable(SequenceABC):
     ``vertex_offsets[k + 1]`` of ``vertices``; ``hole[k]`` says whether ring
     ``k`` was a hole. ``bbox`` holds each region's min_lon, min_lat, max_lon,
     max_lat. A vertex costs its 16 bytes and no Python object.
-
-    Indexing or iterating gives one :class:`RegionBoundary` per region, a view
-    for callers that want objects; the spatial index reads the arrays.
     """
 
     region_id: np.ndarray  # StringDType
@@ -230,16 +155,6 @@ class RegionTable(SequenceABC):
 
     def __len__(self) -> int:
         return len(self.region_id)
-
-    def __getitem__(self, i: int) -> RegionBoundary:
-        i = range(len(self))[i]
-        first, last = self.ring_offsets[i : i + 2].tolist()
-        offsets = self.vertex_offsets[first : last + 1].tolist()
-        rings = tuple(tuple(map(tuple, self.vertices[a:b].tolist())) for a, b in zip(offsets, offsets[1:]))
-        return RegionBoundary(
-            region_id=self.region_id[i], name=self.name[i], level=self.level[i], rings=rings,
-            bbox=tuple(self.bbox[i].tolist()), holes=frozenset(np.flatnonzero(self.hole[first:last]).tolist()),
-        )
 
 
 class _RegionColumns:

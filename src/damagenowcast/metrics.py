@@ -15,12 +15,10 @@ summaries return one :class:`SummaryGrid`, the only form the analyses read.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +26,6 @@ from .ingest import MICROSECOND, UNIX_EPOCH, MessageTable
 
 __all__ = [
     "TimeWindow",
-    "ActivitySummary",
     "RegionCodes",
     "SummaryGrid",
     "bin_offsets",
@@ -48,28 +45,6 @@ class TimeWindow:
     def __post_init__(self) -> None:
         if self.start >= self.end:
             raise ValueError("window start must precede end")
-
-
-@dataclass(frozen=True)
-class ActivitySummary:
-    """Counts for one region over one window.
-
-    ``active_users_period`` is the distinct-user count over the full
-    collection period (the per-user denominator); ``active_users_window``
-    is retained for diagnostics only. ``mean_sentiment`` averages only the
-    messages that carry a score.
-    """
-
-    region_id: str
-    window: TimeWindow | None
-    n_messages: int
-    n_original: int
-    n_retweets: int
-    n_popular: int
-    active_users_window: int
-    active_users_period: int
-    mean_sentiment: float | None = None
-    population: int | None = None
 
 
 def bin_offsets(
@@ -241,22 +216,18 @@ def summarize_regions(
 
 
 @dataclass(frozen=True, eq=False)
-class SummaryGrid(MappingABC):
+class SummaryGrid:
     """Per-(region, column) summaries held as region × column arrays; a
     column is a time bin (``summarize_daily``) or a tag scope
-    (``summarize_regions``).
+    (``summarize_regions``, or the one pooled column of a county table).
 
     Row ``k`` of every array is ``region_ids[k]`` and column ``j`` is
-    ``columns[j]``; the key ``(region_ids[k], columns[j])`` exists where
-    ``present[k, j]``; the counts are 0 where it does not. ``mean_sentiment``
+    ``columns[j]``; region ``k`` has a summary in column ``j`` where
+    ``present[k, j]``, and the counts are 0 where it has none. ``mean_sentiment``
     is NaN where no message carries a score and ``population`` is 0 where it
     is unknown (ingest accepts only positive populations). An array that holds
     one value per region or per column, or one value in all, is a broadcast
     view, not a copy.
-
-    Indexing gives one :class:`ActivitySummary`, built on lookup, for callers
-    that want objects; the analyses work on the arrays. :meth:`from_mapping`
-    is the one way to build a grid from summary objects.
     """
 
     region_ids: tuple[str, ...]
@@ -272,65 +243,10 @@ class SummaryGrid(MappingABC):
     population: np.ndarray  # int64
     present: np.ndarray  # bool
 
-    @classmethod
-    def from_mapping(cls, summaries: Mapping[tuple[str, object], ActivitySummary],
-                     columns: Sequence | None = None) -> SummaryGrid:
-        """The arrays of a (region_id, column) -> summary mapping; regions in sorted
-        order, columns in the given order or else sorted."""
-        region_ids = tuple(sorted({region_id for region_id, _ in summaries}))
-        columns = tuple(sorted({c for _, c in summaries}) if columns is None else columns)
-        row = {region_id: k for k, region_id in enumerate(region_ids)}
-        column = {c: j for j, c in enumerate(columns)}
-        cell = (
-            np.fromiter((row[region_id] for region_id, _ in summaries), np.intp, len(summaries)),
-            np.fromiter((column[c] for _, c in summaries), np.intp, len(summaries)),
-        )
-        values = list(summaries.values())
-
-        def grid(field: str, dtype, fill) -> np.ndarray:
-            out = np.full((len(region_ids), len(columns)), fill, dtype=dtype)
-            out[cell] = [fill if (v := getattr(s, field)) is None else v for s in values]
-            return out
-
-        present = np.zeros((len(region_ids), len(columns)), dtype=bool)
-        present[cell] = True
-        return cls(
-            region_ids, columns, grid("window", object, None),
-            *(grid(field, np.int64, 0) for field in (
-                "n_messages", "n_original", "n_retweets", "n_popular", "active_users_window",
-                "active_users_period",
-            )),
-            grid("mean_sentiment", float, math.nan), grid("population", np.int64, 0), present,
-        )
-
     @cached_property
     def positions(self) -> tuple[dict[str, int], dict[object, int]]:
         """Row of each region id and column of each column key."""
         return {r: k for k, r in enumerate(self.region_ids)}, {c: j for j, c in enumerate(self.columns)}
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.present))
-
-    def __iter__(self) -> Iterator[tuple[str, object]]:
-        for k, j in zip(*np.nonzero(self.present)):
-            yield self.region_ids[k], self.columns[j]
-
-    def __getitem__(self, key: tuple[str, object]) -> ActivitySummary:
-        rows, columns = self.positions
-        try:
-            region_id, c = key
-            k, j = rows[region_id], columns[c]
-        except (KeyError, TypeError, ValueError):
-            raise KeyError(key) from None
-        if not self.present[k, j]:
-            raise KeyError(key)
-        mean = self.mean_sentiment[k, j].item()
-        return ActivitySummary(
-            region_id, self.windows[k, j], self.n_messages[k, j].item(), self.n_original[k, j].item(),
-            self.n_retweets[k, j].item(), self.n_popular[k, j].item(), self.active_users_window[k, j].item(),
-            self.active_users_period[k, j].item(), None if math.isnan(mean) else mean,
-            self.population[k, j].item() or None,
-        )
 
 
 def summarize_daily(

@@ -3,7 +3,7 @@
 Everything here is deliberately written the slow, obvious way (pair
 enumeration, explicit rank tables, literal permutation enumeration,
 region-by-region containment scans, one object per message) so it shares no
-code path with the package under test; it borrows only the package's record
+code path with the package under test; it borrows only the package's table
 and report types, the analyses' guarded correlation calls and keyword sort
 key and, for the simulator reference, its config types and constants, region
 grid and GeoJSON feature. ``message_table`` reads records written the
@@ -11,7 +11,10 @@ reference way back through the package's parser, for tests that need a
 message table; ``region_table``, ``join_points`` and ``codes_of`` bring region
 objects, (id, point) pairs and message_id -> region_id mappings to the one
 form the package's join and summaries take; ``report_cell`` finds one cell of
-a correlation report by its keys.
+a correlation report by its keys. ``message_records``, ``message_blocks``,
+``region_boundaries``, ``summary_at``, ``grid_summaries`` and
+``grid_from_mapping`` convert between the package's tables and the record
+and summary objects the comparisons read.
 """
 
 from __future__ import annotations
@@ -39,8 +42,16 @@ from damagenowcast.analysis import (
     _relevance_sort_key,
 )
 from damagenowcast.geo import GeoPoint, SpatialIndex, spatial_join
-from damagenowcast.ingest import MessageRecord, RegionTable, _RegionColumns, parse_messages
-from damagenowcast.metrics import ActivitySummary, RegionCodes, SummaryGrid, bin_window
+from damagenowcast.ingest import (
+    _BLOCK_ROWS,
+    MICROSECOND,
+    UNIX_EPOCH,
+    MessageTable,
+    RegionTable,
+    _RegionColumns,
+    parse_messages,
+)
+from damagenowcast.metrics import RegionCodes, SummaryGrid, TimeWindow, bin_window
 from damagenowcast.simulate import (
     LANDFALL,
     POPULARITY_RATE,
@@ -52,6 +63,157 @@ from damagenowcast.simulate import (
     _region_feature,
     _region_grid,
 )
+
+
+# ---------------------------------------------------------------------------
+# Object views of the package's tables: one object per message, region or
+# (region, column) summary, built from the arrays for the comparisons.
+
+@dataclass(frozen=True)
+class MessageRecord:
+    """One geotagged message. ``location`` is (lat, lon) or None when ungeocoded."""
+
+    message_id: str
+    user_id: str
+    timestamp: datetime
+    location: tuple[float, float] | None
+    keywords: frozenset[str]
+    is_retweet: bool
+    retweeted_count: int
+    sentiment: float | None = None
+
+
+@dataclass(frozen=True)
+class RegionBoundary:
+    """Administrative area as a flat list of closed lon/lat rings plus a cached bbox.
+
+    MultiPolygon inputs are flattened, so ``rings`` may contain several outer
+    rings; containment tests use even-odd parity over all rings, which makes
+    the outer/hole distinction immaterial to them. ``holes`` lists the indices
+    of the rings that were holes (every ring after a polygon's first), which
+    the area-weighted centroid needs.
+    """
+
+    region_id: str
+    name: str
+    level: str
+    rings: tuple[tuple[tuple[float, float], ...], ...]
+    bbox: tuple[float, float, float, float]  # min_lon, min_lat, max_lon, max_lat
+    holes: frozenset[int] = frozenset()
+
+
+@dataclass(frozen=True)
+class ActivitySummary:
+    """Counts for one region over one window.
+
+    ``active_users_period`` is the distinct-user count over the full
+    collection period (the per-user denominator); ``active_users_window``
+    is retained for diagnostics only. ``mean_sentiment`` averages only the
+    messages that carry a score.
+    """
+
+    region_id: str
+    window: TimeWindow | None
+    n_messages: int
+    n_original: int
+    n_retweets: int
+    n_popular: int
+    active_users_window: int
+    active_users_period: int
+    mean_sentiment: float | None = None
+    population: int | None = None
+
+
+def message_records(table: MessageTable) -> list[MessageRecord]:
+    """One record per row of a message table, in row order."""
+    columns = (table.message_id, table.user_ids[table.user], table.time_us, table.lat, table.lon, table.keyword_set,
+               table.is_retweet, table.retweeted_count, table.sentiment)
+    return [
+        MessageRecord(message_id, user_id, UNIX_EPOCH + stamp * MICROSECOND, None if math.isnan(lat) else (lat, lon),
+                      table.keyword_sets[tags], retweet, count, None if math.isnan(sentiment) else sentiment)
+        for message_id, user_id, stamp, lat, lon, tags, retweet, count, sentiment in zip(
+            *(column.tolist() for column in columns)
+        )
+    ]
+
+
+def message_blocks(table: MessageTable):
+    """The rows of a message table as ``write_messages_csv`` takes them, ``_BLOCK_ROWS`` at a time."""
+    keyword_cells = [";".join(sorted(tags)) for tags in table.keyword_sets]
+    for start in range(0, len(table), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        keywords = list(map(keyword_cells.__getitem__, table.keyword_set[rows].tolist()))
+        yield (table.message_id[rows].tolist(), table.user_ids[table.user[rows]].tolist(), table.time_us[rows],
+               table.lat[rows], table.lon[rows], keywords, table.is_retweet[rows], table.retweeted_count[rows],
+               table.sentiment[rows])
+
+
+def region_boundaries(table: RegionTable) -> list[RegionBoundary]:
+    """One boundary per region of a region table, in table order."""
+    out = []
+    for i in range(len(table)):
+        first, last = table.ring_offsets[i : i + 2].tolist()
+        offsets = table.vertex_offsets[first : last + 1].tolist()
+        rings = tuple(tuple(map(tuple, table.vertices[a:b].tolist())) for a, b in zip(offsets, offsets[1:]))
+        out.append(RegionBoundary(
+            region_id=table.region_id[i], name=table.name[i], level=table.level[i], rings=rings,
+            bbox=tuple(table.bbox[i].tolist()), holes=frozenset(np.flatnonzero(table.hole[first:last]).tolist()),
+        ))
+    return out
+
+
+def summary_at(grid: SummaryGrid, key) -> ActivitySummary:
+    """The summary of one (region_id, column) key of a grid; KeyError where the region has none."""
+    rows, columns = grid.positions
+    try:
+        region_id, c = key
+        k, j = rows[region_id], columns[c]
+    except (KeyError, TypeError, ValueError):
+        raise KeyError(key) from None
+    if not grid.present[k, j]:
+        raise KeyError(key)
+    mean = grid.mean_sentiment[k, j].item()
+    return ActivitySummary(
+        region_id, grid.windows[k, j], grid.n_messages[k, j].item(), grid.n_original[k, j].item(),
+        grid.n_retweets[k, j].item(), grid.n_popular[k, j].item(), grid.active_users_window[k, j].item(),
+        grid.active_users_period[k, j].item(), None if math.isnan(mean) else mean,
+        grid.population[k, j].item() or None,
+    )
+
+
+def grid_summaries(grid: SummaryGrid) -> dict:
+    """{(region_id, column): summary} of every summary a grid holds, regions in sorted order."""
+    keys = [(grid.region_ids[k], grid.columns[j]) for k, j in zip(*np.nonzero(grid.present))]
+    return {key: summary_at(grid, key) for key in keys}
+
+
+def grid_from_mapping(summaries, columns=None) -> SummaryGrid:
+    """The grid of a (region_id, column) -> summary mapping; regions in sorted order,
+    columns in the given order or else sorted."""
+    region_ids = tuple(sorted({region_id for region_id, _ in summaries}))
+    columns = tuple(sorted({c for _, c in summaries}) if columns is None else columns)
+    row = {region_id: k for k, region_id in enumerate(region_ids)}
+    column = {c: j for j, c in enumerate(columns)}
+    cell = (
+        np.fromiter((row[region_id] for region_id, _ in summaries), np.intp, len(summaries)),
+        np.fromiter((column[c] for _, c in summaries), np.intp, len(summaries)),
+    )
+    values = list(summaries.values())
+
+    def grid(name: str, dtype, fill) -> np.ndarray:
+        out = np.full((len(region_ids), len(columns)), fill, dtype=dtype)
+        out[cell] = [fill if (v := getattr(s, name)) is None else v for s in values]
+        return out
+
+    present = np.zeros((len(region_ids), len(columns)), dtype=bool)
+    present[cell] = True
+    return SummaryGrid(
+        region_ids, columns, grid("window", object, None),
+        *(grid(name, np.int64, 0) for name in (
+            "n_messages", "n_original", "n_retweets", "n_popular", "active_users_window", "active_users_period",
+        )),
+        grid("mean_sentiment", float, math.nan), grid("population", np.int64, 0), present,
+    )
 
 
 def tau_b_brute(x, y) -> float:
@@ -284,8 +446,8 @@ def region_table(regions) -> RegionTable:
 
 
 def join_points(points, regions, cell_deg=0.25) -> dict[str, str | None]:
-    """The package's join of (point_id, point) pairs over ``regions`` (RegionBoundary objects
-    or a table), with an index of ``cell_deg`` cells: {point_id: region_id, None when uncontained}."""
+    """The package's join of (point_id, point) pairs over ``regions`` (RegionBoundary objects),
+    with an index of ``cell_deg`` cells: {point_id: region_id, None when uncontained}."""
     pairs = list(points)
     lat = np.array([p.lat for _, p in pairs], dtype=float)
     lon = np.array([p.lon for _, p in pairs], dtype=float)
@@ -546,14 +708,14 @@ def grid_of(per_column):
     sorted order: plain mappings as the analyses below read them, in the one form the
     analyses of the package take."""
     summaries = {(region_id, c): s for c, per in per_column.items() for region_id, s in per.items()}
-    return SummaryGrid.from_mapping(summaries, columns=sorted(per_column))
+    return grid_from_mapping(summaries, columns=sorted(per_column))
 
 
 def columns_of(grid):
     """{column: {region_id: summary}} of a :class:`SummaryGrid`, regions in sorted order."""
     out = {c: {} for c in grid.columns}
-    for region_id, c in grid:
-        out[c][region_id] = grid[region_id, c]
+    for (region_id, c), summary in grid_summaries(grid).items():
+        out[c][region_id] = summary
     return out
 
 

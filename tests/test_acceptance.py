@@ -21,17 +21,22 @@ from damagenowcast.ingest import (
     parse_messages,
     parse_regions,
 )
-from damagenowcast.metrics import ActivitySummary, SummaryGrid, TimeWindow, summarize_daily, summarize_regions
+from damagenowcast.metrics import TimeWindow, summarize_daily, summarize_regions
 from damagenowcast.simulate import DamageModel, KeywordProfile, SimConfig, generate
 from damagenowcast.stats import correlate
 
 from oracles import (
+    ActivitySummary,
+    RegionBoundary,
     brute_force_join,
     codes_of,
+    grid_from_mapping,
     join_points,
     kendall_exact_p_enumerated,
     kendall_exact_p_loop,
+    message_records,
     pearson_brute,
+    region_boundaries,
     report_cell,
     spearman_brute,
     tau_b_brute,
@@ -191,8 +196,6 @@ def test_criterion_3_geometry_oracles():
         x1 = x0 + float(rng.uniform(0.6, 0.9)) * cell
         y1 = y0 + float(rng.uniform(0.6, 0.9)) * cell
         ring = ((x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0))
-        from damagenowcast.ingest import RegionBoundary
-
         regions.append(RegionBoundary(f"g{i:03d}", f"g{i:03d}", "county", (ring,), (x0, y0, x1, y1)))
 
     points = [
@@ -221,12 +224,12 @@ def _pipeline_activity_damage(bundle_dir: Path, window: TimeWindow):
     damage: dict[str, float] = {}
     for (region_id, _), amount in parse_keyed_table(bundle_dir / "damage.csv", "damage").records.items():
         damage[region_id] = damage.get(region_id, 0.0) + amount
-    located = [(m.message_id, GeoPoint(*m.location)) for m in messages if m.location]
-    assignments = {m.message_id: None for m in messages}
-    assignments.update(join_points(located, regions))
+    located = [(m.message_id, GeoPoint(*m.location)) for m in message_records(messages) if m.location]
+    assignments = {m.message_id: None for m in message_records(messages)}
+    assignments.update(join_points(located, region_boundaries(regions)))
     grid = summarize_regions(
         messages, codes_of(messages, assignments), window, population=population,
-        region_ids=[r.region_id for r in regions], scopes={POOLED: None},
+        region_ids=[r.region_id for r in region_boundaries(regions)], scopes={POOLED: None},
     )
     cells = damage_correlation_report(grid, {"insurance": damage}, include_sentiment=False)
     return report_cell(cells, "activity", POOLED, "insurance", "census_population", "kendall", "raw").result
@@ -316,9 +319,9 @@ def test_criterion_5_landfall_dip_shape(tmp_path):
         damage: dict[str, float] = {}
         for (region_id, _), amount in parse_keyed_table(out / "damage.csv", "damage").records.items():
             damage[region_id] = damage.get(region_id, 0.0) + amount
-        located = [(m.message_id, GeoPoint(*m.location)) for m in messages if m.location]
-        assignments = {m.message_id: None for m in messages}
-        assignments.update(join_points(located, regions))
+        located = [(m.message_id, GeoPoint(*m.location)) for m in message_records(messages) if m.location]
+        assignments = {m.message_id: None for m in message_records(messages)}
+        assignments.update(join_points(located, region_boundaries(regions)))
         bins = range(-4, 5)
         daily = summarize_daily(messages, codes_of(messages, assignments), EPOCH, DAY, bins, population=population)
         series = daily_correlation_series(daily, damage, bins, EPOCH, DAY)
@@ -360,7 +363,7 @@ def test_criterion_6_keyword_ranking():
     for i, city in enumerate(sorted(distances)):
         counts[(city, "decayed")] = 300 - 9 * i
         counts[(city, "flat")] = 50
-    ranking = rank_keywords(SummaryGrid.from_mapping(_keyword_city_summaries(counts)), distances)
+    ranking = rank_keywords(grid_from_mapping(_keyword_city_summaries(counts)), distances)
     assert ranking[0].keyword == "decayed"
     assert ranking[0].kendall.coefficient == -1.0
 
@@ -374,7 +377,7 @@ def test_criterion_6_keyword_ranking():
             decayed_rate = 5.0 + 200.0 * max(0.0, 1.0 - distance / 1500.0)
             noisy[(city, "decayed")] = int(rng.poisson(decayed_rate))
             noisy[(city, "flat")] = int(rng.poisson(80.0))
-        result = rank_keywords(SummaryGrid.from_mapping(_keyword_city_summaries(noisy)), distances)
+        result = rank_keywords(grid_from_mapping(_keyword_city_summaries(noisy)), distances)
         top = result[0]
         if top.keyword == "decayed" and top.kendall.p_value < 0.05:
             ordered += 1

@@ -12,8 +12,16 @@ from damagenowcast.analysis import (
     region_rank_discrepancy,
 )
 from damagenowcast.ingest import parse_county_table
-from damagenowcast.metrics import ActivitySummary, SummaryGrid
-from oracles import codes_of, grid_of, join_points, report_cell
+from oracles import (
+    ActivitySummary,
+    codes_of,
+    grid_from_mapping,
+    grid_of,
+    join_points,
+    message_records,
+    region_boundaries,
+    report_cell,
+)
 
 EPOCH = datetime(2012, 10, 30, tzinfo=timezone.utc)
 DAY = timedelta(hours=24)
@@ -47,7 +55,7 @@ class TestRankKeywords:
         for i, c in enumerate(cities):
             summaries[(c, "decayed")] = summary(c, n_messages=80 - 10 * i, users=10)
             summaries[(c, "flat")] = summary(c, n_messages=40, users=10)
-        ranking = rank_keywords(SummaryGrid.from_mapping(summaries), distances)
+        ranking = rank_keywords(grid_from_mapping(summaries), distances)
         assert ranking[0].keyword == "decayed"
         top = ranking[0]
         assert top.kendall.coefficient == pytest.approx(-1.0, abs=1e-15)
@@ -64,7 +72,7 @@ class TestRankKeywords:
             ("a", "sparse"): summary("a", 5),
             ("b", "sparse"): summary("b", 0),
         }
-        ranking = rank_keywords(SummaryGrid.from_mapping(summaries), distances)
+        ranking = rank_keywords(grid_from_mapping(summaries), distances)
         sparse = ranking[-1]
         assert sparse.keyword == "sparse"
         assert sparse.kendall.degenerate
@@ -76,15 +84,15 @@ class TestRankKeywords:
         for i, c in enumerate(["a", "b", "c", "d"]):
             for kw in ("zeta", "alpha"):
                 summaries[(c, kw)] = summary(c, n_messages=40 - 10 * i)
-        ranking = rank_keywords(SummaryGrid.from_mapping(summaries), distances)
+        ranking = rank_keywords(grid_from_mapping(summaries), distances)
         assert [e.keyword for e in ranking] == ["alpha", "zeta"]
 
     def test_city_subset_restricts(self):
         # a city without a track distance is left out of the ranking
         distances = {"a": 10.0, "b": 20.0, "c": 30.0, "far": 9000.0}
         summaries = {(c, "kw"): summary(c, 10 * (4 - i)) for i, c in enumerate(["a", "b", "c", "far"])}
-        full = rank_keywords(SummaryGrid.from_mapping(summaries), distances)
-        subset = rank_keywords(SummaryGrid.from_mapping(summaries), {c: distances[c] for c in ("a", "b", "c")})
+        full = rank_keywords(grid_from_mapping(summaries), distances)
+        subset = rank_keywords(grid_from_mapping(summaries), {c: distances[c] for c in ("a", "b", "c")})
         assert full[0].n_cities == 4
         assert subset[0].n_cities == 3
 
@@ -96,8 +104,8 @@ class TestRankKeywords:
         for c in cities:
             for kw in ("one", "two", "three"):
                 items.append(((c, kw), summary(c, int(rng.integers(1, 50)))))
-        a = rank_keywords(SummaryGrid.from_mapping(dict(items)), distances)
-        b = rank_keywords(SummaryGrid.from_mapping(dict(reversed(items))), distances)
+        a = rank_keywords(grid_from_mapping(dict(items)), distances)
+        b = rank_keywords(grid_from_mapping(dict(reversed(items))), distances)
         assert [e.keyword for e in a] == [e.keyword for e in b]
 
 
@@ -128,9 +136,9 @@ class TestSeriesFromNoiselessCoupling:
         damage = {}
         for (region_id, _), amount in parse_keyed_table(tmp_path / "damage.csv", "damage").records.items():
             damage[region_id] = damage.get(region_id, 0.0) + amount
-        located = [(m.message_id, GeoPoint(*m.location)) for m in messages if m.location]
-        assignments = {m.message_id: None for m in messages}
-        assignments.update(join_points(located, regions))
+        located = [(m.message_id, GeoPoint(*m.location)) for m in message_records(messages) if m.location]
+        assignments = {m.message_id: None for m in message_records(messages)}
+        assignments.update(join_points(located, region_boundaries(regions)))
         bins = range(1, 8)
         daily = summarize_daily(messages, codes_of(messages, assignments), EPOCH, DAY, bins, population=population)
         series = daily_correlation_series(daily, damage, bins, EPOCH, DAY)
@@ -149,7 +157,7 @@ class TestDailyCorrelationSeries:
                 summaries[(region, b)] = summary(region, count, population=1000)
         # damage proportional to the (identical across bins) regional ordering
         damage = {f"r{i}": float(i + 1) for i in range(6)}
-        series = daily_correlation_series(SummaryGrid.from_mapping(summaries), damage, (0, 1, 2), EPOCH, DAY)
+        series = daily_correlation_series(grid_from_mapping(summaries), damage, (0, 1, 2), EPOCH, DAY)
         for entry in series:
             assert entry.activity_damage_kendall.coefficient == pytest.approx(1.0)
             assert entry.activity_damage_spearman.coefficient == pytest.approx(1.0)
@@ -157,7 +165,7 @@ class TestDailyCorrelationSeries:
 
     def test_silent_bin_recorded_as_degenerate(self):
         summaries = {(f"r{i}", 0): summary(f"r{i}", i + 1, population=100) for i in range(3)}
-        series = daily_correlation_series(SummaryGrid.from_mapping(summaries), {"r0": 1.0}, (0, 1), EPOCH, DAY)
+        series = daily_correlation_series(grid_from_mapping(summaries), {"r0": 1.0}, (0, 1), EPOCH, DAY)
         silent = series[1]
         assert silent.active_regions == 0
         assert silent.n_messages == 0
@@ -165,7 +173,7 @@ class TestDailyCorrelationSeries:
 
     def test_under_three_active_regions_degenerate_but_continues(self):
         summaries = {(f"r{i}", 0): summary(f"r{i}", 5, population=100) for i in range(2)}
-        series = daily_correlation_series(SummaryGrid.from_mapping(summaries), {}, (0,), EPOCH, DAY)
+        series = daily_correlation_series(grid_from_mapping(summaries), {}, (0,), EPOCH, DAY)
         assert series[0].activity_damage_kendall.degenerate
         assert series[0].active_regions == 2
 
@@ -176,7 +184,7 @@ class TestDailyCorrelationSeries:
             ("r2", 0): summary("r2", 7, population=100, sentiment=0.4),
             ("r3", 0): summary("r3", 9, population=100),  # unscored
         }
-        series = daily_correlation_series(SummaryGrid.from_mapping(summaries), {"r0": 9.0, "r1": 5.0, "r2": 1.0},
+        series = daily_correlation_series(grid_from_mapping(summaries), {"r0": 9.0, "r1": 5.0, "r2": 1.0},
                                           (0,), EPOCH, DAY)
         entry = series[0]
         assert entry.sentiment_damage_kendall.n == 3
@@ -184,7 +192,7 @@ class TestDailyCorrelationSeries:
 
     def test_bin_start_labels(self):
         summaries = {("r0", -2): summary("r0", 1, population=10)}
-        series = daily_correlation_series(SummaryGrid.from_mapping(summaries), {}, (-2,), EPOCH, DAY)
+        series = daily_correlation_series(grid_from_mapping(summaries), {}, (-2,), EPOCH, DAY)
         assert series[0].bin_start == EPOCH - 2 * DAY
 
 

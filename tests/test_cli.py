@@ -570,12 +570,11 @@ class TestValidateCommand:
 
 def test_analysis_commands_build_no_summary_objects_or_id_dicts(sim_bundle, tmp_path, monkeypatch):
     # correlate, nowcast, rank-keywords, summarize and series read the join codes and the summary grid as
-    # arrays; only a --county-table is gathered into a grid from summary objects
+    # arrays; the package has no summary object, and the codes' one per-row view of region ids is refused
     def refuse(*args, **kwargs):
         raise AssertionError("per-region summary or message_id lookup on a command path")
 
-    monkeypatch.setattr(metrics, "ActivitySummary", refuse)
-    monkeypatch.setattr(metrics.SummaryGrid, "from_mapping", refuse)
+    monkeypatch.setattr(metrics.RegionCodes, "values", refuse)
     inputs = ("--messages", sim_bundle / "messages.csv", "--regions", sim_bundle / "regions.geojson")
     tables = ("--population", sim_bundle / "population.csv", "--damage", sim_bundle / "damage.csv")
     assert run("correlate", *inputs, *tables, "--overlay", tmp_path / "overlay.geojson", "--out", tmp_path) == 0
@@ -843,8 +842,9 @@ class TestRepeatedRegionId:
 class TestReportRoundTrip:
     def test_simulated_messages_roundtrip_through_ingest(self, sim_bundle, tmp_path):
         from damagenowcast.ingest import parse_messages, write_messages_csv
+        from oracles import message_blocks
 
         records = parse_messages(sim_bundle / "messages.csv").records
         out = tmp_path / "again.csv"
-        write_messages_csv(records.blocks(), out)
+        write_messages_csv(message_blocks(records), out)
         assert (sim_bundle / "messages.csv").read_text() == out.read_text()

@@ -18,16 +18,19 @@ from damagenowcast.geo import (
     region_centroids,
     spatial_join,
 )
-from damagenowcast.ingest import MessageRecord, RegionBoundary, TrackPoint, parse_regions
+from damagenowcast.ingest import TrackPoint, parse_regions
 from damagenowcast.metrics import RegionCodes
 
 from oracles import (
+    MessageRecord,
+    RegionBoundary,
     brute_force_join,
     haversine_law_of_cosines,
     join_points,
     message_table,
     point_in_polygon_winding,
     point_in_region_scalar,
+    region_boundaries,
     region_table,
 )
 
@@ -223,7 +226,7 @@ def parsed_region(geometry):
         "properties": {"region_id": "r", "level": "county"},
         "geometry": geometry,
     }]})
-    (region,) = parse_regions(io.StringIO(text)).records
+    (region,) = region_boundaries(parse_regions(io.StringIO(text)).records)
     return region
 
 
@@ -275,7 +278,7 @@ class TestRegionCentroid:
         ]})
         table = parse_regions(io.StringIO(text)).records
         assert len(table) == 4
-        assert list(region_centroids(table)) == [region_centroid(region) for region in table]
+        assert list(region_centroids(table)) == [region_centroid(region) for region in region_boundaries(table)]
 
     def test_zero_area_falls_back_to_bbox_midpoint(self):
         point = ((1.0, 2.0), (1.0, 2.0), (1.0, 2.0), (1.0, 2.0))

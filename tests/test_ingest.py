@@ -25,7 +25,14 @@ from damagenowcast.ingest import (
 )
 from damagenowcast.metrics import summarize_regions
 from damagenowcast.simulate import KeywordProfile, SimConfig, generate
-from oracles import codes_of, parse_messages_reference
+from oracles import (
+    codes_of,
+    message_blocks,
+    message_records,
+    parse_messages_reference,
+    region_boundaries,
+    summary_at,
+)
 
 HEADER = "message_id,user_id,timestamp,lat,lon,keywords,is_retweet,retweeted_count,sentiment\n"
 
@@ -38,7 +45,7 @@ class TestParseMessages:
     def test_direct_field_mapping(self):
         result = parse_messages(messages_csv("m1,u1,2012-10-30T00:00:00Z,40.71,-74.01,sandy;storm,0,3,-0.2"))
         assert result.rows_rejected == 0
-        (m,) = result.records
+        (m,) = message_records(result.records)
         assert m.keywords == frozenset({"sandy", "storm"})
         assert m.retweeted_count == 3
         assert m.location == (40.71, -74.01)
@@ -55,12 +62,12 @@ class TestParseMessages:
         assert table.user_ids.tolist() == sorted(users)
         assert [table.user_ids[u] for u in table.user.tolist()] == users
         codes = codes_of(table, dict.fromkeys(table.message_id.tolist(), "r1"))
-        summary = summarize_regions(table, codes, None)["r1", None]
+        summary = summary_at(summarize_regions(table, codes, None), ("r1", None))
         assert summary.active_users_period == 5
 
     def test_latitude_out_of_range_dropped(self):
         result = parse_messages(messages_csv("m1,u1,2012-10-30T00:00:00Z,91.0,-74.01,sandy,0,0,"))
-        assert list(result.records) == []
+        assert message_records(result.records) == []
         assert result.rows_rejected == 1
         assert "latitude out of range" in result.diagnostics[0]
         assert "line 2" in result.diagnostics[0]
@@ -72,7 +79,7 @@ class TestParseMessages:
             "m3,u3,2012-10-30T00:00:00Z,,,sandy;gas,0,0,",
         )
         result = parse_messages(stream, {"sandy"})
-        assert [m.message_id for m in result.records] == ["m1", "m3"]
+        assert [m.message_id for m in message_records(result.records)] == ["m1", "m3"]
         assert result.rows_filtered == 1
 
     def test_empty_filter_keeps_all(self):
@@ -81,7 +88,7 @@ class TestParseMessages:
 
     def test_missing_optional_fields_kept(self):
         result = parse_messages(messages_csv("m1,u1,2012-10-30T00:00:00Z,,,sandy,1,0,"))
-        (m,) = result.records
+        (m,) = message_records(result.records)
         assert m.location is None
         assert m.sentiment is None
         assert m.is_retweet
@@ -93,7 +100,7 @@ class TestParseMessages:
 
     def test_non_utc_offset_normalized(self):
         result = parse_messages(messages_csv("m1,u1,2012-10-30T05:00:00+05:00,,,sandy,0,0,"))
-        assert result.records[0].timestamp.hour == 0
+        assert message_records(result.records)[0].timestamp.hour == 0
 
     def test_half_location_rejected(self):
         result = parse_messages(messages_csv("m1,u1,2012-10-30T00:00:00Z,40.0,,sandy,0,0,"))
@@ -152,8 +159,8 @@ class TestParseMessages:
         )
         records = parse_messages(stream).records
         path = tmp_path / "out.csv"
-        write_messages_csv(records.blocks(), path)
-        assert list(parse_messages(path).records) == list(records)
+        write_messages_csv(message_blocks(records), path)
+        assert message_records(parse_messages(path).records) == message_records(records)
 
     @pytest.mark.parametrize("cells", [("m1", '"u\rx"'), ('"m\r1"', "u1"), ('"m\r1"', '"u\r"')])
     def test_round_trip_of_a_lone_carriage_return(self, cells):
@@ -163,21 +170,21 @@ class TestParseMessages:
         records = parse_messages(stream).records
         assert len(records) == 2
         buffer = io.StringIO()
-        write_messages_csv(records.blocks(), buffer)
+        write_messages_csv(message_blocks(records), buffer)
         buffer.seek(0)
         result = parse_messages(buffer)
         assert (result.rows_rejected, result.diagnostics) == (0, [])
-        assert list(result.records) == list(records)
+        assert message_records(result.records) == message_records(records)
 
     def test_round_trip_before_year_1000(self):
         records = parse_messages(messages_csv("m1,u1,0999-01-02T03:04:05Z,,,sandy,0,0,")).records
         buffer = io.StringIO()
-        write_messages_csv(records.blocks(), buffer)
+        write_messages_csv(message_blocks(records), buffer)
         assert "0999-01-02T03:04:05Z" in buffer.getvalue()
         buffer.seek(0)
         result = parse_messages(buffer)
         assert result.diagnostics == []
-        assert list(result.records) == list(records)
+        assert message_records(result.records) == message_records(records)
 
     def test_format_timestamp_pads_the_year(self, utc):
         assert ingest.format_timestamp(utc(999, 1, 2, 3, 4, 5)) == "0999-01-02T03:04:05Z"
@@ -220,7 +227,7 @@ class TestMessageInvariants:
         result = parse_messages(messages_csv(*rows))
         assert len(result.records) + result.rows_rejected + result.rows_filtered == result.rows_total
         assert result.rows_total == len(rows)
-        for m in result.records:
+        for m in message_records(result.records):
             assert m.keywords
             assert m.retweeted_count >= 0
             if m.location is not None:
@@ -234,9 +241,9 @@ class TestMessageInvariants:
     def test_round_trip_is_identity(self, rows):
         records = parse_messages(messages_csv(*rows)).records
         buffer = io.StringIO()
-        write_messages_csv(records.blocks(), buffer)
+        write_messages_csv(message_blocks(records), buffer)
         buffer.seek(0)
-        assert list(parse_messages(buffer).records) == list(records)
+        assert message_records(parse_messages(buffer).records) == message_records(records)
 
 
 def region_feature(region_id, rings, level="county", gtype="Polygon"):
@@ -257,21 +264,21 @@ UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]
 class TestParseRegions:
     def test_unit_square_bbox(self):
         result = parse_regions(collection(region_feature("r1", [UNIT_SQUARE])))
-        (region,) = result.records
+        (region,) = region_boundaries(result.records)
         assert region.bbox == (0.0, 0.0, 1.0, 1.0)
         assert region.rings[0][0] == region.rings[0][-1]
 
     def test_multipolygon_flattened(self):
         part2 = [[2.0, 2.0], [3.0, 2.0], [3.0, 3.0], [2.0, 3.0], [2.0, 2.0]]
         feature = region_feature("r1", [[UNIT_SQUARE], [part2]], gtype="MultiPolygon")
-        (region,) = parse_regions(collection(feature)).records
+        (region,) = region_boundaries(parse_regions(collection(feature)).records)
         assert len(region.rings) == 2
         assert region.bbox == (0.0, 0.0, 3.0, 3.0)
 
     def test_open_ring_auto_closed_with_diagnostic(self):
         open_ring = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
         result = parse_regions(collection(region_feature("r1", [open_ring])))
-        (region,) = result.records
+        (region,) = region_boundaries(result.records)
         assert len(region.rings[0]) == 4
         assert region.rings[0][0] == region.rings[0][-1]
         assert any("auto-closed" in d for d in result.diagnostics)
@@ -280,7 +287,7 @@ class TestParseRegions:
         bad = {"type": "Feature", "properties": {"level": "zcta"},
                "geometry": {"type": "Polygon", "coordinates": [UNIT_SQUARE]}}
         result = parse_regions(collection(bad, region_feature("r2", [UNIT_SQUARE])))
-        assert [r.region_id for r in result.records] == ["r2"]
+        assert [r.region_id for r in region_boundaries(result.records)] == ["r2"]
         assert result.rows_rejected == 1
 
     def test_duplicate_id_same_level_fatal(self):
@@ -310,7 +317,7 @@ class TestParseRegions:
                 region_feature("r3", [UNIT_SQUARE]),
             )
         )
-        assert [r.region_id for r in result.records] == ["r3"]
+        assert [r.region_id for r in region_boundaries(result.records)] == ["r3"]
         assert result.rows_rejected == 2
         assert result.diagnostics[0].startswith("regions feature 0: ")
         assert result.diagnostics[1].startswith("regions feature 1: ")
@@ -335,7 +342,7 @@ class TestParseRegions:
     )
     def test_structurally_wrong_feature_rejected(self, feature):
         result = parse_regions(collection(feature, region_feature("r2", [UNIT_SQUARE])))
-        assert [r.region_id for r in result.records] == ["r2"]
+        assert [r.region_id for r in region_boundaries(result.records)] == ["r2"]
         assert result.rows_rejected == 1
         (diagnostic,) = result.diagnostics
         assert diagnostic.startswith("regions feature 0: ")
@@ -680,7 +687,7 @@ class TestBulkMatchesPerRowReference:
             expected.rows_total, expected.rows_rejected, expected.rows_filtered)
         assert result.diagnostics == expected.diagnostics
         table, records = result.records, expected.records
-        assert list(table) == records
+        assert message_records(table) == records
         assert table.message_id.tolist() == [r.message_id for r in records]
         assert [table.user_ids[u] for u in table.user.tolist()] == [r.user_id for r in records]
         assert table.time_us.tolist() == [(r.timestamp - UNIX_EPOCH) // MICROSECOND for r in records]
@@ -698,7 +705,7 @@ class TestBulkMatchesPerRowReference:
         assert len(table.tags) == 71
         assert table.tag_matrix.shape == (70, 71)
         assert table.tag_matrix.sum() == 140
-        assert list(table) == parse_messages_reference(HEADER + "\n".join(rows) + "\n").records
+        assert message_records(table) == parse_messages_reference(HEADER + "\n".join(rows) + "\n").records
 
     def test_canonical_rows_taken_in_bulk(self, monkeypatch):
         def refuse(*args):
@@ -743,7 +750,7 @@ class TestBulkMatchesPerRowReference:
         monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
         result = parse_messages(io.StringIO(text))
         assert result.records.message_id.tolist() == ["m0", "m1", "m2", "m3", "m4", "#m5", "m6"]
-        assert list(result.records) == parse_messages_reference(text).records
+        assert message_records(result.records) == parse_messages_reference(text).records
 
     @pytest.mark.parametrize("block_rows", [1, 3, 1 << 14])
     def test_line_over_a_lowered_field_limit(self, block_rows, monkeypatch):
@@ -787,7 +794,7 @@ class TestBulkMatchesPerRowReference:
         # the offset moves each instant past year 9999 or before year 1; that was an OverflowError traceback
         result = parse_messages(messages_csv("m1,u1,9999-12-31T23:59:59-05:00,,,sandy,0,0,",
                                              "m2,u1,2012-10-30T00:00:00Z,,,sandy,0,0,"))
-        assert [m.message_id for m in result.records] == ["m2"]
+        assert [m.message_id for m in message_records(result.records)] == ["m2"]
         assert result.diagnostics == ["messages line 2: timestamp '9999-12-31T23:59:59-05:00' out of range in UTC"]
         track = parse_track(io.StringIO("timestamp,lat,lon\n0001-01-01T00:00:00+05:00,30,-70\n"))
         assert track.diagnostics == ["track line 2: timestamp '0001-01-01T00:00:00+05:00' out of range in UTC"]

@@ -6,10 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from damagenowcast.analysis import daily_correlation_series, damage_correlation_report, nowcast, rank_keywords
-from damagenowcast.ingest import MessageRecord
 from damagenowcast.metrics import (
-    ActivitySummary,
-    SummaryGrid,
     TimeWindow,
     bin_offsets,
     bin_window,
@@ -17,18 +14,23 @@ from damagenowcast.metrics import (
     summarize_regions,
 )
 from oracles import (
+    ActivitySummary,
+    MessageRecord,
     codes_of,
     columns_of,
     compute_activity_summary_reference,
     daily_correlation_series_reference,
     damage_correlation_report_reference,
+    grid_from_mapping,
     grid_of,
+    grid_summaries,
     message_table,
     normalized_activity,
     nowcast_reference,
     rank_keywords_reference,
     summarize_daily_reference,
     summarize_regions_reference,
+    summary_at,
 )
 
 EPOCH = datetime(2012, 10, 30, tzinfo=timezone.utc)
@@ -52,10 +54,10 @@ def message(i, user="u1", stamp=EPOCH, retweet=False, rebroadcasts=0, sentiment=
 def summary(messages, window=None, population=None, region_id="r1"):
     """The grouped summary of one region that holds every message."""
     table = message_table(messages)
-    return summarize_regions(
+    return summary_at(summarize_regions(
         table, codes_of(table, {m.message_id: region_id for m in messages}), window,
         population={region_id: population} if population is not None else None, region_ids=[region_id],
-    )[region_id, None]
+    ), (region_id, None))
 
 
 class TestBinOffsets:
@@ -208,7 +210,7 @@ class TestSummaryProperties:
         ks = sorted(set(bin_offsets([m.timestamp for m in messages], EPOCH, DAY)))
         table = message_table(messages)
         daily = summarize_daily(table, codes_of(table, {m.message_id: "r" for m in messages}), EPOCH, DAY, ks)
-        assert sum(daily[("r", k)].n_messages for k in ks) == len(messages)
+        assert sum(summary_at(daily, ("r", k)).n_messages for k in ks) == len(messages)
 
     @given(region_messages(), st.randoms())
     @settings(max_examples=30, deadline=None)
@@ -231,39 +233,39 @@ class TestSummarizeHelpers:
         window = TimeWindow(EPOCH, EPOCH + DAY)
         table = message_table(messages)
         out = summarize_regions(table, codes_of(table, assignments), window, population={"r1": 50})
-        assert out["r1", None].n_messages == 1
-        assert out["r1", None].active_users_period == 2
+        assert summary_at(out, ("r1", None)).n_messages == 1
+        assert summary_at(out, ("r1", None)).active_users_period == 2
 
     def test_silent_listed_regions_get_zero_summaries(self):
         table = message_table([])
         out = summarize_regions(table, codes_of(table, {}), None, region_ids=["r1", "r2"])
-        assert out["r1", None].n_messages == 0
-        assert out["r2", None].n_messages == 0
+        assert summary_at(out, ("r1", None)).n_messages == 0
+        assert summary_at(out, ("r2", None)).n_messages == 0
 
     def test_keyword_filter_applies(self):
         messages = [message(0, keywords=("sandy",)), message(1, keywords=("gas",))]
         assignments = {"m0": "r1", "m1": "r1"}
         table = message_table(messages)
         out = summarize_regions(table, codes_of(table, assignments), None, scopes={"k": frozenset({"sandy"})})
-        assert out["r1", "k"].n_messages == 1
+        assert summary_at(out, ("r1", "k")).n_messages == 1
 
     def test_unassigned_messages_ignored(self):
         messages = [message(0), message(1)]
         assignments = {"m0": "r1", "m1": None}
         table = message_table(messages)
         out = summarize_regions(table, codes_of(table, assignments), None)
-        assert out["r1", None].n_messages == 1
+        assert summary_at(out, ("r1", None)).n_messages == 1
 
     def test_daily_summaries_cover_requested_bins(self):
         messages = [message(0, stamp=EPOCH), message(1, user="u2", stamp=EPOCH + DAY)]
         assignments = {"m0": "r1", "m1": "r1"}
         table = message_table(messages)
         out = summarize_daily(table, codes_of(table, assignments), EPOCH, DAY, bins=range(-1, 3))
-        assert out[("r1", 0)].n_messages == 1
-        assert out[("r1", 1)].n_messages == 1
-        assert out[("r1", -1)].n_messages == 0
-        assert out[("r1", 2)].n_messages == 0
-        assert out[("r1", 0)].active_users_period == 2
+        assert summary_at(out, ("r1", 0)).n_messages == 1
+        assert summary_at(out, ("r1", 1)).n_messages == 1
+        assert summary_at(out, ("r1", -1)).n_messages == 0
+        assert summary_at(out, ("r1", 2)).n_messages == 0
+        assert summary_at(out, ("r1", 0)).active_users_period == 2
 
     def test_scopes_share_one_count(self):
         messages = [
@@ -343,8 +345,8 @@ class TestGroupedMatchesReference:
         grouped = summarize_daily(table, codes_of(table, assignments), EPOCH, width, bins,
                                   population={"r1": 10})
         expected = summarize_daily_reference(messages, assignments, EPOCH, width, bins, keywords, {"r1": 10})
-        assert list(grouped) == list(expected)
-        _same(grouped, expected)
+        assert list(grid_summaries(grouped)) == list(expected)
+        _same(grid_summaries(grouped), expected)
 
     def test_reference_summary_of_one_region(self):
         messages = [
@@ -426,11 +428,11 @@ class TestSeriesMatchesReference:
     def test_plain_mapping(self, summaries, args):
         population, damage, bins, normalization = args
         # a grid holds an unknown population as 0, so a population of 0 reads back as None
-        assert SummaryGrid.from_mapping(summaries) == {
+        assert grid_summaries(grid_from_mapping(summaries)) == {
             key: dataclasses.replace(s, population=s.population or None) for key, s in summaries.items()
         }
         summaries = with_population(summaries, population)
-        got = daily_correlation_series(SummaryGrid.from_mapping(summaries), damage, bins, EPOCH, DAY, normalization)
+        got = daily_correlation_series(grid_from_mapping(summaries), damage, bins, EPOCH, DAY, normalization)
         expected = daily_correlation_series_reference(summaries, damage, population, bins, normalization, EPOCH, DAY)
         assert _bits(got) == _bits(expected)
 
@@ -501,7 +503,7 @@ class TestAnalysesMatchReference:
         grid = summarize_regions(table, codes_of(table, assignments), window,
                                  scopes={tag: frozenset({tag}) for tag in TAGS})
         _, _, distances = args
-        expected = rank_keywords_reference(dict(grid.items()), distances, subset)
+        expected = rank_keywords_reference(grid_summaries(grid), distances, subset)
         self._same(rank_keywords(grid, _only(distances, subset)), expected)
 
     @given(st.dictionaries(st.tuples(st.sampled_from(REGIONS), st.sampled_from(TAGS)), st.none()), st.data(),
@@ -511,7 +513,7 @@ class TestAnalysesMatchReference:
         summaries = {key: data.draw(plain_summary(key[0])) for key in keys}
         _, _, distances = args
         expected = rank_keywords_reference(summaries, distances, subset)
-        self._same(rank_keywords(SummaryGrid.from_mapping(summaries), _only(distances, subset)), expected)
+        self._same(rank_keywords(grid_from_mapping(summaries), _only(distances, subset)), expected)
 
     @given(corpus(), region_args(), st.booleans(), st.booleans())
     @settings(max_examples=40, deadline=None)

@@ -19,7 +19,7 @@ from damagenowcast.simulate import (
     generate,
 )
 
-from oracles import join_points, simulate_reference, tau_b_brute
+from oracles import join_points, message_records, region_boundaries, simulate_reference, tau_b_brute
 
 BUNDLE_FILES = (
     "messages.csv",
@@ -87,17 +87,17 @@ class TestBundleWellFormed:
 
     def test_every_message_falls_inside_its_region(self, tmp_path):
         bundle = generate(small_config(5), tmp_path / "sim")
-        regions = {r.region_id: r for r in parse_regions(bundle.regions_geojson).records}
+        regions = {r.region_id: r for r in region_boundaries(parse_regions(bundle.regions_geojson).records)}
 
         points = {}
-        for m in parse_messages(bundle.messages_csv).records:
+        for m in message_records(parse_messages(bundle.messages_csv).records):
             points.setdefault(m.message_id.rsplit("-", 1)[0], []).append((m.message_id, GeoPoint(*m.location)))
         for region_id, located in points.items():
             assert None not in join_points(located, [regions[region_id]]).values()
 
     def test_canonical_ordering(self, tmp_path):
         bundle = generate(small_config(9), tmp_path / "sim")
-        records = parse_messages(bundle.messages_csv).records
+        records = message_records(parse_messages(bundle.messages_csv).records)
         keys = [(m.message_id.rsplit("-", 1)[0], m.timestamp) for m in records]
         assert keys == sorted(keys)
 
@@ -107,7 +107,7 @@ class TestBundleWellFormed:
         )
         bundle = generate(config, tmp_path / "sim")
         assert bundle.n_messages == 0
-        assert list(parse_messages(bundle.messages_csv).records) == []
+        assert message_records(parse_messages(bundle.messages_csv).records) == []
         gt = read_ground_truth(bundle.ground_truth_csv)
         assert all(v["realized_damage_pc"] == 0.0 for v in gt.values())
 
@@ -156,7 +156,7 @@ class TestMatchesReference:
         )
         bundle = generate(config, tmp_path / "columns")
         simulate_reference(config, tmp_path / "records")
-        stamps = [m.timestamp for m in parse_messages(bundle.messages_csv).records]
+        stamps = [m.timestamp for m in message_records(parse_messages(bundle.messages_csv).records)]
         assert len(set(stamps)) < len(stamps) - 100
         assert digest_dir(bundle.out_dir) == digest_dir(tmp_path / "records")
 
@@ -206,13 +206,13 @@ class TestGenerativeCoupling:
 def _per_person_rates(bundle) -> dict[str, tuple[float, float]]:
     """region_id -> (distance_km, realized messages per person)."""
     track = [GeoPoint(p.lat, p.lon) for p in parse_track(bundle.track_csv).records]
-    regions = parse_regions(bundle.regions_geojson).records
+    regions = region_boundaries(parse_regions(bundle.regions_geojson).records)
     populations = {}
     with open(bundle.population_csv, encoding="utf-8") as handle:
         for row in csv.DictReader(handle):
             populations[row["region_id"]] = int(row["population"])
     counts = {r.region_id: 0 for r in regions}
-    for m in parse_messages(bundle.messages_csv).records:
+    for m in message_records(parse_messages(bundle.messages_csv).records):
         counts[m.message_id.rsplit("-", 1)[0]] += 1
     out = {}
     for r in regions:
@@ -293,9 +293,9 @@ class TestEmpiricalRegularities:
             )
             bundle = generate(config, tmp_path / f"sim{seed}")
             track = [GeoPoint(p.lat, p.lon) for p in parse_track(bundle.track_csv).records]
-            regions = {r.region_id: r for r in parse_regions(bundle.regions_geojson).records}
+            regions = {r.region_id: r for r in region_boundaries(parse_regions(bundle.regions_geojson).records)}
             totals: dict[str, list[int]] = {rid: [0, 0] for rid in regions}
-            for m in parse_messages(bundle.messages_csv).records:
+            for m in message_records(parse_messages(bundle.messages_csv).records):
                 rid = m.message_id.rsplit("-", 1)[0]
                 totals[rid][0] += 1
                 totals[rid][1] += int(m.is_retweet)
