@@ -5,7 +5,8 @@ Every CSV parser reads through one shared single-pass reader, so all of them
 drop malformed rows with the same line-numbered diagnostic; structural
 problems (unreadable or empty input, a missing column, duplicate keys where
 duplicates are banned, non-monotone track times) raise :class:`IngestError`.
-Files are UTF-8; timestamps must be ISO-8601 with an explicit UTC offset.
+Files are UTF-8, with or without a byte-order mark; timestamps must be
+ISO-8601 with an explicit UTC offset.
 
 ``parse_messages`` returns a :class:`MessageTable`, one array per field. It
 converts columns a block at a time with numpy and accepts in bulk only the
@@ -16,7 +17,7 @@ diagnostics are what converting each row on its own would give. Repeated
 ids are found once the input is read, from one hash per row.
 
 ``parse_regions`` returns a :class:`RegionTable`: every vertex in one float64
-array, indexed by ring and region offsets.
+array, indexed by ring and region offsets, for regions at one level.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import csv
 import itertools
 import json
 import math
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -269,7 +271,8 @@ class _LineFilter:
 def _open_text(source: str | Path | TextIO) -> tuple[TextIO, bool]:
     if isinstance(source, (str, Path)):
         try:
-            return open(source, "r", encoding="utf-8", newline=""), True
+            # a byte-order mark at the start is not data; one later in the file is
+            return open(source, "r", encoding="utf-8-sig", newline=""), True
         except OSError as exc:
             raise IngestError(f"cannot read {source}: {exc}") from exc
     return source, False
@@ -827,6 +830,8 @@ def parse_regions(source: str | Path | TextIO) -> ParseResult[RegionTable]:
     region_id/name/level or geometry is dropped with a diagnostic. Two
     features sharing a region_id raise :class:`IngestError`, whatever their
     levels: the population and damage tables are keyed by region_id alone.
+    So do accepted features at more than one level: the join gives a point
+    to one region, so a coarser level would take every point of a finer one.
     """
     result: ParseResult[RegionTable] = ParseResult(records=None)  # the table once read
     levels: dict[str, str] = {}
@@ -846,6 +851,10 @@ def parse_regions(source: str | Path | TextIO) -> ParseResult[RegionTable]:
             raise IngestError(f"regions: duplicate region_id {region_id!r} at {where}")
         levels[region_id] = level
         columns.add(*region)
+    per_level = Counter(levels.values())
+    if len(per_level) > 1:
+        counts = ", ".join(f"{level}: {n}" for level, n in sorted(per_level.items()))
+        raise IngestError(f"regions: features at {len(per_level)} levels ({counts}); give one level per file")
     result.records = columns.table()
     return result
 

@@ -839,6 +839,27 @@ class TestRepeatedRegionId:
         assert err == ["error: regions: duplicate region_id 'r0000' at levels 'zcta' and 'county'"] * 2
 
 
+class TestOneLevelPerRegionsFile:
+    def test_metro_over_its_zctas_is_an_input_error(self, tmp_path, capsys):
+        # the join gave all 1,756 messages to the metro and none to the 12 ZCTAs under it, with exit 0
+        bundle = tmp_path / "sim"
+        assert run("simulate", "--seed", 3, "--regions", 12, "--out", bundle) == 0
+        path = bundle / "regions.geojson"
+        collection = json.loads(path.read_text())
+        lon, lat = zip(*(v for f in collection["features"] for ring in f["geometry"]["coordinates"] for v in ring))
+        square = [[min(lon), min(lat)], [max(lon), min(lat)], [max(lon), max(lat)], [min(lon), max(lat)],
+                  [min(lon), min(lat)]]
+        collection["features"].append({"type": "Feature", "properties": {"region_id": "a_metro", "level": "metro"},
+                                       "geometry": {"type": "Polygon", "coordinates": [square]}})
+        path.write_text(json.dumps(collection))
+        capsys.readouterr()
+        assert run("validate", "--regions", path) == 1
+        assert run("summarize", "--messages", bundle / "messages.csv", "--regions", path, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: regions: features at 2 levels (metro: 1, zcta: 12); give one level per file"] * 2
+        assert not (tmp_path / "out").exists()
+
+
 class TestReportRoundTrip:
     def test_simulated_messages_roundtrip_through_ingest(self, sim_bundle, tmp_path):
         from damagenowcast.ingest import parse_messages, write_messages_csv

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import gc
 import io
@@ -303,6 +304,27 @@ class TestParseRegions:
                 region_feature("r1", [UNIT_SQUARE], level="zcta"), region_feature("r1", [UNIT_SQUARE], level="county")
             ))
 
+    def test_features_at_two_levels_fatal(self):
+        # the join gives each point to one region, so a metro over its ZCTAs took every message of theirs
+        zctas = [region_feature(f"z{i}", [UNIT_SQUARE], level="zcta") for i in range(3)]
+        with pytest.raises(IngestError, match=r"^regions: features at 2 levels \(metro: 1, zcta: 3\); "
+                                              r"give one level per file$"):
+            parse_regions(collection(*zctas, region_feature("m1", [UNIT_SQUARE], level="metro")))
+        # a rejected feature has no level
+        result = parse_regions(collection(*zctas, region_feature("m1", None, level="metro")))
+        assert (len(result.records), result.rows_rejected) == (3, 1)
+
+    def test_byte_order_mark_is_not_data(self, tmp_path):
+        text = collection(region_feature("r1", [UNIT_SQUARE]), region_feature("r2", [[0, 0]])).getvalue()
+        plain, marked = tmp_path / "plain.geojson", tmp_path / "marked.geojson"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(codecs.BOM_UTF8)
+        expected, result = parse_regions(plain), parse_regions(marked)
+        assert region_boundaries(result.records) == region_boundaries(expected.records)
+        assert (result.rows_total, result.rows_rejected) == (expected.rows_total, expected.rows_rejected) == (2, 1)
+        assert result.diagnostics == expected.diagnostics
+
     def test_bad_level_rejected(self):
         result = parse_regions(collection(region_feature("r1", [UNIT_SQUARE], level="tract")))
         assert result.rows_rejected == 1
@@ -572,6 +594,21 @@ class TestCsvReaderContract:
         prefix, _, detail = str(excinfo.value).partition(": ")
         assert prefix == what
         assert missing in detail
+
+    def test_byte_order_mark_is_not_data(self, what, parse, header, good, bad, filtered, missing, tmp_path):
+        text = "\n".join([header, good, bad] + ([filtered] if filtered else [])) + "\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(codecs.BOM_UTF8)
+        expected, result = parse(plain), parse(marked)
+        counts = ("rows_total", "rows_rejected", "rows_filtered")
+        assert [getattr(result, name) for name in counts] == [getattr(expected, name) for name in counts]
+        assert result.diagnostics == expected.diagnostics
+        assert len(result.diagnostics) == 1
+        records, expected_records = (message_records(r.records) if what == "messages" else r.records
+                                     for r in (result, expected))
+        assert records and records == expected_records
 
 
 
